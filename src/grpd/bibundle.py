@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (FinGroupoid, StrictArrow, GroupoidError,
+from .core import (FinGroupoid, StrictArrow, GroupoidError, index_arrows,
                    same_groupoid)
 from . import homotopy
 
@@ -56,6 +56,7 @@ class LeftAction:
 
 
 def validate_right_action(a: RightAction) -> RightAction:
+    """Check the right-action axioms; ``a.groupoid`` must be valid."""
     g = a.groupoid
     points = set(a.carrier)
     for z in a.carrier:
@@ -75,18 +76,23 @@ def validate_right_action(a: RightAction) -> RightAction:
     for z in a.carrier:
         if a.act[(z, g.unit[a.actor[z]])] != z:
             raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
+    # Light's test, as in validate_groupoid: the arrows q with
+    # (z.p).q == z.(p.q) for all z and p are closed under composition
+    # (using that g is associative), so q ranges over g.generators only.
+    gens_into = index_arrows(g.generators, g.tgt)
     for z in a.carrier:
-        for (p, q), r in g.comp.items():
-            if a.actor[z] != g.tgt[p]:
-                continue
-            if a.act[(a.act[(z, p)], q)] != a.act[(z, r)]:
-                raise BadAction(
-                    f"action not associative on ({z!r}, {p!r}, {q!r})",
-                    witness=(z, p, q))
+        for p in g.arrows_into[a.actor[z]]:
+            zp = a.act[(z, p)]
+            for q in gens_into.get(g.src[p], ()):
+                if a.act[(zp, q)] != a.act[(z, g.comp[(p, q)])]:
+                    raise BadAction(
+                        f"action not associative on ({z!r}, {p!r}, {q!r})",
+                        witness=(z, p, q))
     return a
 
 
 def validate_left_action(a: LeftAction) -> LeftAction:
+    """Check the left-action axioms; ``a.groupoid`` must be valid."""
     g = a.groupoid
     points = set(a.carrier)
     for z in a.carrier:
@@ -106,14 +112,17 @@ def validate_left_action(a: LeftAction) -> LeftAction:
     for z in a.carrier:
         if a.act[(g.unit[a.actor[z]], z)] != z:
             raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
+    # Light's test: the arrows q with p.(q.z) == (p.q).z for all p and z
+    # are closed under composition (using that g is associative).
+    gens_from = index_arrows(g.generators, g.src)
     for z in a.carrier:
-        for (p, q), r in g.comp.items():
-            if a.actor[z] != g.src[q]:
-                continue
-            if a.act[(p, a.act[(q, z)])] != a.act[(r, z)]:
-                raise BadAction(
-                    f"action not associative on ({p!r}, {q!r}, {z!r})",
-                    witness=(p, q, z))
+        for q in gens_from.get(a.actor[z], ()):
+            qz = a.act[(q, z)]
+            for p in g.arrows_from[g.tgt[q]]:
+                if a.act[(p, qz)] != a.act[(g.comp[(p, q)], z)]:
+                    raise BadAction(
+                        f"action not associative on ({p!r}, {q!r}, {z!r})",
+                        witness=(p, q, z))
     return a
 
 
@@ -258,13 +267,16 @@ def validate_bibundle(b: Bibundle) -> Bibundle:
             raise BadAction(
                 f"right action moves the left actor at ({z!r}, {c!r})",
                 witness=(z, c))
+    # Commuting on generators suffices.  For a fixed c, the eta that commute
+    # with c are closed under composition (the left action is associative
+    # and keeps q), so each generator c commutes with every eta.  For a
+    # fixed eta, the c that commute with it are closed under composition in
+    # the same way, so every c does.
+    h_gens = index_arrows(h.generators, h.src)
+    g_gens = index_arrows(g.generators, g.tgt)
     for z in b.carrier:
-        for eta in h.arrows:
-            if p[z] != h.src[eta]:
-                continue
-            for c in g.arrows:
-                if q[z] != g.tgt[c]:
-                    continue
+        for eta in h_gens.get(p[z], ()):
+            for c in g_gens.get(q[z], ()):
                 if (b.right.act[(b.left.act[(eta, z)], c)]
                         != b.left.act[(eta, b.right.act[(z, c)])]):
                     raise BadAction(

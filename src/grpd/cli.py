@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (and "true" for decision subcommands), 1 negative
-decision (false / no witness), 2 input error (parse or axiom failure),
-3 internal limit (isotropy cap).  ``--json`` switches every report to a
-single machine-readable object; GRPD_ISOTROPY_CAP overrides the group
-isomorphism cap (default 24).
+decision (false / no witness), 2 input error (parse or axiom failure, or
+an unusable environment value), 3 internal limit (isotropy cap).
+``--json`` switches every report to a single machine-readable object;
+GRPD_ISOTROPY_CAP, a positive integer, overrides the group isomorphism cap
+(default 24).
 """
 
 from __future__ import annotations
@@ -62,8 +63,20 @@ REPORT_SCHEMA = {
 }
 
 
+class BadEnvironment(Exception):
+    """An environment variable holds a value the CLI cannot use."""
+
+
 def _cap() -> int:
-    return int(os.environ.get("GRPD_ISOTROPY_CAP", "24"))
+    raw = os.environ.get("GRPD_ISOTROPY_CAP", "24")
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadEnvironment(
+            f"GRPD_ISOTROPY_CAP must be a positive integer, got {raw!r}")
+    return cap
 
 
 class _Reporter:
@@ -278,6 +291,8 @@ def _cmd_deform(args, rep):
 
 def _cmd_tensor(args, rep):
     _, (z1, z2) = _load_two([args.z1, args.z2], "bibundles")
+    for g in (z1.dom, z1.cod, z2.dom, z2.cod):
+        validate_groupoid(g)
     bib.validate_bibundle(z1)
     bib.validate_bibundle(z2)
     result = bib.tensor(z1, z2)
@@ -312,6 +327,10 @@ def _cmd_pullback(args, rep):
     if len(functors) < 2:
         raise ParseError("cospan file needs two functor blocks",
                          args.cospan, 1, 1)
+    for f in functors[:2]:
+        validate_groupoid(f.dom)
+        validate_groupoid(f.cod)
+        validate_functor(f)
     cospan = homotopy.Cospan(left=functors[0], right=functors[1])
     result = homotopy.homotopy_pullback(cospan, n=args.n)
     grp = result.groupoid
@@ -445,7 +464,7 @@ def run(argv=None) -> int:
         rep.emit(False, error=str(err))
         return EXIT_LIMIT
     except (ParseError, GroupoidError, DescentError, InvalidGroupTable,
-            OSError) as err:
+            BadEnvironment, OSError) as err:
         rep.emit(False, error=str(err))
         return EXIT_INPUT
 

@@ -149,6 +149,47 @@ class FinGroupoid:
             frontier = nxt
         return tree
 
+    @cached_property
+    def generators(self) -> tuple[str, ...]:
+        """Arrows of which every arrow is an iterated composite, built
+        greedily: each component's spanning-tree arrows, then every arrow
+        not yet reached, in order.  Needs a total ``comp``."""
+        src, tgt, comp = self.src, self.tgt, self.comp
+        gens: list[str] = []
+        gens_from: dict[str, list[str]] = {x: [] for x in self.objects}
+        reached: set[str] = set()
+        reached_into: dict[str, list[str]] = {x: [] for x in self.objects}
+        frontier: list[str] = []
+
+        def reach(a):
+            reached.add(a)
+            reached_into[tgt[a]].append(a)
+            frontier.append(a)
+
+        def add(s):
+            gens.append(s)
+            gens_from[src[s]].append(s)
+            reach(s)
+            for r in list(reached_into[src[s]]):
+                y = comp[(s, r)]
+                if y not in reached:
+                    reach(y)
+            while frontier:
+                r = frontier.pop()
+                for s2 in gens_from[tgt[r]]:
+                    y = comp[(s2, r)]
+                    if y not in reached:
+                        reach(y)
+
+        for block in self.components:
+            for a in self.spanning_arrows(block).values():
+                if a not in reached:
+                    add(a)
+        for a in self.arrows:
+            if a not in reached:
+                add(a)
+        return tuple(gens)
+
     def equal_presentation(self, other: "FinGroupoid") -> bool:
         return (set(self.objects) == set(other.objects)
                 and set(self.arrows) == set(other.arrows)
@@ -163,6 +204,14 @@ class FinGroupoid:
 
 def same_groupoid(a: FinGroupoid, b: FinGroupoid) -> bool:
     return a is b or a.equal_presentation(b)
+
+
+def index_arrows(arrows, end: dict[str, str]) -> dict[str, list[str]]:
+    """Arrows grouped by ``end[a]`` (src or tgt), keeping their order."""
+    out: dict[str, list[str]] = {}
+    for a in arrows:
+        out.setdefault(end[a], []).append(a)
+    return out
 
 
 def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
@@ -196,24 +245,36 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
         if g.inv[a] not in arrows:
             raise DanglingId(
                 f"inv({a!r}) = {g.inv[a]!r} is not an arrow", witness=a)
-    for (p, q), r in sorted(g.comp.items()):
-        if p not in arrows or q not in arrows or r not in arrows:
-            raise DanglingId(f"comp entry ({p!r}, {q!r}) = {r!r} references "
-                             "an unknown arrow", witness=(p, q))
-        if g.src[p] != g.tgt[q]:
-            raise PartialComposition(
-                f"comp defined on non-composable pair ({p!r}, {q!r})",
-                witness=(p, q))
-        if g.src[r] != g.src[q] or g.tgt[r] != g.tgt[p]:
-            raise PartialComposition(
-                f"comp({p!r}, {q!r}) = {r!r} has wrong endpoints",
-                witness=(p, q))
-    for p in g.arrows:
-        for q in g.arrows:
-            if g.src[p] == g.tgt[q] and (p, q) not in g.comp:
+    src, tgt, comp = g.src, g.tgt, g.comp
+    if not all(p in arrows and q in arrows and r in arrows
+               and src[p] == tgt[q] and src[r] == src[q] and tgt[r] == tgt[p]
+               for (p, q), r in comp.items()):
+        # report the least bad entry
+        for (p, q), r in sorted(comp.items()):
+            if p not in arrows or q not in arrows or r not in arrows:
+                raise DanglingId(f"comp entry ({p!r}, {q!r}) = {r!r} "
+                                 "references an unknown arrow",
+                                 witness=(p, q))
+            if src[p] != tgt[q]:
                 raise PartialComposition(
-                    f"composable pair ({p!r}, {q!r}) has no composite",
+                    f"comp defined on non-composable pair ({p!r}, {q!r})",
                     witness=(p, q))
+            if src[r] != src[q] or tgt[r] != tgt[p]:
+                raise PartialComposition(
+                    f"comp({p!r}, {q!r}) = {r!r} has wrong endpoints",
+                    witness=(p, q))
+    by_src = index_arrows(g.arrows, src)
+    by_tgt = index_arrows(g.arrows, tgt)
+    # every entry is a composable pair, so comp is total iff it has one
+    # entry per pair in in(y) x out(y) for each object y
+    if len(comp) != sum(len(by_tgt.get(y, ())) * len(by_src.get(y, ()))
+                        for y in g.objects):
+        for p in g.arrows:
+            for q in by_tgt.get(src[p], ()):
+                if (p, q) not in comp:
+                    raise PartialComposition(
+                        f"composable pair ({p!r}, {q!r}) has no composite",
+                        witness=(p, q))
     for x in g.objects:
         u = g.unit[x]
         if g.src[u] != x or g.tgt[u] != x:
@@ -229,14 +290,19 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
         if (g.comp[(b, a)] != g.unit[g.src[a]]
                 or g.comp[(a, b)] != g.unit[g.tgt[a]]):
             raise BadInverse(f"inv({a!r}) is not a two-sided inverse", witness=a)
-    by_src: dict[str, list[str]] = {x: [] for x in g.objects}
-    for a in g.arrows:
-        by_src[g.src[a]].append(a)
-    for a in g.arrows:
-        for b in by_src[g.tgt[a]]:
-            ba = g.comp[(b, a)]
-            for c in by_src[g.tgt[b]]:
-                if g.comp[(c, ba)] != g.comp[(g.comp[(c, b)], a)]:
+    # Light's associativity test.  Let M be the set of arrows b with
+    # (c.b).a == c.(b.a) for all composable a and c.  M is closed under
+    # composition: for b1, b2 in M with b2.b1 defined,
+    #   (c.(b2.b1)).a = ((c.b2).b1).a = (c.b2).(b1.a) = c.(b2.(b1.a))
+    #                 = c.((b2.b1).a),
+    # using that b2, b1, b2 and b1 lie in M, in turn.  Every arrow is an
+    # iterated composite of g.generators, so if those lie in M, all do.
+    for b in g.generators:
+        outer = [(c, comp[(c, b)]) for c in by_src[tgt[b]]]
+        for a in by_tgt[src[b]]:
+            ba = comp[(b, a)]
+            for c, cb in outer:
+                if comp[(c, ba)] != comp[(cb, a)]:
                     raise NonAssociative(
                         f"associativity fails on ({c!r}, {b!r}, {a!r})",
                         witness=(c, b, a))

@@ -1,15 +1,19 @@
 """Finite group multiplication tables: validation, isomorphism, canonical forms.
 
 Tables are square tuples of tuples over indices 0..n-1 with ``t[a][b]`` the
-product a*b.  The identity may sit at any index.  Everything here is exact
-brute force sized for the small isotropy groups this package meets (the
-hard cap is enforced by callers, default 24).
+product a*b.  The identity may sit at any index.  Everything here is exact,
+sized for the small isotropy groups this package meets (the hard cap is
+enforced by callers, default 24).  Isomorphism and homomorphism search map
+the first irredundant generating tuple and extend by products.  The
+canonical form searches only the generating tuples that can give the least
+relabelled table (the shortest ones that start with an involution) and drops
+a candidate at its first row above the best so far.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import chain, count, product
 
 
 class InvalidGroupTable(Exception):
@@ -64,64 +68,54 @@ def inverse_of(t, a: int) -> int:
 
 
 def element_order(t, a: int) -> int:
-    e = identity_of(t)
-    x, k = a, 1
-    while x != e:
-        x = t[x][a]
-        k += 1
-    return k
+    return _element_orders(t, identity_of(t))[a]
 
 
-def _closure(t, gens) -> frozenset:
-    e = identity_of(t)
-    seen = {e}
-    frontier = [e]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = t[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+def _element_orders(t, e) -> list[int]:
+    out = []
+    for a in range(len(t)):
+        x, k = a, 1
+        while x != e:
+            x = t[x][a]
+            k += 1
+        out.append(k)
+    return out
 
 
-def _bfs_order(t, gens) -> list[int]:
+def _bfs_order(t, e, gens) -> list[int]:
     """Deterministic enumeration of the whole group from a generating tuple."""
-    e = identity_of(t)
     order = [e]
-    pos = {e: 0}
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
+    seen = {e}
+    for x in order:
         for g in gens:
             y = t[x][g]
-            if y not in pos:
-                pos[y] = len(order)
+            if y not in seen:
+                seen.add(y)
                 order.append(y)
     return order
 
 
-def _generating_sequences(t):
-    """All irredundant ordered generating tuples (next gen outside the span)."""
+def _generating_sequences(t, e, firsts=None, max_len=None):
+    """Irredundant ordered generating tuples (each next generator outside
+    the span of the earlier ones), yielded lazily in depth-first order over
+    0..n-1.  ``firsts`` restricts the first generator; ``max_len`` skips
+    tuples longer than that."""
     n = len(t)
-    out = []
+    gens: list[int] = []
 
-    def rec(gens, span):
+    def rec(span):
         if len(span) == n:
-            out.append(tuple(gens))
+            yield tuple(gens)
             return
-        for g in range(n):
-            if g in span:
-                continue
-            rec(gens + [g], _closure(t, gens + [g]))
+        if len(gens) == max_len:
+            return
+        for g in (firsts if not gens and firsts is not None else range(n)):
+            if g not in span:
+                gens.append(g)
+                yield from rec(set(_bfs_order(t, e, gens)))
+                gens.pop()
 
-    rec([], _closure(t, []))
-    return out
+    yield from rec({e})
 
 
 @lru_cache(maxsize=None)
@@ -129,14 +123,43 @@ def canonical_form(t) -> tuple[int, ...]:
     """Isomorphism-invariant flattening: least BFS-relabelled table over all
     irredundant generating tuples.  Equal canonical forms iff isomorphic."""
     n = len(t)
+    e = identity_of(t)
+    # Only tuples that can reach the minimum are searched.  For a tuple
+    # (g0, ..., g_{k-1}) the BFS order starts e, g0, ..., g_{k-1}: each g_i
+    # lies outside <g0, ..., g_{i-1}>, so all are new.  Hence every tuple
+    # gives the same identity row and flat[n] = pos(g0 * e) = 1.  Next,
+    # flat[n+1] = pos(g0^2): 0 when g0 is an involution, otherwise g0^2 is
+    # new (it lies in <g0> but is neither e nor g0) and is the first
+    # product found after the generators, at k+1.  For an involution g0 and
+    # k >= 2, flat[n+2] = pos(g0 * g1) = k+1 by the same reasoning.  Every
+    # element other than e starts some irredundant tuple, so the minimum
+    # lies among the tuples that start with an involution (any element when
+    # the order is odd), and among those, as k+1 grows with k, the shortest.
+    # Deepening the length bound finds them.
+    involutions = [g for g in range(n) if g != e and t[g][g] == e]
+    for k in count():
+        seqs = _generating_sequences(t, e, involutions or None, k)
+        first = next(seqs, None)
+        if first is not None:
+            break
     best = None
-    for gens in _generating_sequences(t):
-        order = _bfs_order(t, gens)
-        pos = {x: i for i, x in enumerate(order)}
-        flat = tuple(pos[t[a][b]] for a in order for b in order)
-        if best is None or flat < best:
-            best = flat
-    return best
+    for gens in chain((first,), seqs):
+        order = _bfs_order(t, e, gens)
+        pos = [0] * n
+        for i, x in enumerate(order):
+            pos[x] = i
+        rows = (tuple([pos[y] for y in map(t[a].__getitem__, order)])
+                for a in order)
+        if best is None:
+            best = list(rows)
+            continue
+        # compare row by row; build the rest only for a new best
+        for i, row in enumerate(rows):
+            if row != best[i]:
+                if row < best[i]:
+                    best[i:] = [row, *rows]
+                break
+    return tuple(chain.from_iterable(best))
 
 
 def unflatten(flat: tuple[int, ...]):
@@ -144,8 +167,27 @@ def unflatten(flat: tuple[int, ...]):
     return tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n))
 
 
-def _order_profile(t):
-    return tuple(sorted(element_order(t, a) for a in range(len(t))))
+def _extend_by_products(t1, t2, e1, e2, gens, images, order1):
+    """The map fixed by sending gens to images and extending along the BFS
+    order of t1 as a homomorphism would; None when two products disagree."""
+    phi = {e1: e2}
+    for x in order1:
+        px = phi[x]
+        for g, img in zip(gens, images):
+            y = t1[x][g]
+            fy = t2[px][img]
+            if y in phi:
+                if phi[y] != fy:
+                    return None
+            else:
+                phi[y] = fy
+    return phi
+
+
+def _is_hom(t1, t2, phi) -> bool:
+    n1 = len(t1)
+    return all(phi[t1[a][b]] == t2[phi[a]][phi[b]]
+               for a in range(n1) for b in range(n1))
 
 
 def is_isomorphic(t1, t2) -> bool:
@@ -155,35 +197,19 @@ def is_isomorphic(t1, t2) -> bool:
     n = len(t1)
     if len(t2) != n:
         return False
-    if _order_profile(t1) != _order_profile(t2):
+    e1, e2 = identity_of(t1), identity_of(t2)
+    orders1, orders2 = _element_orders(t1, e1), _element_orders(t2, e2)
+    if sorted(orders1) != sorted(orders2):
         return False
-    gens = _generating_sequences(t1)[0]
-    orders = [element_order(t1, g) for g in gens]
-    candidates = [[b for b in range(n) if element_order(t2, b) == o]
-                  for o in orders]
-    order1 = _bfs_order(t1, gens)
+    gens = next(_generating_sequences(t1, e1))
+    candidates = [[b for b in range(n) if orders2[b] == orders1[g]]
+                  for g in gens]
+    order1 = _bfs_order(t1, e1, gens)
     for images in product(*candidates):
-        phi = {identity_of(t1): identity_of(t2)}
-        ok = True
-        for x in order1:
-            if x not in phi:
-                ok = False
-                break
-            for g, img in zip(gens, images):
-                y = t1[x][g]
-                fy = t2[phi[x]][img]
-                if y in phi:
-                    if phi[y] != fy:
-                        ok = False
-                        break
-                else:
-                    phi[y] = fy
-            if not ok:
-                break
-        if not ok or len(set(phi.values())) != n:
+        phi = _extend_by_products(t1, t2, e1, e2, gens, images, order1)
+        if phi is None or len(set(phi.values())) != n:
             continue
-        if all(phi[t1[a][b]] == t2[phi[a]][phi[b]]
-               for a in range(n) for b in range(n)):
+        if _is_hom(t1, t2, phi):
             return True
     return False
 
@@ -191,32 +217,17 @@ def is_isomorphic(t1, t2) -> bool:
 @lru_cache(maxsize=None)
 def enumerate_homs(t1, t2) -> tuple[tuple[int, ...], ...]:
     """All group homomorphisms t1 -> t2 as image tuples indexed by t1."""
-    n1, n2 = len(t1), len(t2)
-    gens = _generating_sequences(t1)[0]
-    orders = [element_order(t1, g) for g in gens]
-    candidates = [[b for b in range(n2) if orders[i] % element_order(t2, b) == 0]
-                  for i in range(len(gens))]
-    order1 = _bfs_order(t1, gens)
+    n1 = len(t1)
+    e1, e2 = identity_of(t1), identity_of(t2)
+    orders1, orders2 = _element_orders(t1, e1), _element_orders(t2, e2)
+    gens = next(_generating_sequences(t1, e1))
+    candidates = [[b for b in range(len(t2)) if orders1[g] % orders2[b] == 0]
+                  for g in gens]
+    order1 = _bfs_order(t1, e1, gens)
     out = []
     for images in product(*candidates):
-        phi = {identity_of(t1): identity_of(t2)}
-        ok = True
-        for x in order1:
-            for g, img in zip(gens, images):
-                y = t1[x][g]
-                fy = t2[phi[x]][img]
-                if y in phi:
-                    if phi[y] != fy:
-                        ok = False
-                        break
-                else:
-                    phi[y] = fy
-            if not ok:
-                break
-        if not ok:
-            continue
-        if all(phi[t1[a][b]] == t2[phi[a]][phi[b]]
-               for a in range(n1) for b in range(n1)):
+        phi = _extend_by_products(t1, t2, e1, e2, gens, images, order1)
+        if phi is not None and _is_hom(t1, t2, phi):
             out.append(tuple(phi[a] for a in range(n1)))
     return tuple(sorted(set(out)))
 

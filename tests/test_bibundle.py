@@ -3,16 +3,18 @@ import random
 import pytest
 
 from grpd import groups
-from grpd.bibundle import (Bibundle, EndpointMismatch, LeftAction,
-                           NotComposable, NotPrincipal, RightAction,
-                           are_morita_equivalent, bibundles_isomorphic,
-                           functor_to_bibundle, is_principal, tensor,
-                           transpose, unit_bibundle, validate_bibundle)
+from grpd.bibundle import (BadAction, Bibundle, EndpointMismatch,
+                           LeftAction, NotComposable, NotPrincipal,
+                           RightAction, are_morita_equivalent,
+                           bibundles_isomorphic, functor_to_bibundle,
+                           is_principal, tensor, transpose, unit_bibundle,
+                           validate_bibundle, validate_left_action,
+                           validate_right_action)
 from grpd.complexity import morita_point_check, point_groupoid
 from grpd.core import (StrictArrow, identity_functor, compose_functors,
                        pair_groupoid, restrict, terminal_groupoid,
                        validate_functor)
-from grpd.corpus import random_functor
+from grpd.corpus import random_functor, random_groupoid, transitive_groupoid
 from grpd.homotopy import skeleton_equal, skeletonize
 
 
@@ -64,6 +66,118 @@ def test_free_z2_action_on_two_points():
     blocks = action_orbits(a.carrier, lambda z: [a.act[(z, c)]
                                                  for c in BZ2.arrows])
     assert len(blocks) == 1
+
+
+# ---------------------------------------------------------------------------
+# action validation
+
+
+def oracle_action_ok(a):
+    """Every action axiom by exhaustive loops over all arrow pairs."""
+    g, right = a.groupoid, isinstance(a, RightAction)
+    try:
+        for z in a.carrier:
+            if a.actor[z] not in g.objects:
+                return False
+            for c in g.arrows:
+                key = (z, c) if right else (c, z)
+                if (key in a.act) != (a.actor[z] == (g.tgt if right
+                                                     else g.src)[c]):
+                    return False
+                if key in a.act and (
+                        a.act[key] not in a.carrier
+                        or a.actor[a.act[key]] != (g.src if right
+                                                   else g.tgt)[c]):
+                    return False
+            unit = g.unit[a.actor[z]]
+            if a.act[(z, unit) if right else (unit, z)] != z:
+                return False
+            for (p, q), r in g.comp.items():
+                if right and a.actor[z] == g.tgt[p]:
+                    if a.act[(a.act[(z, p)], q)] != a.act[(z, r)]:
+                        return False
+                if not right and a.actor[z] == g.src[q]:
+                    if a.act[(p, a.act[(q, z)])] != a.act[(r, z)]:
+                        return False
+        return True
+    except KeyError:
+        return False
+
+
+def _swap_two_values(rng, a):
+    """Swap the results of two acting arrows with equal endpoints on one
+    point: the action stays well placed, so at most associativity (or the
+    unit law) breaks."""
+    g, right = a.groupoid, isinstance(a, RightAction)
+    z = rng.choice(a.carrier)
+    keys = [k for k in sorted(a.act) if (k[0] if right else k[1]) == z]
+    c1 = rng.choice(keys)
+    arrow = c1[1] if right else c1[0]
+    same = [k for k in keys
+            if (g.src[k[1 if right else 0]], g.tgt[k[1 if right else 0]])
+            == (g.src[arrow], g.tgt[arrow])]
+    c2 = rng.choice(same)
+    act = dict(a.act)
+    act[c1], act[c2] = act[c2], act[c1]
+    return type(a)(groupoid=g, carrier=a.carrier, actor=a.actor, act=act)
+
+
+def test_action_validators_agree_with_naive_oracle():
+    rng = random.Random(41)
+    accepted = rejected = 0
+    for i in range(60):
+        g = random_groupoid(rng, f"a{i}", 4, 4)
+        u = unit_bibundle(g)
+        for a, check in ((u.right, validate_right_action),
+                         (u.left, validate_left_action)):
+            if rng.random() < 0.7:
+                a = _swap_two_values(rng, a)
+            expected = oracle_action_ok(a)
+            try:
+                check(a)
+                got = True
+            except BadAction:
+                got = False
+            assert got == expected, (g.name, type(a).__name__)
+            accepted += got
+            rejected += not got
+    assert accepted >= 20 and rejected >= 20
+
+
+def test_action_failing_only_associativity_is_rejected():
+    g = transitive_groupoid("p2z3", ["1", "2"], groups.cyclic(3))
+    u = unit_bibundle(g)
+    # two arrows 2 -> 1 acting on the point 1>1:0 (the unit at 1)
+    z = "1>1:0"
+    c1, c2 = g.hom_set("2", "1")[:2]
+    act = dict(u.right.act)
+    act[(z, c1)], act[(z, c2)] = act[(z, c2)], act[(z, c1)]
+    bad = RightAction(groupoid=g, carrier=u.carrier, actor=u.right.actor,
+                      act=act)
+    with pytest.raises(BadAction, match="not associative"):
+        validate_right_action(bad)
+    with pytest.raises(BadAction, match="not associative"):
+        validate_bibundle(Bibundle(name="bad", left=u.left, right=bad))
+    act = dict(u.left.act)
+    d1, d2 = g.hom_set("1", "2")[:2]
+    act[(d1, z)], act[(d2, z)] = act[(d2, z)], act[(d1, z)]
+    bad = LeftAction(groupoid=g, carrier=u.carrier, actor=u.left.actor,
+                     act=act)
+    with pytest.raises(BadAction, match="not associative"):
+        validate_left_action(bad)
+
+
+def test_actions_that_do_not_commute_are_rejected():
+    # S3 acting on itself from the left by z -> z . eta^-1 is a left action,
+    # but it does not commute with right translation, as S3 is not abelian
+    g = point_groupoid("BS3", groups.symmetric3())
+    u = unit_bibundle(g)
+    left = LeftAction(groupoid=g, carrier=u.carrier, actor=u.left.actor,
+                      act={(eta, z): g.comp[(z, g.inv[eta])]
+                           for (eta, z) in u.left.act})
+    validate_left_action(left)
+    with pytest.raises(BadAction, match="do not commute"):
+        validate_bibundle(Bibundle(name="twisted", left=left, right=u.right))
 
 
 # ---------------------------------------------------------------------------

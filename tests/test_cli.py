@@ -8,8 +8,8 @@ from grpd import groups
 from grpd.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_LIMIT, EXIT_OK,
                       REPORT_SCHEMA, run)
 from grpd.complexity import point_groupoid
-from grpd.core import (discrete_groupoid, disjoint_union, identity_functor,
-                       pair_groupoid, restrict)
+from grpd.core import (StrictArrow, discrete_groupoid, disjoint_union,
+                       identity_functor, pair_groupoid, restrict)
 from grpd.corpus import random_datum
 from grpd.formats import (serialize_datum, serialize_functor,
                           serialize_groupoid)
@@ -44,6 +44,12 @@ def files(tmp_path):
     write("cospan.grpd",
           serialize_groupoid(one) + serialize_groupoid(p3)
           + serialize_functor(inclusion_functor(one, p3, name="f"))
+          + serialize_functor(inclusion_functor(one, p3, name="g")))
+    unit_to_unit = StrictArrow(name="f", dom=one, cod=p3,
+                               obj_map={"1": "1"}, arr_map={"1>1": "2>2"})
+    write("badleg.grpd",
+          serialize_groupoid(one) + serialize_groupoid(p3)
+          + serialize_functor(unit_to_unit)
           + serialize_functor(inclusion_functor(one, p3, name="g")))
     write("idfun.grpd", serialize_groupoid(p3)
           + serialize_functor(identity_functor(p3)))
@@ -132,6 +138,16 @@ def test_pullback(files, capsys):
     assert "P_2" in capsys.readouterr().out
 
 
+def test_pullback_validates_its_legs(files, capsys):
+    # the leg sends the unit at 1 to the unit at 2
+    assert run(["pullback", files["badleg.grpd"]]) == EXIT_INPUT
+    assert "arr_map('1>1') breaks the src/tgt squares" \
+        in capsys.readouterr().err
+    code, report = run_json(capsys, ["pullback", files["badleg.grpd"]])
+    assert code == EXIT_INPUT and not report["ok"]
+    assert "1>1" in report["error"]
+
+
 def test_tensor(files, capsys):
     assert run(["tensor", files["unit_p3.grpd"], files["unit_p3.grpd"]]) \
         == EXIT_OK
@@ -156,6 +172,13 @@ def test_isotropy_cap_env_var(files, monkeypatch, capsys):
     assert run(["skeleton", files["bz2.grpd"]]) == EXIT_LIMIT
     monkeypatch.setenv("GRPD_ISOTROPY_CAP", "24")
     assert run(["skeleton", files["bz2.grpd"]]) == EXIT_OK
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_bad_isotropy_cap_exits_2(files, monkeypatch, capsys, value):
+    monkeypatch.setenv("GRPD_ISOTROPY_CAP", value)
+    assert run(["skeleton", files["bz2.grpd"]]) == EXIT_INPUT
+    assert "GRPD_ISOTROPY_CAP" in capsys.readouterr().err
 
 
 def test_corpus_subcommand_writes_files(tmp_path, capsys):

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 from grpd import groups
 from grpd.complexity import point_groupoid
 from grpd.core import (BadInverse, BadUnit, DanglingId, DomainMismatch,
-                       GroupoidError, PartialComposition,
-                       SignatureMismatch, StrictArrow, are_homotopic,
+                       FinGroupoid, GroupoidError, NonAssociative,
+                       PartialComposition, SignatureMismatch, StrictArrow,
+                       are_homotopic,
                        cocylinder, compose_functors, discrete_groupoid,
                        disjoint_union, enumerate_functors, functors_equal,
                        identity_functor, interval_groupoid, pair_groupoid,
                        restrict, terminal_groupoid, validate_functor,
                        validate_groupoid, validate_nat)
-from grpd.corpus import random_groupoid
+from grpd.corpus import random_groupoid, transitive_groupoid
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +46,63 @@ def test_pair2_with_bad_inverse_rejected():
 
 
 def test_missing_comp_is_partial_composition():
-    g = pair_groupoid("p2", ["1", "2"])
+    # the witness is the first missing pair in arrow-by-arrow order
+    for objects, deleted, witness in [
+            (["1", "2"], [("2>1", "1>2")], ("2>1", "1>2")),
+            (["1", "2", "3"],
+             [("2>3", "1>2"), ("1>2", "2>1"), ("3>3", "3>3")],
+             ("1>2", "2>1"))]:
+        g = pair_groupoid("p", objects)
+        comp = dict(g.comp)
+        for key in deleted:
+            del comp[key]
+        with pytest.raises(PartialComposition) as err:
+            validate_groupoid(dataclasses.replace(g, comp=comp))
+        assert err.value.witness == witness
+
+
+# the order-5 loop: 0 is a two-sided unit and every element is its own
+# inverse, but (1.1).2 = 2 while 1.(1.2) = 4
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+         (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def loop_groupoid(table):
+    """One-object 'groupoid' whose composition is the given table."""
+    arrows = tuple(str(i) for i in range(len(table)))
+    inv = {a: arrows[table[i].index(0)] for i, a in enumerate(arrows)}
+    return FinGroupoid(
+        name="L", objects=("*",), arrows=arrows,
+        src={a: "*" for a in arrows}, tgt={a: "*" for a in arrows},
+        comp={(arrows[i], arrows[j]): arrows[table[i][j]]
+              for i in range(len(table)) for j in range(len(table))},
+        unit={"*": "0"}, inv=inv)
+
+
+def assert_non_associative(g):
+    assert not oracle_is_groupoid(g)
+    with pytest.raises(NonAssociative) as err:
+        validate_groupoid(g)
+    c, b, a = err.value.witness
+    assert g.comp[(c, g.comp[(b, a)])] != g.comp[(g.comp[(c, b)], a)]
+
+
+def test_order_5_loop_is_rejected_as_non_associative():
+    assert_non_associative(loop_groupoid(LOOP5))
+    assert_non_associative(transitive_groupoid("p2L", ["1", "2"], LOOP5))
+
+
+def test_swap_inside_one_hom_set_breaks_only_associativity():
+    g = validate_groupoid(
+        transitive_groupoid("p2z3", ["1", "2"], groups.cyclic(3)))
+    units = set(g.unit.values())
+    # p a non-unit loop at 2, q and q2 two arrows 1 -> 2: p.q and p.q2
+    # both lie in hom(1, 2), which holds no unit or inverse-law entry
+    p = next(a for a in g.hom_set("2", "2") if a not in units)
+    q, q2 = g.hom_set("1", "2")[:2]
     comp = dict(g.comp)
-    del comp[("2>1", "1>2")]
-    with pytest.raises(PartialComposition):
-        validate_groupoid(dataclasses.replace(g, comp=comp))
+    comp[(p, q)], comp[(p, q2)] = comp[(p, q2)], comp[(p, q)]
+    assert_non_associative(dataclasses.replace(g, comp=comp))
 
 
 def test_dangling_ids_detected():

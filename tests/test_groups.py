@@ -111,3 +111,97 @@ def test_find_isomorphism_produces_an_isomorphism():
                                    groups.direct_product(
                                        groups.cyclic(2),
                                        groups.cyclic(2))) is None
+
+
+# ---------------------------------------------------------------------------
+# canonical_form against the unpruned search it replaced
+
+
+def oracle_generating_sequences(t):
+    """Every irredundant ordered generating tuple, depth first."""
+    n = len(t)
+    e = groups.identity_of(t)
+
+    def span(gens):
+        seen, frontier = {e}, [e]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens:
+                    y = t[x][g]
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        return seen
+
+    out = []
+
+    def rec(gens):
+        covered = span(gens)
+        if len(covered) == n:
+            out.append(tuple(gens))
+            return
+        for g in range(n):
+            if g not in covered:
+                rec(gens + [g])
+
+    rec([])
+    return out
+
+
+def oracle_canonical_form(t, sequences):
+    """Least BFS-relabelled flat table over all the given tuples."""
+    n = len(t)
+    e = groups.identity_of(t)
+    best = None
+    for gens in sequences:
+        order, seen = [e], {e}
+        for x in order:
+            for g in gens:
+                y = t[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        pos = [0] * n
+        for i, x in enumerate(order):
+            pos[x] = i
+        flat = tuple([pos[t[a][b]] for a in order for b in order])
+        if best is None or flat < best:
+            best = flat
+    return best
+
+
+def check_against_oracle(t):
+    sequences = oracle_generating_sequences(t)
+    e = groups.identity_of(t)
+    assert next(groups._generating_sequences(t, e)) == sequences[0]
+    assert groups.canonical_form(t) == oracle_canonical_form(t, sequences)
+
+
+@pytest.mark.parametrize("name, t", CATALOG, ids=[n for n, _ in CATALOG])
+@settings(deadline=None, max_examples=20)
+@given(rnd=st.randoms(use_true_random=False))
+def test_canonical_form_matches_unpruned_oracle(name, t, rnd):
+    perm = list(range(len(t)))
+    rnd.shuffle(perm)
+    check_against_oracle(relabel(t, perm))
+
+
+Z2, Z3 = groups.cyclic(2), groups.cyclic(3)
+ORDER_24 = {
+    "A4xZ2": groups.direct_product(groups.alternating4(), Z2),
+    "Dic3xZ2": groups.direct_product(groups.dicyclic(3), Z2),
+    "Q8xZ3": groups.direct_product(groups.dicyclic(2), Z3),
+    "Z2^3xZ3": groups.direct_product(
+        Z2, groups.direct_product(Z2, groups.direct_product(Z2, Z3))),
+    "D6xZ2": groups.direct_product(groups.dihedral(6), Z2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_24))
+def test_canonical_form_matches_unpruned_oracle_at_order_24(name):
+    t = ORDER_24[name]
+    perm = list(range(len(t)))
+    random.Random(name).shuffle(perm)
+    check_against_oracle(relabel(t, perm))
