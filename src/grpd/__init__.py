@@ -2,7 +2,7 @@
 
 Decides essential / Morita / Morita-homotopy equivalence, composes
 bibundle correspondences, glues descent data, and computes the
-geometric-complexity covering invariant by exact search.
+geometric-complexity covering invariant, which is the number of orbits.
 """
 
 from .core import (FinGroupoid, StrictArrow, NatTrans, validate_groupoid,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinGroupoid, StrictArrow, GroupoidError, index_arrows,
-                   same_groupoid)
+                   partition, same_groupoid)
 from . import homotopy
 
 
@@ -40,6 +40,12 @@ class RightAction:
     actor: dict[str, str]
     act: dict[tuple[str, str], str]
 
+    @cached_property
+    def orbits(self) -> tuple[tuple[str, ...], ...]:
+        """Orbit blocks, sorted, ordered by least member."""
+        return partition(self.carrier,
+                         ((z, w) for (z, _), w in self.act.items()))
+
     def __repr__(self):
         return f"RightAction({len(self.carrier)} points / {self.groupoid.name})"
 
@@ -50,6 +56,12 @@ class LeftAction:
     carrier: tuple[str, ...]
     actor: dict[str, str]
     act: dict[tuple[str, str], str]  # (arrow, z) -> z'
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[str, ...], ...]:
+        """Orbit blocks, sorted, ordered by least member."""
+        return partition(self.carrier,
+                         ((z, w) for (_, z), w in self.act.items()))
 
     def __repr__(self):
         return f"LeftAction({len(self.carrier)} points / {self.groupoid.name})"
@@ -62,6 +74,7 @@ def validate_right_action(a: RightAction) -> RightAction:
     for z in a.carrier:
         if a.actor.get(z) not in set(g.objects):
             raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
+    accepted = 0
     for z in a.carrier:
         for c in g.arrows:
             defined = (z, c) in a.act
@@ -69,10 +82,16 @@ def validate_right_action(a: RightAction) -> RightAction:
                 raise BadAction(
                     f"action domain wrong at ({z!r}, {c!r})", witness=(z, c))
             if defined:
+                accepted += 1
                 w = a.act[(z, c)]
                 if w not in points or a.actor[w] != g.src[c]:
                     raise BadAction(
                         f"({z!r}) . ({c!r}) does not sit over src", witness=(z, c))
+    if accepted != len(a.act):
+        for z, c in sorted(a.act):
+            if z not in points or c not in g.src:
+                raise BadAction(f"action entry ({z!r}, {c!r}) names an "
+                                "unknown point or arrow", witness=(z, c))
     for z in a.carrier:
         if a.act[(z, g.unit[a.actor[z]])] != z:
             raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
@@ -98,6 +117,7 @@ def validate_left_action(a: LeftAction) -> LeftAction:
     for z in a.carrier:
         if a.actor.get(z) not in set(g.objects):
             raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
+    accepted = 0
     for z in a.carrier:
         for c in g.arrows:
             defined = (c, z) in a.act
@@ -105,10 +125,16 @@ def validate_left_action(a: LeftAction) -> LeftAction:
                 raise BadAction(
                     f"action domain wrong at ({c!r}, {z!r})", witness=(c, z))
             if defined:
+                accepted += 1
                 w = a.act[(c, z)]
                 if w not in points or a.actor[w] != g.tgt[c]:
                     raise BadAction(
                         f"({c!r}) . ({z!r}) does not sit over tgt", witness=(c, z))
+    if accepted != len(a.act):
+        for c, z in sorted(a.act):
+            if c not in g.src or z not in points:
+                raise BadAction(f"action entry ({c!r}, {z!r}) names an "
+                                "unknown arrow or point", witness=(c, z))
     for z in a.carrier:
         if a.act[(g.unit[a.actor[z]], z)] != z:
             raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
@@ -124,28 +150,6 @@ def validate_left_action(a: LeftAction) -> LeftAction:
                         f"action not associative on ({p!r}, {q!r}, {z!r})",
                         witness=(p, q, z))
     return a
-
-
-def action_orbits(carrier, moves) -> tuple[tuple[str, ...], ...]:
-    """Orbit blocks under the given (z -> iterable of z') move relation."""
-    parent = {z: z for z in carrier}
-
-    def find(z):
-        while parent[z] != z:
-            parent[z] = parent[parent[z]]
-            z = parent[z]
-        return z
-
-    for z in carrier:
-        for w in moves(z):
-            rz, rw = find(z), find(w)
-            if rz != rw:
-                parent[rz] = rw
-    blocks: dict[str, list[str]] = {}
-    for z in carrier:
-        blocks.setdefault(find(z), []).append(z)
-    return tuple(sorted((tuple(sorted(b)) for b in blocks.values()),
-                        key=lambda b: b[0]))
 
 
 @dataclass(frozen=True)
@@ -164,24 +168,18 @@ def is_principal(a: RightAction | LeftAction) -> Principality:
     """Free plus well-defined total division map on same-orbit pairs."""
     g = a.groupoid
     right = isinstance(a, RightAction)
-    for (key, z_or_c), w in sorted(a.act.items()):
-        z, c = (key, z_or_c) if right else (z_or_c, key)
+    moves = [((key, z_or_c) if right else (z_or_c, key), w)
+             for (key, z_or_c), w in sorted(a.act.items())]
+    for (z, c), w in moves:
         if w == z and c != g.unit[a.actor[z]]:
             return Principality(ok=False, witness=("not-free", z, c))
     division: dict[tuple[str, str], str] = {}
-    for (key, z_or_c), w in sorted(a.act.items()):
-        z, c = (key, z_or_c) if right else (z_or_c, key)
+    for (z, c), w in moves:
         if (z, w) in division and division[(z, w)] != c:
             return Principality(ok=False,
                                 witness=("division-ambiguous", z, w))
         division[(z, w)] = c
-    if right:
-        blocks = action_orbits(a.carrier,
-                               lambda z: [a.act[k] for k in a.act if k[0] == z])
-    else:
-        blocks = action_orbits(a.carrier,
-                               lambda z: [a.act[k] for k in a.act if k[1] == z])
-    for block in blocks:
+    for block in a.orbits:
         for z in block:
             for w in block:
                 if (z, w) not in division:
@@ -210,17 +208,13 @@ class Bibundle:
     def carrier(self) -> tuple[str, ...]:
         return self.left.carrier
 
-    @cached_property
+    @property
     def right_orbits(self):
-        return action_orbits(
-            self.carrier,
-            lambda z: [self.right.act[k] for k in self.right.act if k[0] == z])
+        return self.right.orbits
 
-    @cached_property
+    @property
     def left_orbits(self):
-        return action_orbits(
-            self.carrier,
-            lambda z: [self.left.act[k] for k in self.left.act if k[1] == z])
+        return self.left.orbits
 
     @cached_property
     def is_right_principal(self) -> bool:
@@ -296,12 +290,12 @@ def unit_bibundle(g: FinGroupoid) -> Bibundle:
         groupoid=g, carrier=carrier,
         actor={a: g.tgt[a] for a in carrier},
         act={(eta, a): g.comp[(eta, a)]
-             for a in carrier for eta in g.arrows if g.src[eta] == g.tgt[a]})
+             for a in carrier for eta in g.arrows_from[g.tgt[a]]})
     right = RightAction(
         groupoid=g, carrier=carrier,
         actor={a: g.src[a] for a in carrier},
         act={(a, c): g.comp[(a, c)]
-             for a in carrier for c in g.arrows if g.src[a] == g.tgt[c]})
+             for a in carrier for c in g.arrows_into[g.src[a]]})
     return Bibundle(name=f"unit_{g.name}", left=left, right=right)
 
 
@@ -310,27 +304,19 @@ def functor_to_bibundle(f: StrictArrow) -> Bibundle:
     composition.  Always right-principal; an equivalence iff f is
     essentially surjective and fully faithful."""
     h, g = f.dom, f.cod
-    pts = [(x, c) for x in h.objects for c in g.arrows
-           if g.tgt[c] == f.obj_map[x]]
+    pts = [(x, c) for x in h.objects for c in g.arrows_into[f.obj_map[x]]]
 
     def pid(x, c):
         return f"{x}|{c}"
 
     carrier = tuple(sorted(pid(x, c) for x, c in pts))
     where = {pid(x, c): (x, c) for x, c in pts}
-    lact = {}
+    lact, ract = {}, {}
     for z in carrier:
         x, c = where[z]
-        for eta in h.arrows:
-            if h.src[eta] != x:
-                continue
+        for eta in h.arrows_from[x]:
             lact[(eta, z)] = pid(h.tgt[eta], g.comp[(f.arr_map[eta], c)])
-    ract = {}
-    for z in carrier:
-        x, c = where[z]
-        for d in g.arrows:
-            if g.tgt[d] != g.src[c]:
-                continue
+        for d in g.arrows_into[g.src[c]]:
             ract[(z, d)] = pid(x, g.comp[(c, d)])
     left = LeftAction(groupoid=h, carrier=carrier,
                       actor={z: where[z][0] for z in carrier}, act=lact)
@@ -365,55 +351,29 @@ def tensor(z1: Bibundle, z2: Bibundle) -> Bibundle:
     q1, p2 = z1.right.actor, z2.left.actor
     pairs = [(z, w) for z in z1.carrier for w in z2.carrier
              if q1[z] == p2[w]]
-    parent = {pw: pw for pw in pairs}
-
-    def find(pw):
-        while parent[pw] != pw:
-            parent[pw] = parent[parent[pw]]
-            pw = parent[pw]
-        return pw
-
-    for (z, w) in pairs:
-        for c in mid.arrows:
-            if q1[z] != mid.tgt[c]:
-                continue
-            moved = (z1.right.act[(z, c)], z2.left.act[(mid.inv[c], w)])
-            r1, r2 = find((z, w)), find(moved)
-            if r1 != r2:
-                parent[r1] = r2
-    blocks: dict[tuple[str, str], list] = {}
-    for pw in pairs:
-        blocks.setdefault(find(pw), []).append(pw)
+    links = (((z, w), (z1.right.act[(z, c)], z2.left.act[(mid.inv[c], w)]))
+             for z, w in pairs for c in mid.arrows_into[q1[z]])
     cls_of: dict[tuple[str, str], str] = {}
+    rep_of: dict[str, tuple[str, str]] = {}
     carrier = []
-    for members in blocks.values():
-        rep = min(members)
-        cid = f"[{rep[0]}*{rep[1]}]"
+    for block in partition(pairs, links):
+        # the class representative is its least member
+        cid = f"[{block[0][0]}*{block[0][1]}]"
         carrier.append(cid)
-        for pw in members:
+        rep_of.setdefault(cid, block[0])
+        for pw in block:
             cls_of[pw] = cid
     carrier = tuple(sorted(carrier))
-    rep_of = {}
-    for pw, cid in cls_of.items():
-        if cid not in rep_of or pw < rep_of[cid]:
-            rep_of[cid] = pw
 
     h, k = z1.dom, z2.cod
     p = {cid: z1.left.actor[rep_of[cid][0]] for cid in carrier}
     q = {cid: z2.right.actor[rep_of[cid][1]] for cid in carrier}
-    lact = {}
+    lact, ract = {}, {}
     for cid in carrier:
         z, w = rep_of[cid]
-        for eta in h.arrows:
-            if h.src[eta] != p[cid]:
-                continue
+        for eta in h.arrows_from[p[cid]]:
             lact[(eta, cid)] = cls_of[(z1.left.act[(eta, z)], w)]
-    ract = {}
-    for cid in carrier:
-        z, w = rep_of[cid]
-        for c in k.arrows:
-            if k.tgt[c] != q[cid]:
-                continue
+        for c in k.arrows_into[q[cid]]:
             ract[(cid, c)] = cls_of[(z, z2.right.act[(w, c)])]
     return Bibundle(
         name=f"({z1.name}(.){z2.name})",

@@ -306,6 +306,8 @@ def _cmd_tensor(args, rep):
 
 def _cmd_homotopic(args, rep):
     _, (f, g) = _load_two([args.f, args.g], "functors")
+    for grp in dict.fromkeys((f.dom, f.cod, g.dom, g.cod)):
+        validate_groupoid(grp)
     validate_functor(f)
     validate_functor(g)
     witness = are_homotopic(f, g)

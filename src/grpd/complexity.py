@@ -1,10 +1,12 @@
-"""Orbits, weak point subgroupoids, the geometric-complexity covering
-invariant, deformations between subgroupoids, and locus keys.
+"""Orbits, weak point subgroupoids, the geometric-complexity invariant,
+deformations between subgroupoids, and locus keys.
 
-The invariant is computed by exact set cover (branch and bound) over the
-weak-point invariant subsets; at finite-set scale the admissible cover
-pieces are unions of orbits that meet a single orbit, so optimal covers
-are small and the search is cheap while staying exact.
+The geometric complexity of a groupoid is the least number of weak point
+invariant subgroupoids covering its objects.  An invariant subgroupoid is
+a union of orbits and a weak point one lies inside a single orbit, so the
+admissible pieces are exactly the orbits.  The orbits partition the
+objects, so the invariant is the number of orbits (the transitive
+components), each orbit serving as a piece with its collapse witness.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from . import groups
 from .bibundle import Bibundle, LeftAction, RightAction
 from .core import (FinGroupoid, GroupoidError, NatTrans, StrictArrow,
-                   restrict, same_groupoid)
-from .homotopy import skeletonize
+                   conjugate, restrict, same_groupoid, tree_loop)
+from .homotopy import inclusion_functor, skeletonize
 
 
 class NotInvariant(GroupoidError):
@@ -89,12 +91,12 @@ def morita_point_check(g: FinGroupoid) -> PointCheck:
     x0 = g.components[0][0]
     loops = g.hom_set(x0, x0)
     point = restrict(g, (x0,), name=f"pt({g.name})")
-    carrier = tuple(sorted(a for a in g.arrows if g.src[a] == x0))
+    carrier = g.arrows_from[x0]
     left = LeftAction(
         groupoid=g, carrier=carrier,
         actor={a: g.tgt[a] for a in carrier},
         act={(eta, a): g.comp[(eta, a)] for a in carrier
-             for eta in g.arrows if g.src[eta] == g.tgt[a]})
+             for eta in g.arrows_from[g.tgt[a]]})
     right = RightAction(
         groupoid=point, carrier=carrier,
         actor={a: x0 for a in carrier},
@@ -169,72 +171,19 @@ def is_weak_point_subgroupoid(u: Subgroupoid,
     x0 = block[0]
     tree = g.spanning_arrows(block)
     sub = u.restriction
-    incl = StrictArrow(name=f"incl_{sub.name}", dom=sub, cod=g,
-                       obj_map={x: x for x in sub.objects},
-                       arr_map={a: a for a in sub.arrows})
-    t_to = {x: g.inv[tree[x]] for x in sub.objects}  # x -> x0
     collapse = StrictArrow(
         name=f"collapse_{sub.name}", dom=sub, cod=g,
         obj_map={x: x0 for x in sub.objects},
-        arr_map={a: g.comp[(t_to[g.tgt[a]],
-                            g.comp[(a, g.inv[t_to[g.src[a]]])])]
-                 for a in sub.arrows})
-    homotopy = NatTrans(source_fun=incl, target_fun=collapse,
-                        component={x: t_to[x] for x in sub.objects})
+        arr_map={a: tree_loop(g, tree, a) for a in sub.arrows})
+    homotopy = NatTrans(source_fun=inclusion_functor(sub, g),
+                        target_fun=collapse,
+                        component={x: g.inv[tree[x]] for x in sub.objects})
     return WeakPointWitness(point_object=x0, collapse=collapse,
                             homotopy=homotopy)
 
 
 # ---------------------------------------------------------------------------
-# exact cover search
-
-
-def exact_min_cover(universe: frozenset, candidates: list[frozenset]):
-    """Indices of a minimum-cardinality subfamily covering the universe, or
-    None when no cover exists.  Branch and bound on the least-covered
-    element; deterministic tie-breaking."""
-    if not universe:
-        return []
-    cover_of = {x: [i for i, c in enumerate(candidates) if x in c]
-                for x in sorted(universe)}
-    if any(not v for v in cover_of.values()):
-        return None
-    best: list[int] | None = None
-
-    def bound(uncovered):
-        # each candidate covers at most max_size new elements
-        biggest = max((len(c & uncovered) for c in candidates), default=0)
-        if biggest == 0:
-            return float("inf")
-        return -(-len(uncovered) // biggest)
-
-    def rec(uncovered, chosen):
-        nonlocal best
-        if not uncovered:
-            if best is None or len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if best is not None and len(chosen) + bound(uncovered) >= len(best):
-            return
-        x = min(uncovered, key=lambda v: (len(cover_of[v]), v))
-        for i in cover_of[x]:
-            if i in chosen:
-                continue
-            rec(uncovered - candidates[i], chosen + [i])
-
-    rec(frozenset(universe), [])
-    return best
-
-
-def weak_point_candidates(g: FinGroupoid) -> list[Subgroupoid]:
-    """Nonempty invariant subgroupoids passing the weak point test: at
-    orbit granularity these are exactly the single orbits."""
-    out = []
-    for block in g.components:
-        u = subgroupoid(g, block)
-        if is_weak_point_subgroupoid(u, g) is not None:
-            out.append(u)
-    return out
+# the covering invariant
 
 
 @dataclass(frozen=True)
@@ -245,32 +194,27 @@ class CoverCertificate:
 
 def cgeo_with_cover(g: FinGroupoid) -> tuple[int, CoverCertificate]:
     """Least number of weak point invariant subgroupoids covering the
-    objects, with an optimal cover and per-piece witnesses.  The empty
-    groupoid has complexity 0 by convention; finite carriers never force
-    the infinite value the codomain allows in general."""
-    cands = weak_point_candidates(g)
-    sets = [frozenset(u.objects) for u in cands]
-    chosen = exact_min_cover(frozenset(g.objects), sets)
-    assert chosen is not None, "single orbits always cover"
-    pieces = tuple(cands[i].objects for i in chosen)
-    witnesses = tuple(is_weak_point_subgroupoid(cands[i], g) for i in chosen)
-    return len(chosen), CoverCertificate(pieces=pieces, witnesses=witnesses)
+    objects, with an optimal cover and per-piece witnesses.  The pieces are
+    the orbits, in the order of ``g.components``.  The empty groupoid has
+    complexity 0 by convention; finite carriers never force the infinite
+    value the codomain allows in general."""
+    pieces = g.components
+    witnesses = tuple(is_weak_point_subgroupoid(subgroupoid(g, block), g)
+                      for block in pieces)
+    return len(pieces), CoverCertificate(pieces=pieces, witnesses=witnesses)
 
 
 def cgeo(g: FinGroupoid) -> int:
-    return cgeo_with_cover(g)[0]
+    """Geometric complexity: the number of orbits."""
+    return len(g.components)
 
 
 def relative_cgeo(h: Subgroupoid, g: FinGroupoid) -> int:
     """Least number of weak-point-in-g invariant subgroupoids covering the
-    objects of h."""
+    objects of h: the number of orbits of g that meet h."""
     if not same_groupoid(h.ambient, g):
         raise GroupoidError("subgroupoid of a different ambient groupoid")
-    cands = weak_point_candidates(g)
-    sets = [frozenset(u.objects) for u in cands]
-    chosen = exact_min_cover(frozenset(h.objects), sets)
-    assert chosen is not None
-    return len(chosen)
+    return len({g.component_of[x] for x in h.objects})
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +253,7 @@ def exists_deformation(h: Subgroupoid, k: Subgroupoid,
             target[x] = min(y for y in k.objects
                             if g.component_of[y] == block)
     sub = h.restriction
-    incl = StrictArrow(name=f"incl_{sub.name}", dom=sub, cod=g,
-                       obj_map={x: x for x in sub.objects},
-                       arr_map={a: a for a in sub.arrows})
+    incl = inclusion_functor(sub, g)
     # connecting arrow x -> target(x), the unit when x already sits in k
     conn = {}
     for x in h.objects:
@@ -322,8 +264,7 @@ def exists_deformation(h: Subgroupoid, k: Subgroupoid,
     transport = StrictArrow(
         name=f"deform_{sub.name}", dom=sub, cod=g,
         obj_map=dict(target),
-        arr_map={a: g.comp[(conn[g.tgt[a]],
-                            g.comp[(a, g.inv[conn[g.src[a]]])])]
+        arr_map={a: conjugate(g, conn[g.tgt[a]], a, conn[g.src[a]])
                  for a in sub.arrows})
     homotopy = NatTrans(source_fun=incl, target_fun=transport,
                         component=dict(conn))
@@ -341,8 +282,8 @@ POINT_KEY = "POINT"
 def locus_key(g: FinGroupoid, cap: int = 24) -> str:
     """Canonical key for the class of g after collapsing all one-object
     groupoids to the absolute point: every transitive groupoid keys to
-    "POINT"; otherwise the skeleton serialization paired with the covering
-    invariant."""
+    "POINT"; otherwise the skeleton serialization paired with the
+    geometric complexity."""
     if is_transitive(g):
         return POINT_KEY
     sk = skeletonize(g, cap=cap)

@@ -107,23 +107,8 @@ class FinGroupoid:
     @cached_property
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of objects (blocks sorted by least member)."""
-        parent = {x: x for x in self.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a in self.arrows:
-            rx, ry = find(self.src[a]), find(self.tgt[a])
-            if rx != ry:
-                parent[rx] = ry
-        blocks: dict[str, list[str]] = {}
-        for x in self.objects:
-            blocks.setdefault(find(x), []).append(x)
-        return tuple(sorted((tuple(sorted(b)) for b in blocks.values()),
-                            key=lambda b: b[0]))
+        return partition(self.objects, ((self.src[a], self.tgt[a])
+                                        for a in self.arrows))
 
     @cached_property
     def component_of(self) -> dict[str, tuple[str, ...]]:
@@ -200,6 +185,48 @@ class FinGroupoid:
     def __repr__(self):
         return (f"FinGroupoid({self.name!r}, {len(self.objects)} objects, "
                 f"{len(self.arrows)} arrows)")
+
+
+def partition(items, links) -> tuple[tuple, ...]:
+    """Classes of the equivalence relation on ``items`` generated by the
+    pairs in ``links``: each class sorted, classes ordered by least member."""
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for x, y in links:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+    blocks: dict = {}
+    for x in parent:
+        blocks.setdefault(find(x), []).append(x)
+    return tuple(sorted((tuple(sorted(b)) for b in blocks.values()),
+                        key=lambda b: b[0]))
+
+
+def isotropy_table(g: FinGroupoid, x: str):
+    """The loops at x (sorted) and their multiplication table by index."""
+    loops = g.hom_set(x, x)
+    index = {a: i for i, a in enumerate(loops)}
+    table = tuple(tuple(index[g.comp[(a, b)]] for b in loops) for a in loops)
+    return loops, table
+
+
+def tree_loop(g: FinGroupoid, tree: dict[str, str], a: str) -> str:
+    """The loop tree[y]^-1 . a . tree[x] at the base point of the spanning
+    tree ``tree`` (see :meth:`FinGroupoid.spanning_arrows`), for a: x -> y."""
+    return g.comp[(g.inv[tree[g.tgt[a]]], g.comp[(a, tree[g.src[a]])])]
+
+
+def conjugate(g: FinGroupoid, cy: str, m: str, cx: str) -> str:
+    """cy . m . cx^-1: the arrow m: x -> y moved along cx: x -> x' and
+    cy: y -> y' to an arrow x' -> y'."""
+    return g.comp[(cy, g.comp[(m, g.inv[cx])])]
 
 
 def same_groupoid(a: FinGroupoid, b: FinGroupoid) -> bool:
@@ -558,17 +585,6 @@ def whisker(t: NatTrans, w: StrictArrow) -> NatTrans:
 # functor enumeration
 
 
-def _isotropy(g: FinGroupoid, x: str) -> tuple[str, ...]:
-    return g.hom_set(x, x)
-
-
-def _isotropy_table(g: FinGroupoid, x: str):
-    loops = _isotropy(g, x)
-    index = {a: i for i, a in enumerate(loops)}
-    table = tuple(tuple(index[g.comp[(a, b)]] for b in loops) for a in loops)
-    return loops, table
-
-
 def enumerate_functors(h: FinGroupoid, g: FinGroupoid) -> list[StrictArrow]:
     """Every strict arrow h -> g exactly once, sorted by object then arrow map.
 
@@ -582,41 +598,36 @@ def enumerate_functors(h: FinGroupoid, g: FinGroupoid) -> list[StrictArrow]:
     per_component = []
     for block in h.components:
         rep = block[0]
-        tree = h.spanning_arrows(block)
-        loops, table = _isotropy_table(h, rep)
+        loops, table = isotropy_table(h, rep)
         choices = []
         for b in g.objects:
-            g_loops, g_table = _isotropy_table(g, b)
+            g_loops, g_table = isotropy_table(g, b)
             for hom in groups.enumerate_homs(table, g_table):
                 theta = {loops[i]: g_loops[hom[i]] for i in range(len(loops))}
                 others = [x for x in block if x != rep]
                 for picks in product(*[g.arrows_from[b] for x in others]):
-                    choices.append((rep, b, theta, dict(zip(others, picks)),
-                                    tree))
+                    choices.append((rep, b, theta, dict(zip(others, picks))))
         per_component.append(choices)
 
     trees = {block[0]: h.spanning_arrows(block) for block in h.components}
+    rep_of = {a: h.component_of[h.src[a]][0] for a in h.arrows}
+    loop_of = {a: tree_loop(h, trees[rep_of[a]], a) for a in h.arrows}
     out = []
     for combo in product(*per_component):
         obj_map: dict[str, str] = {}
         tree_img: dict[str, str] = {}
         thetas: dict[str, dict[str, str]] = {}
-        for rep, b, theta, picks, tree in combo:
+        for rep, b, theta, picks in combo:
             obj_map[rep] = b
             tree_img[rep] = g.unit[b]
             thetas[rep] = theta
             for x, a in picks.items():
                 obj_map[x] = g.tgt[a]
                 tree_img[x] = a
-        arr_map = {}
-        for a in h.arrows:
-            x, y = h.src[a], h.tgt[a]
-            rep = h.component_of[x][0]
-            tree = trees[rep]
-            loop = h.comp[(h.inv[tree[y]], h.comp[(a, tree[x])])]
-            theta = thetas[rep]
-            arr_map[a] = g.comp[(tree_img[y],
-                                 g.comp[(theta[loop], g.inv[tree_img[x]])])]
+        arr_map = {a: conjugate(g, tree_img[h.tgt[a]],
+                                thetas[rep_of[a]][loop_of[a]],
+                                tree_img[h.src[a]])
+                   for a in h.arrows}
         out.append(StrictArrow(name=f"F[{h.name}->{g.name}]", dom=h, cod=g,
                                obj_map=obj_map, arr_map=arr_map))
 
@@ -716,11 +727,9 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
         tree = dom.spanning_arrows(block)
         found = None
         for cand in cod.hom_set(f.obj_map[rep], g.obj_map[rep]):
-            local = {}
-            for x in block:
-                tx = tree[x]
-                local[x] = cod.comp[(g.arr_map[tx],
-                                     cod.comp[(cand, cod.inv[f.arr_map[tx]])])]
+            local = {x: conjugate(cod, g.arr_map[tree[x]], cand,
+                                  f.arr_map[tree[x]])
+                     for x in block}
             ok = True
             for a in dom.arrows:
                 x, y = dom.src[a], dom.tgt[a]

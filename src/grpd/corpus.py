@@ -12,7 +12,8 @@ import random
 from dataclasses import dataclass
 
 from . import groups
-from .core import FinGroupoid, StrictArrow, disjoint_union
+from .core import (FinGroupoid, StrictArrow, conjugate, disjoint_union,
+                   isotropy_table, tree_loop)
 from .descent import Bundle, Cover, CoverPiece, DescentDatum, descend
 
 
@@ -161,35 +162,28 @@ def random_functor(rng: random.Random, a: FinGroupoid,
                    b: FinGroupoid) -> StrictArrow:
     """A random strict arrow a -> b: per component, a random target object,
     a random isotropy homomorphism, and spanning-tree transport."""
-    obj_map, arr_map = {}, {}
+    obj_map, imgs, thetas = {}, {}, {}
     for block in a.components:
         rep = block[0]
-        tree = a.spanning_arrows(block)
-        loops = a.hom_set(rep, rep)
-        index = {c: i for i, c in enumerate(loops)}
-        table = tuple(tuple(index[a.comp[(p, q)]] for q in loops)
-                      for p in loops)
+        loops, table = isotropy_table(a, rep)
         target = rng.choice(sorted(b.objects))
-        b_loops = b.hom_set(target, target)
-        b_index = {c: i for i, c in enumerate(b_loops)}
-        b_table = tuple(tuple(b_index[b.comp[(p, q)]] for q in b_loops)
-                        for p in b_loops)
+        b_loops, b_table = isotropy_table(b, target)
         hom = rng.choice(groups.enumerate_homs(table, b_table))
+        thetas[rep] = {loops[i]: b_loops[hom[i]] for i in range(len(loops))}
         # tree arrows may land anywhere reachable from the target
-        imgs = {}
         for x in block:
             if x == rep:
                 imgs[x] = b.unit[target]
             else:
                 imgs[x] = rng.choice(sorted(b.arrows_from[target]))
             obj_map[x] = b.tgt[imgs[x]]
-        for c in a.arrows:
-            x, y = a.src[c], a.tgt[c]
-            if x not in tree:
-                continue
-            loop = a.comp[(a.inv[tree[y]], a.comp[(c, tree[x])])]
-            theta = b_loops[hom[index[loop]]]
-            arr_map[c] = b.comp[(imgs[y], b.comp[(theta, b.inv[imgs[x]])])]
+    trees = {block[0]: a.spanning_arrows(block) for block in a.components}
+    arr_map = {}
+    for c in a.arrows:
+        rep = a.component_of[a.src[c]][0]
+        arr_map[c] = conjugate(b, imgs[a.tgt[c]],
+                               thetas[rep][tree_loop(a, trees[rep], c)],
+                               imgs[a.src[c]])
     return StrictArrow(name=f"rf[{a.name}->{b.name}]", dom=a, cod=b,
                        obj_map=obj_map, arr_map=arr_map)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import partition
+
 
 class DescentError(Exception):
     def __init__(self, message, witness=None):
@@ -214,30 +216,13 @@ def glue(d: DescentDatum) -> GlueResult:
                                witness=report.failure)
     tagged = [(p.name, a) for p in d.cover.pieces
               for a in d.fibres[p.name].total]
-    parent = {t: t for t in tagged}
-
-    def find(t):
-        while parent[t] != t:
-            parent[t] = parent[parent[t]]
-            t = parent[t]
-        return t
-
-    for pi in d.cover.pieces:
-        for pj in d.cover.pieces:
-            table = d.transitions[(pi.name, pj.name)]
-            for (u, v), m in table.items():
-                for a, b in m.items():
-                    r1, r2 = find((pi.name, a)), find((pj.name, b))
-                    if r1 != r2:
-                        parent[r1] = r2
-    blocks: dict[tuple[str, str], list] = {}
-    for t in tagged:
-        blocks.setdefault(find(t), []).append(t)
-
+    links = (((pi.name, a), (pj.name, b))
+             for pi in d.cover.pieces for pj in d.cover.pieces
+             for m in d.transitions[(pi.name, pj.name)].values()
+             for a, b in m.items())
     piece_of = {p.name: p for p in d.cover.pieces}
     total, proj, member_cls = [], {}, {}
-    for members in blocks.values():
-        members.sort()
+    for members in partition(tagged, links):
         rep = members[0]
         cid = f"{rep[0]}.{rep[1]}"
         total.append(cid)

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 from . import groups
 from .core import (FinGroupoid, StrictArrow, NatTrans, GroupoidError,
-                   compose_functors, identity_functor, identity_nat, restrict,
-                   same_groupoid, whisker)
+                   compose_functors, identity_functor, identity_nat,
+                   isotropy_table, restrict, same_groupoid, tree_loop,
+                   whisker)
 
 
 class InvalidCospan(GroupoidError):
@@ -299,14 +300,12 @@ def skeletonize(g: FinGroupoid, cap: int = 24) -> Skeleton:
     entries = []
     for block in g.components:
         rep = block[0]
-        loops = g.hom_set(rep, rep)
-        if len(loops) > cap:
+        order = len(g.hom_set(rep, rep))
+        if order > cap:
             raise IsotropyTooLarge(
-                f"isotropy order {len(loops)} at {rep!r} exceeds cap {cap}",
+                f"isotropy order {order} at {rep!r} exceeds cap {cap}",
                 limit=cap)
-        index = {a: i for i, a in enumerate(loops)}
-        table = tuple(tuple(index[g.comp[(a, b)]] for b in loops)
-                      for a in loops)
+        loops, table = isotropy_table(g, rep)
         entries.append(SkeletonEntry(
             orbit_rep=rep, orbit_size=len(block), isotropy_order=len(loops),
             loops=loops, table=table,
@@ -328,16 +327,9 @@ def skeletal_retraction(g: FinGroupoid) -> StrictArrow:
     least object by spanning-tree conjugation."""
     reps = [block[0] for block in g.components]
     sub = restrict(g, reps, name=f"sk({g.name})")
-    obj_map, arr_map = {}, {}
-    for block in g.components:
-        rep = block[0]
-        tree = g.spanning_arrows(block)
-        for x in block:
-            obj_map[x] = rep
-        for a in g.arrows:
-            x, y = g.src[a], g.tgt[a]
-            if x in tree:
-                arr_map[a] = g.comp[(g.inv[tree[y]], g.comp[(a, tree[x])])]
+    trees = {block[0]: g.spanning_arrows(block) for block in g.components}
+    obj_map = {x: g.component_of[x][0] for x in g.objects}
+    arr_map = {a: tree_loop(g, trees[obj_map[g.src[a]]], a) for a in g.arrows}
     return StrictArrow(name=f"retr_{g.name}", dom=g, cod=sub,
                        obj_map=obj_map, arr_map=arr_map)
 

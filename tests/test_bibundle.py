@@ -62,10 +62,7 @@ def test_free_z2_action_on_two_points():
                     actor={"0": BZ2.objects[0], "1": BZ2.objects[0]}, act=act)
     res = is_principal(a)
     assert res
-    from grpd.bibundle import action_orbits
-    blocks = action_orbits(a.carrier, lambda z: [a.act[(z, c)]
-                                                 for c in BZ2.arrows])
-    assert len(blocks) == 1
+    assert len(a.orbits) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +175,40 @@ def test_actions_that_do_not_commute_are_rejected():
     validate_left_action(left)
     with pytest.raises(BadAction, match="do not commute"):
         validate_bibundle(Bibundle(name="twisted", left=left, right=u.right))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("stray", ["point", "arrow"])
+def test_stray_action_entry_is_rejected(side, stray):
+    u = unit_bibundle(P2)
+    a, check = ((u.right, validate_right_action) if side == "right"
+                else (u.left, validate_left_action))
+    z, c = ("ghost", "1>2") if stray == "point" else ("1>1", "ghost")
+    key = (z, c) if side == "right" else (c, z)
+    bad = type(a)(groupoid=P2, carrier=a.carrier, actor=a.actor,
+                  act={**a.act, key: "1>1"})
+    with pytest.raises(BadAction, match="unknown") as err:
+        check(bad)
+    assert err.value.witness == key
+
+
+def test_action_orbits_are_the_one_step_orbits(small_corpus):
+    """Oracle without union-find: in a groupoid action the orbit of z is
+    {z . c}, one step from z."""
+    rng = random.Random(17)
+    checked = 0
+    for g in small_corpus[:10]:
+        f = random_functor(rng, g, rng.choice(small_corpus))
+        for b in (unit_bibundle(g), functor_to_bibundle(f)):
+            for a, right in ((b.right, True), (b.left, False)):
+                one_step = {tuple(sorted(
+                    {w for (k1, k2), w in a.act.items()
+                     if (k1 if right else k2) == z}))
+                    for z in a.carrier}
+                assert set(a.orbits) == one_step
+                assert list(a.orbits) == sorted(a.orbits)
+                checked += 1
+    assert checked == 40
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -131,6 +132,25 @@ def test_orbits_skeleton_locus(files, capsys):
 def test_relcgeo(files, capsys):
     assert run(["relcgeo", files["disc.grpd"], "--subset", "a,b"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_homotopic_validates_its_groupoids(files, tmp_path, capsys):
+    text = Path(files["idfun.grpd"]).read_text(encoding="utf-8")
+    assert "comp 2>3 1>2 = 1>3\n" in text
+    holey = tmp_path / "holey.grpd"
+    holey.write_text(text.replace("comp 2>3 1>2 = 1>3\n", ""),
+                     encoding="utf-8")
+    assert run(["homotopic", str(holey), str(holey)]) == EXIT_INPUT
+    assert "('2>3', '1>2') has no composite" in capsys.readouterr().err
+
+
+def test_stray_action_entry_exits_2(files, tmp_path, capsys):
+    text = Path(files["unit_p3.grpd"]).read_text(encoding="utf-8")
+    ghost = tmp_path / "ghost.bib"
+    ghost.write_text(text + "ract ghost 1>2 -> 1>1\n", encoding="utf-8")
+    assert run(["tensor", str(ghost), str(ghost)]) == EXIT_INPUT
+    assert "('ghost', '1>2') names an unknown point" \
+        in capsys.readouterr().err
 
 
 def test_pullback(files, capsys):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import grpd
 from grpd import cli
-from grpd.cli import run
+from grpd.cli import _load_groupoid, run
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "data" / "cli_golden.json"
@@ -57,8 +57,6 @@ def call(argv, root: Path):
 def golden_calls(root: Path):
     """The argv of every recorded call, in text form (``--json`` is added
     separately).  Subsets are read from each file's objects and orbits."""
-    from grpd.cli import _load_groupoid
-
     calls = []
     for rel in EXAMPLE_GROUPOIDS + CORPUS:
         path = "{dir}/" + rel

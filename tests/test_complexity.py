@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from grpd import groups
 from grpd.bibundle import validate_bibundle
 from grpd.complexity import (NotInvariant, cgeo, cgeo_with_cover,
-                             exact_min_cover, exists_deformation,
+                             exists_deformation,
                              is_transitive, is_weak_point_subgroupoid,
                              locus_key, morita_point_check, orbits,
                              point_groupoid, relative_cgeo, subgroupoid)
@@ -124,10 +125,11 @@ def test_non_invariant_subset_rejected():
 # the covering invariant
 
 
-def oracle_cgeo(g):
+def oracle_cgeo(g, universe=None):
     """Independent brute force: weak point candidates are the invariant
     subsets inside one orbit (checked directly on components); minimal
-    cover by enumerating subfamilies in order of size."""
+    cover of ``universe`` (default: all objects) by enumerating
+    subfamilies in order of size."""
     blocks = g.components
     candidates = []
     for r in range(1, len(blocks) + 1):
@@ -136,12 +138,12 @@ def oracle_cgeo(g):
             orbit_reps = {g.component_of[x][0] for x in objs}
             if len(orbit_reps) == 1:
                 candidates.append(objs)
-    universe = frozenset(g.objects)
+    universe = frozenset(g.objects if universe is None else universe)
     if not universe:
         return 0
     for size in range(1, len(candidates) + 1):
         for family in combinations(candidates, size):
-            if frozenset().union(*family) == universe:
+            if universe <= frozenset().union(*family):
                 return size
     return None
 
@@ -170,17 +172,6 @@ def test_cgeo_matches_oracle(corpus):
         assert cgeo(g) == oracle_cgeo(g) == len(g.components)
 
 
-def test_exact_min_cover_is_minimal():
-    universe = frozenset(range(6))
-    candidates = [frozenset({0, 1, 2}), frozenset({3, 4}), frozenset({5}),
-                  frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
-    chosen = exact_min_cover(universe, candidates)
-    assert len(chosen) == 3
-    assert frozenset().union(*(candidates[i] for i in chosen)) == universe
-    assert exact_min_cover(frozenset({9}), candidates) is None
-    assert exact_min_cover(frozenset(), candidates) == []
-
-
 # ---------------------------------------------------------------------------
 # relative version and deformations
 
@@ -192,6 +183,16 @@ def test_relative_cgeo_examples():
     mix = disjoint_union("m", [P2, BZ2])
     one_orbit = next(b for b in mix.components if len(b) == 2)
     assert relative_cgeo(subgroupoid(mix, one_orbit), mix) == 1
+
+
+def test_relative_cgeo_matches_oracle(corpus):
+    rng = random.Random(23)
+    for g in corpus:
+        for _ in range(4):
+            objs = rng.sample(sorted(g.objects),
+                              rng.randint(0, len(g.objects)))
+            assert relative_cgeo(subgroupoid(g, objs), g) == \
+                oracle_cgeo(g, objs), (g.name, objs)
 
 
 def test_deformation_identity_diagram():

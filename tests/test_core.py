@@ -214,6 +214,15 @@ def test_validator_agrees_with_naive_oracle_on_200_instances():
     assert accepted >= 100 and rejected >= 20
 
 
+def test_components_are_the_nonempty_hom_set_classes(corpus):
+    """Oracle without union-find: x and y share a component exactly when
+    hom(x, y) is non-empty."""
+    for g in corpus:
+        classes = {tuple(sorted(y for y in g.objects if g.hom_set(x, y)))
+                   for x in g.objects}
+        assert g.components == tuple(sorted(classes)), g.name
+
+
 # ---------------------------------------------------------------------------
 # functor composition
 

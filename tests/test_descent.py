@@ -131,6 +131,8 @@ def test_glue_swap_gives_two_global_sections():
     glued = glue(swap_datum())
     assert len(glued.bundle.total) == 2
     assert set(glued.bundle.proj.values()) == {"*"}
+    # each class is named after its least (piece, element) member
+    assert glued.bundle.total == ("U.a0", "U.a1")
 
 
 def test_glue_constant_datum_recovers_product():
