@@ -4,7 +4,9 @@ Each entry of ``tests/data/cli_golden.json`` is one CLI call: its argv
 (``{dir}`` stands for the directory of generated inputs), its exit code and
 the sha256 of stdout followed by stderr.  Every call runs in text mode and
 with ``--json``.  The inputs are the files that ``scripts/make_examples.py``
-writes and the members of ``grpd corpus --seed 1 --count 20``.
+writes, the members of ``grpd corpus --seed 1 --count 20`` and a few seeded
+``corpus.random_datum`` descent data, two of them with one transition
+swapped so that gluing fails.
 
 Rewrite the digests only when an output change is intended:
 
@@ -17,6 +19,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -24,12 +27,48 @@ from pathlib import Path
 import grpd
 from grpd import cli
 from grpd.cli import _load_groupoid, run
+from grpd.corpus import random_datum
+from grpd.descent import DescentDatum
+from grpd.formats import serialize_datum
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "data" / "cli_golden.json"
 EXAMPLE_GROUPOIDS = ("pair3.grpd", "point.grpd", "bz2.grpd", "mix.grpd",
                      "cospan.grpd", "idfun.grpd", "unit_pair3.bib")
 CORPUS = tuple(f"corpus/g{i}.grpd" for i in range(20))
+# (seed, base_size) of each random descent datum: 3 or 4 pieces over 4-8
+# base points, and 2 pieces over 5
+DATA = ((2, 7), (3, 8), (9, 8), (6, 6), (11, 8))
+# (file, source datum, diagonal?) of the data with one swapped transition
+SWAPPED = (("swap_b", "r11", False), ("swap_a", "r9", True))
+
+
+def swapped(d: DescentDatum, diagonal: bool) -> DescentDatum:
+    """Copy of d with the values of the two least elements swapped in the
+    first (diagonal or off-diagonal) transition over a fibre of size >= 2."""
+    key, uv = next((key, uv) for key in sorted(d.transitions)
+                   if (key[0] == key[1]) == diagonal
+                   for uv in sorted(d.transitions[key])
+                   if len(d.transitions[key][uv]) >= 2)
+    trans = {k: {p: dict(m) for p, m in t.items()}
+             for k, t in d.transitions.items()}
+    m = trans[key][uv]
+    a, b = sorted(m)[:2]
+    m[a], m[b] = m[b], m[a]
+    return DescentDatum(d.name, d.cover, d.fibres, trans)
+
+
+def write_data(root: Path) -> None:
+    root.mkdir()
+    data = {}
+    for seed, base_size in DATA:
+        name = f"r{seed}"
+        _, _, data[name] = random_datum(random.Random(seed), name,
+                                        base_size=base_size)
+        (root / f"{name}.desc").write_text(serialize_datum(data[name]))
+    for name, src, diagonal in SWAPPED:
+        (root / f"{name}.desc").write_text(
+            serialize_datum(swapped(data[src], diagonal)))
 
 
 def make_inputs(root: Path) -> None:
@@ -42,6 +81,7 @@ def make_inputs(root: Path) -> None:
         code = run(["corpus", "--seed", "1", "--count", "20",
                     "--out", str(root / "corpus")])
     assert code == 0
+    write_data(root / "descent")
 
 
 def call(argv, root: Path):
@@ -87,6 +127,9 @@ def golden_calls(root: Path):
               ["descent-check", "{dir}/datum.desc"],
               ["descent-glue", "{dir}/datum.desc"],
               ["corpus", "--seed", "1", "--count", "20"]]
+    for name in [f"r{seed}" for seed, _ in DATA] + [n for n, _, _ in SWAPPED]:
+        for cmd in ("descent-check", "descent-glue"):
+            calls.append([cmd, f"{{dir}}/descent/{name}.desc"])
     unique = {tuple(c): None for c in calls}
     return [list(c) for c in unique]
 
