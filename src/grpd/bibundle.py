@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (FinGroupoid, StrictArrow, GroupoidError, index_arrows,
-                   partition, same_groupoid)
+from .core import (FinGroupoid, StrictArrow, GroupoidError, first_repeat,
+                   index_arrows, partition, same_groupoid)
 from . import homotopy
 
 
@@ -71,6 +71,9 @@ def validate_right_action(a: RightAction) -> RightAction:
     """Check the right-action axioms; ``a.groupoid`` must be valid."""
     g = a.groupoid
     points = set(a.carrier)
+    if len(points) != len(a.carrier):
+        dup = first_repeat(a.carrier)
+        raise BadAction(f"carrier lists {dup!r} twice", witness=dup)
     for z in a.carrier:
         if a.actor.get(z) not in set(g.objects):
             raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
@@ -114,6 +117,9 @@ def validate_left_action(a: LeftAction) -> LeftAction:
     """Check the left-action axioms; ``a.groupoid`` must be valid."""
     g = a.groupoid
     points = set(a.carrier)
+    if len(points) != len(a.carrier):
+        dup = first_repeat(a.carrier)
+        raise BadAction(f"carrier lists {dup!r} twice", witness=dup)
     for z in a.carrier:
         if a.actor.get(z) not in set(g.objects):
             raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)

@@ -233,8 +233,19 @@ def same_groupoid(a: FinGroupoid, b: FinGroupoid) -> bool:
     return a is b or a.equal_presentation(b)
 
 
+def first_repeat(ids):
+    """The first id that occurs a second time in ``ids``, or None."""
+    seen = set()
+    for x in ids:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
+
+
 def index_arrows(arrows, end: dict[str, str]) -> dict[str, list[str]]:
-    """Arrows grouped by ``end[a]`` (src or tgt), keeping their order."""
+    """Arrows grouped by ``end[a]`` (src or tgt), keeping their order; the
+    descent code groups elements by their image the same way."""
     out: dict[str, list[str]] = {}
     for a in arrows:
         out.setdefault(end[a], []).append(a)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .core import (FinGroupoid, StrictArrow, conjugate, disjoint_union,
-                   isotropy_table, tree_loop)
+                   index_arrows, isotropy_table, tree_loop)
 from .descent import Bundle, Cover, CoverPiece, DescentDatum, descend
 
 
@@ -237,9 +237,10 @@ def scramble_datum(rng: random.Random, d: DescentDatum) -> DescentDatum:
     new_fibres = {}
     for p in d.cover.pieces:
         fib = d.fibres[p.name]
+        fibre = index_arrows(fib.total, fib.proj)
         mapping = {}
         for u in p.elements:
-            elems = list(fib.fibre(u))
+            elems = list(fibre.get(u, ()))
             shuffled = [f"{p.name}.{u}.f{i}" for i in range(len(elems))]
             rng.shuffle(elems)
             mapping.update(dict(zip(elems, shuffled)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import partition
+from .core import first_repeat, index_arrows, partition
 
 
 class DescentError(Exception):
@@ -64,9 +64,18 @@ class Cover:
     pieces: tuple[CoverPiece, ...]
 
     def validate(self) -> "Cover":
+        names = [p.name for p in self.pieces]
+        if len(set(names)) != len(names):
+            dup = first_repeat(names)
+            raise BadDatum(f"cover {self.name!r} has two pieces named "
+                           f"{dup!r}", witness=dup)
         base = set(self.base)
         hit = set()
         for p in self.pieces:
+            if len(set(p.elements)) != len(p.elements):
+                dup = first_repeat(p.elements)
+                raise BadDatum(f"piece {p.name!r} lists {dup!r} twice",
+                               witness=dup)
             for u in p.elements:
                 x = p.to_base.get(u)
                 if x not in base:
@@ -81,8 +90,18 @@ class Cover:
 
     def overlap(self, pi: CoverPiece, pj: CoverPiece):
         """U_i x_X U_j as explicit pairs."""
-        return [(u, v) for u in pi.elements for v in pj.elements
-                if pi.to_base[u] == pj.to_base[v]]
+        return _overlap(pi, index_arrows(pj.elements, pj.to_base))
+
+
+def _by_base(c: Cover) -> dict[str, dict[str, list[str]]]:
+    """Each piece's elements grouped by their base point, in piece order."""
+    return {p.name: index_arrows(p.elements, p.to_base) for p in c.pieces}
+
+
+def _overlap(pi: CoverPiece, over: dict[str, list[str]]):
+    """U_i x_X U_j from U_j's elements grouped by base point; the pairs come
+    in the order of U_i's elements, then U_j's."""
+    return [(u, v) for u in pi.elements for v in over.get(pi.to_base[u], ())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +122,9 @@ class DescentDatum:
 
 def validate_datum(d: DescentDatum) -> DescentDatum:
     """Structural totality: one bundle per piece, a total bijection on each
-    ordered overlap pair, fibrewise."""
+    ordered overlap pair, fibrewise, and no transition off the overlaps."""
     d.cover.validate()
+    fibres = {}
     for p in d.cover.pieces:
         if p.name not in d.fibres:
             raise BadDatum(f"no bundle over piece {p.name!r}", witness=p.name)
@@ -112,25 +132,39 @@ def validate_datum(d: DescentDatum) -> DescentDatum:
         if set(bundle.base) != set(p.elements):
             raise BadDatum(f"bundle over {p.name!r} has the wrong base",
                            witness=p.name)
+        fibres[p.name] = index_arrows(bundle.total, bundle.proj)
+    by_base = _by_base(d.cover)
     for pi in d.cover.pieces:
         for pj in d.cover.pieces:
             key = (pi.name, pj.name)
             table = d.transitions.get(key)
             if table is None:
                 raise BadDatum(f"missing transitions for {key}", witness=key)
-            for (u, v) in d.cover.overlap(pi, pj):
-                fib_i = d.fibres[pi.name].fibre(u)
-                fib_j = d.fibres[pj.name].fibre(v)
+            pairs = _overlap(pi, by_base[pj.name])
+            for (u, v) in pairs:
                 m = table.get((u, v))
                 if m is None:
                     raise BadDatum(
                         f"missing transition over overlap {(u, v)} of {key}",
                         witness=(key, (u, v)))
-                if sorted(m) != sorted(fib_i) or sorted(
-                        m.values()) != sorted(fib_j):
+                if sorted(m) != sorted(fibres[pi.name].get(u, ())) or sorted(
+                        m.values()) != sorted(fibres[pj.name].get(v, ())):
                     raise BadDatum(
                         f"transition over {(u, v)} of {key} is not a "
                         "fibre bijection", witness=(key, (u, v)))
+            # the pairs are distinct (Cover.validate), so a surplus entry
+            # means one off the overlap
+            if len(table) != len(pairs):
+                known = set(pairs)
+                stray = next(uv for uv in sorted(table) if uv not in known)
+                raise BadDatum(f"transition over {stray} of {key} is not "
+                               "over an overlap pair", witness=(key, stray))
+    if len(d.transitions) != len(d.cover.pieces) ** 2:
+        names = {p.name for p in d.cover.pieces}
+        stray = next(k for k in sorted(d.transitions)
+                     if k[0] not in names or k[1] not in names)
+        raise BadDatum(f"transitions for {stray} name a piece outside the "
+                       "cover", witness=stray)
     return d
 
 
@@ -175,21 +209,25 @@ def check_cocycle(d: DescentDatum) -> CocycleReport:
                 if a != b:
                     return CocycleReport(ok=False,
                                          failure=("a", p.name, u, a, b))
+    by_base = _by_base(d.cover)
     for pi in d.cover.pieces:
         for pj in d.cover.pieces:
+            t_ij = d.transitions[(pi.name, pj.name)]
             for pk in d.cover.pieces:
+                t_jk = d.transitions[(pj.name, pk.name)]
+                t_ik = d.transitions[(pi.name, pk.name)]
+                over_j, over_k = by_base[pj.name], by_base[pk.name]
                 for u in pi.elements:
-                    for v in pj.elements:
-                        if pi.to_base[u] != pj.to_base[v]:
-                            continue
-                        for w in pk.elements:
-                            if pk.to_base[w] != pi.to_base[u]:
-                                continue
-                            fij = d.transitions[(pi.name, pj.name)][(u, v)]
-                            fjk = d.transitions[(pj.name, pk.name)][(v, w)]
-                            fik = d.transitions[(pi.name, pk.name)][(u, w)]
-                            for a in fij:
-                                if fjk[fij[a]] != fik[a]:
+                    x = pi.to_base[u]
+                    ws = over_k.get(x, ())
+                    if not ws:
+                        continue
+                    for v in over_j.get(x, ()):
+                        fij = t_ij[(u, v)]
+                        for w in ws:
+                            fjk, fik = t_jk[(v, w)], t_ik[(u, w)]
+                            for a, b in fij.items():
+                                if fjk[b] != fik[a]:
                                     return CocycleReport(
                                         ok=False,
                                         failure=("b",
@@ -210,10 +248,7 @@ def glue(d: DescentDatum) -> GlueResult:
     transition relation; raises CocycleViolation when the data does not
     glue coherently.  Returns the glued bundle over the cover's base plus
     the per-piece comparison isomorphisms."""
-    report = check_cocycle(d)
-    if not report:
-        raise CocycleViolation(f"cocycle conditions fail: {report.failure}",
-                               witness=report.failure)
+    validate_datum(d)
     tagged = [(p.name, a) for p in d.cover.pieces
               for a in d.fibres[p.name].total]
     links = (((pi.name, a), (pj.name, b))
@@ -226,31 +261,39 @@ def glue(d: DescentDatum) -> GlueResult:
         rep = members[0]
         cid = f"{rep[0]}.{rep[1]}"
         total.append(cid)
-        bases = set()
-        for (pname, a) in members:
-            member_cls[(pname, a)] = cid
-            p = piece_of[pname]
-            bases.add(p.to_base[d.fibres[pname].proj[a]])
-        if len(bases) != 1:
-            raise CocycleViolation(
-                f"glued class {cid!r} sits over several base points "
-                f"{sorted(bases)}", witness=cid)
-        proj[cid] = bases.pop()
+        for member in members:
+            member_cls[member] = cid
+        # every link joins fibres over an overlap pair, whose two points
+        # share a base point (validate_datum), so each class has one
+        proj[cid] = piece_of[rep[0]].to_base[d.fibres[rep[0]].proj[rep[1]]]
     bundle = Bundle(name=f"glue({d.name})", base=d.cover.base,
                     total=tuple(sorted(total)), proj=proj)
+    glued = {x: set(cs) for x, cs in index_arrows(bundle.total, proj).items()}
 
     piece_maps: dict[str, dict[tuple[str, str], str]] = {}
     for p in d.cover.pieces:
         fib = d.fibres[p.name]
+        fibre = index_arrows(fib.total, fib.proj)
         local: dict[tuple[str, str], str] = {}
         for a in fib.total:
             local[(fib.proj[a], a)] = member_cls[(p.name, a)]
-        # the comparison must be a fibrewise bijection onto the pullback
+        # the comparison must be a fibrewise bijection onto the pullback.
+        # For a validated datum this also decides the cocycle conditions:
+        # if (a) fails, f_ii(a) = b != a puts a and b, both over u, in one
+        # class; if (b) fails, f_jk(f_ij(a)) and f_ik(a), both over w, are
+        # both linked to a.  Either way two elements of one local fibre
+        # share a class and the check below fails, so check_cocycle runs
+        # only then, to report the failure it finds first.
         for u in p.elements:
-            x = p.to_base[u]
-            glued_fibre = {c for c in bundle.total if proj[c] == x}
-            image = {local[(u, a)] for a in fib.fibre(u)}
-            if image != glued_fibre or len(image) != len(fib.fibre(u)):
+            elems = fibre.get(u, ())
+            image = {local[(u, a)] for a in elems}
+            if image != glued.get(p.to_base[u], set()) or \
+                    len(image) != len(elems):
+                report = check_cocycle(d)
+                if not report:
+                    raise CocycleViolation(
+                        f"cocycle conditions fail: {report.failure}",
+                        witness=report.failure)
                 raise CocycleViolation(
                     f"piece {p.name!r} does not compare bijectively over "
                     f"{u!r}", witness=(p.name, u))
@@ -265,27 +308,27 @@ def descend(a: Bundle, c: Cover) -> DescentDatum:
     c.validate()
     if set(a.base) != set(c.base):
         raise BadDatum("bundle and cover have different bases")
+    fibre = index_arrows(a.total, a.proj)
 
     def pulled(p: CoverPiece) -> Bundle:
         total, proj = [], {}
         for u in p.elements:
-            for e in a.total:
-                if a.proj[e] == p.to_base[u]:
-                    t = f"{u}.{e}"
-                    total.append(t)
-                    proj[t] = u
+            for e in fibre.get(p.to_base[u], ()):
+                t = f"{u}.{e}"
+                total.append(t)
+                proj[t] = u
         return Bundle(name=f"{a.name}|{p.name}", base=p.elements,
                       total=tuple(total), proj=proj)
 
     fibres = {p.name: pulled(p) for p in c.pieces}
+    by_base = _by_base(c)
     transitions: dict = {}
     for pi in c.pieces:
         for pj in c.pieces:
             table = {}
-            for (u, v) in c.overlap(pi, pj):
-                table[(u, v)] = {
-                    f"{u}.{e}": f"{v}.{e}" for e in a.total
-                    if a.proj[e] == pi.to_base[u]}
+            for (u, v) in _overlap(pi, by_base[pj.name]):
+                table[(u, v)] = {f"{u}.{e}": f"{v}.{e}"
+                                 for e in fibre.get(pi.to_base[u], ())}
             transitions[(pi.name, pj.name)] = table
     return DescentDatum(name=f"desc({a.name})", cover=c, fibres=fibres,
                         transitions=transitions)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bibundle import Bibundle, LeftAction, RightAction
-from .core import FinGroupoid, StrictArrow
+from .core import FinGroupoid, StrictArrow, index_arrows
 from .descent import Bundle, Cover, CoverPiece, DescentDatum
 
 
@@ -408,8 +408,10 @@ def serialize_datum(d: DescentDatum) -> str:
     lines.append(f"datum {d.name} : {d.cover.name}")
     for p in d.cover.pieces:
         fib = d.fibres[p.name]
+        fibre = index_arrows(fib.total, fib.proj)
         for u in p.elements:
-            lines.append(f"fiber {p.name} {u} : " + " ".join(fib.fibre(u)))
+            lines.append(f"fiber {p.name} {u} : "
+                         + " ".join(fibre.get(u, ())))
     for (i, j) in sorted(d.transitions):
         table = d.transitions[(i, j)]
         for (u, v) in sorted(table):

@@ -192,6 +192,18 @@ def test_stray_action_entry_is_rejected(side, stray):
     assert err.value.witness == key
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_duplicate_carrier_id_is_rejected(side):
+    u = unit_bibundle(P2)
+    a, check = ((u.right, validate_right_action) if side == "right"
+                else (u.left, validate_left_action))
+    carrier = a.carrier[:2] + a.carrier[1:]
+    bad = type(a)(groupoid=P2, carrier=carrier, actor=a.actor, act=a.act)
+    with pytest.raises(BadAction, match="twice") as err:
+        check(bad)
+    assert err.value.witness == a.carrier[1]
+
+
 def test_action_orbits_are_the_one_step_orbits(small_corpus):
     """Oracle without union-find: in a groupoid action the orbit of z is
     {z . c}, one step from z."""

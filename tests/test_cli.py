@@ -153,6 +153,43 @@ def test_stray_action_entry_exits_2(files, tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_duplicate_carrier_id_exits_2(files, tmp_path, capsys):
+    text = Path(files["unit_p3.grpd"]).read_text(encoding="utf-8")
+    assert "carrier: 1>1 " in text
+    twice = tmp_path / "twice.bib"
+    twice.write_text(text.replace("carrier: 1>1 ", "carrier: 1>1 1>1 "),
+                     encoding="utf-8")
+    assert run(["tensor", str(twice), str(twice)]) == EXIT_INPUT
+    assert "carrier lists '1>1' twice" in capsys.readouterr().err
+
+
+STRAY_DATUM = """cover C
+base: x y
+piece P : u1 u2
+map P u1 -> x
+map P u2 -> y
+datum D : C
+fiber P u1 : a
+fiber P u2 : b
+trans P P u1 u1 a -> a
+trans P P u2 u2 b -> b
+"""
+
+
+@pytest.mark.parametrize("line, message", [
+    # u1 sits over x and u2 over y, so (u1, u2) is no overlap pair
+    ("trans P P u1 u2 a -> b",
+     "transition over ('u1', 'u2') of ('P', 'P') is not over an overlap pair"),
+    ("trans P Q u1 u1 a -> a",
+     "transitions for ('P', 'Q') name a piece outside the cover")])
+@pytest.mark.parametrize("command", ["descent-check", "descent-glue"])
+def test_stray_transition_exits_2(tmp_path, capsys, command, line, message):
+    path = tmp_path / "stray.desc"
+    path.write_text(STRAY_DATUM + line + "\n", encoding="utf-8")
+    assert run([command, str(path)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_pullback(files, capsys):
     assert run(["pullback", files["cospan.grpd"], "--n", "2"]) == EXIT_OK
     assert "P_2" in capsys.readouterr().out

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from grpd.corpus import random_bundle, random_cover, random_datum, \
     scramble_datum
-from grpd.descent import (BadDatum, Bundle, CocycleViolation, Cover,
-                          CoverPiece, DescentDatum, NotSurjective,
-                          check_cocycle, check_subcanonical, descend, glue,
-                          validate_datum)
+from grpd.descent import (BadDatum, Bundle, CocycleReport, CocycleViolation,
+                          Cover, CoverPiece, DescentDatum, DescentError,
+                          GlueResult, NotSurjective, check_cocycle,
+                          check_subcanonical, descend, glue, validate_datum)
+from grpd.formats import serialize_datum
 
 
 def swap_datum(f21_swap=True):
@@ -240,3 +241,295 @@ def test_scramble_preserves_cocycle():
     for _ in range(5):
         datum = scramble_datum(rng, datum)
         assert check_cocycle(datum).ok
+
+
+# ---------------------------------------------------------------------------
+# stray entries
+
+
+def test_stray_transitions_rejected():
+    d = swap_datum()
+    # U has no element "c", so (a, c) is no overlap pair
+    table = {**d.transitions[("U", "U")], ("a", "c"): {}}
+    with pytest.raises(BadDatum) as err:
+        validate_datum(DescentDatum("D5", d.cover, d.fibres,
+                                    {("U", "U"): table}))
+    assert err.value.witness == (("U", "U"), ("a", "c"))
+    extra = {**d.transitions, ("U", "V"): {}, ("T", "U"): {}}
+    with pytest.raises(BadDatum) as err:
+        validate_datum(DescentDatum("D6", d.cover, d.fibres, extra))
+    assert err.value.witness == ("T", "U")
+
+
+def test_duplicate_cover_ids_rejected():
+    twice = Cover("C", ("*",), (CoverPiece("U", ("a", "a"), {"a": "*"}),))
+    with pytest.raises(BadDatum) as err:
+        twice.validate()
+    assert err.value.witness == "a"
+    piece = CoverPiece("U", ("a",), {"a": "*"})
+    with pytest.raises(BadDatum) as err:
+        Cover("C", ("*",), (piece, piece)).validate()
+    assert err.value.witness == "U"
+
+
+# ---------------------------------------------------------------------------
+# oracles: the quadratic overlap, the full cocycle sweep and the gluing
+# that checks the cocycle conditions before it builds the quotient
+
+
+def oracle_overlap(pi, pj):
+    return [(u, v) for u in pi.elements for v in pj.elements
+            if pi.to_base[u] == pj.to_base[v]]
+
+
+def oracle_check_cocycle(d):
+    validate_datum(d)
+    for p in d.cover.pieces:
+        table = d.transitions[(p.name, p.name)]
+        for u in p.elements:
+            for a, b in table[(u, u)].items():
+                if a != b:
+                    return CocycleReport(ok=False,
+                                         failure=("a", p.name, u, a, b))
+    pieces = d.cover.pieces
+    for pi in pieces:
+        for pj in pieces:
+            for pk in pieces:
+                for u in pi.elements:
+                    for v in pj.elements:
+                        if pi.to_base[u] != pj.to_base[v]:
+                            continue
+                        for w in pk.elements:
+                            if pk.to_base[w] != pi.to_base[u]:
+                                continue
+                            fij = d.transitions[(pi.name, pj.name)][(u, v)]
+                            fjk = d.transitions[(pj.name, pk.name)][(v, w)]
+                            fik = d.transitions[(pi.name, pk.name)][(u, w)]
+                            for a in fij:
+                                if fjk[fij[a]] != fik[a]:
+                                    return CocycleReport(
+                                        ok=False,
+                                        failure=("b",
+                                                 (pi.name, pj.name, pk.name),
+                                                 (u, v, w), a))
+    return CocycleReport(ok=True)
+
+
+def oracle_classes(items, links):
+    """Connected components by search: sorted, ordered by least member."""
+    adjacent = {x: [] for x in items}
+    for x, y in links:
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    seen, classes = set(), []
+    for x in items:
+        if x in seen:
+            continue
+        seen.add(x)
+        block, todo = [], [x]
+        while todo:
+            y = todo.pop()
+            block.append(y)
+            for z in adjacent[y]:
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+        classes.append(tuple(sorted(block)))
+    return sorted(classes)
+
+
+def oracle_glue(d):
+    report = oracle_check_cocycle(d)
+    if not report:
+        raise CocycleViolation(f"cocycle conditions fail: {report.failure}",
+                               witness=report.failure)
+    pieces = d.cover.pieces
+    tagged = [(p.name, a) for p in pieces for a in d.fibres[p.name].total]
+    links = [((pi.name, a), (pj.name, b)) for pi in pieces for pj in pieces
+             for m in d.transitions[(pi.name, pj.name)].values()
+             for a, b in m.items()]
+    piece_of = {p.name: p for p in pieces}
+    total, proj, member_cls = [], {}, {}
+    for members in oracle_classes(tagged, links):
+        cid = f"{members[0][0]}.{members[0][1]}"
+        total.append(cid)
+        bases = {piece_of[pname].to_base[d.fibres[pname].proj[a]]
+                 for (pname, a) in members}
+        for member in members:
+            member_cls[member] = cid
+        if len(bases) != 1:
+            raise CocycleViolation(
+                f"glued class {cid!r} sits over several base points "
+                f"{sorted(bases)}", witness=cid)
+        proj[cid] = bases.pop()
+    bundle = Bundle(name=f"glue({d.name})", base=d.cover.base,
+                    total=tuple(sorted(total)), proj=proj)
+    piece_maps = {}
+    for p in pieces:
+        fib = d.fibres[p.name]
+        local = {(fib.proj[a], a): member_cls[(p.name, a)] for a in fib.total}
+        for u in p.elements:
+            glued_fibre = {c for c in bundle.total
+                           if proj[c] == p.to_base[u]}
+            image = {local[(u, a)] for a in fib.fibre(u)}
+            if image != glued_fibre or len(image) != len(fib.fibre(u)):
+                raise CocycleViolation(
+                    f"piece {p.name!r} does not compare bijectively over "
+                    f"{u!r}", witness=(p.name, u))
+        piece_maps[p.name] = local
+    return GlueResult(bundle=bundle, piece_maps=piece_maps)
+
+
+def glue_outcome(glue_fn, d):
+    """The glued bundle and comparison maps, or the exception's type,
+    message and witness."""
+    try:
+        r = glue_fn(d)
+    except DescentError as e:
+        return type(e), str(e), e.witness
+    b = r.bundle
+    return b.name, b.base, b.total, b.proj, r.piece_maps
+
+
+def mutants(rng, d):
+    """Copies of d with two values swapped in one transition, with a
+    non-identity diagonal, and with every transition from one piece to
+    another redrawn at random (many failing triples, so the sweep order
+    decides the witness), where the fibres allow them."""
+    def copy():
+        return {k: {uv: dict(m) for uv, m in t.items()}
+                for k, t in d.transitions.items()}
+
+    out = []
+    spots = [(k, uv) for k, t in sorted(d.transitions.items())
+             for uv, m in sorted(t.items()) if len(m) >= 2]
+    if spots:
+        trans = copy()
+        key, uv = rng.choice(spots)
+        m = trans[key][uv]
+        a, b = rng.sample(sorted(m), 2)
+        m[a], m[b] = m[b], m[a]
+        out.append(DescentDatum(d.name + "s", d.cover, d.fibres, trans))
+    diagonal = [(k, uv) for k, uv in spots if k[0] == k[1] and uv[0] == uv[1]]
+    if diagonal:
+        trans = copy()
+        key, uv = rng.choice(diagonal)
+        keys = sorted(trans[key][uv])
+        trans[key][uv] = dict(zip(keys, keys[1:] + keys[:1]))
+        out.append(DescentDatum(d.name + "d", d.cover, d.fibres, trans))
+    across = sorted({k for k, _ in spots if k[0] != k[1]})
+    if across:
+        trans = copy()
+        key = rng.choice(across)
+        for uv, m in sorted(trans[key].items()):
+            values = sorted(m.values())
+            rng.shuffle(values)
+            trans[key][uv] = dict(zip(sorted(m), values))
+        out.append(DescentDatum(d.name + "r", d.cover, d.fibres, trans))
+    return out
+
+
+def collision_datum():
+    """A valid datum whose glued class ids collide: piece U holds V.e over
+    x and piece U.V holds e over y, so "U.V.e" names two classes, sits
+    over y only, and the comparison over u fails though the cocycle holds."""
+    cover = Cover("C", ("x", "y"),
+                  (CoverPiece("U", ("u",), {"u": "x"}),
+                   CoverPiece("U.V", ("v",), {"v": "y"})))
+    fibres = {"U": Bundle("F", ("u",), ("V.e",), {"V.e": "u"}),
+              "U.V": Bundle("G", ("v",), ("e",), {"e": "v"})}
+    trans = {("U", "U"): {("u", "u"): {"V.e": "V.e"}},
+             ("U.V", "U.V"): {("v", "v"): {"e": "e"}},
+             ("U", "U.V"): {}, ("U.V", "U"): {}}
+    return DescentDatum("D", cover, fibres, trans)
+
+
+def test_glue_reports_its_own_failure_when_the_cocycle_holds():
+    d = collision_datum()
+    assert check_cocycle(d).ok
+    with pytest.raises(CocycleViolation) as err:
+        glue(d)
+    assert err.value.witness == ("U", "u")
+    assert glue_outcome(glue, d) == glue_outcome(oracle_glue, d)
+
+
+def test_descent_agrees_with_the_quadratic_oracles():
+    rng = random.Random(2024)
+    fails = {"s": [], "d": [], "r": []}
+    for i in range(300):
+        _, cover, datum = random_datum(rng, f"o{i}",
+                                       base_size=rng.randint(2, 7),
+                                       max_fibre=3)
+        for pi in cover.pieces:
+            for pj in cover.pieces:
+                assert cover.overlap(pi, pj) == oracle_overlap(pi, pj)
+        assert check_cocycle(datum) == oracle_check_cocycle(datum)
+        assert glue_outcome(glue, datum) == glue_outcome(oracle_glue, datum)
+        for d in mutants(rng, datum):
+            assert check_cocycle(d) == oracle_check_cocycle(d)
+            want = glue_outcome(oracle_glue, d)
+            assert glue_outcome(glue, d) == want
+            fails[d.name[-1]].append(len(want) == 3)
+    # a swap or a non-identity diagonal always breaks the cocycle
+    # conditions (f_ji . f_ij or f_ii is no longer the identity); a redrawn
+    # table may come out unchanged
+    assert len(fails["s"]) > 200 and all(fails["s"])
+    assert len(fails["d"]) > 200 and all(fails["d"])
+    assert len(fails["r"]) > 100 and sum(fails["r"]) > 100
+
+
+def oracle_descend(a, c):
+    """descend's fibres and transitions, each fibre of ``a`` found by
+    filtering its whole total."""
+    def fibre(x):
+        return [e for e in a.total if a.proj[e] == x]
+
+    fibres = {p.name: [(f"{u}.{e}", u) for u in p.elements
+                       for e in fibre(p.to_base[u])] for p in c.pieces}
+    transitions = {
+        (pi.name, pj.name): [((u, v), [(f"{u}.{e}", f"{v}.{e}")
+                                       for e in fibre(pi.to_base[u])])
+                             for (u, v) in oracle_overlap(pi, pj)]
+        for pi in c.pieces for pj in c.pieces}
+    return fibres, transitions
+
+
+def oracle_relabel(rng, d):
+    """The fibre relabelling scramble_datum draws, each fibre found by
+    filtering the whole total."""
+    relabel = {}
+    for p in d.cover.pieces:
+        fib = d.fibres[p.name]
+        for u in p.elements:
+            elems = list(fib.fibre(u))
+            rng.shuffle(elems)
+            relabel.update({(p.name, a): f"{p.name}.{u}.f{i}"
+                            for i, a in enumerate(elems)})
+    return relabel
+
+
+def test_fibre_indexes_keep_the_order_of_a_full_scan():
+    """descend, scramble_datum and serialize_datum list each fibre in the
+    order of the bundle's total, as a filter over the total does."""
+    rng = random.Random(99)
+    for i in range(300):
+        bundle, cover, datum = random_datum(rng, f"f{i}",
+                                            base_size=rng.randint(2, 7),
+                                            max_fibre=3)
+        d = descend(bundle, cover)
+        fibres, transitions = oracle_descend(bundle, cover)
+        assert {k: [(t, b.proj[t]) for t in b.total]
+                for k, b in d.fibres.items()} == fibres
+        assert {k: [(uv, list(m.items())) for uv, m in t.items()]
+                for k, t in d.transitions.items()} == transitions
+        relabel = oracle_relabel(random.Random(i), datum)
+        scrambled = scramble_datum(random.Random(i), datum)
+        assert scrambled.transitions == {
+            (pi, pj): {uv: {relabel[(pi, a)]: relabel[(pj, b)]
+                            for a, b in m.items()} for uv, m in t.items()}
+            for (pi, pj), t in datum.transitions.items()}
+        lines = [line for line in serialize_datum(datum).splitlines()
+                 if line.startswith("fiber ")]
+        assert lines == [f"fiber {p.name} {u} : "
+                         + " ".join(datum.fibres[p.name].fibre(u))
+                         for p in cover.pieces for u in p.elements]
