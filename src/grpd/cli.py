@@ -11,6 +11,7 @@ GRPD_ISOTROPY_CAP, a positive integer, overrides the group isomorphism cap
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -118,22 +119,40 @@ _KIND_LABEL = {"groupoids": "groupoid", "functors": "functor",
                "bibundles": "bibundle"}
 
 
+def _check_headers(paths, texts, label: str) -> None:
+    """Raise the first header error of the files, in order: a line before
+    the first block, an unnamed block of the kind, or no such block."""
+    for path, text in zip(paths, texts):
+        if not formats.declared_names(text, label, source=str(path)):
+            raise ParseError(f"no {label} block found", str(path), 1, 1)
+
+
 def _load_two(paths, kind: str):
     """Parse both files into one namespace, returning the first structure
     of the requested kind declared by each file (the same file may be
-    passed twice; cross-file name references are allowed)."""
-    doc = formats.Document()
-    wanted = []
+    passed twice; cross-file name references are allowed).
+
+    Header errors come first: one in either file is reported before any
+    error in assembling either.  The headers are read again only when
+    parsing failed or a file declared no block of the kind."""
+    label = _KIND_LABEL[kind]
+    texts = []
     for path in paths:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        names = formats.declared_names(text, _KIND_LABEL[kind],
-                                       source=str(path))
-        if not names:
-            raise ParseError(f"no {_KIND_LABEL[kind]} block found",
-                             str(path), 1, 1)
-        wanted.append(names[0])
-    formats.parse_files(paths, into=doc)
+            texts.append(handle.read())
+    doc = formats.Document()
+    wanted = []
+    try:
+        for path, text in zip(paths, texts):
+            start = len(doc.declared)
+            formats.parse_document(text, source=str(path), into=doc)
+            wanted.append(next((name for k, name in doc.declared[start:]
+                                if k == label), None))
+    except ParseError:
+        _check_headers(paths, texts, label)
+        raise
+    if None in wanted:
+        _check_headers(paths, texts, label)
     return doc, [getattr(doc, kind)[name] for name in wanted]
 
 
@@ -403,7 +422,10 @@ def _cmd_corpus(args, rep):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it
+    unchanged)."""
     parser = argparse.ArgumentParser(
         prog="grpd",
         description="Exact computations with finite groupoids: equivalence "

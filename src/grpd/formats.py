@@ -4,7 +4,13 @@ descent data and bundles.
 One fact per line, '#' starts a comment, tokens are whitespace-separated.
 The formats are fully explicit: every id, inv and comp entry must be
 spelled out (the validators reject anything missing).  Composition lines
-read ``comp G F = H`` with the meaning "F then G equals H".
+read ``comp G F = H`` with the meaning "F then G equals H".  A keyed line
+(a comp line's pair, an id line's object, ...) gives its key once per
+block, and a cover's map and a datum's fiber lines name only elements the
+cover's pieces list.
+
+Lines are split into plain string tokens; a token's column is found only
+when a ParseError reports it.
 """
 
 from __future__ import annotations
@@ -26,76 +32,143 @@ class ParseError(Exception):
 
 BLOCK_KEYWORDS = ("groupoid", "functor", "bibundle", "bundle", "cover",
                   "datum")
+_KEYWORDS = frozenset(BLOCK_KEYWORDS)
 
+# The grammar of body lines: None stands for an id, other entries are
+# literals; a line starting with a list keyword (objects:, carrier:, base:,
+# total:) is that keyword followed by any number of ids.  Assemblers accept
+# a line by checking its length and literals directly and use the pattern
+# only to describe a line that fails.
+_ARROW = ["arrow", None, ":", None, "->", None]
+_ID = ["id", None, "=", None]
+_INV = ["inv", None, "=", None]
+_COMP = ["comp", None, None, "=", None]
+_OBJ = ["obj", None, "->", None]
+_ARR = ["arr", None, "->", None]
+_P = ["p", None, "->", None]
+_Q = ["q", None, "->", None]
+_LACT = ["lact", None, None, "->", None]
+_RACT = ["ract", None, None, "->", None]
+_PROJ = ["proj", None, "->", None]
+_PIECE = ["piece", None, ":"]  # then the piece's elements
+_MAP = ["map", None, None, "->", None]
+_FIBER = ["fiber", None, None, ":"]  # then the fibre's elements
+_TRANS = ["trans", None, None, None, None, None, "->", None]
 
-@dataclass
-class _Line:
-    number: int
-    text: str
-    tokens: list[tuple[str, int]]  # (token, 1-based column)
+# Keyed lines: the key is a line's first n tokens, and no two lines of a
+# block may share one.
+_KEY_LENGTH = {"comp": 3, "id": 2, "inv": 2, "obj": 2, "arr": 2, "p": 2,
+               "q": 2, "lact": 3, "ract": 3, "proj": 2, "map": 3,
+               "fiber": 3, "trans": 6}
 
 
 @dataclass
 class _Block:
+    """The tokens of a block's header line, then of each body line, as
+    plain strings.  Line numbers and the file's lines serve only to place
+    a ParseError."""
     kind: str
-    header: _Line
-    body: list[_Line] = field(default_factory=list)
-    source: str = "<input>"
+    source: str
+    lines: list[str]  # every line of the file
+    rows: list[list[str]] = field(default_factory=list)
+    numbers: list[int] = field(default_factory=list)  # each row's line
+
+    @property
+    def header(self) -> list[str]:
+        return self.rows[0]
+
+    @property
+    def body(self) -> list[list[str]]:
+        return self.rows[1:]
 
 
-def _tokenize(text: str, number: int) -> list[tuple[str, int]]:
-    stripped = text.split("#", 1)[0]
-    tokens = []
+def _column(raw: str, tokens: list[str], index: int) -> int:
+    """1-based column of ``tokens[index]`` in its line: each token is found
+    left to right, after the end of the one before it."""
     col = 0
-    for raw in stripped.split():
-        col = stripped.index(raw, col)
-        tokens.append((raw, col + 1))
-        col += len(raw)
-    return tokens
+    for tok in tokens[:index]:
+        col = raw.index(tok, col) + len(tok)
+    return raw.index(tokens[index], col) + 1
 
 
 def _scan(text: str, source: str) -> list[_Block]:
+    lines = text.splitlines()
     blocks: list[_Block] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, number)
+    rows = numbers = None
+    for number, raw in enumerate(lines, start=1):
+        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
-        line = _Line(number=number, text=raw, tokens=tokens)
-        if tokens[0][0] in BLOCK_KEYWORDS:
-            blocks.append(_Block(kind=tokens[0][0], header=line,
-                                 source=source))
-        else:
-            if not blocks:
-                raise ParseError(
-                    f"expected one of {', '.join(BLOCK_KEYWORDS)}",
-                    source, number, tokens[0][1])
-            blocks[-1].body.append(line)
+        if tokens[0] in _KEYWORDS:
+            block = _Block(kind=tokens[0], source=source, lines=lines)
+            blocks.append(block)
+            rows, numbers = block.rows, block.numbers
+        elif rows is None:
+            raise ParseError(
+                f"expected one of {', '.join(BLOCK_KEYWORDS)}", source,
+                number, _column(raw, tokens, 0))
+        rows.append(tokens)
+        numbers.append(number)
     return blocks
 
 
-def _shape(block: _Block, line: _Line, pattern: list[str | None],
-           variadic: bool = False) -> list[str]:
-    """Match a line against a pattern; None entries are wildcards, literal
-    entries must appear verbatim.  Returns the wildcard values (plus the
-    tail when variadic)."""
-    tokens = line.tokens
-    if (len(tokens) < len(pattern)
-            or (not variadic and len(tokens) != len(pattern))):
-        col = tokens[-1][1] if tokens else 1
-        raise ParseError(
-            f"malformed {block.kind} line, expected "
-            f"'{' '.join(p or '<id>' for p in pattern)}'",
-            block.source, line.number, col)
-    out = []
-    for (tok, col), expected in zip(tokens, pattern):
+def _error(block: _Block, row: list[str], message: str,
+           index: int = 0) -> ParseError:
+    """A ParseError at token ``index`` of ``row``, one of ``block.rows``."""
+    number = block.numbers[next(i for i, r in enumerate(block.rows)
+                                if r is row)]
+    return ParseError(message, block.source, number,
+                      _column(block.lines[number - 1], row, index))
+
+
+def _mismatch(block: _Block, row: list[str], pattern: list[str | None],
+              variadic: bool = False) -> ParseError | None:
+    """The error for a row that does not match a pattern (a variadic one
+    allows more tokens after it), or None if it matches."""
+    if (len(row) < len(pattern)
+            or (not variadic and len(row) != len(pattern))):
+        return _error(block, row,
+                      f"malformed {block.kind} line, expected "
+                      f"'{' '.join(p or '<id>' for p in pattern)}'",
+                      len(row) - 1)
+    for i, (tok, expected) in enumerate(zip(row, pattern)):
         if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}",
-                             block.source, line.number, col)
-        if expected is None:
-            out.append(tok)
-    if variadic:
-        out.extend(tok for tok, _ in tokens[len(pattern):])
-    return out
+            return _error(block, row, f"expected {expected!r}, found {tok!r}",
+                          i)
+    return None
+
+
+def _shape(block: _Block, row: list[str],
+           pattern: list[str | None]) -> list[str]:
+    """The wildcard values of a row that matches a pattern; raises the
+    mismatch's ParseError otherwise."""
+    err = _mismatch(block, row, pattern)
+    if err is not None:
+        raise err
+    return [tok for tok, expected in zip(row, pattern) if expected is None]
+
+
+def _check_keys(block: _Block, pieces: dict[str, set[str]] | None = None):
+    """Raise at the first body line whose key repeats an earlier line's,
+    or, given a cover's pieces, at the first map or fiber line naming a
+    piece or element the cover does not list.  Assemblers count their
+    entries and call this only when the counts show such a line."""
+    seen: dict[tuple[str, ...], int] = {}
+    for row, number in zip(block.body, block.numbers[1:]):
+        n = _KEY_LENGTH.get(row[0])
+        if n is None:
+            continue
+        if pieces is not None and row[0] in ("map", "fiber"):
+            if row[1] not in pieces:
+                raise _error(block, row, f"unknown piece {row[1]!r}", 1)
+            if row[2] not in pieces[row[1]]:
+                raise _error(block, row,
+                             f"piece {row[1]!r} does not list {row[2]!r}", 2)
+        key = tuple(row[:n])
+        if key in seen:
+            raise _error(block, row, f"repeated '{' '.join(key)}' "
+                         f"(first on line {seen[key]})")
+        seen[key] = number
 
 
 @dataclass
@@ -107,12 +180,14 @@ class Document:
     bundles: dict[str, Bundle] = field(default_factory=dict)
     covers: dict[str, Cover] = field(default_factory=dict)
     data: dict[str, DescentDatum] = field(default_factory=dict)
+    # (kind, name) of every block parsed into the document, in text order
+    declared: list[tuple[str, str]] = field(default_factory=list)
 
 
 def _need(block: _Block, mapping: dict, name: str, what: str):
     if name not in mapping:
         raise ParseError(f"unknown {what} {name!r}", block.source,
-                         block.header.number, 1)
+                         block.numbers[0], 1)
     return mapping[name]
 
 
@@ -121,27 +196,35 @@ def _assemble_groupoid(block: _Block) -> FinGroupoid:
     objects: list[str] = []
     arrows: list[str] = []
     src, tgt, comp, unit, inv = {}, {}, {}, {}, {}
-    for line in block.body:
-        head = line.tokens[0][0]
-        if head == "objects:":
-            objects.extend(_shape(block, line, ["objects:"], variadic=True))
+    listings = 0
+    for t in block.body:
+        head = t[0]
+        if head == "comp":
+            if len(t) != 5 or t[3] != "=":
+                raise _mismatch(block, t, _COMP)
+            comp[t[1], t[2]] = t[4]
         elif head == "arrow":
-            aid, s, t = _shape(block, line,
-                               ["arrow", None, ":", None, "->", None])
+            if len(t) != 6 or t[2] != ":" or t[4] != "->":
+                raise _mismatch(block, t, _ARROW)
+            aid = t[1]
             arrows.append(aid)
-            src[aid], tgt[aid] = s, t
-        elif head == "id":
-            obj, aid = _shape(block, line, ["id", None, "=", None])
-            unit[obj] = aid
+            src[aid], tgt[aid] = t[3], t[5]
         elif head == "inv":
-            a, b = _shape(block, line, ["inv", None, "=", None])
-            inv[a] = b
-        elif head == "comp":
-            g, f, h = _shape(block, line, ["comp", None, None, "=", None])
-            comp[(g, f)] = h
+            if len(t) != 4 or t[2] != "=":
+                raise _mismatch(block, t, _INV)
+            inv[t[1]] = t[3]
+        elif head == "id":
+            if len(t) != 4 or t[2] != "=":
+                raise _mismatch(block, t, _ID)
+            unit[t[1]] = t[3]
+        elif head == "objects:":
+            objects.extend(t[1:])
+            listings += 1
         else:
-            raise ParseError(f"unknown groupoid line {head!r}", block.source,
-                             line.number, line.tokens[0][1])
+            raise _error(block, t, f"unknown groupoid line {head!r}")
+    keyed = len(block.rows) - 1 - len(arrows) - listings
+    if len(comp) + len(unit) + len(inv) != keyed:
+        _check_keys(block)
     return FinGroupoid(name=name, objects=tuple(objects),
                        arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
                        unit=unit, inv=inv)
@@ -153,17 +236,20 @@ def _assemble_functor(block: _Block, doc: Document) -> StrictArrow:
     dom = _need(block, doc.groupoids, a, "groupoid")
     cod = _need(block, doc.groupoids, b, "groupoid")
     obj_map, arr_map = {}, {}
-    for line in block.body:
-        head = line.tokens[0][0]
-        if head == "obj":
-            x, y = _shape(block, line, ["obj", None, "->", None])
-            obj_map[x] = y
-        elif head == "arr":
-            p, q = _shape(block, line, ["arr", None, "->", None])
-            arr_map[p] = q
+    for t in block.body:
+        head = t[0]
+        if head == "arr":
+            if len(t) != 4 or t[2] != "->":
+                raise _mismatch(block, t, _ARR)
+            arr_map[t[1]] = t[3]
+        elif head == "obj":
+            if len(t) != 4 or t[2] != "->":
+                raise _mismatch(block, t, _OBJ)
+            obj_map[t[1]] = t[3]
         else:
-            raise ParseError(f"unknown functor line {head!r}", block.source,
-                             line.number, line.tokens[0][1])
+            raise _error(block, t, f"unknown functor line {head!r}")
+    if len(obj_map) + len(arr_map) != len(block.rows) - 1:
+        _check_keys(block)
     return StrictArrow(name=name, dom=dom, cod=cod, obj_map=obj_map,
                        arr_map=arr_map)
 
@@ -176,25 +262,33 @@ def _assemble_bibundle(block: _Block, doc: Document) -> Bibundle:
     cod = _need(block, doc.groupoids, g, "groupoid")
     carrier: list[str] = []
     p, q, lact, ract = {}, {}, {}, {}
-    for line in block.body:
-        head = line.tokens[0][0]
-        if head == "carrier:":
-            carrier.extend(_shape(block, line, ["carrier:"], variadic=True))
-        elif head == "p":
-            z, x = _shape(block, line, ["p", None, "->", None])
-            p[z] = x
-        elif head == "q":
-            z, x = _shape(block, line, ["q", None, "->", None])
-            q[z] = x
-        elif head == "lact":
-            eta, z, w = _shape(block, line, ["lact", None, None, "->", None])
-            lact[(eta, z)] = w
+    listings = 0
+    for t in block.body:
+        head = t[0]
+        if head == "lact":
+            if len(t) != 5 or t[3] != "->":
+                raise _mismatch(block, t, _LACT)
+            lact[t[1], t[2]] = t[4]
         elif head == "ract":
-            z, c, w = _shape(block, line, ["ract", None, None, "->", None])
-            ract[(z, c)] = w
+            if len(t) != 5 or t[3] != "->":
+                raise _mismatch(block, t, _RACT)
+            ract[t[1], t[2]] = t[4]
+        elif head == "p":
+            if len(t) != 4 or t[2] != "->":
+                raise _mismatch(block, t, _P)
+            p[t[1]] = t[3]
+        elif head == "q":
+            if len(t) != 4 or t[2] != "->":
+                raise _mismatch(block, t, _Q)
+            q[t[1]] = t[3]
+        elif head == "carrier:":
+            carrier.extend(t[1:])
+            listings += 1
         else:
-            raise ParseError(f"unknown bibundle line {head!r}", block.source,
-                             line.number, line.tokens[0][1])
+            raise _error(block, t, f"unknown bibundle line {head!r}")
+    keyed = len(block.rows) - 1 - listings
+    if len(p) + len(q) + len(lact) + len(ract) != keyed:
+        _check_keys(block)
     return Bibundle(
         name=name,
         left=LeftAction(groupoid=dom, carrier=tuple(carrier), actor=p,
@@ -208,18 +302,23 @@ def _assemble_bundle(block: _Block) -> Bundle:
     base: list[str] = []
     total: list[str] = []
     proj = {}
-    for line in block.body:
-        head = line.tokens[0][0]
-        if head == "base:":
-            base.extend(_shape(block, line, ["base:"], variadic=True))
+    listings = 0
+    for t in block.body:
+        head = t[0]
+        if head == "proj":
+            if len(t) != 4 or t[2] != "->":
+                raise _mismatch(block, t, _PROJ)
+            proj[t[1]] = t[3]
+        elif head == "base:":
+            base.extend(t[1:])
+            listings += 1
         elif head == "total:":
-            total.extend(_shape(block, line, ["total:"], variadic=True))
-        elif head == "proj":
-            a, x = _shape(block, line, ["proj", None, "->", None])
-            proj[a] = x
+            total.extend(t[1:])
+            listings += 1
         else:
-            raise ParseError(f"unknown bundle line {head!r}", block.source,
-                             line.number, line.tokens[0][1])
+            raise _error(block, t, f"unknown bundle line {head!r}")
+    if len(proj) != len(block.rows) - 1 - listings:
+        _check_keys(block)
     return Bundle(name=name, base=tuple(base), total=tuple(total), proj=proj)
 
 
@@ -229,25 +328,30 @@ def _assemble_cover(block: _Block) -> Cover:
     pieces: dict[str, list[str]] = {}
     to_base: dict[str, dict[str, str]] = {}
     order: list[str] = []
-    for line in block.body:
-        head = line.tokens[0][0]
-        if head == "base:":
-            base.extend(_shape(block, line, ["base:"], variadic=True))
+    listings = 0
+    for t in block.body:
+        head = t[0]
+        if head == "map":
+            if len(t) != 5 or t[3] != "->":
+                raise _mismatch(block, t, _MAP)
+            if t[1] not in pieces:
+                raise _error(block, t, f"map before piece {t[1]!r}", 1)
+            to_base[t[1]][t[2]] = t[4]
         elif head == "piece":
-            got = _shape(block, line, ["piece", None, ":"], variadic=True)
-            pname, elements = got[0], got[1:]
-            pieces[pname] = list(elements)
-            to_base[pname] = {}
-            order.append(pname)
-        elif head == "map":
-            pname, u, x = _shape(block, line, ["map", None, None, "->", None])
-            if pname not in pieces:
-                raise ParseError(f"map before piece {pname!r}", block.source,
-                                 line.number, line.tokens[1][1])
-            to_base[pname][u] = x
+            if len(t) < 3 or t[2] != ":":
+                raise _mismatch(block, t, _PIECE, variadic=True)
+            pieces[t[1]] = t[3:]
+            to_base[t[1]] = {}
+            order.append(t[1])
+        elif head == "base:":
+            base.extend(t[1:])
+            listings += 1
         else:
-            raise ParseError(f"unknown cover line {head!r}", block.source,
-                             line.number, line.tokens[0][1])
+            raise _error(block, t, f"unknown cover line {head!r}")
+    maps = len(block.rows) - 1 - listings - len(order)
+    if (sum(map(len, to_base.values())) != maps
+            or any(to_base[p].keys() - pieces[p] for p in to_base)):
+        _check_keys(block, {p: set(e) for p, e in pieces.items()})
     return Cover(name=name, base=tuple(base),
                  pieces=tuple(CoverPiece(name=p, elements=tuple(pieces[p]),
                                          to_base=to_base[p])
@@ -257,27 +361,42 @@ def _assemble_cover(block: _Block) -> Cover:
 def _assemble_datum(block: _Block, doc: Document) -> DescentDatum:
     name, cover_name = _shape(block, block.header, ["datum", None, ":", None])
     cover = _need(block, doc.covers, cover_name, "cover")
+    for p in cover.pieces:
+        for u in p.elements:
+            if u not in p.to_base:
+                raise _error(block, block.header,
+                             f"cover {cover_name!r} has no map line for "
+                             f"{u!r} in piece {p.name!r}", 3)
     fibre_elems: dict[str, dict[str, list[str]]] = {}
     # every ordered piece pair owns a table with one (possibly empty)
     # entry per overlap point; trans lines fill them in
     transitions: dict = {
         (pi.name, pj.name): {(u, v): {} for (u, v) in cover.overlap(pi, pj)}
         for pi in cover.pieces for pj in cover.pieces}
-    for line in block.body:
-        head = line.tokens[0][0]
-        if head == "fiber":
-            got = _shape(block, line, ["fiber", None, None, ":"],
-                         variadic=True)
-            pname, u, elements = got[0], got[1], got[2:]
-            fibre_elems.setdefault(pname, {})[u] = list(elements)
-        elif head == "trans":
-            pi, pj, u, v, a, b = _shape(
-                block, line, ["trans", None, None, None, None, None, "->",
-                              None])
-            transitions.setdefault((pi, pj), {}).setdefault((u, v), {})[a] = b
+    for t in block.body:
+        head = t[0]
+        if head == "trans":
+            if len(t) != 8 or t[6] != "->":
+                raise _mismatch(block, t, _TRANS)
+            try:
+                transitions[t[1], t[2]][t[3], t[4]][t[5]] = t[7]
+            except KeyError:  # off the overlaps: validate_datum reports it
+                transitions.setdefault((t[1], t[2]), {}).setdefault(
+                    (t[3], t[4]), {})[t[5]] = t[7]
+        elif head == "fiber":
+            if len(t) < 4 or t[3] != ":":
+                raise _mismatch(block, t, _FIBER, variadic=True)
+            fibre_elems.setdefault(t[1], {})[t[2]] = t[4:]
         else:
-            raise ParseError(f"unknown datum line {head!r}", block.source,
-                             line.number, line.tokens[0][1])
+            raise _error(block, t, f"unknown datum line {head!r}")
+    elements = {p.name: p.elements for p in cover.pieces}
+    entries = (sum(map(len, fibre_elems.values()))
+               + sum(sum(map(len, table.values()))
+                     for table in transitions.values()))
+    if (entries != len(block.rows) - 1
+            or any(m.keys() - elements.get(p, ())
+                   for p, m in fibre_elems.items())):
+        _check_keys(block, {p: set(e) for p, e in elements.items()})
     fibres = {}
     for p in cover.pieces:
         per_point = fibre_elems.get(p.name, {})
@@ -319,6 +438,7 @@ def parse_document(text: str, source: str = "<input>",
         elif block.kind == "datum":
             d = _assemble_datum(block, doc)
             doc.data[d.name] = d
+    doc.declared.extend((block.kind, block.header[1]) for block in blocks)
     return doc
 
 
@@ -336,10 +456,10 @@ def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
     out = []
     for block in _scan(text, source):
         if block.kind == kind:
-            if len(block.header.tokens) < 2:
+            if len(block.header) < 2:
                 raise ParseError(f"{kind} block without a name", source,
-                                 block.header.number, 1)
-            out.append(block.header.tokens[1][0])
+                                 block.numbers[0], 1)
+            out.append(block.header[1])
     return out
 
 

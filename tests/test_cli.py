@@ -277,3 +277,52 @@ def test_json_reports_validate_against_schema(files, capsys):
         # decision reports expose ok; errors carry a message
         if code == EXIT_INPUT:
             assert "error" in report or not report["ok"]
+
+
+def test_repeated_comp_line_exits_2(tmp_path, capsys):
+    text = serialize_groupoid(pair_groupoid("pair2", ["1", "2"]))
+    assert "comp 2>1 1>2 = 1>1\n" in text
+    path = tmp_path / "twice.grpd"
+    path.write_text(text.replace("comp 2>1 1>2 = 1>1\n",
+                                 "comp 2>1 1>2 = 2>2\ncomp 2>1 1>2 = 1>1\n"),
+                    encoding="utf-8")
+    line = text.splitlines().index("comp 2>1 1>2 = 1>1") + 2
+    assert run(["validate", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}:1: repeated 'comp 2>1 1>2' "
+        f"(first on line {line - 1})\n")
+
+
+@pytest.mark.parametrize("after, line, message", [
+    ("fiber P u1 : a", "fiber P u1 : a",
+     "repeated 'fiber P u1' (first on line 7)"),
+    ("fiber P u2 : b", "fiber P ghost : z",
+     "piece 'P' does not list 'ghost'"),
+    ("fiber P u2 : b", "fiber Q u1 : q", "unknown piece 'Q'"),
+    ("map P u2 -> y", "map P ghost -> x", "piece 'P' does not list 'ghost'"),
+    ("trans P P u2 u2 b -> b", "trans P P u1 u1 a -> a",
+     "repeated 'trans P P u1 u1 a' (first on line 9)")])
+@pytest.mark.parametrize("command", ["descent-check", "descent-glue"])
+def test_repeated_or_stray_datum_line_exits_2(tmp_path, capsys, command,
+                                              after, line, message):
+    path = tmp_path / "extra.desc"
+    path.write_text(STRAY_DATUM, encoding="utf-8")
+    assert run([command, str(path)]) == EXIT_OK
+    capsys.readouterr()
+    text = STRAY_DATUM.replace(f"{after}\n", f"{after}\n{line}\n")
+    path.write_text(text, encoding="utf-8")
+    number = STRAY_DATUM.splitlines().index(after) + 2
+    assert run([command, str(path)]) == EXIT_INPUT
+    assert f"{path}:{number}:" in capsys.readouterr().err
+    assert run(["--json", command, str(path)]) == EXIT_INPUT
+    assert message in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_cover_without_a_map_line_exits_2(tmp_path, capsys):
+    path = tmp_path / "unmapped.desc"
+    path.write_text(STRAY_DATUM.replace("map P u2 -> y\n", ""),
+                    encoding="utf-8")
+    assert run(["descent-check", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}:5:11: cover 'C' has no map line for 'u2' in piece "
+        "'P'\n")

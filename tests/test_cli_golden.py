@@ -14,7 +14,6 @@ Rewrite the digests only when an output change is intended:
 """
 
 import contextlib
-import functools
 import hashlib
 import io
 import json
@@ -25,7 +24,6 @@ import sys
 from pathlib import Path
 
 import grpd
-from grpd import cli
 from grpd.cli import _load_groupoid, run
 from grpd.corpus import random_datum
 from grpd.descent import DescentDatum
@@ -143,10 +141,7 @@ def record(root: Path):
     return entries
 
 
-def test_cli_output_matches_golden_digests(tmp_path, monkeypatch):
-    # the parser holds no state between calls; building it once saves
-    # about a third of the run time
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+def test_cli_output_matches_golden_digests(tmp_path):
     make_inputs(tmp_path)
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(golden) > 700

@@ -1,15 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from grpd import groups
 from grpd.complexity import point_groupoid
-from grpd.core import (BadInverse, PartialComposition, pair_groupoid,
-                       validate_functor, validate_groupoid)
+from grpd.core import (BadInverse, PartialComposition, identity_functor,
+                       pair_groupoid, validate_functor, validate_groupoid)
 from grpd.bibundle import unit_bibundle, validate_bibundle
 from grpd.corpus import (CorpusConfig, corpus_groupoids, random_datum,
                          random_functor)
-from grpd.formats import (ParseError, parse_document,
+from grpd.formats import (Document, ParseError, parse_document,
                           serialize_bibundle, serialize_bundle,
                           serialize_cover, serialize_datum,
                           serialize_functor, serialize_groupoid)
@@ -135,3 +136,505 @@ def test_cross_file_namespace_resolution():
         f"arr {x} -> {x}" for x in a.arrows)
     parse_document(text, into=doc)
     validate_functor(doc.functors["f"])
+
+
+# ---------------------------------------------------------------------------
+# oracle: the earlier parse front end, which tokenized every line with
+# columns and matched every line against its pattern, plus the keyed-line
+# rules (no repeated key; map and fiber lines stay on their cover) checked
+# line by line
+
+
+class _OracleBlock:
+    def __init__(self, kind, header, source):
+        self.kind, self.header, self.source = kind, header, source
+        self.body = []
+
+
+def _oracle_tokenize(text):
+    stripped = text.split("#", 1)[0]
+    tokens, col = [], 0
+    for raw in stripped.split():
+        col = stripped.index(raw, col)
+        tokens.append((raw, col + 1))
+        col += len(raw)
+    return tokens
+
+
+def _oracle_scan(text, source):
+    keywords = ("groupoid", "functor", "bibundle", "bundle", "cover",
+                "datum")
+    blocks = []
+    for number, raw in enumerate(text.splitlines(), start=1):
+        tokens = _oracle_tokenize(raw)
+        if not tokens:
+            continue
+        line = (number, tokens)
+        if tokens[0][0] in keywords:
+            blocks.append(_OracleBlock(tokens[0][0], line, source))
+        elif not blocks:
+            raise ParseError(f"expected one of {', '.join(keywords)}",
+                             source, number, tokens[0][1])
+        else:
+            blocks[-1].body.append(line)
+    return blocks
+
+
+def _oracle_shape(block, line, pattern, variadic=False):
+    number, tokens = line
+    if (len(tokens) < len(pattern)
+            or (not variadic and len(tokens) != len(pattern))):
+        raise ParseError(
+            f"malformed {block.kind} line, expected "
+            f"'{' '.join(p or '<id>' for p in pattern)}'",
+            block.source, number, tokens[-1][1])
+    out = []
+    for (tok, col), expected in zip(tokens, pattern):
+        if expected is not None and tok != expected:
+            raise ParseError(f"expected {expected!r}, found {tok!r}",
+                             block.source, number, col)
+        if expected is None:
+            out.append(tok)
+    if variadic:
+        out.extend(tok for tok, _ in tokens[len(pattern):])
+    return out
+
+
+# head -> (pattern, variadic, key length or 0) for each kind's body lines
+_ORACLE_GRAMMAR = {
+    "groupoid": {"objects:": (["objects:"], True, 0),
+                 "arrow": (["arrow", None, ":", None, "->", None], False, 0),
+                 "id": (["id", None, "=", None], False, 2),
+                 "inv": (["inv", None, "=", None], False, 2),
+                 "comp": (["comp", None, None, "=", None], False, 3)},
+    "functor": {"obj": (["obj", None, "->", None], False, 2),
+                "arr": (["arr", None, "->", None], False, 2)},
+    "bibundle": {"carrier:": (["carrier:"], True, 0),
+                 "p": (["p", None, "->", None], False, 2),
+                 "q": (["q", None, "->", None], False, 2),
+                 "lact": (["lact", None, None, "->", None], False, 3),
+                 "ract": (["ract", None, None, "->", None], False, 3)},
+    "bundle": {"base:": (["base:"], True, 0), "total:": (["total:"], True, 0),
+               "proj": (["proj", None, "->", None], False, 2)},
+    "cover": {"base:": (["base:"], True, 0),
+              "piece": (["piece", None, ":"], True, 0),
+              "map": (["map", None, None, "->", None], False, 3)},
+    "datum": {"fiber": (["fiber", None, None, ":"], True, 3),
+              "trans": (["trans", None, None, None, None, None, "->", None],
+                        False, 6)},
+}
+
+
+def _oracle_lines(block, pieces=None):
+    """Shape every body line in order; then reject the first line whose
+    key repeats or, given pieces, that leaves its cover."""
+    grammar = _ORACLE_GRAMMAR[block.kind]
+    shaped = []
+    for line in block.body:
+        number, tokens = line
+        head = tokens[0][0]
+        if head not in grammar:
+            raise ParseError(f"unknown {block.kind} line {head!r}",
+                             block.source, number, tokens[0][1])
+        pattern, variadic, _ = grammar[head]
+        got = _oracle_shape(block, line, pattern, variadic)
+        if head == "map" and got[0] not in pieces:
+            raise ParseError(f"map before piece {got[0]!r}", block.source,
+                             number, tokens[1][1])
+        if head == "piece":
+            pieces[got[0]] = got[1:]
+        shaped.append((head, got))
+    seen = {}
+    for (head, got), (number, tokens) in zip(shaped, block.body):
+        n = grammar[head][2]
+        if not n:
+            continue
+        if head in ("map", "fiber"):
+            if got[0] not in pieces:
+                raise ParseError(f"unknown piece {got[0]!r}", block.source,
+                                 number, tokens[1][1])
+            if got[1] not in pieces[got[0]]:
+                raise ParseError(f"piece {got[0]!r} does not list "
+                                 f"{got[1]!r}", block.source, number,
+                                 tokens[2][1])
+        key = tuple(tok for tok, _ in tokens[:n])
+        if key in seen:
+            raise ParseError(f"repeated '{' '.join(key)}' (first on line "
+                             f"{seen[key]})", block.source, number,
+                             tokens[0][1])
+        seen[key] = number
+    return shaped
+
+
+def _oracle_need(block, mapping, name, what):
+    if name not in mapping:
+        raise ParseError(f"unknown {what} {name!r}", block.source,
+                         block.header[0], 1)
+    return mapping[name]
+
+
+def _oracle_assemble(block, doc):
+    from grpd.bibundle import Bibundle, LeftAction, RightAction
+    from grpd.core import FinGroupoid, StrictArrow
+    from grpd.descent import Bundle, Cover, CoverPiece, DescentDatum
+
+    kind = block.kind
+    if kind == "groupoid":
+        (name,) = _oracle_shape(block, block.header, ["groupoid", None])
+        objects, arrows, src, tgt, comp, unit, inv = [], [], {}, {}, {}, \
+            {}, {}
+        for head, got in _oracle_lines(block):
+            if head == "objects:":
+                objects.extend(got)
+            elif head == "arrow":
+                arrows.append(got[0])
+                src[got[0]], tgt[got[0]] = got[1], got[2]
+            elif head == "id":
+                unit[got[0]] = got[1]
+            elif head == "inv":
+                inv[got[0]] = got[1]
+            else:
+                comp[(got[0], got[1])] = got[2]
+        doc.groupoids[name] = FinGroupoid(
+            name=name, objects=tuple(objects), arrows=tuple(arrows), src=src,
+            tgt=tgt, comp=comp, unit=unit, inv=inv)
+    elif kind == "functor":
+        name, a, b = _oracle_shape(block, block.header,
+                                   ["functor", None, ":", None, "->", None])
+        dom = _oracle_need(block, doc.groupoids, a, "groupoid")
+        cod = _oracle_need(block, doc.groupoids, b, "groupoid")
+        maps = {"obj": {}, "arr": {}}
+        for head, got in _oracle_lines(block):
+            maps[head][got[0]] = got[1]
+        doc.functors[name] = StrictArrow(name=name, dom=dom, cod=cod,
+                                         obj_map=maps["obj"],
+                                         arr_map=maps["arr"])
+    elif kind == "bibundle":
+        name, h, _, g = _oracle_shape(
+            block, block.header,
+            ["bibundle", None, ":", None, "-|", None, "|-", None])
+        dom = _oracle_need(block, doc.groupoids, h, "groupoid")
+        cod = _oracle_need(block, doc.groupoids, g, "groupoid")
+        carrier, maps = [], {"p": {}, "q": {}, "lact": {}, "ract": {}}
+        for head, got in _oracle_lines(block):
+            if head == "carrier:":
+                carrier.extend(got)
+            elif head in ("p", "q"):
+                maps[head][got[0]] = got[1]
+            else:
+                maps[head][(got[0], got[1])] = got[2]
+        doc.bibundles[name] = Bibundle(
+            name=name,
+            left=LeftAction(groupoid=dom, carrier=tuple(carrier),
+                            actor=maps["p"], act=maps["lact"]),
+            right=RightAction(groupoid=cod, carrier=tuple(carrier),
+                              actor=maps["q"], act=maps["ract"]))
+    elif kind == "bundle":
+        (name,) = _oracle_shape(block, block.header, ["bundle", None])
+        lists, proj = {"base:": [], "total:": []}, {}
+        for head, got in _oracle_lines(block):
+            if head == "proj":
+                proj[got[0]] = got[1]
+            else:
+                lists[head].extend(got)
+        doc.bundles[name] = Bundle(name=name, base=tuple(lists["base:"]),
+                                   total=tuple(lists["total:"]), proj=proj)
+    elif kind == "cover":
+        (name,) = _oracle_shape(block, block.header, ["cover", None])
+        base, pieces, to_base, order = [], {}, {}, []
+        for head, got in _oracle_lines(block, pieces={}):
+            if head == "base:":
+                base.extend(got)
+            elif head == "piece":
+                pieces[got[0]] = got[1:]
+                to_base[got[0]] = {}
+                order.append(got[0])
+            else:
+                to_base[got[0]][got[1]] = got[2]
+        doc.covers[name] = Cover(
+            name=name, base=tuple(base),
+            pieces=tuple(CoverPiece(name=p, elements=tuple(pieces[p]),
+                                    to_base=to_base[p]) for p in order))
+    elif kind == "datum":
+        name, cover_name = _oracle_shape(block, block.header,
+                                         ["datum", None, ":", None])
+        cover = _oracle_need(block, doc.covers, cover_name, "cover")
+        for p in cover.pieces:
+            for u in p.elements:
+                if u not in p.to_base:
+                    raise ParseError(
+                        f"cover {cover_name!r} has no map line for {u!r} in "
+                        f"piece {p.name!r}", block.source, block.header[0],
+                        block.header[1][3][1])
+        trans = {}
+        for pi in cover.pieces:
+            for pj in cover.pieces:
+                trans[(pi.name, pj.name)] = {
+                    (u, v): {} for u in pi.elements for v in pj.elements
+                    if pi.to_base[u] == pj.to_base[v]}
+        fibre = {}
+        pieces = {p.name: p.elements for p in cover.pieces}
+        for head, got in _oracle_lines(block, pieces=pieces):
+            if head == "fiber":
+                fibre.setdefault(got[0], {})[got[1]] = got[2:]
+            else:
+                trans.setdefault(tuple(got[:2]), {}).setdefault(
+                    tuple(got[2:4]), {})[got[4]] = got[5]
+        fibres = {}
+        for p in cover.pieces:
+            total = [(e, u) for u in p.elements
+                     for e in fibre.get(p.name, {}).get(u, [])]
+            fibres[p.name] = Bundle(name=f"{name}.{p.name}",
+                                    base=p.elements,
+                                    total=tuple(e for e, _ in total),
+                                    proj=dict(total))
+        doc.data[name] = DescentDatum(name=name, cover=cover, fibres=fibres,
+                                      transitions=trans)
+
+
+def oracle_parse(text, source="<input>", into=None):
+    doc = into if into is not None else Document()
+    blocks = _oracle_scan(text, source)
+    for block in blocks:
+        if block.kind in ("groupoid", "bundle", "cover"):
+            _oracle_assemble(block, doc)
+    for block in blocks:
+        if block.kind in ("functor", "bibundle", "datum"):
+            _oracle_assemble(block, doc)
+    return doc
+
+
+def oracle_declared_names(text, kind, source):
+    out = []
+    for block in _oracle_scan(text, source):
+        if block.kind == kind:
+            if len(block.header[1]) < 2:
+                raise ParseError(f"{kind} block without a name", source,
+                                 block.header[0], 1)
+            out.append(block.header[1][1][0])
+    return out
+
+
+def oracle_load_two(paths, kind):
+    """The earlier two-file loader: every file's headers first, then the
+    files assembled in order."""
+    label = kind[:-1]
+    wanted = []
+    for path in paths:
+        text = Path(path).read_text(encoding="utf-8")
+        names = oracle_declared_names(text, label, str(path))
+        if not names:
+            raise ParseError(f"no {label} block found", str(path), 1, 1)
+        wanted.append(names[0])
+    doc = Document()
+    for path in paths:
+        oracle_parse(Path(path).read_text(encoding="utf-8"), str(path), doc)
+    return doc, [getattr(doc, kind)[name] for name in wanted]
+
+
+def digest(doc):
+    """Every assembled field, dicts as item lists so that order counts."""
+    def items(d):
+        return list(d.items())
+
+    return (
+        [(n, g.objects, g.arrows, items(g.src), items(g.tgt), items(g.comp),
+          items(g.unit), items(g.inv)) for n, g in doc.groupoids.items()],
+        [(n, f.dom.name, f.cod.name, items(f.obj_map), items(f.arr_map))
+         for n, f in doc.functors.items()],
+        [(n, b.left.groupoid.name, b.right.groupoid.name, b.left.carrier,
+          b.right.carrier, items(b.left.actor), items(b.right.actor),
+          items(b.left.act), items(b.right.act))
+         for n, b in doc.bibundles.items()],
+        [(n, b.base, b.total, items(b.proj)) for n, b in doc.bundles.items()],
+        [(n, c.base, [(p.name, p.elements, items(p.to_base))
+                      for p in c.pieces]) for n, c in doc.covers.items()],
+        [(n, d.cover.name,
+          [(p, b.name, b.base, b.total, items(b.proj))
+           for p, b in d.fibres.items()],
+          [(k, [(uv, items(m)) for uv, m in t.items()])
+           for k, t in d.transitions.items()]) for n, d in doc.data.items()],
+    )
+
+
+def outcome(parse, *args):
+    try:
+        result = parse(*args)
+    except ParseError as err:
+        return ("error", str(err), err.source, err.line, err.col)
+    return ("ok", result)
+
+
+_INSERTS = (":", "->", "=", "-|", "|-", "objects:", "carrier:", "base:",
+            "total:", "groupoid", "functor", "datum", "cover", "comp", "id",
+            "inv", "arrow", "obj", "arr", "p", "q", "lact", "ract", "proj",
+            "piece", "map", "fiber", "trans", "ghost")
+
+
+def mutate(rng, text):
+    """One random edit of one line, or a line added before the first."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    op = rng.randrange(8)
+    if op == 0 and tokens:
+        del tokens[rng.randrange(len(tokens))]
+    elif op == 1 and len(tokens) > 1:
+        a, b = rng.sample(range(len(tokens)), 2)
+        tokens[a], tokens[b] = tokens[b], tokens[a]
+    elif op == 2:
+        pool = _INSERTS + tuple(text.split()[:40])
+        tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(pool))
+    elif op == 3:
+        cut = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:cut] + rng.choice(("#", " # note", "#x y"))
+        return "\n".join(lines)
+    elif op == 4:
+        lines.insert(0, rng.choice((lines[i], "  " + lines[-1], "x")))
+        return "\n".join(lines)
+    elif op == 5:
+        lines.insert(rng.randrange(i, len(lines) + 1), lines[i])
+        return "\n".join(lines)
+    elif op == 6 and len(tokens) > 2:
+        tokens[rng.randrange(1, len(tokens))] = "ghost"
+    seps = [rng.choice((" ", "  ", "\t", " \t ")) for _ in tokens]
+    indent = rng.choice(("", "", " ", "\t"))
+    lines[i] = indent + "".join(s + t for s, t in zip(seps, tokens))[1:]
+    return "\n".join(lines)
+
+
+def corpus_texts(seed):
+    """Serialized groupoids, functors, bibundles, bundles, covers and data."""
+    from grpd.corpus import random_bundle
+
+    rng = random.Random(seed)
+    cfg = CorpusConfig(seed=seed, count=4, max_objects=3, max_isotropy=4,
+                       max_arrows=30)
+    gs = corpus_groupoids(cfg)
+    texts = [serialize_groupoid(g) for g in gs]
+    texts.append(serialize_groupoid(gs[0]) + serialize_groupoid(gs[1])
+                 + serialize_functor(random_functor(rng, gs[0], gs[1])))
+    texts.append(serialize_groupoid(gs[2])
+                 + serialize_bibundle(unit_bibundle(gs[2])))
+    _, cover, datum = random_datum(rng, "d", base_size=4, max_fibre=2)
+    texts.append(serialize_datum(datum))
+    texts.append(serialize_bundle(random_bundle(rng, "b", base_size=4))
+                 + serialize_cover(cover))
+    return texts
+
+
+def test_parse_matches_the_line_by_line_oracle_on_mutated_corpus_files():
+    cases = failures = 0
+    for seed in range(25):
+        rng = random.Random(1000 + seed)
+        for text in corpus_texts(seed):
+            assert outcome(lambda t: digest(parse_document(t, "f")), text) \
+                == outcome(lambda t: digest(oracle_parse(t, "f")), text)
+            for _ in range(12):
+                bad = mutate(rng, text)
+                if rng.random() < 0.3:
+                    bad = mutate(rng, bad)
+                new = outcome(lambda t: digest(parse_document(t, "f")), bad)
+                old = outcome(lambda t: digest(oracle_parse(t, "f")), bad)
+                assert new == old, bad
+                cases += 1
+                failures += new[0] == "error"
+    assert cases >= 2000
+    # most mutants are rejected, and a fair share still parses
+    assert cases * 0.5 < failures < cases * 0.95
+
+
+def test_load_two_matches_the_oracle_on_mutated_file_pairs(tmp_path):
+    from grpd.cli import _load_two
+
+    rng = random.Random(77)
+    pools = {"groupoids": [], "functors": [], "bibundles": []}
+    for seed in (3, 4):
+        texts = corpus_texts(seed)
+        pools["groupoids"] += texts[:4] + texts[6:]
+        functor = texts[4].index("functor ")
+        pools["functors"] += [texts[4], texts[4][functor:]]
+        pools["bibundles"].append(texts[5])
+    cases = errors = 0
+    for kind, pool in pools.items():
+        for i in range(120):
+            paths = [tmp_path / f"{kind}{i}a", tmp_path / f"{kind}{i}b"]
+            first = rng.choice(pool[:-1] if kind == "functors" else pool)
+            second = rng.choice(pool)
+            for path, text in zip(paths, (first, second)):
+                for _ in range(rng.choice((0, 0, 1, 2))):
+                    text = mutate(rng, text)
+                path.write_text(text, encoding="utf-8")
+            if rng.random() < 0.2:
+                paths[1] = paths[0]
+
+            def run(load):
+                doc, found = load(paths, kind)
+                return digest(doc), [s.name for s in found]
+
+            new = outcome(run, _load_two)
+            assert new == outcome(run, oracle_load_two), paths
+            cases += 1
+            errors += new[0] == "error"
+    assert cases * 0.2 < errors < cases * 0.8
+
+
+def test_load_two_reports_header_errors_before_assembly_errors(tmp_path):
+    from grpd.cli import _load_two
+
+    g = serialize_groupoid(pair_groupoid("p2", ["1", "2"]))
+    cover = serialize_cover(random_datum(random.Random(1), "d",
+                                         base_size=3)[1])
+    a, b = tmp_path / "a", tmp_path / "b"
+    # the first file declares no groupoid; the second has a body line
+    # before its first block
+    a.write_text(cover)
+    b.write_text("objects: 1\n" + g)
+    with pytest.raises(ParseError) as err:
+        _load_two([a, b], "groupoids")
+    assert (err.value.source, err.value.line, err.value.col) == (str(a), 1, 1)
+    assert str(err.value).endswith("no groupoid block found")
+    # an assembly error in the first file comes after the second file's
+    # header errors
+    a.write_text(g.replace("inv 1>2 = 2>1", "inv 1>2 2>1"))
+    with pytest.raises(ParseError) as err:
+        _load_two([a, b], "groupoids")
+    assert (err.value.source, err.value.line, err.value.col) == (str(b), 1, 1)
+    b.write_text(g.replace("groupoid p2", "groupoid"))
+    with pytest.raises(ParseError) as err:
+        _load_two([a, b], "groupoids")
+    assert str(err.value) == f"{b}:1:1: groupoid block without a name"
+    b.write_text(g)
+    with pytest.raises(ParseError) as err:
+        _load_two([a, b], "groupoids")
+    assert err.value.source == str(a) and "malformed groupoid line" in str(
+        err.value)
+    a.write_text(g)
+    doc, (h, k) = _load_two([a, b], "groupoids")
+    assert h is k is doc.groupoids["p2"]
+
+
+@pytest.mark.parametrize("head", ["comp", "id", "inv", "obj", "arr", "p",
+                                  "q", "lact", "ract", "proj", "map", "fiber",
+                                  "trans"])
+def test_repeated_keyed_line_is_rejected_at_the_repeat(head):
+    g = pair_groupoid("p2", ["1", "2"])
+    bundle, cover, datum = random_datum(random.Random(10), "d", base_size=4,
+                                        max_fibre=3)
+    text = (serialize_groupoid(g) + serialize_functor(identity_functor(g))
+            + serialize_bibundle(unit_bibundle(g)) + serialize_bundle(bundle)
+            + serialize_datum(datum))
+    assert parse_document(text)
+    lines = text.splitlines()
+    first = next(i for i, line in enumerate(lines)
+                 if line.startswith(head + " "))
+    tokens = lines[first].split()
+    # a different value under the same key is rejected as well
+    lines.insert(first + 1, " ".join(tokens[:-1] + ["other"]))
+    with pytest.raises(ParseError) as err:
+        parse_document("\n".join(lines), source="f")
+    key = {"comp": 3, "lact": 3, "ract": 3, "map": 3, "fiber": 3,
+           "trans": 6}.get(head, 2)
+    assert str(err.value) == (f"f:{first + 2}:1: repeated "
+                              f"'{' '.join(tokens[:key])}' "
+                              f"(first on line {first + 1})")
