@@ -346,7 +346,12 @@ def transpose(b: Bibundle, name: str | None = None) -> Bibundle:
 
 def tensor(z1: Bibundle, z2: Bibundle) -> Bibundle:
     """Generalized tensor product: fibre product over the middle objects,
-    quotiented by the diagonal middle action (z, w) . c = (z c, c^-1 w)."""
+    quotiented by the diagonal middle action (z, w) . c = (z c, c^-1 w).
+
+    Both bibundles must be valid (see :func:`validate_bibundle`), over
+    valid groupoids: each class is taken directly as the orbit of its
+    least pair, which it is only when the actions are valid.
+    """
     if not same_groupoid(z1.cod, z2.dom):
         raise NotComposable(
             f"{z1.name!r} ends at {z1.cod.name}, {z2.name!r} starts at "
@@ -354,21 +359,23 @@ def tensor(z1: Bibundle, z2: Bibundle) -> Bibundle:
     if not z1.is_right_principal:
         raise NotPrincipal(f"{z1.name!r} is not right-principal")
     mid = z1.cod
-    q1, p2 = z1.right.actor, z2.left.actor
-    pairs = [(z, w) for z in z1.carrier for w in z2.carrier
-             if q1[z] == p2[w]]
-    links = (((z, w), (z1.right.act[(z, c)], z2.left.act[(mid.inv[c], w)]))
-             for z, w in pairs for c in mid.arrows_into[q1[z]])
+    q1, ract1, lact2 = z1.right.actor, z1.right.act, z2.left.act
+    over = index_arrows(sorted(z2.carrier), z2.left.actor)
     cls_of: dict[tuple[str, str], str] = {}
     rep_of: dict[str, tuple[str, str]] = {}
     carrier = []
-    for block in partition(pairs, links):
-        # the class representative is its least member
-        cid = f"[{block[0][0]}*{block[0][1]}]"
-        carrier.append(cid)
-        rep_of.setdefault(cid, block[0])
-        for pw in block:
-            cls_of[pw] = cid
+    # The pairs (z, w) over a common middle object, visited in sorted order:
+    # the first one not yet in a class is the least member of its class.
+    for z in sorted(z1.carrier):
+        into = [(c, mid.inv[c]) for c in mid.arrows_into[q1[z]]]
+        for w in over.get(q1[z], ()):
+            if (z, w) in cls_of:
+                continue
+            cid = f"[{z}*{w}]"
+            carrier.append(cid)
+            rep_of.setdefault(cid, (z, w))
+            for c, c_inv in into:
+                cls_of[ract1[z, c], lact2[c_inv, w]] = cid
     carrier = tuple(sorted(carrier))
 
     h, k = z1.dom, z2.cod

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 from .bibundle import Bibundle, LeftAction, RightAction
 from .core import FinGroupoid, StrictArrow, index_arrows
-from .descent import Bundle, Cover, CoverPiece, DescentDatum
+from .descent import (Bundle, Cover, CoverPiece, DescentDatum, _by_base,
+                      _overlap)
 
 
 class ParseError(Exception):
@@ -92,14 +93,23 @@ def _column(raw: str, tokens: list[str], index: int) -> int:
 
 
 def _scan(text: str, source: str) -> list[_Block]:
+    """The text's blocks; a block repeating the kind and name of an earlier
+    one raises a ParseError at its header."""
     lines = text.splitlines()
     blocks: list[_Block] = []
+    headers: dict[tuple[str, str], int] = {}  # (kind, name) -> first line
     rows = numbers = None
     for number, raw in enumerate(lines, start=1):
         tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not tokens:
             continue
         if tokens[0] in _KEYWORDS:
+            if len(tokens) > 1:
+                first = headers.setdefault((tokens[0], tokens[1]), number)
+                if first != number:
+                    raise ParseError(
+                        f"repeated '{tokens[0]} {tokens[1]}' (first on line "
+                        f"{first})", source, number, _column(raw, tokens, 0))
             block = _Block(kind=tokens[0], source=source, lines=lines)
             blocks.append(block)
             rows, numbers = block.rows, block.numbers
@@ -370,8 +380,10 @@ def _assemble_datum(block: _Block, doc: Document) -> DescentDatum:
     fibre_elems: dict[str, dict[str, list[str]]] = {}
     # every ordered piece pair owns a table with one (possibly empty)
     # entry per overlap point; trans lines fill them in
+    by_base = _by_base(cover)
     transitions: dict = {
-        (pi.name, pj.name): {(u, v): {} for (u, v) in cover.overlap(pi, pj)}
+        (pi.name, pj.name): {(u, v): {}
+                             for (u, v) in _overlap(pi, by_base[pj.name])}
         for pi in cover.pieces for pj in cover.pieces}
     for t in block.body:
         head = t[0]
@@ -467,6 +479,29 @@ def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
 # serialization (deterministic: sorted lines within each section)
 
 
+def _sorted_pair_lines(table, outer, inner, line, unique) -> list[str]:
+    """``line(x, y, table[x, y])`` for each key of ``table``, keys in sorted
+    order.
+
+    The keys are expected to be the pairs (x, y) with x in sorted ``outer``
+    and y in ``inner(x)``, which lists them sorted; walking those pairs
+    gives the sorted order without sorting the tuple keys.  The walk is
+    kept only when it accounts for every entry exactly once: the id lists
+    in ``unique``, of which the walked pairs are made, hold no repeats,
+    every walked pair is a key, and the counts agree.  Otherwise (a table
+    with a missing or extra entry) the keys are sorted."""
+    if all(len(set(ids)) == len(ids) for ids in unique):
+        try:
+            lines = [line(x, y, table[x, y])
+                     for x in sorted(outer) for y in inner(x)]
+        except KeyError:
+            pass
+        else:
+            if len(lines) == len(table):
+                return lines
+    return [line(x, y, table[x, y]) for x, y in sorted(table)]
+
+
 def serialize_groupoid(g: FinGroupoid) -> str:
     lines = [f"groupoid {g.name}"]
     lines.append("objects: " + " ".join(g.objects))
@@ -476,8 +511,10 @@ def serialize_groupoid(g: FinGroupoid) -> str:
         lines.append(f"id {x} = {g.unit[x]}")
     for a in g.arrows:
         lines.append(f"inv {a} = {g.inv[a]}")
-    for (p, q) in sorted(g.comp):
-        lines.append(f"comp {p} {q} = {g.comp[(p, q)]}")
+    # the composable pairs (p, q) are the q into src(p)
+    lines += _sorted_pair_lines(
+        g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]],
+        lambda p, q, r: f"comp {p} {q} = {r}", [g.arrows])
     return "\n".join(lines) + "\n"
 
 
@@ -497,10 +534,15 @@ def serialize_bibundle(b: Bibundle) -> str:
         lines.append(f"p {z} -> {b.left.actor[z]}")
     for z in b.carrier:
         lines.append(f"q {z} -> {b.right.actor[z]}")
-    for (eta, z) in sorted(b.left.act):
-        lines.append(f"lact {eta} {z} -> {b.left.act[(eta, z)]}")
-    for (z, c) in sorted(b.right.act):
-        lines.append(f"ract {z} {c} -> {b.right.act[(z, c)]}")
+    # eta acts on the points over src(eta); c acts on z when c lands on q(z)
+    h, g = b.dom, b.cod
+    points_over = index_arrows(sorted(b.carrier), b.left.actor)
+    lines += _sorted_pair_lines(
+        b.left.act, h.arrows, lambda eta: points_over.get(h.src[eta], ()),
+        lambda eta, z, w: f"lact {eta} {z} -> {w}", [h.arrows, b.carrier])
+    lines += _sorted_pair_lines(
+        b.right.act, b.carrier, lambda z: g.arrows_into[b.right.actor[z]],
+        lambda z, c, w: f"ract {z} {c} -> {w}", [b.carrier, g.arrows])
     return "\n".join(lines) + "\n"
 
 

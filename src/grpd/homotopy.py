@@ -90,16 +90,18 @@ def _p1(c: Cospan) -> PullbackResult:
                              g.inv[phi.arr_map[kk]])],
                      j.inv[ii])
     comp = {}
-    by_src: dict[str, list[str]] = {}
+    # the arrows out of each object, with the parts of each that a
+    # composite reads: (arrow, kk, psi(ii), ii)
+    by_src: dict[str, list[tuple[str, str, str, str]]] = {}
     for a in arrows:
-        by_src.setdefault(src[a], []).append(a)
+        kk, _, ii = asrc[a]
+        by_src.setdefault(src[a], []).append((a, kk, psi.arr_map[ii], ii))
+    kcomp, gcomp, jcomp = k.comp, g.comp, j.comp
     for a1 in arrows:
-        for a2 in by_src.get(tgt[a1], ()):
-            k2, s2, i2 = asrc[a2]
-            k1, s1, i1 = asrc[a1]
-            comp[(a2, a1)] = aid(k.comp[(k2, k1)],
-                                 g.comp[(psi.arr_map[i2], s1)],
-                                 j.comp[(i2, i1)])
+        k1, s1, i1 = asrc[a1]
+        for a2, k2, psi2, i2 in by_src.get(tgt[a1], ()):
+            comp[(a2, a1)] = aid(kcomp[k2, k1], gcomp[psi2, s1],
+                                 jcomp[i2, i1])
     grp = FinGroupoid(name=f"P1({phi.name},{psi.name})",
                       objects=tuple(objects), arrows=tuple(arrows),
                       src=src, tgt=tgt, comp=comp, unit=unit, inv=inv)

@@ -12,7 +12,7 @@ from grpd.bibundle import (BadAction, Bibundle, EndpointMismatch,
                            validate_right_action)
 from grpd.complexity import morita_point_check, point_groupoid
 from grpd.core import (StrictArrow, identity_functor, compose_functors,
-                       pair_groupoid, restrict, terminal_groupoid,
+                       pair_groupoid, partition, restrict, terminal_groupoid,
                        validate_functor)
 from grpd.corpus import random_functor, random_groupoid, transitive_groupoid
 from grpd.homotopy import skeleton_equal, skeletonize
@@ -357,6 +357,68 @@ def test_functor_composition_carried_to_tensor(small_corpus):
         lhs = functor_to_bibundle(compose_functors(g, f))
         rhs = tensor(functor_to_bibundle(f), functor_to_bibundle(g))
         assert bibundles_isomorphic(lhs, rhs) is not None
+
+
+def union_find_tensor(z1, z2):
+    """The tensor product with its classes found by union-find over every
+    (pair, pair . c) link: the independent copy the direct orbit walk in
+    ``tensor`` is checked against."""
+    mid = z1.cod
+    q1, p2 = z1.right.actor, z2.left.actor
+    pairs = [(z, w) for z in z1.carrier for w in z2.carrier
+             if q1[z] == p2[w]]
+    links = (((z, w), (z1.right.act[(z, c)], z2.left.act[(mid.inv[c], w)]))
+             for z, w in pairs for c in mid.arrows_into[q1[z]])
+    cls_of, rep_of, carrier = {}, {}, []
+    for block in partition(pairs, links):
+        cid = f"[{block[0][0]}*{block[0][1]}]"
+        carrier.append(cid)
+        rep_of.setdefault(cid, block[0])
+        for pw in block:
+            cls_of[pw] = cid
+    carrier = tuple(sorted(carrier))
+    h, k = z1.dom, z2.cod
+    p = {cid: z1.left.actor[rep_of[cid][0]] for cid in carrier}
+    q = {cid: z2.right.actor[rep_of[cid][1]] for cid in carrier}
+    lact, ract = {}, {}
+    for cid in carrier:
+        z, w = rep_of[cid]
+        for eta in h.arrows_from[p[cid]]:
+            lact[(eta, cid)] = cls_of[(z1.left.act[(eta, z)], w)]
+        for c in k.arrows_into[q[cid]]:
+            ract[(cid, c)] = cls_of[(z, z2.right.act[(w, c)])]
+    return carrier, p, q, lact, ract
+
+
+def test_tensor_matches_the_union_find_quotient(small_corpus):
+    rng = random.Random(14)
+    picked = [g for g in small_corpus if len(g.arrows) <= 16][:5]
+    s3 = transitive_groupoid("PS3", ["a", "b"], groups.symmetric3())
+    cases = []
+    for g in picked + [s3, P3, BZ3]:
+        unit = unit_bibundle(g)
+        cases += [(unit, unit), (transpose(unit), unit),
+                  (unit, transpose(unit))]
+    for _ in range(8):
+        a, b, c = (rng.choice(picked) for _ in range(3))
+        f1 = functor_to_bibundle(random_functor(rng, a, b))
+        f2 = functor_to_bibundle(random_functor(rng, b, c))
+        cases += [(f1, f2), (f1, unit_bibundle(b)), (unit_bibundle(a), f1)]
+    # transposes of functor-induced equivalences are right-principal too
+    for z in (functor_to_bibundle(incl_one_into_p2()),
+              morita_point_check(P3).bibundle):
+        zt = transpose(z)
+        cases += [(zt, z), (z, zt), (zt, unit_bibundle(z.dom))]
+    for z1, z2 in cases:
+        for z in (z1, z2):
+            validate_bibundle(z)
+        t = tensor(z1, z2)
+        carrier, p, q, lact, ract = union_find_tensor(z1, z2)
+        assert t.carrier == carrier
+        assert list(t.left.actor.items()) == list(p.items())
+        assert list(t.right.actor.items()) == list(q.items())
+        assert list(t.left.act.items()) == list(lact.items())
+        assert list(t.right.act.items()) == list(ract.items())
 
 
 # ---------------------------------------------------------------------------

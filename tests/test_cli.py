@@ -293,6 +293,24 @@ def test_repeated_comp_line_exits_2(tmp_path, capsys):
         f"(first on line {line - 1})\n")
 
 
+def test_repeated_block_exits_2(tmp_path, capsys):
+    first = serialize_groupoid(pair_groupoid("g", ["1", "2"]))
+    second = serialize_groupoid(point_groupoid("g", groups.cyclic(2)))
+    path = tmp_path / "twice.grpd"
+    path.write_text(first, encoding="utf-8")
+    assert run(["validate", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    # the second block used to replace the first without a word
+    path.write_text(first + second, encoding="utf-8")
+    line = first.count("\n") + 1
+    message = f"{path}:{line}:1: repeated 'groupoid g' (first on line 1)"
+    assert run(["validate", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    code, report = run_json(capsys, ["validate", str(path)])
+    assert code == EXIT_INPUT and not report["ok"]
+    assert report["error"] == message
+
+
 @pytest.mark.parametrize("after, line, message", [
     ("fiber P u1 : a", "fiber P u1 : a",
      "repeated 'fiber P u1' (first on line 7)"),

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from grpd import groups
 from grpd.complexity import point_groupoid
-from grpd.core import (BadInverse, BadUnit, DanglingId, DomainMismatch,
+from grpd.core import (BadFunctor, BadInverse, BadUnit, DanglingId,
+                       DomainMismatch,
                        FinGroupoid, GroupoidError, NonAssociative,
                        PartialComposition, SignatureMismatch, StrictArrow,
                        are_homotopic,
@@ -382,6 +383,86 @@ def test_cocylinder_endpoint_sections(corpus):
         ident = identity_functor(g)
         assert functors_equal(compose_functors(cyl.e0, cyl.t), ident)
         assert functors_equal(compose_functors(cyl.e1, cyl.t), ident)
+
+
+def full_sweep_validate_functor(f):
+    """validate_functor with composition checked on every comp entry of
+    the domain, in table order: the independent copy the generator check
+    is compared against."""
+    h, g = f.dom, f.cod
+    for x in h.objects:
+        if x not in f.obj_map:
+            raise BadFunctor(f"object map undefined on {x!r}", witness=x)
+        if f.obj_map[x] not in set(g.objects):
+            raise BadFunctor(f"obj_map({x!r}) not an object of {g.name}",
+                             witness=x)
+    for a in h.arrows:
+        if a not in f.arr_map:
+            raise BadFunctor(f"arrow map undefined on {a!r}", witness=a)
+        fa = f.arr_map[a]
+        if fa not in set(g.arrows):
+            raise BadFunctor(f"arr_map({a!r}) not an arrow of {g.name}",
+                             witness=a)
+        if g.src[fa] != f.obj_map[h.src[a]] or g.tgt[fa] != f.obj_map[h.tgt[a]]:
+            raise BadFunctor(f"arr_map({a!r}) breaks the src/tgt squares",
+                             witness=a)
+    for (p, q), r in h.comp.items():
+        if g.comp[(f.arr_map[p], f.arr_map[q])] != f.arr_map[r]:
+            raise BadFunctor(f"composition not preserved on ({p!r}, {q!r})",
+                             witness=(p, q))
+    for a in h.arrows:
+        if f.arr_map[h.inv[a]] != g.inv[f.arr_map[a]]:
+            raise BadFunctor(f"inverse not preserved on {a!r}", witness=a)
+    for x in h.objects:
+        if f.arr_map[h.unit[x]] != g.unit[f.obj_map[x]]:
+            raise BadFunctor(f"unit not preserved at {x!r}", witness=x)
+    return f
+
+
+def _functor_error(check, f):
+    with pytest.raises(BadFunctor) as info:
+        check(f)
+    return str(info.value), info.value.witness
+
+
+def test_functor_check_on_generators_matches_the_full_sweep(small_corpus):
+    rng = random.Random(21)
+    s3 = transitive_groupoid("PS3", ["a", "b"], groups.symmetric3())
+    z3 = transitive_groupoid("PZ3", ["a", "b"], groups.cyclic(3))
+    functors = [identity_functor(s3), cocylinder(z3).e0, cocylinder(z3).e1]
+    for g in small_corpus[:8]:
+        functors += [identity_functor(g), cocylinder(g).e0]
+        functors += enumerate_functors(g, s3)[:3]
+    off_generators = units = 0
+    for f in functors:
+        h, g = f.dom, f.cod
+        validate_groupoid(h)
+        assert validate_functor(f) is full_sweep_validate_functor(f) is f
+        gens = set(h.generators)
+
+        def rivals(a):
+            """The other arrows with the endpoints of F(a)."""
+            fa = f.arr_map[a]
+            return [b for b in g.hom_set(g.src[fa], g.tgt[fa]) if b != fa]
+
+        # the image of an arrow off the generators, endpoints kept
+        moved = [a for a in h.arrows if a not in gens and rivals(a)]
+        for a in rng.sample(moved, min(3, len(moved))):
+            bad = dataclasses.replace(
+                f, arr_map={**f.arr_map, a: rng.choice(rivals(a))})
+            assert (_functor_error(validate_functor, bad)
+                    == _functor_error(full_sweep_validate_functor, bad))
+            off_generators += 1
+        # one unit sent to another loop
+        loose = [x for x in h.objects if rivals(h.unit[x])]
+        if loose:
+            u = h.unit[rng.choice(loose)]
+            bad = dataclasses.replace(
+                f, arr_map={**f.arr_map, u: rng.choice(rivals(u))})
+            assert (_functor_error(validate_functor, bad)
+                    == _functor_error(full_sweep_validate_functor, bad))
+            units += 1
+    assert off_generators >= 20 and units >= 10
 
 
 # ---------------------------------------------------------------------------

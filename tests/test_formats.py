@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -5,9 +6,12 @@ import pytest
 
 from grpd import groups
 from grpd.complexity import point_groupoid
-from grpd.core import (BadInverse, PartialComposition, identity_functor,
-                       pair_groupoid, validate_functor, validate_groupoid)
-from grpd.bibundle import unit_bibundle, validate_bibundle
+from grpd.core import (BadInverse, PartialComposition, cocylinder,
+                       identity_functor, pair_groupoid, validate_functor,
+                       validate_groupoid)
+from grpd.bibundle import (functor_to_bibundle, tensor, transpose,
+                           unit_bibundle, validate_bibundle)
+from grpd.homotopy import Cospan, homotopy_pullback
 from grpd.corpus import (CorpusConfig, corpus_groupoids, random_datum,
                          random_functor)
 from grpd.formats import (Document, ParseError, parse_document,
@@ -138,6 +142,96 @@ def test_cross_file_namespace_resolution():
     validate_functor(doc.functors["f"])
 
 
+def test_repeated_block_is_rejected_at_its_header():
+    g = serialize_groupoid(pair_groupoid("g", ["1", "2"]))
+    h = serialize_groupoid(point_groupoid("g", groups.cyclic(2)))
+    second = g.count("\n") + 1
+    with pytest.raises(ParseError) as err:
+        parse_document(g + "  " + h, source="f.grpd")
+    assert (err.value.line, err.value.col) == (second, 3)
+    assert "repeated 'groupoid g' (first on line 1)" in str(err.value)
+    # the same name in another kind of block, or in another text, is fine
+    doc = parse_document(g + "bundle g\nbase: x\ntotal:\n")
+    parse_document(h, into=doc)
+
+
+def sorted_serialize_groupoid(g):
+    """serialize_groupoid with its comp lines in the order of the sorted
+    tuple keys: the independent copy the walk is checked against."""
+    lines = [f"groupoid {g.name}"]
+    lines.append("objects: " + " ".join(g.objects))
+    for a in g.arrows:
+        lines.append(f"arrow {a} : {g.src[a]} -> {g.tgt[a]}")
+    for x in g.objects:
+        lines.append(f"id {x} = {g.unit[x]}")
+    for a in g.arrows:
+        lines.append(f"inv {a} = {g.inv[a]}")
+    for (p, q) in sorted(g.comp):
+        lines.append(f"comp {p} {q} = {g.comp[(p, q)]}")
+    return "\n".join(lines) + "\n"
+
+
+def sorted_serialize_bibundle(b):
+    """serialize_bibundle with its action lines in the order of the sorted
+    tuple keys."""
+    lines = [f"bibundle {b.name} : {b.dom.name} -| Z |- {b.cod.name}"]
+    lines.append("carrier: " + " ".join(b.carrier))
+    for z in b.carrier:
+        lines.append(f"p {z} -> {b.left.actor[z]}")
+    for z in b.carrier:
+        lines.append(f"q {z} -> {b.right.actor[z]}")
+    for (eta, z) in sorted(b.left.act):
+        lines.append(f"lact {eta} {z} -> {b.left.act[(eta, z)]}")
+    for (z, c) in sorted(b.right.act):
+        lines.append(f"ract {z} {c} -> {b.right.act[(z, c)]}")
+    return "\n".join(lines) + "\n"
+
+
+def test_serializers_match_the_sort_based_copies(corpus):
+    rng = random.Random(31)
+    small = [g for g in corpus if len(g.arrows) <= 12][:6]
+    p2 = pair_groupoid("p2", ["1", "2"])
+    groupoids = list(corpus)
+    bibundles = []
+    for g in small + [p2]:
+        groupoids.append(cocylinder(g).groupoid)
+        ident = identity_functor(g)
+        # on a one-object g, degree 2 has |g1|^8 comp entries: keep it small
+        for n in (1, 2) if len(g.arrows) <= 4 else (1,):
+            groupoids.append(homotopy_pullback(Cospan(ident, ident), n).groupoid)
+        unit = unit_bibundle(g)
+        induced = functor_to_bibundle(random_functor(rng, g, rng.choice(small)))
+        bibundles += [unit, transpose(unit), tensor(unit, unit), induced,
+                      tensor(induced, unit_bibundle(induced.cod))]
+    # the fallback: a table with a missing, an extra or a stray entry, or
+    # ids listed twice
+    p3 = pair_groupoid("p3", ["1", "2", "3"])
+    missing = dict(p3.comp)
+    del missing["2>3", "1>2"]
+    extra = {**p3.comp, ("1>2", "1>2"): "1>2"}
+    stray = {**p3.comp, ("ghost", "1>1"): "1>1"}
+    for comp in (missing, extra, stray):
+        groupoids.append(dataclasses.replace(p3, comp=comp))
+    twice = dataclasses.replace(p3, arrows=p3.arrows + ("1>1",))
+    # an arrow listed twice walks some pairs twice; stray entries can then
+    # bring the table to the walk's count
+    walked = sum(len(twice.arrows_into[twice.src[p]]) for p in twice.arrows)
+    padded = {**p3.comp, **{("ghost", str(i)): "1>1"
+                            for i in range(walked - len(p3.comp))}}
+    groupoids += [twice, dataclasses.replace(twice, comp=padded)]
+    unit = unit_bibundle(p3)
+    for side, key in (("left", ("2>3", "1>2")), ("right", ("1>2", "2>3"))):
+        act = getattr(unit, side).act
+        for table in ({k: v for k, v in act.items() if k != key},
+                      {**act, key[::-1]: "1>1"}):
+            bibundles.append(dataclasses.replace(unit, **{
+                side: dataclasses.replace(getattr(unit, side), act=table)}))
+    for g in groupoids:
+        assert serialize_groupoid(g) == sorted_serialize_groupoid(g), g.name
+    for b in bibundles:
+        assert serialize_bibundle(b) == sorted_serialize_bibundle(b), b.name
+
+
 # ---------------------------------------------------------------------------
 # oracle: the earlier parse front end, which tokenized every line with
 # columns and matched every line against its pattern, plus the keyed-line
@@ -171,6 +265,14 @@ def _oracle_scan(text, source):
             continue
         line = (number, tokens)
         if tokens[0][0] in keywords:
+            # a block may not repeat an earlier block's kind and name
+            for other in blocks:
+                (first, head) = other.header
+                if (len(tokens) > 1 and len(head) > 1 and head[0][0] ==
+                        tokens[0][0] and head[1][0] == tokens[1][0]):
+                    raise ParseError(
+                        f"repeated '{tokens[0][0]} {tokens[1][0]}' (first "
+                        f"on line {first})", source, number, tokens[0][1])
             blocks.append(_OracleBlock(tokens[0][0], line, source))
         elif not blocks:
             raise ParseError(f"expected one of {', '.join(keywords)}",

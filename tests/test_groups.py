@@ -95,6 +95,31 @@ def test_enumerate_homs_against_oracle(t1, t2, expected):
     assert len(mine) == expected
 
 
+def is_hom(t1, t2, phi) -> bool:
+    """Every product of t1 checked: the oracle the hom search once ran on
+    each map it had already extended by products."""
+    n1 = len(t1)
+    return all(phi[t1[a][b]] == t2[phi[a]][phi[b]]
+               for a in range(n1) for b in range(n1))
+
+
+def test_every_extension_by_products_is_a_homomorphism():
+    extended = 0
+    for (_, t1), (_, t2) in product(CATALOG, repeat=2):
+        if len(t1) * len(t2) > 100:
+            continue
+        e1, e2 = groups.identity_of(t1), groups.identity_of(t2)
+        gens = next(groups._generating_sequences(t1, e1))
+        order1 = groups._bfs_order(t1, e1, gens)
+        for images in product(range(len(t2)), repeat=len(gens)):
+            phi = groups._extend_by_products(t1, t2, e1, e2, gens, images,
+                                             order1)
+            if phi is not None:
+                assert len(phi) == len(t1) and is_hom(t1, t2, phi)
+                extended += 1
+    assert extended > 500
+
+
 def test_find_isomorphism_produces_an_isomorphism():
     rng = random.Random(11)
     for name, t in CATALOG:
