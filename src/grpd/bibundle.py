@@ -3,8 +3,13 @@
 A right action moves the actor value backwards along arrows: ``act[(z, c)]``
 is defined exactly when ``actor[z] == tgt[c]`` and the result sits over
 ``src[c]``.  Left actions are dual (defined on ``src``, land on ``tgt``).
-A bibundle from H to G carries a left H-action and a right G-action on a
-shared carrier; principality flags are derived, not stored.
+Both sides run one code path, :class:`Action`; a side fixes only its key
+order and the arrow ends it uses.  A bibundle from H to G carries a left
+H-action and a right G-action on a shared carrier; principality flags are
+derived, not stored.  Orbits, principality, the tensor product and the
+isomorphism search assume valid actions over valid groupoids (see
+:func:`validate_bibundle`): they read the orbit of a point off the arrows
+acting on it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinGroupoid, StrictArrow, GroupoidError, first_repeat,
-                   index_arrows, partition, same_groupoid)
+                   index_arrows, same_groupoid)
 from . import homotopy
 
 
@@ -34,7 +39,13 @@ class BadAction(GroupoidError):
 
 
 @dataclass(frozen=True, eq=False)
-class RightAction:
+class Action:
+    """A groupoid acting on a carrier over ``actor``.  A subclass fixes the
+    side: ``key(z, c)``, the ``act`` key of z moved by c in written order;
+    the end ``meets`` of c that sits at ``actor[z]``, with ``acting(x)``
+    the arrows whose ``meets`` end is x; and the end ``lands`` that z moved
+    by c sits over.  Acting by p and then q is acting by ``comp[key(p, q)]``,
+    and ``key(*k)`` turns a key k back into (z, c)."""
     groupoid: FinGroupoid
     carrier: tuple[str, ...]
     actor: dict[str, str]
@@ -42,126 +53,118 @@ class RightAction:
 
     @cached_property
     def orbits(self) -> tuple[tuple[str, ...], ...]:
-        """Orbit blocks, sorted, ordered by least member."""
-        return partition(self.carrier,
-                         ((z, w) for (z, _), w in self.act.items()))
+        """Orbit blocks, sorted, ordered by least member.  In a valid
+        action the orbit of z is {z moved by c : c acts on z}, one step
+        from z, so each block is read off its least point not yet seen."""
+        seen: set[str] = set()
+        blocks = []
+        for z in sorted(self.carrier):
+            if z not in seen:
+                block = tuple(sorted({self.act[self.key(z, c)] for c in
+                                      self.acting(self.actor[z])}))
+                seen.update(block)
+                blocks.append(block)
+        return tuple(blocks)
 
     def __repr__(self):
-        return f"RightAction({len(self.carrier)} points / {self.groupoid.name})"
+        return (f"{type(self).__name__}({len(self.carrier)} points / "
+                f"{self.groupoid.name})")
 
 
-@dataclass(frozen=True, eq=False)
-class LeftAction:
-    groupoid: FinGroupoid
-    carrier: tuple[str, ...]
-    actor: dict[str, str]
-    act: dict[tuple[str, str], str]  # (arrow, z) -> z'
+class RightAction(Action):
+    meets, lands = "tgt", "src"
 
-    @cached_property
-    def orbits(self) -> tuple[tuple[str, ...], ...]:
-        """Orbit blocks, sorted, ordered by least member."""
-        return partition(self.carrier,
-                         ((z, w) for (_, z), w in self.act.items()))
+    @staticmethod
+    def key(z, c):
+        return z, c
 
-    def __repr__(self):
-        return f"LeftAction({len(self.carrier)} points / {self.groupoid.name})"
+    def acting(self, x):
+        return self.groupoid.arrows_into[x]
 
 
-def validate_right_action(a: RightAction) -> RightAction:
-    """Check the right-action axioms; ``a.groupoid`` must be valid."""
-    g = a.groupoid
+class LeftAction(Action):
+    meets, lands = "src", "tgt"
+
+    @staticmethod
+    def key(z, c):
+        return c, z
+
+    def acting(self, x):
+        return self.groupoid.arrows_from[x]
+
+
+def validate_action(a: Action) -> Action:
+    """Check the action axioms of either side; ``a.groupoid`` must be
+    valid."""
+    g, act, actor, key = a.groupoid, a.act, a.actor, a.key
+    meets, lands = getattr(g, a.meets), getattr(g, a.lands)
     points = set(a.carrier)
     if len(points) != len(a.carrier):
         dup = first_repeat(a.carrier)
         raise BadAction(f"carrier lists {dup!r} twice", witness=dup)
+    objects = set(g.objects)
     for z in a.carrier:
-        if a.actor.get(z) not in set(g.objects):
+        if actor.get(z) not in objects:
             raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
-    accepted = 0
-    for z in a.carrier:
-        for c in g.arrows:
-            defined = (z, c) in a.act
-            if defined != (a.actor[z] == g.tgt[c]):
-                raise BadAction(
-                    f"action domain wrong at ({z!r}, {c!r})", witness=(z, c))
-            if defined:
-                accepted += 1
-                w = a.act[(z, c)]
-                if w not in points or a.actor[w] != g.src[c]:
-                    raise BadAction(
-                        f"({z!r}) . ({c!r}) does not sit over src", witness=(z, c))
-    if accepted != len(a.act):
-        for z, c in sorted(a.act):
+
+    def placed(z, c):
+        w = act.get(key(z, c))
+        return w in points and actor[w] == lands[c]
+
+    # The table is right iff each arrow acting on each point has a
+    # well-placed entry and there are no other entries, which a count
+    # shows, as in validate_groupoid.  Only when that fails is every
+    # (point, arrow) pair swept, to name the same first failure as before.
+    if not (len(act) == sum(len(a.acting(actor[z])) for z in a.carrier)
+            and all(placed(z, c)
+                    for z in a.carrier for c in a.acting(actor[z]))):
+        for z in a.carrier:
+            for c in g.arrows:
+                k = key(z, c)
+                if (k in act) != (actor[z] == meets[c]):
+                    raise BadAction(f"action domain wrong at {k!r}",
+                                    witness=k)
+                if k in act and not placed(z, c):
+                    raise BadAction(f"({k[0]!r}) . ({k[1]!r}) does not sit "
+                                    f"over {a.lands}", witness=k)
+        for k in sorted(act):
+            z, c = key(*k)
             if z not in points or c not in g.src:
-                raise BadAction(f"action entry ({z!r}, {c!r}) names an "
-                                "unknown point or arrow", witness=(z, c))
+                raise BadAction(f"action entry {k!r} names an unknown "
+                                + " or ".join(key("point", "arrow")),
+                                witness=k)
     for z in a.carrier:
-        if a.act[(z, g.unit[a.actor[z]])] != z:
+        if act[key(z, g.unit[actor[z]])] != z:
             raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
-    # Light's test, as in validate_groupoid: the arrows q with
-    # (z.p).q == z.(p.q) for all z and p are closed under composition
-    # (using that g is associative), so q ranges over g.generators only.
-    gens_into = index_arrows(g.generators, g.tgt)
+    # Light's test, as in validate_groupoid, with the generator acting
+    # second.  Write p*q for comp[key(p, q)], acting by p and then q.  The
+    # arrows q with (z.p).q == z.(p*q) for every point z and every p that
+    # acts on z are closed under composition: for q1, q2 among them with
+    # q1*q2 defined,
+    #   (z.p).(q1*q2) = ((z.p).q1).q2 = (z.(p*q1)).q2 = z.((p*q1)*q2)
+    #                 = z.(p*(q1*q2)),
+    # using q2, q1, q2 and associativity in g, in turn.  Every arrow is an
+    # iterated composite of g.generators, so checking those covers all.
+    gens = index_arrows(g.generators, meets)
     for z in a.carrier:
-        for p in g.arrows_into[a.actor[z]]:
-            zp = a.act[(z, p)]
-            for q in gens_into.get(g.src[p], ()):
-                if a.act[(zp, q)] != a.act[(z, g.comp[(p, q)])]:
+        for p in a.acting(actor[z]):
+            zp = act[key(z, p)]
+            for q in gens.get(lands[p], ()):
+                if act[key(zp, q)] != act[key(z, g.comp[key(p, q)])]:
+                    head, tail = key((z,), key(p, q))  # in written order
                     raise BadAction(
-                        f"action not associative on ({z!r}, {p!r}, {q!r})",
-                        witness=(z, p, q))
+                        f"action not associative on {head + tail!r}",
+                        witness=head + tail)
     return a
 
 
-def validate_left_action(a: LeftAction) -> LeftAction:
-    """Check the left-action axioms; ``a.groupoid`` must be valid."""
-    g = a.groupoid
-    points = set(a.carrier)
-    if len(points) != len(a.carrier):
-        dup = first_repeat(a.carrier)
-        raise BadAction(f"carrier lists {dup!r} twice", witness=dup)
-    for z in a.carrier:
-        if a.actor.get(z) not in set(g.objects):
-            raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
-    accepted = 0
-    for z in a.carrier:
-        for c in g.arrows:
-            defined = (c, z) in a.act
-            if defined != (a.actor[z] == g.src[c]):
-                raise BadAction(
-                    f"action domain wrong at ({c!r}, {z!r})", witness=(c, z))
-            if defined:
-                accepted += 1
-                w = a.act[(c, z)]
-                if w not in points or a.actor[w] != g.tgt[c]:
-                    raise BadAction(
-                        f"({c!r}) . ({z!r}) does not sit over tgt", witness=(c, z))
-    if accepted != len(a.act):
-        for c, z in sorted(a.act):
-            if c not in g.src or z not in points:
-                raise BadAction(f"action entry ({c!r}, {z!r}) names an "
-                                "unknown arrow or point", witness=(c, z))
-    for z in a.carrier:
-        if a.act[(g.unit[a.actor[z]], z)] != z:
-            raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
-    # Light's test: the arrows q with p.(q.z) == (p.q).z for all p and z
-    # are closed under composition (using that g is associative).
-    gens_from = index_arrows(g.generators, g.src)
-    for z in a.carrier:
-        for q in gens_from.get(a.actor[z], ()):
-            qz = a.act[(q, z)]
-            for p in g.arrows_from[g.tgt[q]]:
-                if a.act[(p, qz)] != a.act[(g.comp[(p, q)], z)]:
-                    raise BadAction(
-                        f"action not associative on ({p!r}, {q!r}, {z!r})",
-                        witness=(p, q, z))
-    return a
+validate_left_action = validate_right_action = validate_action
 
 
 @dataclass(frozen=True)
 class Principality:
     """Outcome of the principality check: a division map as certificate, or
-    a freeness/transitivity witness explaining the failure."""
+    a freeness witness explaining the failure."""
     ok: bool
     division: dict[tuple[str, str], str] | None = None
     witness: tuple | None = None
@@ -170,28 +173,35 @@ class Principality:
         return self.ok
 
 
-def is_principal(a: RightAction | LeftAction) -> Principality:
-    """Free plus well-defined total division map on same-orbit pairs."""
+def is_principal(a: Action) -> Principality:
+    """Free action, certified by its division map (z, z moved by c) -> c.
+
+    ``a`` must be a valid action (see :func:`validate_action`).  Then the
+    orbit of z is one step from z, so the division map is total on each
+    orbit, and it is well defined exactly when the action is free: z moved
+    by c and by c' to the same point means z is fixed by the non-unit loop
+    that c and the inverse of c' compose to.  So freeness is all there is
+    to check; the witness is the least ``act`` key that fixes its point by
+    a non-unit arrow.
+    """
     g = a.groupoid
-    right = isinstance(a, RightAction)
-    moves = [((key, z_or_c) if right else (z_or_c, key), w)
-             for (key, z_or_c), w in sorted(a.act.items())]
-    for (z, c), w in moves:
+    division: dict[tuple[str, str], str] = {}
+    for k, w in sorted(a.act.items()):
+        z, c = a.key(*k)
         if w == z and c != g.unit[a.actor[z]]:
             return Principality(ok=False, witness=("not-free", z, c))
-    division: dict[tuple[str, str], str] = {}
-    for (z, c), w in moves:
-        if (z, w) in division and division[(z, w)] != c:
-            return Principality(ok=False,
-                                witness=("division-ambiguous", z, w))
         division[(z, w)] = c
-    for block in a.orbits:
-        for z in block:
-            for w in block:
-                if (z, w) not in division:
-                    return Principality(ok=False,
-                                        witness=("division-partial", z, w))
     return Principality(ok=True, division=division)
+
+
+def _principal_onto(a: Action, other: Action) -> bool:
+    """``a`` is principal and the other side's actor induces a bijection
+    from a's orbits onto the objects of the other side's groupoid."""
+    if not is_principal(a):
+        return False
+    values = [other.actor[block[0]] for block in a.orbits]
+    return (len(values) == len(set(values))
+            and set(values) == set(other.groupoid.objects))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,22 +234,12 @@ class Bibundle:
 
     @cached_property
     def is_right_principal(self) -> bool:
-        if not is_principal(self.right):
-            return False
         # p must induce a bijection  Z/G  ~  H0
-        p = self.left.actor
-        values = [p[block[0]] for block in self.right_orbits]
-        return (len(values) == len(set(values))
-                and set(values) == set(self.dom.objects))
+        return _principal_onto(self.right, self.left)
 
     @cached_property
     def is_left_principal(self) -> bool:
-        if not is_principal(self.left):
-            return False
-        q = self.right.actor
-        values = [q[block[0]] for block in self.left_orbits]
-        return (len(values) == len(set(values))
-                and set(values) == set(self.cod.objects))
+        return _principal_onto(self.left, self.right)
 
     @property
     def is_equivalence(self) -> bool:
@@ -253,20 +253,15 @@ class Bibundle:
 def validate_bibundle(b: Bibundle) -> Bibundle:
     if b.left.carrier != b.right.carrier:
         raise BadAction("left and right actions have different carriers")
-    validate_left_action(b.left)
-    validate_right_action(b.right)
+    validate_action(b.left)
+    validate_action(b.right)
     h, g = b.dom, b.cod
     p, q = b.left.actor, b.right.actor
-    for (eta, z), w in b.left.act.items():
-        if q[w] != q[z]:
-            raise BadAction(
-                f"left action moves the right actor at ({eta!r}, {z!r})",
-                witness=(eta, z))
-    for (z, c), w in b.right.act.items():
-        if p[w] != p[z]:
-            raise BadAction(
-                f"right action moves the left actor at ({z!r}, {c!r})",
-                witness=(z, c))
+    for a, other, moves in ((b.left, q, "left action moves the right"),
+                            (b.right, p, "right action moves the left")):
+        for k, w in a.act.items():
+            if other[w] != other[a.key(*k)[0]]:
+                raise BadAction(f"{moves} actor at {k!r}", witness=k)
     # Commuting on generators suffices.  For a fixed c, the eta that commute
     # with c are closed under composition (the left action is associative
     # and keeps q), so each generator c commutes with every eta.  For a
@@ -289,19 +284,27 @@ def validate_bibundle(b: Bibundle) -> Bibundle:
 # constructions
 
 
-def unit_bibundle(g: FinGroupoid) -> Bibundle:
-    """g acting on its own arrows by translation on both sides."""
-    carrier = tuple(sorted(g.arrows))
+def translation_actions(g: FinGroupoid, carrier: tuple[str, ...],
+                        k: FinGroupoid) -> tuple[LeftAction, RightAction]:
+    """Translation by g on the left and by k on the right (g, or the full
+    subgroupoid of g on the carrier's sources) of ``carrier``, arrows of g
+    closed under both; each table lists point by point, then arrow."""
     left = LeftAction(
         groupoid=g, carrier=carrier,
         actor={a: g.tgt[a] for a in carrier},
         act={(eta, a): g.comp[(eta, a)]
              for a in carrier for eta in g.arrows_from[g.tgt[a]]})
     right = RightAction(
-        groupoid=g, carrier=carrier,
+        groupoid=k, carrier=carrier,
         actor={a: g.src[a] for a in carrier},
         act={(a, c): g.comp[(a, c)]
-             for a in carrier for c in g.arrows_into[g.src[a]]})
+             for a in carrier for c in k.arrows_into[g.src[a]]})
+    return left, right
+
+
+def unit_bibundle(g: FinGroupoid) -> Bibundle:
+    """g acting on its own arrows by translation on both sides."""
+    left, right = translation_actions(g, tuple(sorted(g.arrows)), g)
     return Bibundle(name=f"unit_{g.name}", left=left, right=right)
 
 
@@ -417,13 +420,13 @@ def bibundles_isomorphic(a: Bibundle, b: Bibundle) -> dict[str, str] | None:
     if set(fa) != set(fb) or any(len(fa[k]) != len(fb[k]) for k in fa):
         return None
 
-    h, g = a.dom, a.cod
     order = sorted(a.carrier)
     assign: dict[str, str] = {}
     used: set[str] = set()
 
     def propagate(z, w, trail):
-        """Force images along all action moves; returns False on clash."""
+        """Force images along all action moves; returns False on clash.
+        The forced closure does not depend on the order of the moves."""
         stack = [(z, w)]
         while stack:
             z, w = stack.pop()
@@ -439,12 +442,9 @@ def bibundles_isomorphic(a: Bibundle, b: Bibundle) -> dict[str, str] | None:
             assign[z] = w
             used.add(w)
             trail.append(z)
-            for eta in h.arrows:
-                if (eta, z) in a.left.act:
-                    stack.append((a.left.act[(eta, z)], b.left.act[(eta, w)]))
-            for c in g.arrows:
-                if (z, c) in a.right.act:
-                    stack.append((a.right.act[(z, c)], b.right.act[(w, c)]))
+            for s, t in ((a.left, b.left), (a.right, b.right)):
+                for c in s.acting(s.actor[z]):
+                    stack.append((s.act[s.key(z, c)], t.act[t.key(w, c)]))
         return True
 
     def search(i):

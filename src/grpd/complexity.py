@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groups
-from .bibundle import Bibundle, LeftAction, RightAction
+from .bibundle import Bibundle, translation_actions
 from .core import (FinGroupoid, GroupoidError, NatTrans, StrictArrow,
                    conjugate, restrict, same_groupoid, tree_loop)
 from .homotopy import inclusion_functor, skeletonize
@@ -28,9 +28,6 @@ class NotInvariant(GroupoidError):
 class OrbitPartition:
     groupoid: FinGroupoid
     blocks: tuple[tuple[str, ...], ...]
-
-    def block_of(self, x: str) -> tuple[str, ...]:
-        return self.groupoid.component_of[x]
 
 
 def orbits(g: FinGroupoid) -> OrbitPartition:
@@ -89,18 +86,8 @@ def morita_point_check(g: FinGroupoid) -> PointCheck:
         b0, b1 = g.components[0], g.components[1]
         return PointCheck(bibundle=None, witness=(b0[0], b1[0]))
     x0 = g.components[0][0]
-    loops = g.hom_set(x0, x0)
     point = restrict(g, (x0,), name=f"pt({g.name})")
-    carrier = g.arrows_from[x0]
-    left = LeftAction(
-        groupoid=g, carrier=carrier,
-        actor={a: g.tgt[a] for a in carrier},
-        act={(eta, a): g.comp[(eta, a)] for a in carrier
-             for eta in g.arrows_from[g.tgt[a]]})
-    right = RightAction(
-        groupoid=point, carrier=carrier,
-        actor={a: x0 for a in carrier},
-        act={(a, k): g.comp[(a, k)] for a in carrier for k in loops})
+    left, right = translation_actions(g, g.arrows_from[x0], point)
     return PointCheck(
         bibundle=Bibundle(name=f"pt_equiv_{g.name}", left=left, right=right),
         point=point)

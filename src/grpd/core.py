@@ -77,9 +77,6 @@ class FinGroupoid:
     unit: dict[str, str]
     inv: dict[str, str]
 
-    def is_composable(self, g: str, f: str) -> bool:
-        return self.src[g] == self.tgt[f]
-
     @cached_property
     def hom(self) -> dict[tuple[str, str], tuple[str, ...]]:
         table: dict[tuple[str, str], list[str]] = {}
@@ -461,9 +458,6 @@ class StrictArrow:
     def __call__(self, arrow: str) -> str:
         return self.arr_map[arrow]
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
     def __repr__(self):
         return f"StrictArrow({self.name!r}: {self.dom.name} -> {self.cod.name})"
 
@@ -511,12 +505,9 @@ def validate_functor(f: StrictArrow) -> StrictArrow:
                 raise BadFunctor(
                     f"composition not preserved on ({p!r}, {q!r})",
                     witness=(p, q))
-    for a in h.arrows:
-        if f.arr_map[h.inv[a]] != g.inv[f.arr_map[a]]:
-            raise BadFunctor(f"inverse not preserved on {a!r}", witness=a)
-    for x in h.objects:
-        if f.arr_map[h.unit[x]] != g.unit[f.obj_map[x]]:
-            raise BadFunctor(f"unit not preserved at {x!r}", witness=x)
+    # Units and inverses follow once composition holds on every pair: for
+    # a unit e, F(e) = F(e.e) = F(e).F(e) is an idempotent loop, hence a
+    # unit, and F(a^-1).F(a) = F(a^-1.a) = F(e), so F(a^-1) = F(a)^-1.
     return f
 
 

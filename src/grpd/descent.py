@@ -113,12 +113,6 @@ class DescentDatum:
     fibres: dict[str, Bundle]
     transitions: dict[tuple[str, str], dict[tuple[str, str], dict[str, str]]]
 
-    def piece(self, name: str) -> CoverPiece:
-        for p in self.cover.pieces:
-            if p.name == name:
-                return p
-        raise BadDatum(f"no cover piece named {name!r}", witness=name)
-
 
 def validate_datum(d: DescentDatum) -> DescentDatum:
     """Structural totality: one bundle per piece, a total bijection on each

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,15 +6,16 @@ import pytest
 from grpd import groups
 from grpd.bibundle import (BadAction, Bibundle, EndpointMismatch,
                            LeftAction, NotComposable, NotPrincipal,
-                           RightAction, are_morita_equivalent,
+                           Principality, RightAction, are_morita_equivalent,
                            bibundles_isomorphic, functor_to_bibundle,
                            is_principal, tensor, transpose, unit_bibundle,
                            validate_bibundle, validate_left_action,
                            validate_right_action)
 from grpd.complexity import morita_point_check, point_groupoid
-from grpd.core import (StrictArrow, identity_functor, compose_functors,
-                       pair_groupoid, partition, restrict, terminal_groupoid,
-                       validate_functor)
+from grpd.core import (StrictArrow, compose_functors, discrete_groupoid,
+                       enumerate_functors, first_repeat, identity_functor,
+                       index_arrows, pair_groupoid, partition, restrict,
+                       same_groupoid, terminal_groupoid, validate_functor)
 from grpd.corpus import random_functor, random_groupoid, transitive_groupoid
 from grpd.homotopy import skeleton_equal, skeletonize
 
@@ -63,6 +65,61 @@ def test_free_z2_action_on_two_points():
     res = is_principal(a)
     assert res
     assert len(a.orbits) == 1
+
+
+def union_find_orbits(a):
+    right = isinstance(a, RightAction)
+    return partition(a.carrier, ((k[0] if right else k[1], w)
+                                 for k, w in a.act.items()))
+
+
+def checked_is_principal(a):
+    """Principality with union-find orbits and the division map checked
+    for being well defined and total on each orbit: the independent copy
+    :func:`is_principal` is compared against."""
+    g = a.groupoid
+    right = isinstance(a, RightAction)
+    moves = [((key, z_or_c) if right else (z_or_c, key), w)
+             for (key, z_or_c), w in sorted(a.act.items())]
+    for (z, c), w in moves:
+        if w == z and c != g.unit[a.actor[z]]:
+            return Principality(ok=False, witness=("not-free", z, c))
+    division = {}
+    for (z, c), w in moves:
+        if (z, w) in division and division[(z, w)] != c:
+            return Principality(ok=False,
+                                witness=("division-ambiguous", z, w))
+        division[(z, w)] = c
+    for block in union_find_orbits(a):
+        for z in block:
+            for w in block:
+                if (z, w) not in division:
+                    return Principality(ok=False,
+                                        witness=("division-partial", z, w))
+    return Principality(ok=True, division=division)
+
+
+def test_principality_matches_the_checked_copy(small_corpus):
+    rng = random.Random(19)
+    bz2_pt = StrictArrow("u", BZ2, PT, {BZ2.objects[0]: "*"},
+                         {a: "id_*" for a in BZ2.arrows})
+    bibundles = [functor_to_bibundle(bz2_pt), unit_bibundle(BZ2)]
+    for g in small_corpus[:10]:
+        f = random_functor(rng, g, rng.choice(small_corpus))
+        bibundles += [unit_bibundle(g), functor_to_bibundle(f)]
+    bibundles += [transpose(b) for b in bibundles]
+    outcomes = {True: 0, False: 0}
+    for b in bibundles:
+        validate_bibundle(b)
+        for a in (b.left, b.right):
+            got, want = is_principal(a), checked_is_principal(a)
+            assert got == want
+            if got:
+                assert list(got.division.items()) == list(
+                    want.division.items())
+            assert a.orbits == union_find_orbits(a)
+            outcomes[bool(got)] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +176,10 @@ def _swap_two_values(rng, a):
     return type(a)(groupoid=g, carrier=a.carrier, actor=a.actor, act=act)
 
 
-def test_action_validators_agree_with_naive_oracle():
+def tampered_actions():
+    """Seeded translation actions, most with two values swapped, paired
+    with the validator of their side."""
     rng = random.Random(41)
-    accepted = rejected = 0
     for i in range(60):
         g = random_groupoid(rng, f"a{i}", 4, 4)
         u = unit_bibundle(g)
@@ -129,16 +187,182 @@ def test_action_validators_agree_with_naive_oracle():
                          (u.left, validate_left_action)):
             if rng.random() < 0.7:
                 a = _swap_two_values(rng, a)
-            expected = oracle_action_ok(a)
-            try:
-                check(a)
-                got = True
-            except BadAction:
-                got = False
-            assert got == expected, (g.name, type(a).__name__)
-            accepted += got
-            rejected += not got
+            yield a, check
+
+
+def test_action_validators_agree_with_naive_oracle():
+    accepted = rejected = 0
+    for a, check in tampered_actions():
+        expected = oracle_action_ok(a)
+        try:
+            check(a)
+            got = True
+        except BadAction:
+            got = False
+        assert got == expected, (a.groupoid.name, type(a).__name__)
+        accepted += got
+        rejected += not got
     assert accepted >= 20 and rejected >= 20
+
+
+def sweep_validate_right_action(a):
+    """The right-action check with the domain swept over every (point,
+    arrow) pair and the middle arrow of Light's test acting first: the
+    independent copy the shared validator is compared against."""
+    g = a.groupoid
+    points = set(a.carrier)
+    if len(points) != len(a.carrier):
+        dup = first_repeat(a.carrier)
+        raise BadAction(f"carrier lists {dup!r} twice", witness=dup)
+    for z in a.carrier:
+        if a.actor.get(z) not in set(g.objects):
+            raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
+    accepted = 0
+    for z in a.carrier:
+        for c in g.arrows:
+            defined = (z, c) in a.act
+            if defined != (a.actor[z] == g.tgt[c]):
+                raise BadAction(
+                    f"action domain wrong at ({z!r}, {c!r})", witness=(z, c))
+            if defined:
+                accepted += 1
+                w = a.act[(z, c)]
+                if w not in points or a.actor[w] != g.src[c]:
+                    raise BadAction(
+                        f"({z!r}) . ({c!r}) does not sit over src",
+                        witness=(z, c))
+    if accepted != len(a.act):
+        for z, c in sorted(a.act):
+            if z not in points or c not in g.src:
+                raise BadAction(f"action entry ({z!r}, {c!r}) names an "
+                                "unknown point or arrow", witness=(z, c))
+    for z in a.carrier:
+        if a.act[(z, g.unit[a.actor[z]])] != z:
+            raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
+    gens_into = index_arrows(g.generators, g.tgt)
+    for z in a.carrier:
+        for p in g.arrows_into[a.actor[z]]:
+            zp = a.act[(z, p)]
+            for q in gens_into.get(g.src[p], ()):
+                if a.act[(zp, q)] != a.act[(z, g.comp[(p, q)])]:
+                    raise BadAction(
+                        f"action not associative on ({z!r}, {p!r}, {q!r})",
+                        witness=(z, p, q))
+    return a
+
+
+def sweep_validate_left_action(a):
+    """The left-side copy of :func:`sweep_validate_right_action`, with
+    the generator of Light's test acting first."""
+    g = a.groupoid
+    points = set(a.carrier)
+    if len(points) != len(a.carrier):
+        dup = first_repeat(a.carrier)
+        raise BadAction(f"carrier lists {dup!r} twice", witness=dup)
+    for z in a.carrier:
+        if a.actor.get(z) not in set(g.objects):
+            raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
+    accepted = 0
+    for z in a.carrier:
+        for c in g.arrows:
+            defined = (c, z) in a.act
+            if defined != (a.actor[z] == g.src[c]):
+                raise BadAction(
+                    f"action domain wrong at ({c!r}, {z!r})", witness=(c, z))
+            if defined:
+                accepted += 1
+                w = a.act[(c, z)]
+                if w not in points or a.actor[w] != g.tgt[c]:
+                    raise BadAction(
+                        f"({c!r}) . ({z!r}) does not sit over tgt",
+                        witness=(c, z))
+    if accepted != len(a.act):
+        for c, z in sorted(a.act):
+            if c not in g.src or z not in points:
+                raise BadAction(f"action entry ({c!r}, {z!r}) names an "
+                                "unknown arrow or point", witness=(c, z))
+    for z in a.carrier:
+        if a.act[(g.unit[a.actor[z]], z)] != z:
+            raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
+    gens_from = index_arrows(g.generators, g.src)
+    for z in a.carrier:
+        for q in gens_from.get(a.actor[z], ()):
+            qz = a.act[(q, z)]
+            for p in g.arrows_from[g.tgt[q]]:
+                if a.act[(p, qz)] != a.act[(g.comp[(p, q)], z)]:
+                    raise BadAction(
+                        f"action not associative on ({p!r}, {q!r}, {z!r})",
+                        witness=(p, q, z))
+    return a
+
+
+def _action_error(check, a):
+    try:
+        check(a)
+    except BadAction as err:
+        return type(err), str(err), err.witness
+    return None
+
+
+def _broken_tables(rng, a):
+    """Copies of a with one entry missing, one stray entry (unknown point,
+    unknown arrow, or a known pair off the domain) and one entry landing
+    on an unknown point or over the wrong object."""
+    g, key = a.groupoid, a.key
+    keys = sorted(a.act)
+
+    def copy(act):
+        return type(a)(groupoid=g, carrier=a.carrier, actor=a.actor, act=act)
+
+    act = dict(a.act)
+    del act[rng.choice(keys)]
+    yield copy(act)
+    z, c = rng.choice(a.carrier), rng.choice(g.arrows)
+    for k in (key("ghost", c), key(z, "ghost"), key(z, c)):
+        yield copy({**a.act, k: z})
+    k = rng.choice(keys)
+    yield copy({**a.act, k: "ghost"})
+    wrong = [w for w in a.carrier if a.actor[w] != a.actor[a.act[k]]]
+    if wrong:
+        yield copy({**a.act, k: rng.choice(wrong)})
+
+
+def test_shared_action_validator_matches_the_sweeping_copies():
+    """Same class, message and witness as the two sweeping copies; only a
+    failing left associativity check may name another triple, which must
+    then fail too."""
+    rng = random.Random(43)
+    cases = list(tampered_actions())
+    for a, check in cases[:40]:
+        cases += [(bad, check) for bad in _broken_tables(rng, a)]
+    u = unit_bibundle(P2)
+    for a, check in ((u.right, validate_right_action),
+                     (u.left, validate_left_action)):
+        cases.append((dataclasses.replace(
+            a, actor={**a.actor, "1>2": "ghost"}), check))
+        cases.append((dataclasses.replace(
+            a, carrier=a.carrier + a.carrier[:1]), check))
+        unit = a.key(a.carrier[0], u.dom.unit["1"])
+        cases.append((dataclasses.replace(
+            a, act={**a.act, unit: a.carrier[1]}), check))
+    kinds = {}
+    for a, check in cases:
+        right = isinstance(a, RightAction)
+        got = _action_error(check, a)
+        want = _action_error(sweep_validate_right_action if right
+                             else sweep_validate_left_action, a)
+        kind = "ok" if want is None else want[1].split(" ")[0]
+        if not right and want and "not associative" in want[1]:
+            assert got[:1] == want[:1] and "not associative" in got[1]
+            q, p, z = got[2]
+            g = a.groupoid
+            assert a.act[(q, a.act[(p, z)])] != a.act[(g.comp[(q, p)], z)]
+            kind = "left-associativity"
+        else:
+            assert got == want, (a.groupoid.name, type(a).__name__)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds["ok"] >= 20 and kinds["left-associativity"] >= 5
+    assert {"action", "actor", "unit", "carrier"} <= set(kinds)
 
 
 def test_action_failing_only_associativity_is_rejected():
@@ -175,6 +399,30 @@ def test_actions_that_do_not_commute_are_rejected():
     validate_left_action(left)
     with pytest.raises(BadAction, match="do not commute"):
         validate_bibundle(Bibundle(name="twisted", left=left, right=u.right))
+
+
+@pytest.mark.parametrize("moved", ["left", "right"])
+def test_action_moving_the_other_actor_is_rejected(moved):
+    # the identities of a discrete groupoid act trivially, keeping every
+    # actor; translation by P2 on one side moves the other side's actor
+    d = discrete_groupoid("d", ["1", "2"])
+    u = unit_bibundle(P2)
+    trans = u.left if moved == "left" else u.right
+    end = P2.tgt if moved == "left" else P2.src
+    other = type(u.right if moved == "left" else u.left)
+    still = other(groupoid=d, carrier=u.carrier,
+                  actor={z: end[z] for z in u.carrier},
+                  act={other.key(z, d.unit[end[z]]): z for z in u.carrier})
+    b = (Bibundle(name="m", left=trans, right=still) if moved == "left"
+         else Bibundle(name="m", left=still, right=trans))
+    first = next(k for k, w in trans.act.items()
+                 if end[w] != end[k[1] if moved == "left" else k[0]])
+    with pytest.raises(BadAction) as err:
+        validate_bibundle(b)
+    stay = "right" if moved == "left" else "left"
+    assert str(err.value) == (f"{moved} action moves the {stay} actor at "
+                              f"({first[0]!r}, {first[1]!r})")
+    assert err.value.witness == first
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -446,6 +694,89 @@ def test_unit_vs_trivial_two_point_bibundle():
                                for z in ("z1", "z2")}))
     validate_bibundle(trivial)
     assert bibundles_isomorphic(unit_bibundle(BZ2), trivial) is None
+
+
+def scanning_bibundles_isomorphic(a, b):
+    """The isomorphism search with each assigned point's moves found by
+    scanning every arrow of both groupoids: the independent copy
+    :func:`bibundles_isomorphic` is compared against."""
+    assert same_groupoid(a.dom, b.dom) and same_groupoid(a.cod, b.cod)
+    if len(a.carrier) != len(b.carrier):
+        return None
+
+    def fibre(bb):
+        out = {}
+        for z in bb.carrier:
+            out.setdefault((bb.left.actor[z], bb.right.actor[z]), []).append(z)
+        return out
+
+    fa, fb = fibre(a), fibre(b)
+    if set(fa) != set(fb) or any(len(fa[k]) != len(fb[k]) for k in fa):
+        return None
+    h, g = a.dom, a.cod
+    order = sorted(a.carrier)
+    assign, used = {}, set()
+
+    def propagate(z, w, trail):
+        stack = [(z, w)]
+        while stack:
+            z, w = stack.pop()
+            if z in assign:
+                if assign[z] != w:
+                    return False
+                continue
+            if w in used:
+                return False
+            if (a.left.actor[z], a.right.actor[z]) != (
+                    b.left.actor[w], b.right.actor[w]):
+                return False
+            assign[z] = w
+            used.add(w)
+            trail.append(z)
+            for eta in h.arrows:
+                if (eta, z) in a.left.act:
+                    stack.append((a.left.act[(eta, z)], b.left.act[(eta, w)]))
+            for c in g.arrows:
+                if (z, c) in a.right.act:
+                    stack.append((a.right.act[(z, c)], b.right.act[(w, c)]))
+        return True
+
+    def search(i):
+        while i < len(order) and order[i] in assign:
+            i += 1
+        if i == len(order):
+            return True
+        z = order[i]
+        for w in fb[(a.left.actor[z], a.right.actor[z])]:
+            if w in used:
+                continue
+            trail = []
+            if propagate(z, w, trail) and search(i + 1):
+                return True
+            for t in trail:
+                used.discard(assign.pop(t))
+        return False
+
+    return dict(assign) if search(0) else None
+
+
+def test_isomorphism_search_matches_the_scanning_copy(small_corpus):
+    s3 = transitive_groupoid("PS3", ["a", "b"], groups.symmetric3())
+    pairs = []
+    for g in small_corpus[:6] + [BZ2, P3]:
+        u = unit_bibundle(g)
+        pairs += [(u, functor_to_bibundle(identity_functor(g))),
+                  (u, tensor(u, u)), (transpose(u), u)]
+    for g in small_corpus[:4]:
+        induced = [functor_to_bibundle(f)
+                   for f in enumerate_functors(g, s3)[:4]]
+        pairs += [(x, y) for x in induced for y in induced]
+    outcomes = {True: 0, False: 0}
+    for x, y in pairs:
+        got = bibundles_isomorphic(x, y)
+        assert got == scanning_bibundles_isomorphic(x, y)
+        outcomes[got is not None] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 10
 
 
 def test_isomorphism_endpoint_mismatch():

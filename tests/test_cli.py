@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import grpd
 from grpd import groups
 from grpd.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_LIMIT, EXIT_OK,
                       REPORT_SCHEMA, run)
@@ -344,3 +348,23 @@ def test_cover_without_a_map_line_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}:5:11: cover 'C' has no map line for 'u2' in piece "
         "'P'\n")
+
+
+# Run without ``site`` (-S), whose .pth hooks import third-party modules
+# before any grpd code runs; ``__main__`` is the script itself.
+STDLIB_ONLY = """
+import sys
+import grpd.cli
+code = grpd.cli.run(["validate", sys.argv[1]])
+loaded = {name.partition(".")[0] for name in sys.modules}
+print(code, sorted(loaded - set(sys.stdlib_module_names) - {"__main__"}))
+"""
+
+
+def test_runtime_imports_only_the_standard_library(files):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grpd.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY, files["pair3.grpd"]],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 ['grpd']"

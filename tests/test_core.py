@@ -433,7 +433,7 @@ def test_functor_check_on_generators_matches_the_full_sweep(small_corpus):
     for g in small_corpus[:8]:
         functors += [identity_functor(g), cocylinder(g).e0]
         functors += enumerate_functors(g, s3)[:3]
-    off_generators = units = 0
+    off_generators = units = inverses = 0
     for f in functors:
         h, g = f.dom, f.cod
         validate_groupoid(h)
@@ -462,7 +462,18 @@ def test_functor_check_on_generators_matches_the_full_sweep(small_corpus):
             assert (_functor_error(validate_functor, bad)
                     == _functor_error(full_sweep_validate_functor, bad))
             units += 1
-    assert off_generators >= 20 and units >= 10
+        # only the image of one inverse moved: the composition sweep names
+        # it before the oracle's own inverse loop is reached
+        flips = [a for a in h.arrows if rivals(h.inv[a])]
+        if flips:
+            b = h.inv[rng.choice(flips)]
+            bad = dataclasses.replace(
+                f, arr_map={**f.arr_map, b: rng.choice(rivals(b))})
+            got = _functor_error(validate_functor, bad)
+            assert got == _functor_error(full_sweep_validate_functor, bad)
+            assert got[0].startswith("composition not preserved")
+            inverses += 1
+    assert off_generators >= 20 and units >= 10 and inverses >= 10
 
 
 # ---------------------------------------------------------------------------
