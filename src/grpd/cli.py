@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (and "true" for decision subcommands), 1 negative
-decision (false / no witness), 2 input error (parse or axiom failure, or
-an unusable environment value), 3 internal limit (isotropy cap).
+decision (false / no witness), 2 input error (parse or axiom failure, a
+file that is not UTF-8, an unusable option or environment value), 3
+internal limit (isotropy cap), 4 internal error (a defect in grpd: one
+line ``internal error: <Type>: <message>``, no traceback).
 ``--json`` switches every report to a single machine-readable object;
 GRPD_ISOTROPY_CAP, a positive integer, overrides the group isomorphism cap
 (default 24).
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 REPORT_SCHEMA = {
@@ -78,6 +81,14 @@ def _cap() -> int:
         raise BadEnvironment(
             f"GRPD_ISOTROPY_CAP must be a positive integer, got {raw!r}")
     return cap
+
+
+def positive_int(raw: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 class _Reporter:
@@ -136,10 +147,7 @@ def _load_two(paths, kind: str):
     error in assembling either.  The headers are read again only when
     parsing failed or a file declared no block of the kind."""
     label = _KIND_LABEL[kind]
-    texts = []
-    for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            texts.append(handle.read())
+    texts = [formats.read_text(path) for path in paths]
     doc = formats.Document()
     wanted = []
     try:
@@ -472,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corpus")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=20)
-    p.add_argument("--max-objects", type=int, default=6)
-    p.add_argument("--max-isotropy", type=int, default=6)
+    p.add_argument("--max-objects", type=positive_int, default=6)
+    p.add_argument("--max-isotropy", type=positive_int, default=6)
     p.add_argument("--out", default=None, help="directory for .grpd files")
     p.set_defaults(handler=_cmd_corpus)
     return parser
@@ -491,6 +499,14 @@ def run(argv=None) -> int:
             BadEnvironment, OSError) as err:
         rep.emit(False, error=str(err))
         return EXIT_INPUT
+    except Exception as err:  # a defect, which must not read as "false"
+        message = f"internal error: {type(err).__name__}: {err}"
+        if rep.as_json:
+            rep.result = {}
+            rep.emit(False, error=message)
+        else:
+            print(message, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import groups
 from .bibundle import Bibundle, translation_actions
 from .core import (FinGroupoid, GroupoidError, NatTrans, StrictArrow,
-                   conjugate, restrict, same_groupoid, tree_loop)
+                   conjugate, restrict, same_groupoid, tabulate, tree_loop)
 from .homotopy import inclusion_functor, skeletonize
 
 
@@ -53,15 +53,10 @@ def point_groupoid(name: str, table, elements=None) -> FinGroupoid:
         if len(elements) != n or len(set(elements)) != n:
             raise groups.InvalidGroupTable(
                 "element names do not match table size", witness=elements)
-    obj = "*"
-    return FinGroupoid(
-        name=name, objects=(obj,), arrows=elements,
-        src={a: obj for a in elements}, tgt={a: obj for a in elements},
-        comp={(elements[i], elements[j]): elements[table[i][j]]
-              for i in range(n) for j in range(n)},
-        unit={obj: elements[e]},
-        inv={elements[i]: elements[groups.inverse_of(table, i)]
-             for i in range(n)})
+    return tabulate(name, ("*",), dict(enumerate(elements)),
+                    ends=lambda i: ("*", "*"),
+                    compose=lambda i, j: table[i][j], unit=lambda x: e,
+                    inv=lambda i: groups.inverse_of(table, i))
 
 
 @dataclass(frozen=True, eq=False)

@@ -348,15 +348,38 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
 # basic constructions
 
 
+def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
+             inv) -> FinGroupoid:
+    """The groupoid presented by structured arrows.
+
+    ``arrows`` maps each arrow's parts (a tuple, or any hashable) to its
+    id, in arrow order; ``ends(p)`` gives the source and target object ids
+    of the arrow with parts ``p``; ``compose(q, p)`` ("p then q"),
+    ``unit(x)`` and ``inv(p)`` give parts.  Every table value is looked up
+    from its parts, so no id is built twice.
+    """
+    src, tgt, by_src = {}, {}, {}
+    for p, a in arrows.items():
+        x, y = ends(p)
+        src[a], tgt[a] = x, y
+        by_src.setdefault(x, []).append((p, a))
+    comp = {}
+    for p, a in arrows.items():
+        for q, b in by_src.get(tgt[a], ()):
+            comp[b, a] = arrows[compose(q, p)]
+    objects = tuple(objects)
+    return FinGroupoid(
+        name=name, objects=objects, arrows=tuple(arrows.values()),
+        src=src, tgt=tgt, comp=comp,
+        unit={x: arrows[unit(x)] for x in objects},
+        inv={a: arrows[inv(p)] for p, a in arrows.items()})
+
+
 def discrete_groupoid(name: str, objects) -> FinGroupoid:
     objects = tuple(objects)
-    unit = {x: f"id_{x}" for x in objects}
-    arrows = tuple(unit[x] for x in objects)
-    return FinGroupoid(
-        name=name, objects=objects, arrows=arrows,
-        src={unit[x]: x for x in objects}, tgt={unit[x]: x for x in objects},
-        comp={(unit[x], unit[x]): unit[x] for x in objects},
-        unit=unit, inv={a: a for a in arrows})
+    return tabulate(name, objects, {x: f"id_{x}" for x in objects},
+                    ends=lambda x: (x, x), compose=lambda q, p: p,
+                    unit=lambda x: x, inv=lambda x: x)
 
 
 def terminal_groupoid(name: str = "pt") -> FinGroupoid:
@@ -366,19 +389,11 @@ def terminal_groupoid(name: str = "pt") -> FinGroupoid:
 def pair_groupoid(name: str, objects) -> FinGroupoid:
     """The pair groupoid: exactly one arrow (x, y): x -> y per object pair."""
     objects = tuple(objects)
-    aid = {(x, y): f"{x}>{y}" for x in objects for y in objects}
-    arrows = tuple(aid[k] for k in sorted(aid))
-    src = {aid[(x, y)]: x for (x, y) in aid}
-    tgt = {aid[(x, y)]: y for (x, y) in aid}
-    comp = {}
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                comp[(aid[(y, z)], aid[(x, y)])] = aid[(x, z)]
-    return FinGroupoid(
-        name=name, objects=objects, arrows=arrows, src=src, tgt=tgt,
-        comp=comp, unit={x: aid[(x, x)] for x in objects},
-        inv={aid[(x, y)]: aid[(y, x)] for (x, y) in aid})
+    arrows = {(x, y): f"{x}>{y}"
+              for x, y in sorted(product(objects, objects))}
+    return tabulate(name, objects, arrows, ends=lambda p: p,
+                    compose=lambda q, p: (p[0], q[1]),
+                    unit=lambda x: (x, x), inv=lambda p: (p[1], p[0]))
 
 
 def interval_groupoid() -> FinGroupoid:
@@ -647,10 +662,6 @@ def enumerate_functors(h: FinGroupoid, g: FinGroupoid) -> list[StrictArrow]:
 # cocylinder and homotopies
 
 
-def _square_id(u: str, v: str, base: str) -> str:
-    return f"({u},{v})@{base}"
-
-
 @dataclass(frozen=True, eq=False)
 class Cocylinder:
     groupoid: FinGroupoid
@@ -667,10 +678,8 @@ def cocylinder(g: FinGroupoid) -> Cocylinder:
     unit section t; e0 . t = e1 . t = id holds on the nose.
     """
     objects = tuple(sorted(g.arrows))
-    arrows = []
-    src, tgt, e0a, e1a = {}, {}, {}, {}
     # (u, source base, target base) determines the square (v is forced)
-    index: dict[tuple[str, str, str], str] = {}
+    arrows, e1a = {}, {}
     for a in objects:
         for u in g.arrows:
             if g.src[u] != g.src[a]:
@@ -680,36 +689,22 @@ def cocylinder(g: FinGroupoid) -> Cocylinder:
                     continue
                 # square condition v . a = b . u forces v
                 v = g.comp[(g.comp[(b, u)], g.inv[a])]
-                sq = _square_id(u, v, a)
-                arrows.append(sq)
-                src[sq], tgt[sq] = a, b
-                e0a[sq], e1a[sq] = u, v
-                index[(u, a, b)] = sq
-    comp, unit, inv = {}, {}, {}
-    for a in objects:
-        unit[a] = index[(g.unit[g.src[a]], a, a)]
-    by_src: dict[str, list[str]] = {}
-    for sq in arrows:
-        inv[sq] = index[(g.inv[e0a[sq]], tgt[sq], src[sq])]
-        by_src.setdefault(src[sq], []).append(sq)
+                sq = f"({u},{v})@{a}"
+                arrows[u, a, b] = sq
+                e1a[sq] = v
     gcomp = g.comp
-    for sq1 in arrows:
-        u1, base1 = e0a[sq1], src[sq1]
-        for sq2 in by_src.get(tgt[sq1], ()):
-            comp[(sq2, sq1)] = index[(gcomp[(e0a[sq2], u1)], base1,
-                                      tgt[sq2])]
-    cyl = FinGroupoid(name=f"{g.name}^I", objects=objects,
-                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
-                      unit=unit, inv=inv)
+    cyl = tabulate(f"{g.name}^I", objects, arrows, ends=lambda p: p[1:],
+                   compose=lambda q, p: (gcomp[q[0], p[0]], p[1], q[2]),
+                   unit=lambda a: (g.unit[g.src[a]], a, a),
+                   inv=lambda p: (g.inv[p[0]], p[2], p[1]))
     e0 = StrictArrow(name=f"e0_{g.name}", dom=cyl, cod=g,
                      obj_map={a: g.src[a] for a in objects},
-                     arr_map=dict(e0a))
+                     arr_map={sq: p[0] for p, sq in arrows.items()})
     e1 = StrictArrow(name=f"e1_{g.name}", dom=cyl, cod=g,
-                     obj_map={a: g.tgt[a] for a in objects},
-                     arr_map=dict(e1a))
+                     obj_map={a: g.tgt[a] for a in objects}, arr_map=e1a)
     t = StrictArrow(name=f"t_{g.name}", dom=g, cod=cyl,
                     obj_map={x: g.unit[x] for x in g.objects},
-                    arr_map={a: _square_id(a, a, g.unit[g.src[a]])
+                    arr_map={a: arrows[a, g.unit[g.src[a]], g.unit[g.tgt[a]]]
                              for a in g.arrows})
     return Cocylinder(groupoid=cyl, e0=e0, e1=e1, t=t)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .core import (FinGroupoid, StrictArrow, conjugate, disjoint_union,
-                   index_arrows, isotropy_table, tree_loop)
+                   index_arrows, isotropy_table, tabulate, tree_loop)
 from .descent import Bundle, Cover, CoverPiece, DescentDatum, descend
 
 
@@ -31,81 +31,34 @@ def transitive_groupoid(name: str, objects, table) -> FinGroupoid:
     """Pair(objects) x K: arrows (x, y, k) with componentwise composition."""
     objects = tuple(objects)
     table = tuple(tuple(row) for row in table)
-    n = len(table)
     e = groups.identity_of(table)
-
-    def aid(x, y, k):
-        return f"{x}>{y}:{k}"
-
-    arrows, src, tgt = [], {}, {}
-    for x in objects:
-        for y in objects:
-            for k in range(n):
-                a = aid(x, y, k)
-                arrows.append(a)
-                src[a], tgt[a] = x, y
-    comp = {}
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                for k1 in range(n):
-                    for k2 in range(n):
-                        comp[(aid(y, z, k2), aid(x, y, k1))] = \
-                            aid(x, z, table[k2][k1])
-    inv_idx = {k: groups.inverse_of(table, k) for k in range(n)}
-    return FinGroupoid(
-        name=name, objects=objects, arrows=tuple(arrows), src=src, tgt=tgt,
-        comp=comp, unit={x: aid(x, x, e) for x in objects},
-        inv={aid(x, y, k): aid(y, x, inv_idx[k]) for x in objects
-             for y in objects for k in range(n)})
+    inv = [groups.inverse_of(table, k) for k in range(len(table))]
+    arrows = {(x, y, k): f"{x}>{y}:{k}"
+              for x in objects for y in objects for k in range(len(table))}
+    return tabulate(
+        name, objects, arrows, ends=lambda p: p[:2],
+        compose=lambda q, p: (p[0], q[1], table[q[2]][p[2]]),
+        unit=lambda x: (x, x, e), inv=lambda p: (p[1], p[0], inv[p[2]]))
 
 
 def inflate(g: FinGroupoid, copies: dict[str, int]):
     """Blow each object x up into copies[x] isomorphic ones; returns the
     inflated groupoid and the collapsing projection functor, an essential
     equivalence."""
-    def o(x, i):
-        return f"{x}@{i}"
-
-    def a(c, i, j):
-        return f"{c}@{i}>{j}"
-
-    objects = tuple(o(x, i) for x in g.objects for i in range(copies[x]))
-    arrows, src, tgt, proj_a = [], {}, {}, {}
-    for c in g.arrows:
-        x, y = g.src[c], g.tgt[c]
-        for i in range(copies[x]):
-            for j in range(copies[y]):
-                t = a(c, i, j)
-                arrows.append(t)
-                src[t], tgt[t] = o(x, i), o(y, j)
-                proj_a[t] = c
-    comp = {}
-    for c2 in g.arrows:
-        for c1 in g.arrows:
-            if (c2, c1) not in g.comp:
-                continue
-            c = g.comp[(c2, c1)]
-            x, y, z = g.src[c1], g.tgt[c1], g.tgt[c2]
-            for i in range(copies[x]):
-                for j in range(copies[y]):
-                    for k in range(copies[z]):
-                        comp[(a(c2, j, k), a(c1, i, j))] = a(c, i, k)
-    unit = {o(x, i): a(g.unit[x], i, i)
-            for x in g.objects for i in range(copies[x])}
-    inv = {}
-    for c in g.arrows:
-        x, y = g.src[c], g.tgt[c]
-        for i in range(copies[x]):
-            for j in range(copies[y]):
-                inv[a(c, i, j)] = a(g.inv[c], j, i)
-    big = FinGroupoid(name=f"{g.name}*inflated", objects=objects,
-                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
-                      unit=unit, inv=inv)
+    obj = {(x, i): f"{x}@{i}" for x in g.objects for i in range(copies[x])}
+    arrows = {(c, i, j): f"{c}@{i}>{j}" for c in g.arrows
+              for i in range(copies[g.src[c]])
+              for j in range(copies[g.tgt[c]])}
+    units = {o: (g.unit[x], i, i) for (x, i), o in obj.items()}
+    big = tabulate(
+        f"{g.name}*inflated", obj.values(), arrows,
+        ends=lambda p: (obj[g.src[p[0]], p[1]], obj[g.tgt[p[0]], p[2]]),
+        compose=lambda q, p: (g.comp[q[0], p[0]], p[1], q[2]),
+        unit=units.__getitem__, inv=lambda p: (g.inv[p[0]], p[2], p[1]))
     proj = StrictArrow(
         name=f"collapse_{g.name}", dom=big, cod=g,
-        obj_map={o(x, i): x for x in g.objects for i in range(copies[x])},
-        arr_map=proj_a)
+        obj_map={o: x for (x, _), o in obj.items()},
+        arr_map={a: p[0] for p, a in arrows.items()})
     return big, proj
 
 

@@ -454,11 +454,24 @@ def parse_document(text: str, source: str = "<input>",
     return doc
 
 
+def read_text(path) -> str:
+    """The file's text; a file that is not UTF-8 raises a ParseError at the
+    line and column of its first bad byte."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # split what comes before the bad byte as the parser splits lines
+        lines = (data[:err.start].decode("utf-8") + "^").splitlines()
+        raise ParseError(f"byte 0x{data[err.start]:02x} is not UTF-8",
+                         str(path), len(lines), len(lines[-1])) from None
+
+
 def parse_files(paths, into: Document | None = None) -> Document:
     doc = into if into is not None else Document()
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
-            parse_document(handle.read(), source=str(path), into=doc)
+        parse_document(read_text(path), source=str(path), into=doc)
     return doc
 
 

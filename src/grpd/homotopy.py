@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from . import groups
 from .core import (FinGroupoid, StrictArrow, NatTrans, GroupoidError,
                    compose_functors, identity_functor, identity_nat,
-                   isotropy_table, restrict, same_groupoid, tree_loop,
-                   whisker)
+                   isotropy_table, restrict, same_groupoid, tabulate,
+                   tree_loop, whisker)
 
 
 class InvalidCospan(GroupoidError):
@@ -55,65 +55,44 @@ class PullbackResult:
 def _p1(c: Cospan) -> PullbackResult:
     phi, psi = c.left, c.right
     k, j, g = phi.dom, psi.dom, phi.cod
-
-    def oid(x, s, y):
-        return f"({x}!{s}!{y})"
-
-    def aid(kk, s, ii):
-        return f"[{kk}!{s}!{ii}]"
-
-    objects, osrc = [], {}
+    gcomp, ginv = g.comp, g.inv
+    obj, where = {}, {}
     for x in k.objects:
         for y in j.objects:
             for s in g.hom_set(phi.obj_map[x], psi.obj_map[y]):
-                objects.append(oid(x, s, y))
-                osrc[oid(x, s, y)] = (x, s, y)
-    arrows, asrc = [], {}
+                o = f"({x}!{s}!{y})"
+                obj[x, s, y] = o
+                where[o] = (x, s, y)
+    # An arrow is a square kk: x -> x', ii: y -> y' with diagonal
+    # s: phi(x) -> psi(y'), from (x, psi(ii)^-1.s, y) to (x', s.phi(kk)^-1,
+    # y'); its parts are (kk, ii, source object id), so a composite is
+    # (k-composite, j-composite, first source).
+    arrows, ends = {}, {}
     for kk in k.arrows:
         for ii in j.arrows:
+            back = ginv[psi.arr_map[ii]]
             for s in g.hom_set(phi.obj_map[k.src[kk]],
                                psi.obj_map[j.tgt[ii]]):
-                arrows.append(aid(kk, s, ii))
-                asrc[aid(kk, s, ii)] = (kk, s, ii)
-    src, tgt = {}, {}
-    for a, (kk, s, ii) in asrc.items():
-        # s is the square diagonal; endpoints are forced from it
-        src[a] = oid(k.src[kk], g.comp[(g.inv[psi.arr_map[ii]], s)], j.src[ii])
-        tgt[a] = oid(k.tgt[kk], g.comp[(s, g.inv[phi.arr_map[kk]])], j.tgt[ii])
-    unit = {}
-    for o, (x, s, y) in osrc.items():
-        unit[o] = aid(k.unit[x], s, j.unit[y])
-    inv = {}
-    for a, (kk, s, ii) in asrc.items():
-        inv[a] = aid(k.inv[kk],
-                     g.comp[(g.comp[(g.inv[psi.arr_map[ii]], s)],
-                             g.inv[phi.arr_map[kk]])],
-                     j.inv[ii])
-    comp = {}
-    # the arrows out of each object, with the parts of each that a
-    # composite reads: (arrow, kk, psi(ii), ii)
-    by_src: dict[str, list[tuple[str, str, str, str]]] = {}
-    for a in arrows:
-        kk, _, ii = asrc[a]
-        by_src.setdefault(src[a], []).append((a, kk, psi.arr_map[ii], ii))
-    kcomp, gcomp, jcomp = k.comp, g.comp, j.comp
-    for a1 in arrows:
-        k1, s1, i1 = asrc[a1]
-        for a2, k2, psi2, i2 in by_src.get(tgt[a1], ()):
-            comp[(a2, a1)] = aid(kcomp[k2, k1], gcomp[psi2, s1],
-                                 jcomp[i2, i1])
-    grp = FinGroupoid(name=f"P1({phi.name},{psi.name})",
-                      objects=tuple(objects), arrows=tuple(arrows),
-                      src=src, tgt=tgt, comp=comp, unit=unit, inv=inv)
+                p = (kk, ii, obj[k.src[kk], gcomp[back, s], j.src[ii]])
+                arrows[p] = f"[{kk}!{s}!{ii}]"
+                ends[p] = (p[2], obj[k.tgt[kk],
+                                     gcomp[s, ginv[phi.arr_map[kk]]],
+                                     j.tgt[ii]])
+    kcomp, jcomp = k.comp, j.comp
+    grp = tabulate(
+        f"P1({phi.name},{psi.name})", obj.values(), arrows, ends.__getitem__,
+        compose=lambda q, p: (kcomp[q[0], p[0]], jcomp[q[1], p[1]], p[2]),
+        unit=lambda o: (k.unit[where[o][0]], j.unit[where[o][2]], o),
+        inv=lambda p: (k.inv[p[0]], j.inv[p[1]], ends[p][1]))
     pr1 = StrictArrow(name="pr1", dom=grp, cod=k,
-                      obj_map={o: osrc[o][0] for o in objects},
-                      arr_map={a: asrc[a][0] for a in arrows})
+                      obj_map={o: w[0] for o, w in where.items()},
+                      arr_map={a: p[0] for p, a in arrows.items()})
     pr2 = StrictArrow(name="pr2", dom=grp, cod=j,
-                      obj_map={o: osrc[o][2] for o in objects},
-                      arr_map={a: asrc[a][2] for a in arrows})
+                      obj_map={o: w[2] for o, w in where.items()},
+                      arr_map={a: p[1] for p, a in arrows.items()})
     cell = NatTrans(source_fun=compose_functors(phi, pr1),
                     target_fun=compose_functors(psi, pr2),
-                    component={o: osrc[o][1] for o in objects})
+                    component={o: w[1] for o, w in where.items()})
     return PullbackResult(groupoid=grp, pr1=pr1, pr2=pr2, cells=(cell,),
                           degree=1)
 
@@ -139,52 +118,29 @@ def homotopy_pullback(c: Cospan, n: int = 1) -> PullbackResult:
 
 
 def strict_pullback(f: StrictArrow, g: StrictArrow):
-    """Ordinary fibre product of groupoids over a shared codomain."""
+    """Ordinary fibre product of groupoids over a shared codomain; both
+    legs must be valid functors."""
     if not same_groupoid(f.cod, g.cod):
         raise InvalidCospan("fibre product needs a shared codomain")
     a, b = f.dom, g.dom
-
-    def oid(x, y):
-        return f"({x}&{y})"
-
-    objects, owhere = [], {}
-    for x in a.objects:
-        for y in b.objects:
-            if f.obj_map[x] == g.obj_map[y]:
-                objects.append(oid(x, y))
-                owhere[oid(x, y)] = (x, y)
-    arrows, src, tgt, where = [], {}, {}, {}
-    for p in a.arrows:
-        for q in b.arrows:
-            if f.arr_map[p] != g.arr_map[q]:
-                continue
-            i = oid(p, q)
-            arrows.append(i)
-            where[i] = (p, q)
-            src[i] = oid(a.src[p], b.src[q])
-            tgt[i] = oid(a.tgt[p], b.tgt[q])
-    comp, unit, inv = {}, {}, {}
-    for o, (x, y) in owhere.items():
-        unit[o] = oid(a.unit[x], b.unit[y])
-    for i, (p, q) in where.items():
-        inv[i] = oid(a.inv[p], b.inv[q])
-    by_src: dict[str, list[str]] = {}
-    for i in arrows:
-        by_src.setdefault(src[i], []).append(i)
-    for i1 in arrows:
-        for i2 in by_src.get(tgt[i1], ()):
-            p2, q2 = where[i2]
-            p1, q1 = where[i1]
-            comp[(i2, i1)] = oid(a.comp[(p2, p1)], b.comp[(q2, q1)])
-    grp = FinGroupoid(name=f"({a.name}x{b.name})", objects=tuple(objects),
-                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
-                      unit=unit, inv=inv)
+    obj = {(x, y): f"({x}&{y})" for x in a.objects for y in b.objects
+           if f.obj_map[x] == g.obj_map[y]}
+    arrows = {(p, q): f"({p}&{q})" for p in a.arrows for q in b.arrows
+              if f.arr_map[p] == g.arr_map[q]}
+    units = {o: (a.unit[x], b.unit[y]) for (x, y), o in obj.items()}
+    grp = tabulate(
+        f"({a.name}x{b.name})", obj.values(), arrows,
+        ends=lambda w: (obj[a.src[w[0]], b.src[w[1]]],
+                        obj[a.tgt[w[0]], b.tgt[w[1]]]),
+        compose=lambda v, w: (a.comp[v[0], w[0]], b.comp[v[1], w[1]]),
+        unit=units.__getitem__,
+        inv=lambda w: (a.inv[w[0]], b.inv[w[1]]))
     pr1 = StrictArrow(name="pr1", dom=grp, cod=a,
-                      obj_map={o: owhere[o][0] for o in objects},
-                      arr_map={i: where[i][0] for i in arrows})
+                      obj_map={o: x for (x, _), o in obj.items()},
+                      arr_map={i: p for (p, _), i in arrows.items()})
     pr2 = StrictArrow(name="pr2", dom=grp, cod=b,
-                      obj_map={o: owhere[o][1] for o in objects},
-                      arr_map={i: where[i][1] for i in arrows})
+                      obj_map={o: y for (_, y), o in obj.items()},
+                      arr_map={i: q for (_, q), i in arrows.items()})
     return grp, pr1, pr2
 
 

@@ -10,8 +10,9 @@ import pytest
 
 import grpd
 from grpd import groups
-from grpd.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_LIMIT, EXIT_OK,
-                      REPORT_SCHEMA, run)
+from grpd import complexity
+from grpd.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT,
+                      EXIT_OK, REPORT_SCHEMA, run)
 from grpd.complexity import point_groupoid
 from grpd.core import (StrictArrow, discrete_groupoid, disjoint_union,
                        identity_functor, pair_groupoid, restrict)
@@ -348,6 +349,55 @@ def test_cover_without_a_map_line_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}:5:11: cover 'C' has no map line for 'u2' in piece "
         "'P'\n")
+
+
+def test_non_utf8_file_exits_2_at_its_first_bad_byte(files, tmp_path,
+                                                     capsys):
+    path = tmp_path / "latin1.grpd"
+    path.write_bytes(b"groupoid g\n  objects: caf\xe9\n")
+    # it used to print a UnicodeDecodeError traceback and exit 1
+    assert run(["validate", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}:2:15: byte 0xe9 is not UTF-8\n")
+    # two-file commands read through the same reader: the second file
+    # is named, after a first one that parses
+    assert run(["morita", files["pair3.grpd"], str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {path}:2:15: byte 0xe9 is not UTF-8\n")
+    path.write_bytes(b"\xff")
+    code, report = run_json(capsys, ["morita", files["pair3.grpd"],
+                                     str(path)])
+    assert code == EXIT_INPUT
+    assert report["error"] == f"{path}:1:1: byte 0xff is not UTF-8"
+
+
+@pytest.mark.parametrize("option", ["--max-objects", "--max-isotropy"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_corpus_bounds_below_1_exit_2(capsys, option, value):
+    # --max-isotropy 0 used to crash with IndexError (exit 1) and
+    # --max-objects 0 to emit one-object groupoids
+    with pytest.raises(SystemExit) as exit_info:
+        run(["corpus", "--seed", "1", option, value])
+    assert exit_info.value.code == EXIT_INPUT
+    assert "must be at least 1" in capsys.readouterr().err
+    assert run(["corpus", "--seed", "1", "--count", "1", option, "1"]) \
+        == EXIT_OK
+
+
+def test_unexpected_exception_exits_4_in_one_line(files, monkeypatch,
+                                                  capsys):
+    def broken(g):
+        raise KeyError("x")
+
+    monkeypatch.setattr(complexity, "orbits", broken)
+    assert run(["orbits", files["pair3.grpd"]]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: KeyError: 'x'\n"
+    code, report = run_json(capsys, ["orbits", files["pair3.grpd"]])
+    assert code == EXIT_INTERNAL
+    assert report == {"command": "orbits", "ok": False,
+                      "error": "internal error: KeyError: 'x'"}
 
 
 # Run without ``site`` (-S), whose .pth hooks import third-party modules

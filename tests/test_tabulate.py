@@ -1,0 +1,417 @@
+"""The builders that present a groupoid through ``core.tabulate`` against
+copies of the loop-per-builder versions they replaced: the same ids in
+the same order, the same tables and functors, the same serialized text."""
+
+import random
+
+import pytest
+
+from grpd import groups
+from grpd.complexity import point_groupoid
+from grpd.core import (FinGroupoid, StrictArrow, NatTrans, cocylinder,
+                       compose_functors, discrete_groupoid, identity_functor,
+                       pair_groupoid, tabulate, validate_groupoid, whisker)
+from grpd.corpus import inflate, random_functor, transitive_groupoid
+from grpd.formats import serialize_groupoid
+from grpd.homotopy import (Cospan, PullbackResult, _p1, homotopy_pullback,
+                           strict_pullback)
+
+# ---------------------------------------------------------------------------
+# the builders as they were, each with its own by_src index and comp loop
+
+
+def old_discrete_groupoid(name, objects):
+    objects = tuple(objects)
+    unit = {x: f"id_{x}" for x in objects}
+    arrows = tuple(unit[x] for x in objects)
+    return FinGroupoid(
+        name=name, objects=objects, arrows=arrows,
+        src={unit[x]: x for x in objects}, tgt={unit[x]: x for x in objects},
+        comp={(unit[x], unit[x]): unit[x] for x in objects},
+        unit=unit, inv={a: a for a in arrows})
+
+
+def old_pair_groupoid(name, objects):
+    objects = tuple(objects)
+    aid = {(x, y): f"{x}>{y}" for x in objects for y in objects}
+    arrows = tuple(aid[k] for k in sorted(aid))
+    src = {aid[(x, y)]: x for (x, y) in aid}
+    tgt = {aid[(x, y)]: y for (x, y) in aid}
+    comp = {}
+    for x in objects:
+        for y in objects:
+            for z in objects:
+                comp[(aid[(y, z)], aid[(x, y)])] = aid[(x, z)]
+    return FinGroupoid(
+        name=name, objects=objects, arrows=arrows, src=src, tgt=tgt,
+        comp=comp, unit={x: aid[(x, x)] for x in objects},
+        inv={aid[(x, y)]: aid[(y, x)] for (x, y) in aid})
+
+
+def old_cocylinder(g):
+    objects = tuple(sorted(g.arrows))
+    arrows = []
+    src, tgt, e0a, e1a = {}, {}, {}, {}
+    index = {}
+    for a in objects:
+        for u in g.arrows:
+            if g.src[u] != g.src[a]:
+                continue
+            for b in objects:
+                if g.src[b] != g.tgt[u]:
+                    continue
+                v = g.comp[(g.comp[(b, u)], g.inv[a])]
+                sq = f"({u},{v})@{a}"
+                arrows.append(sq)
+                src[sq], tgt[sq] = a, b
+                e0a[sq], e1a[sq] = u, v
+                index[(u, a, b)] = sq
+    comp, unit, inv = {}, {}, {}
+    for a in objects:
+        unit[a] = index[(g.unit[g.src[a]], a, a)]
+    by_src = {}
+    for sq in arrows:
+        inv[sq] = index[(g.inv[e0a[sq]], tgt[sq], src[sq])]
+        by_src.setdefault(src[sq], []).append(sq)
+    for sq1 in arrows:
+        u1, base1 = e0a[sq1], src[sq1]
+        for sq2 in by_src.get(tgt[sq1], ()):
+            comp[(sq2, sq1)] = index[(g.comp[(e0a[sq2], u1)], base1,
+                                      tgt[sq2])]
+    cyl = FinGroupoid(name=f"{g.name}^I", objects=objects,
+                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
+                      unit=unit, inv=inv)
+    t = {a: f"({a},{a})@{g.unit[g.src[a]]}" for a in g.arrows}
+    return cyl, e0a, e1a, t
+
+
+def old_p1(c):
+    phi, psi = c.left, c.right
+    k, j, g = phi.dom, psi.dom, phi.cod
+
+    def oid(x, s, y):
+        return f"({x}!{s}!{y})"
+
+    def aid(kk, s, ii):
+        return f"[{kk}!{s}!{ii}]"
+
+    objects, osrc = [], {}
+    for x in k.objects:
+        for y in j.objects:
+            for s in g.hom_set(phi.obj_map[x], psi.obj_map[y]):
+                objects.append(oid(x, s, y))
+                osrc[oid(x, s, y)] = (x, s, y)
+    arrows, asrc = [], {}
+    for kk in k.arrows:
+        for ii in j.arrows:
+            for s in g.hom_set(phi.obj_map[k.src[kk]],
+                               psi.obj_map[j.tgt[ii]]):
+                arrows.append(aid(kk, s, ii))
+                asrc[aid(kk, s, ii)] = (kk, s, ii)
+    src, tgt = {}, {}
+    for a, (kk, s, ii) in asrc.items():
+        src[a] = oid(k.src[kk], g.comp[(g.inv[psi.arr_map[ii]], s)], j.src[ii])
+        tgt[a] = oid(k.tgt[kk], g.comp[(s, g.inv[phi.arr_map[kk]])], j.tgt[ii])
+    unit = {o: aid(k.unit[x], s, j.unit[y]) for o, (x, s, y) in osrc.items()}
+    inv = {}
+    for a, (kk, s, ii) in asrc.items():
+        inv[a] = aid(k.inv[kk],
+                     g.comp[(g.comp[(g.inv[psi.arr_map[ii]], s)],
+                             g.inv[phi.arr_map[kk]])],
+                     j.inv[ii])
+    comp, by_src = {}, {}
+    for a in arrows:
+        by_src.setdefault(src[a], []).append(a)
+    for a1 in arrows:
+        k1, s1, i1 = asrc[a1]
+        for a2 in by_src.get(tgt[a1], ()):
+            k2, _, i2 = asrc[a2]
+            comp[(a2, a1)] = aid(k.comp[k2, k1], g.comp[psi.arr_map[i2], s1],
+                                 j.comp[i2, i1])
+    grp = FinGroupoid(name=f"P1({phi.name},{psi.name})",
+                      objects=tuple(objects), arrows=tuple(arrows),
+                      src=src, tgt=tgt, comp=comp, unit=unit, inv=inv)
+    pr1 = StrictArrow(name="pr1", dom=grp, cod=k,
+                      obj_map={o: osrc[o][0] for o in objects},
+                      arr_map={a: asrc[a][0] for a in arrows})
+    pr2 = StrictArrow(name="pr2", dom=grp, cod=j,
+                      obj_map={o: osrc[o][2] for o in objects},
+                      arr_map={a: asrc[a][2] for a in arrows})
+    cell = NatTrans(source_fun=compose_functors(phi, pr1),
+                    target_fun=compose_functors(psi, pr2),
+                    component={o: osrc[o][1] for o in objects})
+    return PullbackResult(groupoid=grp, pr1=pr1, pr2=pr2, cells=(cell,),
+                          degree=1)
+
+
+def old_strict_pullback(f, g):
+    a, b = f.dom, g.dom
+
+    def oid(x, y):
+        return f"({x}&{y})"
+
+    objects, owhere = [], {}
+    for x in a.objects:
+        for y in b.objects:
+            if f.obj_map[x] == g.obj_map[y]:
+                objects.append(oid(x, y))
+                owhere[oid(x, y)] = (x, y)
+    arrows, src, tgt, where = [], {}, {}, {}
+    for p in a.arrows:
+        for q in b.arrows:
+            if f.arr_map[p] != g.arr_map[q]:
+                continue
+            i = oid(p, q)
+            arrows.append(i)
+            where[i] = (p, q)
+            src[i] = oid(a.src[p], b.src[q])
+            tgt[i] = oid(a.tgt[p], b.tgt[q])
+    comp = {}
+    unit = {o: oid(a.unit[x], b.unit[y]) for o, (x, y) in owhere.items()}
+    inv = {i: oid(a.inv[p], b.inv[q]) for i, (p, q) in where.items()}
+    by_src = {}
+    for i in arrows:
+        by_src.setdefault(src[i], []).append(i)
+    for i1 in arrows:
+        for i2 in by_src.get(tgt[i1], ()):
+            p2, q2 = where[i2]
+            p1, q1 = where[i1]
+            comp[(i2, i1)] = oid(a.comp[(p2, p1)], b.comp[(q2, q1)])
+    grp = FinGroupoid(name=f"({a.name}x{b.name})", objects=tuple(objects),
+                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
+                      unit=unit, inv=inv)
+    pr1 = {i: where[i][0] for i in arrows}
+    pr2 = {i: where[i][1] for i in arrows}
+    return grp, ({o: owhere[o][0] for o in objects}, pr1), \
+        ({o: owhere[o][1] for o in objects}, pr2)
+
+
+def old_transitive_groupoid(name, objects, table):
+    objects = tuple(objects)
+    n = len(table)
+    e = groups.identity_of(table)
+
+    def aid(x, y, k):
+        return f"{x}>{y}:{k}"
+
+    arrows, src, tgt = [], {}, {}
+    for x in objects:
+        for y in objects:
+            for k in range(n):
+                a = aid(x, y, k)
+                arrows.append(a)
+                src[a], tgt[a] = x, y
+    comp = {}
+    for x in objects:
+        for y in objects:
+            for z in objects:
+                for k1 in range(n):
+                    for k2 in range(n):
+                        comp[(aid(y, z, k2), aid(x, y, k1))] = \
+                            aid(x, z, table[k2][k1])
+    inv_idx = {k: groups.inverse_of(table, k) for k in range(n)}
+    return FinGroupoid(
+        name=name, objects=objects, arrows=tuple(arrows), src=src, tgt=tgt,
+        comp=comp, unit={x: aid(x, x, e) for x in objects},
+        inv={aid(x, y, k): aid(y, x, inv_idx[k]) for x in objects
+             for y in objects for k in range(n)})
+
+
+def old_inflate(g, copies):
+    def o(x, i):
+        return f"{x}@{i}"
+
+    def a(c, i, j):
+        return f"{c}@{i}>{j}"
+
+    objects = tuple(o(x, i) for x in g.objects for i in range(copies[x]))
+    arrows, src, tgt, proj_a = [], {}, {}, {}
+    for c in g.arrows:
+        x, y = g.src[c], g.tgt[c]
+        for i in range(copies[x]):
+            for j in range(copies[y]):
+                t = a(c, i, j)
+                arrows.append(t)
+                src[t], tgt[t] = o(x, i), o(y, j)
+                proj_a[t] = c
+    comp = {}
+    for c2 in g.arrows:
+        for c1 in g.arrows:
+            if (c2, c1) not in g.comp:
+                continue
+            c = g.comp[(c2, c1)]
+            x, y, z = g.src[c1], g.tgt[c1], g.tgt[c2]
+            for i in range(copies[x]):
+                for j in range(copies[y]):
+                    for k in range(copies[z]):
+                        comp[(a(c2, j, k), a(c1, i, j))] = a(c, i, k)
+    unit = {o(x, i): a(g.unit[x], i, i)
+            for x in g.objects for i in range(copies[x])}
+    inv = {}
+    for c in g.arrows:
+        x, y = g.src[c], g.tgt[c]
+        for i in range(copies[x]):
+            for j in range(copies[y]):
+                inv[a(c, i, j)] = a(g.inv[c], j, i)
+    big = FinGroupoid(name=f"{g.name}*inflated", objects=objects,
+                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
+                      unit=unit, inv=inv)
+    obj_map = {o(x, i): x for x in g.objects for i in range(copies[x])}
+    return big, obj_map, proj_a
+
+
+def old_point_groupoid(name, table, elements=None):
+    table = tuple(tuple(row) for row in table)
+    e = groups.validate_table(table)
+    n = len(table)
+    if elements is None:
+        elements = tuple(f"k{i}" for i in range(n))
+    obj = "*"
+    return FinGroupoid(
+        name=name, objects=(obj,), arrows=elements,
+        src={a: obj for a in elements}, tgt={a: obj for a in elements},
+        comp={(elements[i], elements[j]): elements[table[i][j]]
+              for i in range(n) for j in range(n)},
+        unit={obj: elements[e]},
+        inv={elements[i]: elements[groups.inverse_of(table, i)]
+             for i in range(n)})
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def assert_same(new: FinGroupoid, old: FinGroupoid):
+    assert new.name == old.name
+    assert new.objects == old.objects
+    assert new.arrows == old.arrows
+    for table in ("src", "tgt", "comp", "unit", "inv"):
+        assert getattr(new, table) == getattr(old, table), table
+    # equal tables give equal text; the text is compared where it is cheap
+    if len(old.comp) <= 20000:
+        assert serialize_groupoid(new) == serialize_groupoid(old)
+
+
+def assert_same_maps(f: StrictArrow, obj_map, arr_map):
+    assert f.obj_map == obj_map
+    assert f.arr_map == arr_map
+
+
+@pytest.fixture(scope="module")
+def tiny(corpus):
+    """Corpus members whose cocylinder and pullbacks stay small."""
+    return [g for g in corpus if len(g.arrows) <= 12]
+
+
+@pytest.fixture(scope="module")
+def blocks():
+    """Pair(m) x K for m <= 3 and K of order <= 4, at most 18 arrows."""
+    out = []
+    for m in (1, 2, 3):
+        for label, table in groups.small_groups(4):
+            if m * m * len(table) <= 18:
+                out.append(transitive_groupoid(
+                    f"P{m}x{label}", [f"o{i}" for i in range(m)], table))
+    return out
+
+
+def test_tabulate_builds_a_valid_groupoid_from_parts():
+    # Z3 as parts 0, 1, 2 on one object: every table entry is an id
+    # looked up from the parts that compose gives
+    g = tabulate("Z3", ("*",), {k: f"r{k}" for k in range(3)},
+                 ends=lambda k: ("*", "*"), compose=lambda q, p: (q + p) % 3,
+                 unit=lambda x: 0, inv=lambda k: -k % 3)
+    validate_groupoid(g)
+    assert g.arrows == ("r0", "r1", "r2")
+    assert g.comp["r2", "r2"] == "r1"
+    assert g.inv == {"r0": "r0", "r1": "r2", "r2": "r1"}
+
+
+def test_small_builders_match_the_loop_versions():
+    for objects in ((), ("a",), ("b", "a", "c"), ("1", "2", "3", "4")):
+        assert_same(discrete_groupoid("d", objects),
+                    old_discrete_groupoid("d", objects))
+        assert_same(pair_groupoid("p", objects),
+                    old_pair_groupoid("p", objects))
+    for label, table in groups.small_groups(12):
+        assert_same(point_groupoid(label, table),
+                    old_point_groupoid(label, table))
+        names = [f"e{i}" for i in range(len(table))][::-1]
+        assert_same(point_groupoid(label, table, names),
+                    old_point_groupoid(label, table, tuple(names)))
+
+
+def test_transitive_groupoid_matches_the_loop_version():
+    for label, table in groups.small_groups(6):
+        for objects in (["x"], ["b", "a"], ["1", "2", "3"]):
+            assert_same(transitive_groupoid(label, objects, table),
+                        old_transitive_groupoid(label, objects, table))
+
+
+def test_cocylinder_matches_the_loop_version(tiny, blocks):
+    for g in tiny + blocks:
+        cyl = cocylinder(g)
+        old, e0a, e1a, t = old_cocylinder(g)
+        assert_same(cyl.groupoid, old)
+        assert_same_maps(cyl.e0, {a: g.src[a] for a in old.objects}, e0a)
+        assert_same_maps(cyl.e1, {a: g.tgt[a] for a in old.objects}, e1a)
+        assert_same_maps(cyl.t, {x: g.unit[x] for x in g.objects}, t)
+
+
+def test_inflate_matches_the_loop_version(small_corpus, blocks):
+    rng = random.Random(8)
+    for g in small_corpus + blocks:
+        copies = {x: rng.randint(1, 3) for x in g.objects}
+        big, proj = inflate(g, copies)
+        old, obj_map, arr_map = old_inflate(g, copies)
+        assert_same(big, old)
+        assert_same_maps(proj, obj_map, arr_map)
+
+
+def _cospans(pool, count, seed):
+    """Cospans whose legs are random_functor arrows between pool members."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k, j, g = rng.choice(pool), rng.choice(pool), rng.choice(pool)
+        out.append(Cospan(random_functor(rng, k, g), random_functor(rng, j, g)))
+    return out
+
+
+def _assert_same_pullback(new: PullbackResult, old: PullbackResult):
+    assert_same(new.groupoid, old.groupoid)
+    assert_same_maps(new.pr1, old.pr1.obj_map, old.pr1.arr_map)
+    assert_same_maps(new.pr2, old.pr2.obj_map, old.pr2.arr_map)
+    for t, u in zip(new.cells, old.cells, strict=True):
+        assert t.component == u.component
+
+
+def test_p1_matches_the_loop_version(tiny, blocks):
+    identities = [Cospan(identity_functor(g), identity_functor(g))
+                  for g in blocks]
+    for c in identities + _cospans(tiny + blocks, 16, seed=20):
+        _assert_same_pullback(_p1(c), old_p1(c))
+
+
+def test_p2_matches_the_loop_version(tiny, blocks):
+    # P2 grows about |G1| times past P1, so its legs join small groupoids
+    small = [g for g in tiny + blocks if len(g.arrows) <= 4]
+    for c in _cospans(small, 12, seed=21):
+        # P2 is P1 of the left leg against P1(id, right)'s first projection
+        inner = old_p1(Cospan(identity_functor(c.left.cod), c.right))
+        outer = old_p1(Cospan(c.left, inner.pr1))
+        _assert_same_pullback(homotopy_pullback(c, 2), PullbackResult(
+            groupoid=outer.groupoid, pr1=outer.pr1,
+            pr2=compose_functors(inner.pr2, outer.pr2),
+            cells=(outer.cells[0],) + tuple(whisker(t, outer.pr2)
+                                            for t in inner.cells),
+            degree=2))
+
+
+def test_strict_pullback_matches_the_loop_version(tiny, blocks):
+    for c in _cospans(tiny + blocks, 30, seed=22):
+        grp, pr1, pr2 = strict_pullback(c.left, c.right)
+        old, maps1, maps2 = old_strict_pullback(c.left, c.right)
+        assert_same(grp, old)
+        assert_same_maps(pr1, *maps1)
+        assert_same_maps(pr2, *maps2)
