@@ -12,12 +12,11 @@ from pathlib import Path
 from grpd import groups
 from grpd.bibundle import unit_bibundle
 from grpd.complexity import point_groupoid
-from grpd.core import disjoint_union, identity_functor, pair_groupoid, \
-    restrict
+from grpd.core import (disjoint_union, identity_functor, inclusion_functor,
+                       pair_groupoid, restrict)
 from grpd.corpus import random_datum
 from grpd.formats import (serialize_bibundle, serialize_datum,
                           serialize_functor, serialize_groupoid)
-from grpd.homotopy import inclusion_functor
 
 
 def main() -> int:

@@ -8,6 +8,10 @@ line ``internal error: <Type>: <message>``, no traceback).
 ``--json`` switches every report to a single machine-readable object;
 GRPD_ISOTROPY_CAP, a positive integer, overrides the group isomorphism cap
 (default 24).
+
+Each handler validates every structure it loads (``_validated``) and
+returns ``(exit code, result, text lines)`` without printing; :func:`run`
+maps exceptions to exit codes and prints the one report (``_emit``).
 """
 
 from __future__ import annotations
@@ -91,43 +95,37 @@ def positive_int(raw: str) -> int:
     return value
 
 
-class _Reporter:
-    def __init__(self, command: str, as_json: bool):
-        self.command = command
-        self.as_json = as_json
-        self.lines: list[str] = []
-        self.result: dict = {}
-
-    def say(self, text: str):
-        self.lines.append(text)
-
-    def emit(self, ok: bool, error: str | None = None) -> None:
-        if self.as_json:
-            report = {"command": self.command, "ok": ok}
-            if error is not None:
-                report["error"] = error
-            if self.result:
-                report["result"] = self.result
-            print(json.dumps(report))
-        else:
-            for line in self.lines:
-                print(line)
-            if error is not None:
-                print(f"error: {error}", file=sys.stderr)
-
-
-def _first_groupoid(doc: formats.Document, path: str):
-    for g in doc.groupoids.values():
-        return validate_groupoid(g)
-    raise ParseError("no groupoid block found", path, 1, 1)
-
-
-def _load_groupoid(path: str):
-    return _first_groupoid(formats.parse_files([path]), path)
+def _emit(command: str, as_json: bool, ok: bool, result: dict,
+          lines: list[str], error: str | None = None) -> None:
+    """Print one report: a JSON object on stdout, or the text lines on
+    stdout and the error on stderr."""
+    if as_json:
+        report = {"command": command, "ok": ok}
+        if error is not None:
+            report["error"] = error
+        if result:
+            report["result"] = result
+        print(json.dumps(report))
+    else:
+        for line in lines:
+            print(line)
+        if error is not None:
+            print(f"error: {error}", file=sys.stderr)
 
 
 _KIND_LABEL = {"groupoids": "groupoid", "functors": "functor",
-               "bibundles": "bibundle"}
+               "bibundles": "bibundle", "data": "datum"}
+
+
+def _first(path: str, kind: str):
+    """The first structure of the kind (a ``Document`` table) in the file."""
+    for structure in getattr(formats.parse_files([path]), kind).values():
+        return structure
+    raise ParseError(f"no {_KIND_LABEL[kind]} block found", path, 1, 1)
+
+
+def _load_groupoid(path: str):
+    return validate_groupoid(_first(path, "groupoids"))
 
 
 def _check_headers(paths, texts, label: str) -> None:
@@ -164,253 +162,194 @@ def _load_two(paths, kind: str):
     return doc, [getattr(doc, kind)[name] for name in wanted]
 
 
+_VALIDATE = {"functors": validate_functor, "bibundles": bib.validate_bibundle}
+
+
+def _validated(kind: str, structures):
+    """Validate every groupoid that the structures are or join, each once
+    and in order of first appearance, then each structure; return them."""
+    joined = structures if kind == "groupoids" else [
+        g for s in structures for g in (s.dom, s.cod)]
+    for g in dict.fromkeys(joined):
+        validate_groupoid(g)
+    if kind != "groupoids":
+        for s in structures:
+            _VALIDATE[kind](s)
+    return structures
+
+
 def _subset(g, raw: str):
-    names = [s for s in raw.split(",") if s]
-    return complexity.subgroupoid(g, names)
+    return complexity.subgroupoid(g, [s for s in raw.split(",") if s])
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: populate the reporter, return the exit code
+# subcommand handlers: each returns (exit code, result, text lines)
 
 
-def _cmd_validate(args, rep):
+def _cmd_validate(args):
     try:
         g = _load_groupoid(args.file)
     except GroupoidError as err:
-        rep.result = {"valid": False, "violation": str(err),
-                      "witness": repr(err.witness)}
-        rep.say(f"invalid: {err}")
-        rep.emit(False)
-        return EXIT_INPUT
-    rep.result = {"valid": True, "groupoid": g.name,
-                  "objects": len(g.objects), "arrows": len(g.arrows)}
-    rep.say(f"valid: {g.name} ({len(g.objects)} objects, "
-            f"{len(g.arrows)} arrows)")
-    rep.emit(True)
-    return EXIT_OK
+        result = {"valid": False, "violation": str(err),
+                  "witness": repr(err.witness)}
+        return EXIT_INPUT, result, [f"invalid: {err}"]
+    result = {"valid": True, "groupoid": g.name,
+              "objects": len(g.objects), "arrows": len(g.arrows)}
+    return EXIT_OK, result, [f"valid: {g.name} ({len(g.objects)} objects, "
+                             f"{len(g.arrows)} arrows)"]
 
 
-def _cmd_orbits(args, rep):
+def _cmd_orbits(args):
     g = _load_groupoid(args.file)
-    part = complexity.orbits(g)
-    rep.result = {"groupoid": g.name,
-                  "orbits": [list(b) for b in part.blocks]}
-    for block in part.blocks:
-        rep.say(" ".join(block))
-    rep.emit(True)
-    return EXIT_OK
+    blocks = complexity.orbits(g).blocks
+    result = {"groupoid": g.name, "orbits": [list(b) for b in blocks]}
+    return EXIT_OK, result, [" ".join(b) for b in blocks]
 
 
-def _cmd_transitive(args, rep):
+def _cmd_transitive(args):
     g = _load_groupoid(args.file)
     ok = complexity.is_transitive(g)
-    rep.result = {"groupoid": g.name, "transitive": ok}
-    rep.say("transitive" if ok else "not transitive")
-    rep.emit(ok)
-    return EXIT_OK if ok else EXIT_FALSE
+    result = {"groupoid": g.name, "transitive": ok}
+    if not ok:
+        return EXIT_FALSE, result, ["not transitive"]
+    return EXIT_OK, result, ["transitive"]
 
 
-def _cmd_skeleton(args, rep):
+def _cmd_skeleton(args):
     g = _load_groupoid(args.file)
-    sk = homotopy.skeletonize(g, cap=_cap())
-    rep.result = {"groupoid": g.name, "skeleton": sk.serialize().splitlines()}
-    rep.say(sk.serialize())
-    rep.emit(True)
-    return EXIT_OK
+    text = homotopy.skeletonize(g, cap=_cap()).serialize()
+    return EXIT_OK, {"groupoid": g.name, "skeleton": text.splitlines()}, [text]
 
 
-def _cmd_morita(args, rep):
-    _, (h, g) = _load_two([args.a, args.b], "groupoids")
-    h, g = validate_groupoid(h), validate_groupoid(g)
+def _cmd_morita(args):
+    _, pair = _load_two([args.a, args.b], "groupoids")
+    h, g = _validated("groupoids", pair)
     witness = bib.are_morita_equivalent(h, g, cap=_cap())
     if witness is None:
-        rep.result = {"equivalent": False}
-        rep.say("not Morita equivalent")
-        rep.emit(False)
-        return EXIT_FALSE
-    rep.result = {"equivalent": True, "carrier": list(witness.carrier)}
-    rep.say(formats.serialize_bibundle(witness).rstrip("\n"))
-    rep.emit(True)
-    return EXIT_OK
+        return EXIT_FALSE, {"equivalent": False}, ["not Morita equivalent"]
+    result = {"equivalent": True, "carrier": list(witness.carrier)}
+    return EXIT_OK, result, [formats.serialize_bibundle(witness).rstrip("\n")]
 
 
-def _cmd_morita_homotopy(args, rep):
-    _, (h, g) = _load_two([args.a, args.b], "groupoids")
-    h, g = validate_groupoid(h), validate_groupoid(g)
+def _cmd_morita_homotopy(args):
+    _, pair = _load_two([args.a, args.b], "groupoids")
+    h, g = _validated("groupoids", pair)
     span = homotopy.are_morita_homotopy_equivalent(h, g, cap=_cap())
     if span is None:
-        rep.result = {"equivalent": False}
-        rep.say("not Morita homotopy equivalent")
-        rep.emit(False)
-        return EXIT_FALSE
-    rep.result = {"equivalent": True, "mid": span.mid.name,
-                  "mid_objects": list(span.mid.objects)}
-    rep.say(f"span through {span.mid.name} "
-            f"({len(span.mid.objects)} objects)")
-    rep.emit(True)
-    return EXIT_OK
+        return (EXIT_FALSE, {"equivalent": False},
+                ["not Morita homotopy equivalent"])
+    result = {"equivalent": True, "mid": span.mid.name,
+              "mid_objects": list(span.mid.objects)}
+    return EXIT_OK, result, [f"span through {span.mid.name} "
+                             f"({len(span.mid.objects)} objects)"]
 
 
-def _cmd_cgeo(args, rep):
+def _cmd_cgeo(args):
     g = _load_groupoid(args.file)
     value, cert = complexity.cgeo_with_cover(g)
-    rep.result = {
-        "groupoid": g.name,
-        "cgeo": value,
-        "cover": [list(piece) for piece in cert.pieces],
-        "certificates": [
-            {"point_object": w.point_object,
-             "vacuous": w.vacuous,
-             "homotopy": dict(w.homotopy.component) if w.homotopy else None}
-            for w in cert.witnesses],
-    }
-    rep.say(str(value))
-    rep.emit(True)
-    return EXIT_OK
+    certificates = [
+        {"point_object": w.point_object, "vacuous": w.vacuous,
+         "homotopy": dict(w.homotopy.component) if w.homotopy else None}
+        for w in cert.witnesses]
+    result = {"groupoid": g.name, "cgeo": value,
+              "cover": [list(piece) for piece in cert.pieces],
+              "certificates": certificates}
+    return EXIT_OK, result, [str(value)]
 
 
-def _cmd_relcgeo(args, rep):
+def _cmd_relcgeo(args):
     g = _load_groupoid(args.file)
     sub = _subset(g, args.subset)
     value = complexity.relative_cgeo(sub, g)
-    rep.result = {"groupoid": g.name, "subset": list(sub.objects),
-                  "relative_cgeo": value}
-    rep.say(str(value))
-    rep.emit(True)
-    return EXIT_OK
+    result = {"groupoid": g.name, "subset": list(sub.objects),
+              "relative_cgeo": value}
+    return EXIT_OK, result, [str(value)]
 
 
-def _cmd_weakpoint(args, rep):
+def _cmd_weakpoint(args):
     g = _load_groupoid(args.file)
     sub = _subset(g, args.subset)
     witness = complexity.is_weak_point_subgroupoid(sub, g)
     if witness is None:
-        rep.result = {"weak_point": False}
-        rep.say("not a weak point subgroupoid")
-        rep.emit(False)
-        return EXIT_FALSE
-    rep.result = {"weak_point": True, "point_object": witness.point_object,
-                  "vacuous": witness.vacuous}
-    rep.say(f"weak point subgroupoid (collapses to "
-            f"{witness.point_object!r})" if not witness.vacuous
-            else "weak point subgroupoid (vacuously: empty)")
-    rep.emit(True)
-    return EXIT_OK
+        return (EXIT_FALSE, {"weak_point": False},
+                ["not a weak point subgroupoid"])
+    result = {"weak_point": True, "point_object": witness.point_object,
+              "vacuous": witness.vacuous}
+    return EXIT_OK, result, [
+        f"weak point subgroupoid (collapses to {witness.point_object!r})"
+        if not witness.vacuous
+        else "weak point subgroupoid (vacuously: empty)"]
 
 
-def _cmd_deform(args, rep):
+def _cmd_deform(args):
     g = _load_groupoid(args.file)
     h = _subset(g, getattr(args, "from"))
     k = _subset(g, args.to)
     diagram = complexity.exists_deformation(h, k, g)
     if diagram is None:
-        rep.result = {"deformation": False}
-        rep.say("no deformation")
-        rep.emit(False)
-        return EXIT_FALSE
-    rep.result = {"deformation": True,
-                  "transport": dict(diagram.transport.obj_map)}
-    rep.say("deformation: " + ", ".join(
-        f"{x}->{y}" for x, y in sorted(diagram.transport.obj_map.items())))
-    rep.emit(True)
-    return EXIT_OK
+        return EXIT_FALSE, {"deformation": False}, ["no deformation"]
+    transport = diagram.transport.obj_map
+    result = {"deformation": True, "transport": dict(transport)}
+    return EXIT_OK, result, ["deformation: " + ", ".join(
+        f"{x}->{y}" for x, y in sorted(transport.items()))]
 
 
-def _cmd_tensor(args, rep):
-    _, (z1, z2) = _load_two([args.z1, args.z2], "bibundles")
-    for g in (z1.dom, z1.cod, z2.dom, z2.cod):
-        validate_groupoid(g)
-    bib.validate_bibundle(z1)
-    bib.validate_bibundle(z2)
-    result = bib.tensor(z1, z2)
-    bib.validate_bibundle(result)
-    rep.result = {"carrier": list(result.carrier),
-                  "dom": result.dom.name, "cod": result.cod.name}
-    rep.say(formats.serialize_bibundle(result).rstrip("\n"))
-    rep.emit(True)
-    return EXIT_OK
+def _cmd_tensor(args):
+    _, pair = _load_two([args.z1, args.z2], "bibundles")
+    z1, z2 = _validated("bibundles", pair)
+    product = bib.validate_bibundle(bib.tensor(z1, z2))
+    result = {"carrier": list(product.carrier),
+              "dom": product.dom.name, "cod": product.cod.name}
+    return EXIT_OK, result, [formats.serialize_bibundle(product).rstrip("\n")]
 
 
-def _cmd_homotopic(args, rep):
-    _, (f, g) = _load_two([args.f, args.g], "functors")
-    for grp in dict.fromkeys((f.dom, f.cod, g.dom, g.cod)):
-        validate_groupoid(grp)
-    validate_functor(f)
-    validate_functor(g)
+def _cmd_homotopic(args):
+    _, pair = _load_two([args.f, args.g], "functors")
+    f, g = _validated("functors", pair)
     witness = are_homotopic(f, g)
     if witness is None:
-        rep.result = {"homotopic": False}
-        rep.say("not homotopic")
-        rep.emit(False)
-        return EXIT_FALSE
-    rep.result = {"homotopic": True, "component": dict(witness.component)}
-    rep.say("homotopic: " + ", ".join(
-        f"{x}:{c}" for x, c in sorted(witness.component.items())))
-    rep.emit(True)
-    return EXIT_OK
+        return EXIT_FALSE, {"homotopic": False}, ["not homotopic"]
+    component = witness.component
+    result = {"homotopic": True, "component": dict(component)}
+    return EXIT_OK, result, ["homotopic: " + ", ".join(
+        f"{x}:{c}" for x, c in sorted(component.items()))]
 
 
-def _cmd_pullback(args, rep):
-    doc = formats.parse_files([args.cospan])
-    functors = list(doc.functors.values())
+def _cmd_pullback(args):
+    functors = list(formats.parse_files([args.cospan]).functors.values())
     if len(functors) < 2:
         raise ParseError("cospan file needs two functor blocks",
                          args.cospan, 1, 1)
-    for f in functors[:2]:
-        validate_groupoid(f.dom)
-        validate_groupoid(f.cod)
-        validate_functor(f)
-    cospan = homotopy.Cospan(left=functors[0], right=functors[1])
-    result = homotopy.homotopy_pullback(cospan, n=args.n)
-    grp = result.groupoid
-    rep.result = {"degree": args.n, "objects": len(grp.objects),
-                  "arrows": len(grp.arrows)}
-    rep.say(f"P_{args.n}: {len(grp.objects)} objects, "
-            f"{len(grp.arrows)} arrows")
-    rep.emit(True)
-    return EXIT_OK
+    left, right = _validated("functors", functors[:2])
+    grp = homotopy.homotopy_pullback(homotopy.Cospan(left=left, right=right),
+                                     n=args.n).groupoid
+    result = {"degree": args.n, "objects": len(grp.objects),
+              "arrows": len(grp.arrows)}
+    return EXIT_OK, result, [f"P_{args.n}: {len(grp.objects)} objects, "
+                             f"{len(grp.arrows)} arrows"]
 
 
-def _cmd_descent_check(args, rep):
-    doc = formats.parse_files([args.datum])
-    if not doc.data:
-        raise ParseError("no datum block found", args.datum, 1, 1)
-    datum = next(iter(doc.data.values()))
-    report = descent.check_cocycle(datum)
+def _cmd_descent_check(args):
+    report = descent.check_cocycle(_first(args.datum, "data"))
     if report.ok:
-        rep.result = {"cocycle": True}
-        rep.say("cocycle conditions hold")
-        rep.emit(True)
-        return EXIT_OK
-    rep.result = {"cocycle": False, "failure": repr(report.failure)}
-    rep.say(f"cocycle failure: {report.failure}")
-    rep.emit(False)
-    return EXIT_FALSE
+        return EXIT_OK, {"cocycle": True}, ["cocycle conditions hold"]
+    result = {"cocycle": False, "failure": repr(report.failure)}
+    return EXIT_FALSE, result, [f"cocycle failure: {report.failure}"]
 
 
-def _cmd_descent_glue(args, rep):
-    doc = formats.parse_files([args.datum])
-    if not doc.data:
-        raise ParseError("no datum block found", args.datum, 1, 1)
-    datum = next(iter(doc.data.values()))
-    glued = descent.glue(datum)
-    rep.result = {"total": list(glued.bundle.total),
-                  "base": list(glued.bundle.base)}
-    rep.say(formats.serialize_bundle(glued.bundle).rstrip("\n"))
-    rep.emit(True)
-    return EXIT_OK
+def _cmd_descent_glue(args):
+    bundle = descent.glue(_first(args.datum, "data")).bundle
+    result = {"total": list(bundle.total), "base": list(bundle.base)}
+    return EXIT_OK, result, [formats.serialize_bundle(bundle).rstrip("\n")]
 
 
-def _cmd_locus(args, rep):
+def _cmd_locus(args):
     g = _load_groupoid(args.file)
     key = complexity.locus_key(g, cap=_cap())
-    rep.result = {"groupoid": g.name, "locus": key}
-    rep.say(key)
-    rep.emit(True)
-    return EXIT_OK
+    return EXIT_OK, {"groupoid": g.name, "locus": key}, [key]
 
 
-def _cmd_corpus(args, rep):
+def _cmd_corpus(args):
     cfg = corpus.CorpusConfig(seed=args.seed, count=args.count,
                               max_objects=args.max_objects,
                               max_isotropy=args.max_isotropy)
@@ -421,13 +360,11 @@ def _cmd_corpus(args, rep):
         for g in members:
             (outdir / f"{g.name}.grpd").write_text(
                 formats.serialize_groupoid(g), encoding="utf-8")
-        rep.say(f"wrote {len(members)} groupoids to {outdir}")
+        lines = [f"wrote {len(members)} groupoids to {outdir}"]
     else:
-        for g in members:
-            rep.say(formats.serialize_groupoid(g).rstrip("\n"))
-    rep.result = {"count": len(members), "names": [g.name for g in members]}
-    rep.emit(True)
-    return EXIT_OK
+        lines = [formats.serialize_groupoid(g).rstrip("\n") for g in members]
+    result = {"count": len(members), "names": [g.name for g in members]}
+    return EXIT_OK, result, lines
 
 
 @functools.cache
@@ -488,25 +425,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """Run one subcommand and print its report; return the exit code."""
     args = build_parser().parse_args(argv)
-    rep = _Reporter(args.command, args.json)
+    result, lines, error = {}, [], None
     try:
-        return args.handler(args, rep)
+        code, result, lines = args.handler(args)
     except IsotropyTooLarge as err:
-        rep.emit(False, error=str(err))
-        return EXIT_LIMIT
+        code, error = EXIT_LIMIT, str(err)
     except (ParseError, GroupoidError, DescentError, InvalidGroupTable,
             BadEnvironment, OSError) as err:
-        rep.emit(False, error=str(err))
-        return EXIT_INPUT
+        code, error = EXIT_INPUT, str(err)
     except Exception as err:  # a defect, which must not read as "false"
-        message = f"internal error: {type(err).__name__}: {err}"
-        if rep.as_json:
-            rep.result = {}
-            rep.emit(False, error=message)
-        else:
-            print(message, file=sys.stderr)
-        return EXIT_INTERNAL
+        code = EXIT_INTERNAL
+        error = f"internal error: {type(err).__name__}: {err}"
+        if not args.json:
+            print(error, file=sys.stderr)
+            return code
+    _emit(args.command, args.json, code == EXIT_OK, result, lines, error)
+    return code
 
 
 def main() -> None:

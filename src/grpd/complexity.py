@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from . import groups
 from .bibundle import Bibundle, translation_actions
 from .core import (FinGroupoid, GroupoidError, NatTrans, StrictArrow,
-                   conjugate, restrict, same_groupoid, tabulate, tree_loop)
-from .homotopy import inclusion_functor, skeletonize
+                   conjugate, inclusion_functor, restrict, same_groupoid,
+                   tabulate, tree_loop)
+from .homotopy import skeletonize
 
 
 class NotInvariant(GroupoidError):
@@ -149,17 +150,15 @@ def is_weak_point_subgroupoid(u: Subgroupoid,
     blocks = {g.component_of[x][0] for x in u.objects}
     if len(blocks) > 1:
         return None
-    block = g.component_of[u.objects[0]]
-    x0 = block[0]
-    tree = g.spanning_arrows(block)
+    x0 = g.component_of[u.objects[0]][0]
     sub = u.restriction
     collapse = StrictArrow(
         name=f"collapse_{sub.name}", dom=sub, cod=g,
         obj_map={x: x0 for x in sub.objects},
-        arr_map={a: tree_loop(g, tree, a) for a in sub.arrows})
+        arr_map={a: tree_loop(g, a) for a in sub.arrows})
     homotopy = NatTrans(source_fun=inclusion_functor(sub, g),
                         target_fun=collapse,
-                        component={x: g.inv[tree[x]] for x in sub.objects})
+                        component={x: g.inv[g.tree[x]] for x in sub.objects})
     return WeakPointWitness(point_object=x0, collapse=collapse,
                             homotopy=homotopy)
 

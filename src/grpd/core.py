@@ -115,20 +115,21 @@ class FinGroupoid:
                 table[x] = block
         return table
 
-    def spanning_arrows(self, block: tuple[str, ...]) -> dict[str, str]:
-        """BFS tree arrows ``t[x]: rep -> x`` with rep = least object, t[rep] = unit."""
-        rep = block[0]
-        tree = {rep: self.unit[rep]}
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for x in frontier:
+    @cached_property
+    def tree(self) -> dict[str, str]:
+        """Spanning-tree arrows ``tree[x]: rep -> x``, rep the least object
+        of x's component and ``tree[rep]`` its unit, built component by
+        component in BFS order."""
+        tree: dict[str, str] = {}
+        for block in self.components:
+            queue = [block[0]]
+            tree[block[0]] = self.unit[block[0]]
+            for x in queue:
                 for a in self.arrows_from[x]:
                     y = self.tgt[a]
                     if y not in tree:
                         tree[y] = self.comp[(a, tree[x])]
-                        nxt.append(y)
-            frontier = nxt
+                        queue.append(y)
         return tree
 
     @cached_property
@@ -163,10 +164,9 @@ class FinGroupoid:
                     if y not in reached:
                         reach(y)
 
-        for block in self.components:
-            for a in self.spanning_arrows(block).values():
-                if a not in reached:
-                    add(a)
+        for a in self.tree.values():
+            if a not in reached:
+                add(a)
         for a in self.arrows:
             if a not in reached:
                 add(a)
@@ -214,9 +214,10 @@ def isotropy_table(g: FinGroupoid, x: str):
     return loops, table
 
 
-def tree_loop(g: FinGroupoid, tree: dict[str, str], a: str) -> str:
-    """The loop tree[y]^-1 . a . tree[x] at the base point of the spanning
-    tree ``tree`` (see :meth:`FinGroupoid.spanning_arrows`), for a: x -> y."""
+def tree_loop(g: FinGroupoid, a: str) -> str:
+    """The loop tree[y]^-1 . a . tree[x] at the base point of a's component
+    (see :attr:`FinGroupoid.tree`), for a: x -> y."""
+    tree = g.tree
     return g.comp[(g.inv[tree[g.tgt[a]]], g.comp[(a, tree[g.src[a]])])]
 
 
@@ -526,10 +527,16 @@ def validate_functor(f: StrictArrow) -> StrictArrow:
     return f
 
 
+def inclusion_functor(sub: FinGroupoid, g: FinGroupoid,
+                      name: str | None = None) -> StrictArrow:
+    """The inclusion of a subgroupoid of g, which keeps every id."""
+    return StrictArrow(name=name or f"incl_{sub.name}", dom=sub, cod=g,
+                       obj_map={x: x for x in sub.objects},
+                       arr_map={a: a for a in sub.arrows})
+
+
 def identity_functor(g: FinGroupoid) -> StrictArrow:
-    return StrictArrow(name=f"id_{g.name}", dom=g, cod=g,
-                       obj_map={x: x for x in g.objects},
-                       arr_map={a: a for a in g.arrows})
+    return inclusion_functor(g, g, name=f"id_{g.name}")
 
 
 def compose_functors(g: StrictArrow, f: StrictArrow) -> StrictArrow:
@@ -628,9 +635,8 @@ def enumerate_functors(h: FinGroupoid, g: FinGroupoid) -> list[StrictArrow]:
                     choices.append((rep, b, theta, dict(zip(others, picks))))
         per_component.append(choices)
 
-    trees = {block[0]: h.spanning_arrows(block) for block in h.components}
     rep_of = {a: h.component_of[h.src[a]][0] for a in h.arrows}
-    loop_of = {a: tree_loop(h, trees[rep_of[a]], a) for a in h.arrows}
+    loop_of = {a: tree_loop(h, a) for a in h.arrows}
     out = []
     for combo in product(*per_component):
         obj_map: dict[str, str] = {}
@@ -721,9 +727,9 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
             f"{f.name!r} and {g.name!r} are not parallel")
     dom, cod = f.dom, f.cod
     component: dict[str, str] = {}
+    tree = dom.tree
     for block in dom.components:
         rep = block[0]
-        tree = dom.spanning_arrows(block)
         found = None
         for cand in cod.hom_set(f.obj_map[rep], g.obj_map[rep]):
             local = {x: conjugate(cod, g.arr_map[tree[x]], cand,

@@ -130,13 +130,11 @@ def random_functor(rng: random.Random, a: FinGroupoid,
             else:
                 imgs[x] = rng.choice(sorted(b.arrows_from[target]))
             obj_map[x] = b.tgt[imgs[x]]
-    trees = {block[0]: a.spanning_arrows(block) for block in a.components}
     arr_map = {}
     for c in a.arrows:
         rep = a.component_of[a.src[c]][0]
         arr_map[c] = conjugate(b, imgs[a.tgt[c]],
-                               thetas[rep][tree_loop(a, trees[rep], c)],
-                               imgs[a.src[c]])
+                               thetas[rep][tree_loop(a, c)], imgs[a.src[c]])
     return StrictArrow(name=f"rf[{a.name}->{b.name}]", dom=a, cod=b,
                        obj_map=obj_map, arr_map=arr_map)
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from . import groups
 from .core import (FinGroupoid, StrictArrow, NatTrans, GroupoidError,
                    compose_functors, identity_functor, identity_nat,
-                   isotropy_table, restrict, same_groupoid, tabulate,
-                   tree_loop, whisker)
+                   inclusion_functor, isotropy_table, restrict,
+                   same_groupoid, tabulate, tree_loop, whisker)
 
 
 class InvalidCospan(GroupoidError):
@@ -100,7 +100,7 @@ def _p1(c: Cospan) -> PullbackResult:
 def homotopy_pullback(c: Cospan, n: int = 1) -> PullbackResult:
     """The n-th homotopy pullback of the cospan: chains of n connecting
     arrows threaded between the two legs, with projections and the chain
-    of connecting 2-cells."""
+    of connecting 2-cells; both legs must be valid functors."""
     c.validate()
     if n < 1:
         raise InvalidCospan(f"degree must be >= 1, got {n}")
@@ -285,18 +285,10 @@ def skeletal_retraction(g: FinGroupoid) -> StrictArrow:
     least object by spanning-tree conjugation."""
     reps = [block[0] for block in g.components]
     sub = restrict(g, reps, name=f"sk({g.name})")
-    trees = {block[0]: g.spanning_arrows(block) for block in g.components}
     obj_map = {x: g.component_of[x][0] for x in g.objects}
-    arr_map = {a: tree_loop(g, trees[obj_map[g.src[a]]], a) for a in g.arrows}
+    arr_map = {a: tree_loop(g, a) for a in g.arrows}
     return StrictArrow(name=f"retr_{g.name}", dom=g, cod=sub,
                        obj_map=obj_map, arr_map=arr_map)
-
-
-def inclusion_functor(sub: FinGroupoid, g: FinGroupoid,
-                      name: str | None = None) -> StrictArrow:
-    return StrictArrow(name=name or f"incl_{sub.name}", dom=sub, cod=g,
-                       obj_map={x: x for x in sub.objects},
-                       arr_map={a: a for a in sub.arrows})
 
 
 def skeletal_equivalence_functor(h: FinGroupoid, g: FinGroupoid,

@@ -418,3 +418,79 @@ def test_runtime_imports_only_the_standard_library(files):
         [sys.executable, "-S", "-c", STDLIB_ONLY, files["pair3.grpd"]],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 ['grpd']"
+
+
+def reports(capsys, argv):
+    """(exit code, stdout, stderr) of ``argv`` in text mode, then in JSON
+    mode with the stdout parsed as one report."""
+    text = (run(argv), *capsys.readouterr())
+    code = run(["--json"] + argv)
+    out, err = capsys.readouterr()
+    assert out.endswith("\n") and out.count("\n") == 1
+    return text, (code, json.loads(out), err)
+
+
+@pytest.mark.parametrize("case", ["parse", "groupoid", "descent", "env",
+                                  "missing", "limit"])
+def test_error_reports_are_exact(files, tmp_path, monkeypatch, capsys, case):
+    bad = tmp_path / "bad.grpd"
+    bad.write_text("groupoid g\nnot a line\n", encoding="utf-8")
+    stray = tmp_path / "stray.desc"
+    stray.write_text(STRAY_DATUM + "trans P P u1 u2 a -> b\n",
+                     encoding="utf-8")
+    missing = str(tmp_path / "missing.grpd")
+    argv, cap, code, message = {
+        "parse": (["validate", str(bad)], None, EXIT_INPUT,
+                  f"{bad}:2:1: unknown groupoid line 'not'"),
+        "groupoid": (["morita", files["broken.grpd"], files["pair3.grpd"]],
+                     None, EXIT_INPUT, "inv('1>2') has wrong endpoints"),
+        "descent": (["descent-glue", str(stray)], None, EXIT_INPUT,
+                    "transition over ('u1', 'u2') of ('P', 'P') is not "
+                    "over an overlap pair"),
+        "env": (["skeleton", files["bz2.grpd"]], "abc", EXIT_INPUT,
+                "GRPD_ISOTROPY_CAP must be a positive integer, got 'abc'"),
+        "missing": (["validate", missing], None, EXIT_INPUT,
+                    f"[Errno 2] No such file or directory: {missing!r}"),
+        "limit": (["skeleton", files["bz2.grpd"]], "1", EXIT_LIMIT,
+                  "isotropy order 2 at '*' exceeds cap 1"),
+    }[case]
+    if cap is not None:
+        monkeypatch.setenv("GRPD_ISOTROPY_CAP", cap)
+    text, as_json = reports(capsys, argv)
+    assert text == (code, "", f"error: {message}\n")
+    assert as_json == (code, {"command": argv[0], "ok": False,
+                              "error": message}, "")
+
+
+def test_invalid_groupoid_report_is_exact(files, capsys):
+    # the one non-zero exit whose report has a result and no error
+    text, as_json = reports(capsys, ["validate", files["broken.grpd"]])
+    assert text == (EXIT_INPUT, "invalid: inv('1>2') has wrong endpoints\n",
+                    "")
+    assert as_json == (EXIT_INPUT, {
+        "command": "validate", "ok": False,
+        "result": {"valid": False,
+                   "violation": "inv('1>2') has wrong endpoints",
+                   "witness": "'1>2'"}}, "")
+
+
+def test_pullback_validates_every_groupoid_before_its_legs(tmp_path, capsys):
+    p3 = pair_groupoid("pair3", ["1", "2", "3"])
+    one = restrict(p3, ["1"], name="one")
+    broken = dataclasses.replace(p3, name="broken",
+                                 inv={**p3.inv, "1>2": "1>2"})
+    # a bad first leg, and an invalid groupoid under the second leg
+    bad_leg = StrictArrow(name="f", dom=one, cod=p3, obj_map={"1": "1"},
+                          arr_map={"1>1": "2>2"})
+    second = StrictArrow(name="g", dom=broken, cod=p3,
+                         obj_map={x: x for x in p3.objects},
+                         arr_map={a: a for a in p3.arrows})
+    path = tmp_path / "two_faults.grpd"
+    path.write_text("".join([serialize_groupoid(one), serialize_groupoid(p3),
+                             serialize_groupoid(broken),
+                             serialize_functor(bad_leg),
+                             serialize_functor(second)]), encoding="utf-8")
+    # the groupoid fault is named, not the leg that comes first
+    assert run(["pullback", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == (
+        "", "error: inv('1>2') has wrong endpoints\n")
