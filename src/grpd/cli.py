@@ -11,7 +11,8 @@ GRPD_ISOTROPY_CAP, a positive integer, overrides the group isomorphism cap
 
 Each handler validates every structure it loads (``_validated``) and
 returns ``(exit code, result, text lines)`` without printing; :func:`run`
-maps exceptions to exit codes and prints the one report (``_emit``).
+maps exceptions to exit codes and prints the one report (``_emit``).  A
+reader that closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -441,7 +442,14 @@ def run(argv=None) -> int:
         if not args.json:
             print(error, file=sys.stderr)
             return code
-    _emit(args.command, args.json, code == EXIT_OK, result, lines, error)
+    try:
+        _emit(args.command, args.json, code == EXIT_OK, result, lines, error)
+    except BrokenPipeError:
+        # the reader closed stdout early (as ``| head`` does); the verdict
+        # stands, and the interpreter's flush at exit goes to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 
 
 class GroupoidError(Exception):
@@ -585,12 +585,20 @@ def validate_nat(t: NatTrans) -> NatTrans:
         if cod.src[c] != f.obj_map[x] or cod.tgt[c] != g.obj_map[x]:
             raise BadNatTrans(f"component at {x!r} has wrong endpoints",
                               witness=x)
-    for a in f.dom.arrows:
-        x, y = f.dom.src[a], f.dom.tgt[a]
-        if (cod.comp[(g.arr_map[a], t.component[x])]
-                != cod.comp[(t.component[y], f.arr_map[a])]):
-            raise BadNatTrans(f"naturality fails on arrow {a!r}", witness=a)
+    a = _unnatural(f, g, t.component, f.dom.arrows)
+    if a is not None:
+        raise BadNatTrans(f"naturality fails on arrow {a!r}", witness=a)
     return t
+
+
+def _unnatural(f: StrictArrow, g: StrictArrow, component, arrows):
+    """The first of ``arrows`` a: x -> y on which the arrows component[x]:
+    f(x) -> g(x) fail naturality, g(a) . component[x] = component[y] . f(a);
+    None when they are natural on all of them."""
+    comp, src, tgt = f.cod.comp, f.dom.src, f.dom.tgt
+    return next((a for a in arrows
+                 if comp[g.arr_map[a], component[src[a]]]
+                 != comp[component[tgt[a]], f.arr_map[a]]), None)
 
 
 def identity_nat(f: StrictArrow) -> NatTrans:
@@ -720,7 +728,8 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
 
     The component at a component's base point determines all others by
     naturality along spanning-tree arrows, so only base-point candidates
-    are tried; a full naturality sweep then accepts or rejects each choice.
+    are tried; a naturality sweep over the arrows leaving the component
+    then accepts or rejects each choice.
     """
     if not (same_groupoid(f.dom, g.dom) and same_groupoid(f.cod, g.cod)):
         raise SignatureMismatch(
@@ -730,24 +739,14 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
     tree = dom.tree
     for block in dom.components:
         rep = block[0]
-        found = None
         for cand in cod.hom_set(f.obj_map[rep], g.obj_map[rep]):
             local = {x: conjugate(cod, g.arr_map[tree[x]], cand,
                                   f.arr_map[tree[x]])
                      for x in block}
-            ok = True
-            for a in dom.arrows:
-                x, y = dom.src[a], dom.tgt[a]
-                if x not in local:
-                    continue
-                if (cod.comp[(g.arr_map[a], local[x])]
-                        != cod.comp[(local[y], f.arr_map[a])]):
-                    ok = False
-                    break
-            if ok:
-                found = local
+            leaving = chain.from_iterable(dom.arrows_from[x] for x in block)
+            if _unnatural(f, g, local, leaving) is None:
+                component.update(local)
                 break
-        if found is None:
+        else:
             return None
-        component.update(found)
     return NatTrans(source_fun=f, target_fun=g, component=component)

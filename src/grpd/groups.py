@@ -3,17 +3,20 @@
 Tables are square tuples of tuples over indices 0..n-1 with ``t[a][b]`` the
 product a*b.  The identity may sit at any index.  Everything here is exact,
 sized for the small isotropy groups this package meets (the hard cap is
-enforced by callers, default 24).  Isomorphism and homomorphism search map
-the first irredundant generating tuple and extend by products.  The
-canonical form searches only the generating tuples that can give the least
-relabelled table (the shortest ones that start with an involution) and drops
-a candidate at its first row above the best so far.
+enforced by callers, default 24).  One builder, ``_table``, tabulates a
+list of elements under a product.  One hom search, ``_homs``, maps the first
+irredundant generating tuple and extends by products; it lists the
+homomorphisms and finds the least isomorphism.  The canonical form searches
+only the generating tuples that can give the least relabelled table (the
+shortest ones that start with an involution) and drops a candidate at its
+first row above the best so far.  Equal canonical forms decide isomorphism
+at run time; the brute-force ``is_isomorphic`` is the tests' oracle for them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, count, product
+from itertools import chain, combinations, count, permutations, product
 
 
 class InvalidGroupTable(Exception):
@@ -31,13 +34,7 @@ def validate_table(t) -> int:
         if len(row) != n or any(not (0 <= v < n) for v in row):
             raise InvalidGroupTable("table is not square over 0..n-1",
                                     witness=row)
-    e = None
-    for i in range(n):
-        if all(t[i][j] == j and t[j][i] == j for j in range(n)):
-            e = i
-            break
-    if e is None:
-        raise InvalidGroupTable("no two-sided identity")
+    e = identity_of(t)
     for a in range(n):
         if not any(t[a][b] == e and t[b][a] == e for b in range(n)):
             raise InvalidGroupTable(f"element {a} has no inverse", witness=a)
@@ -191,93 +188,77 @@ def _extend_by_products(t1, t2, e1, e2, gens, images, order1):
     return phi
 
 
-def is_isomorphic(t1, t2) -> bool:
-    """Brute-force isomorphism test, mapping an irredundant generating
-    sequence of t1 into t2 and extending by products (independent of
-    canonical_form, so the two decide each other's correctness in tests)."""
-    n = len(t1)
-    if len(t2) != n:
-        return False
-    e1, e2 = identity_of(t1), identity_of(t2)
-    orders1, orders2 = _element_orders(t1, e1), _element_orders(t2, e2)
-    if sorted(orders1) != sorted(orders2):
-        return False
-    gens = next(_generating_sequences(t1, e1))
-    candidates = [[b for b in range(n) if orders2[b] == orders1[g]]
-                  for g in gens]
-    order1 = _bfs_order(t1, e1, gens)
-    for images in product(*candidates):
-        phi = _extend_by_products(t1, t2, e1, e2, gens, images, order1)
-        if phi is not None and len(set(phi.values())) == n:
-            return True
-    return False
-
-
-@lru_cache(maxsize=None)
-def enumerate_homs(t1, t2) -> tuple[tuple[int, ...], ...]:
-    """All group homomorphisms t1 -> t2 as image tuples indexed by t1."""
+def _homs(t1, t2, iso=False):
+    """Homomorphisms t1 -> t2 as image tuples indexed by t1, each once, or
+    only the injective ones when ``iso`` (isomorphisms, for equal sizes).
+    A generator's candidate images are the elements whose order divides its
+    order, or equals it when ``iso``."""
     n1 = len(t1)
     e1, e2 = identity_of(t1), identity_of(t2)
     orders1, orders2 = _element_orders(t1, e1), _element_orders(t2, e2)
     gens = next(_generating_sequences(t1, e1))
-    candidates = [[b for b in range(len(t2)) if orders1[g] % orders2[b] == 0]
+    candidates = [[b for b, k in enumerate(orders2)
+                   if (k == orders1[g] if iso else orders1[g] % k == 0)]
                   for g in gens]
     order1 = _bfs_order(t1, e1, gens)
-    out = []
     for images in product(*candidates):
         phi = _extend_by_products(t1, t2, e1, e2, gens, images, order1)
-        if phi is not None:
-            out.append(tuple(phi[a] for a in range(n1)))
-    return tuple(sorted(set(out)))
+        if phi is not None and (not iso or len(set(phi.values())) == n1):
+            yield tuple(phi[a] for a in range(n1))
+
+
+def is_isomorphic(t1, t2) -> bool:
+    """Brute-force isomorphism test by the hom search.  It is independent of
+    canonical_form, so the tests check each against the other."""
+    # the sorted order lists differ in length when the sizes differ
+    if (sorted(_element_orders(t1, identity_of(t1)))
+            != sorted(_element_orders(t2, identity_of(t2)))):
+        return False
+    return next(_homs(t1, t2, iso=True), None) is not None
+
+
+@lru_cache(maxsize=None)
+def enumerate_homs(t1, t2) -> tuple[tuple[int, ...], ...]:
+    """All group homomorphisms t1 -> t2 as sorted image tuples indexed by
+    t1."""
+    return tuple(sorted(_homs(t1, t2)))
 
 
 def find_isomorphism(t1, t2) -> tuple[int, ...] | None:
-    """Some isomorphism t1 -> t2 as an image tuple, or None."""
+    """The least isomorphism t1 -> t2 as an image tuple, or None."""
     if len(t1) != len(t2):
         return None
-    for phi in enumerate_homs(t1, t2):
-        if len(set(phi)) == len(t1):
-            return phi
-    return None
+    return min(_homs(t1, t2, iso=True), default=None)
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
+def _table(elements, mul):
+    """The multiplication table of ``elements`` under ``mul``, indexed in
+    the order given."""
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[mul(x, y)] for y in elements) for x in elements)
+
+
 def cyclic(n: int):
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    return _table(range(n), lambda i, j: (i + j) % n)
 
 
 def direct_product(s, t):
-    ns, nt = len(s), len(t)
-
-    def idx(i, j):
-        return i * nt + j
-
-    table = [[0] * (ns * nt) for _ in range(ns * nt)]
-    for i1 in range(ns):
-        for j1 in range(nt):
-            for i2 in range(ns):
-                for j2 in range(nt):
-                    table[idx(i1, j1)][idx(i2, j2)] = idx(s[i1][i2], t[j1][j2])
-    return tuple(tuple(row) for row in table)
+    """Pairs (i, j) at index i * |t| + j."""
+    return _table(list(product(range(len(s)), range(len(t)))),
+                  lambda x, y: (s[x[0]][y[0]], t[x[1]][y[1]]))
 
 
 def dihedral(n: int):
     """Order 2n: pairs (eps, i) = s^eps r^i with s r^i s = r^-i."""
 
-    def idx(eps, i):
-        return eps * n + i
+    def mul(x, y):
+        return (x[0] + y[0]) % 2, (x[1] * (-1 if y[0] else 1) + y[1]) % n
 
-    table = [[0] * (2 * n) for _ in range(2 * n)]
-    for e1 in range(2):
-        for i1 in range(n):
-            for e2 in range(2):
-                for i2 in range(n):
-                    i = (i1 * (-1 if e2 else 1) + i2) % n
-                    table[idx(e1, i1)][idx(e2, i2)] = idx((e1 + e2) % 2, i)
-    return tuple(tuple(row) for row in table)
+    return _table(list(product(range(2), range(n))), mul)
 
 
 def dicyclic(n: int):
@@ -285,45 +266,18 @@ def dicyclic(n: int):
     b a b^-1 = a^-1.  dicyclic(2) is the quaternion group."""
     m = 2 * n
 
-    def idx(eps, i):
-        return eps * m + i
+    def mul(x, y):
+        i = (x[1] * (-1 if y[0] else 1) + y[1]) % m
+        return (0, (i + n) % m) if x[0] and y[0] else (x[0] + y[0], i)
 
-    table = [[0] * (4 * n) for _ in range(4 * n)]
-    for e1 in range(2):
-        for i1 in range(m):
-            for e2 in range(2):
-                for i2 in range(m):
-                    i = (i1 * (-1 if e2 else 1) + i2) % m
-                    if e1 and e2:
-                        table[idx(e1, i1)][idx(e2, i2)] = idx(0, (i + n) % m)
-                    else:
-                        table[idx(e1, i1)][idx(e2, i2)] = idx((e1 + e2) % 2, i)
-    return tuple(tuple(row) for row in table)
-
-
-def _perm_group(gens):
-    deg = len(gens[0])
-    ident = tuple(range(deg))
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[i]] for i in range(deg))
-                if q not in elems:
-                    elems.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    ordered = sorted(elems)
-    index = {p: i for i, p in enumerate(ordered)}
-    table = tuple(tuple(index[tuple(p[q[i]] for i in range(deg))]
-                        for q in ordered) for p in ordered)
-    return table
+    return _table(list(product(range(2), range(m))), mul)
 
 
 def alternating4():
-    return _perm_group([(1, 2, 0, 3), (0, 2, 3, 1)])
+    """The even permutations of 0..3 in sorted order, under composition."""
+    even = [p for p in permutations(range(4))
+            if sum(p[i] > p[j] for i, j in combinations(range(4), 2)) % 2 == 0]
+    return _table(even, lambda p, q: tuple(p[i] for i in q))
 
 
 def symmetric3():

@@ -26,8 +26,7 @@ from grpd.corpus import (CorpusConfig, corpus_groupoids, inflate,
                          random_datum, random_functor)
 from grpd.descent import check_cocycle, check_subcanonical, descend, glue
 from grpd.homotopy import (are_morita_homotopy_equivalent,
-                           is_essential_homotopy_equivalence, skeleton_equal,
-                           skeletonize)
+                           is_essential_homotopy_equivalence, skeletonize)
 
 SEED = 20250810
 
@@ -120,7 +119,8 @@ def test_criterion_3_invariance_under_inflation(corpus):
         stats.update(groupoids=len(corpus), failures=0)
 
 
-def test_criterion_4_equivalence_relation_laws(corpus, skeletons):
+def test_criterion_4_equivalence_relation_laws(corpus, skeletons,
+                                               isomorphic_skeletons):
     with criterion(4, "equivalence-relation laws") as stats:
         for g in corpus:
             span = are_morita_homotopy_equivalent(g, g)
@@ -141,7 +141,8 @@ def test_criterion_4_equivalence_relation_laws(corpus, skeletons):
             ab = are_morita_homotopy_equivalent(a, b)
             ba = are_morita_homotopy_equivalent(b, a)
             assert (ab is None) == (ba is None), (a.name, b.name)
-            expected = skeleton_equal(skeletons[a.name], skeletons[b.name])
+            expected = isomorphic_skeletons(skeletons[a.name],
+                                            skeletons[b.name])
             assert (ab is not None) == expected, (a.name, b.name)
             if ab is not None and a.name != b.name:
                 equivalent.append((a, b))

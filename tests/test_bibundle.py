@@ -17,7 +17,7 @@ from grpd.core import (StrictArrow, compose_functors, discrete_groupoid,
                        index_arrows, pair_groupoid, partition, restrict,
                        same_groupoid, terminal_groupoid, validate_functor)
 from grpd.corpus import random_functor, random_groupoid, transitive_groupoid
-from grpd.homotopy import skeleton_equal, skeletonize
+from grpd.homotopy import skeletonize
 
 
 BZ2 = point_groupoid("BZ2", groups.cyclic(2))
@@ -804,13 +804,13 @@ def test_same_groupoid_gives_unit():
     assert bibundles_isomorphic(w, unit_bibundle(P2)) is not None
 
 
-def test_decision_agrees_with_skeletons(corpus):
+def test_decision_agrees_with_skeletons(corpus, isomorphic_skeletons):
     sks = {g.name: skeletonize(g) for g in corpus[:14]}
     for g in corpus[:14]:
         for h in corpus[:14]:
             w = are_morita_equivalent(g, h)
-            assert (w is not None) == skeleton_equal(sks[g.name],
-                                                     sks[h.name])
+            assert (w is not None) == isomorphic_skeletons(sks[g.name],
+                                                           sks[h.name])
             if w is not None:
                 assert validate_bibundle(w).is_equivalence
 

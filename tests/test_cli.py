@@ -420,6 +420,22 @@ def test_runtime_imports_only_the_standard_library(files):
     assert out.splitlines()[-1] == "0 ['grpd']"
 
 
+def test_a_reader_closing_the_pipe_early_is_not_a_failure():
+    """As in ``grpd corpus ... | head -1``: the report (549 KB) overflows
+    the pipe, so writes after the reader closes it fail."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grpd.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "grpd.cli", "corpus", "--seed", "1",
+            "--count", "20"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline().startswith("groupoid ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_OK
+    assert "Traceback" not in err
+
+
 def reports(capsys, argv):
     """(exit code, stdout, stderr) of ``argv`` in text mode, then in JSON
     mode with the stdout parsed as one report."""

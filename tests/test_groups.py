@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -138,6 +139,23 @@ def test_find_isomorphism_produces_an_isomorphism():
                                        groups.cyclic(2))) is None
 
 
+@pytest.mark.parametrize("name", [n for n, t in CATALOG if len(t) <= 6])
+def test_find_isomorphism_is_the_least_isomorphism(name):
+    """The morita witness depends on which isomorphism is returned."""
+    t = dict(CATALOG)[name]
+    rng = random.Random(name)
+    same_order = [u for _, u in CATALOG if len(u) == len(t)]
+    for _ in range(3):
+        perm = list(range(len(t)))
+        rng.shuffle(perm)
+        t2 = relabel(t, perm)
+        for u in same_order + [t2]:
+            bijective = [phi for phi in oracle_homs(u, t2)
+                         if len(set(phi)) == len(t)]
+            assert groups.find_isomorphism(u, t2) == min(bijective,
+                                                          default=None)
+
+
 # ---------------------------------------------------------------------------
 # canonical_form against the unpruned search it replaced
 
@@ -230,3 +248,49 @@ def test_canonical_form_matches_unpruned_oracle_at_order_24(name):
     perm = list(range(len(t)))
     random.Random(name).shuffle(perm)
     check_against_oracle(relabel(t, perm))
+
+
+# sha256 of each table written as rows of comma-separated products joined
+# by ";".  Corpus arrow ids x>y:k index these tables, so relabelling one
+# would change generated groupoids without failing any other check.
+TABLE_DIGESTS = {
+    "1": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
+    "Z2": "76ad032a0dcb94eeebc137cc2f444049cdc8a5fefd36a80408beb008f14259fd",
+    "Z3": "727e84e44e568f8ef5bb50e4b5206dbe63c69ad8bbceb200d5d8c8e70153ad0d",
+    "Z4": "c9e9175baa7219b5d8c9cfa4d5067d18d6dd8307949c224c1de2e4096c207812",
+    "Z2xZ2": "15e55b02032971d0db913f75c8b83a1a1545f027b24830d66a1df2ad5e2f1097",
+    "Z5": "8a9b85ea41fd37cbb6de3524153b5f26cb43e9db15593e6774439b39caef8553",
+    "Z6": "b0bfa77008822f24c88152047417d74096d0f54c6cf46fc4785e84e717ef2804",
+    "S3": "5574279abcacc3f801c12527c7c86a8ea7d3fafa656a2a2d27938327353dae1b",
+    "Z7": "3a08cc25a7a53f884bd6a55880dcc56ab6a38601fd95c454b7a0a40a0ba11e64",
+    "Z8": "9576774ef760e0051138f5c81356af9fa1d6fc3f2a328a9cc3fc4b265e7af529",
+    "Z4xZ2": "dc5c84d8ff9b246b4960b1c6dbe8adbd5ef285e3685bf0653c1b8560bf37c0d6",
+    "Z2xZ2xZ2":
+        "945d04c793ec3697d8e81d7d406c5db635af666d129ef169364c16914292eb0a",
+    "D4": "37cf3bf6856f5dbb6e9b2b436a82275f8f8d5ca1c6239fc355d3892a709f938b",
+    "Q8": "23f2352a5e2f62c6eea6d0e7205f53f6ad35fc0f017a08cca59ca91612d10676",
+    "Z9": "cf7443150fe88cb5563aac0eb2d1f9532bd9ffa799d73481c760cb9664157906",
+    "Z3xZ3": "8a8208fcf185d52ad2ebdf096378604c428d36f3c823a0539c7d4dacb54b170c",
+    "Z10": "6caea42b4afd5a9e7932689a69565340c62ebcb54f7dcedfdb7d2b891ee2f39f",
+    "D5": "c5ba76471ca4054c005c968da94a00446b02fb1c75502e9dd35c4c7de2378a89",
+    "Z11": "c19ccd20c6d41c633216ceaa728b8507db08bfd86818213a8ffef411a624ddb9",
+    "Z12": "c6a679141e7ff660ec148e3a9dc0af1a68fc3aa2e41c9f9108ecbad885c7e799",
+    "Z6xZ2": "17450c8a8cdd9a018c78a07327ac4a7a698eda13831a3b061386b10d67b4c37e",
+    "D6": "363f2a648f928276f68e40dc1167d4a1816479701d9ad5a3ec10900c3a276f86",
+    "A4": "2f60b78bea903c247c0e60392e2d10eeb00f5d65b68a384a694ae70668691909",
+    "Dic3": "c14eb1c0f459068a5d3954f70b9d785c269040f2aea1ef06d44933111ca12f32",
+    "A4xZ2": "8e48507ef828d67e0003c23f069ed8120bba8ccc1d47bbf908230d876669bf0f",
+    "D6xZ2": "20a6d6582ef083de8c6e7a023c144c66f692d8185ce251c36b9ef83a8157c3ca",
+    "Dic3xZ2":
+        "6eba2553125496bdd9ef3990766601b3ca229931645fefc0cc3714cdffcaede4",
+    "Q8xZ3": "c4352d0a9f1fc74534e20252dd13125789b2c018dcfa4f5464550043257b79df",
+    "Z2^3xZ3":
+        "362cff20ce71b9e45a1c150bad7a42bf12da67cd70abf6a92c98213b5581fc9e",
+}
+
+
+def test_builder_tables_are_pinned():
+    tables = dict(groups.small_groups(24), **ORDER_24)
+    assert {name: hashlib.sha256(";".join(",".join(map(str, row))
+                                          for row in t).encode()).hexdigest()
+            for name, t in tables.items()} == TABLE_DIGESTS

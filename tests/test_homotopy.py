@@ -218,12 +218,12 @@ def test_same_groupoid_identity_span():
     assert span.left_leg.obj_map == {x: x for x in P2.objects}
 
 
-def test_spans_validated_across_corpus(corpus):
+def test_spans_validated_across_corpus(corpus, isomorphic_skeletons):
     members = corpus[:10]
     for g in members:
         for h in members:
             span = are_morita_homotopy_equivalent(g, h)
-            agree = skeleton_equal(skeletonize(g), skeletonize(h))
+            agree = isomorphic_skeletons(skeletonize(g), skeletonize(h))
             assert (span is not None) == agree
             if span is not None:
                 assert is_essential_homotopy_equivalence(span.left_leg)
@@ -232,6 +232,14 @@ def test_spans_validated_across_corpus(corpus):
 
 # ---------------------------------------------------------------------------
 # skeletons
+
+
+def test_skeleton_equal_agrees_with_brute_force(corpus,
+                                                isomorphic_skeletons):
+    sks = [skeletonize(g) for g in corpus]
+    verdicts = [skeleton_equal(a, b) for a in sks for b in sks]
+    assert verdicts == [isomorphic_skeletons(a, b) for a in sks for b in sks]
+    assert len(sks) < verdicts.count(True) < len(verdicts)
 
 
 def test_skeleton_of_pair_groupoids():
