@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 
 
 class GroupoidError(Exception):
@@ -728,8 +728,9 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
 
     The component at a component's base point determines all others by
     naturality along spanning-tree arrows, so only base-point candidates
-    are tried; a naturality sweep over the arrows leaving the component
-    then accepts or rejects each choice.
+    are tried; a naturality sweep over the arrows leaving the base point
+    then accepts or rejects each choice.  These suffice: they generate the
+    component, and naturality is closed under composition and inverses.
     """
     if not (same_groupoid(f.dom, g.dom) and same_groupoid(f.cod, g.cod)):
         raise SignatureMismatch(
@@ -743,8 +744,7 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
             local = {x: conjugate(cod, g.arr_map[tree[x]], cand,
                                   f.arr_map[tree[x]])
                      for x in block}
-            leaving = chain.from_iterable(dom.arrows_from[x] for x in block)
-            if _unnatural(f, g, local, leaving) is None:
+            if _unnatural(f, g, local, dom.arrows_from[rep]) is None:
                 component.update(local)
                 break
         else:

@@ -69,8 +69,8 @@ def random_groupoid(rng: random.Random, name: str,
     of group tables) pins the equivalence class while sizes stay random;
     orbit sizes grow only while the total object and arrow budgets allow
     (a block of size m with isotropy K contributes m^2 |K| arrows)."""
-    catalog = [t for _, t in groups.small_groups(max_isotropy)]
     if skeleton_spec is None:
+        catalog = [t for _, t in groups.small_groups(max_isotropy)]
         n_orbits = rng.randint(1, max(1, max_objects // 2))
         skeleton_spec = [rng.choice(catalog) for _ in range(n_orbits)]
     buckets = len(skeleton_spec)

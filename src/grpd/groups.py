@@ -4,14 +4,14 @@ Tables are square tuples of tuples over indices 0..n-1 with ``t[a][b]`` the
 product a*b.  The identity may sit at any index.  Everything here is exact,
 sized for the small isotropy groups this package meets (the hard cap is
 enforced by callers, default 24).  One builder, ``_table``, tabulates a
-list of elements under a product.  One hom search, ``_homs``, maps the first
-irredundant generating tuple and extends by products; it lists the
-homomorphisms and finds the least isomorphism.  The canonical form searches
-only the generating tuples that can give the least relabelled table (the
-shortest ones that start with an involution) and drops a candidate at its
-first row above the best so far.  Equal canonical forms decide isomorphism
-at run time; the brute-force ``is_isomorphic`` is the tests' oracle for them.
-"""
+list of elements under a product.  One hom search, ``_homs``, lists the
+homomorphisms from the first irredundant generating tuple.  The canonical
+form searches only the generating tuples that can give the least relabelled
+table (the shortest ones that start with an involution) and drops a
+candidate at its first row above the best so far.  Canonical forms decide
+isomorphism at run time and certify it: the orders that attain the form,
+one per automorphism, give the least isomorphism.  The brute-force
+``is_isomorphic`` is the tests' oracle for them."""
 
 from __future__ import annotations
 
@@ -115,10 +115,15 @@ def _generating_sequences(t, e, firsts=None, max_len=None):
     yield from rec({e})
 
 
-@lru_cache(maxsize=None)
 def canonical_form(t) -> tuple[int, ...]:
     """Isomorphism-invariant flattening: least BFS-relabelled table over all
     irredundant generating tuples.  Equal canonical forms iff isomorphic."""
+    return _canonical(t)[0]
+
+
+@lru_cache(maxsize=None)
+def _canonical(t):
+    """The canonical form and every BFS order that attains it (the ties)."""
     n = len(t)
     e = identity_of(t)
     # Only tuples that can reach the minimum are searched.  For a tuple
@@ -141,22 +146,25 @@ def canonical_form(t) -> tuple[int, ...]:
             break
     best = None
     for gens in chain((first,), seqs):
-        order = _bfs_order(t, e, gens)
+        order = tuple(_bfs_order(t, e, gens))
         pos = [0] * n
         for i, x in enumerate(order):
             pos[x] = i
         rows = (tuple([pos[y] for y in map(t[a].__getitem__, order)])
                 for a in order)
         if best is None:
-            best = list(rows)
+            best, ties = list(rows), [order]
             continue
         # compare row by row; build the rest only for a new best
         for i, row in enumerate(rows):
             if row != best[i]:
                 if row < best[i]:
                     best[i:] = [row, *rows]
+                    ties = [order]
                 break
-    return tuple(chain.from_iterable(best))
+        else:
+            ties.append(order)
+    return tuple(chain.from_iterable(best)), tuple(ties)
 
 
 def unflatten(flat: tuple[int, ...]):
@@ -188,22 +196,20 @@ def _extend_by_products(t1, t2, e1, e2, gens, images, order1):
     return phi
 
 
-def _homs(t1, t2, iso=False):
-    """Homomorphisms t1 -> t2 as image tuples indexed by t1, each once, or
-    only the injective ones when ``iso`` (isomorphisms, for equal sizes).
-    A generator's candidate images are the elements whose order divides its
-    order, or equals it when ``iso``."""
+def _homs(t1, t2):
+    """Homomorphisms t1 -> t2 as image tuples indexed by t1, each once.  A
+    generator's candidate images are the elements whose order divides its
+    order."""
     n1 = len(t1)
     e1, e2 = identity_of(t1), identity_of(t2)
     orders1, orders2 = _element_orders(t1, e1), _element_orders(t2, e2)
     gens = next(_generating_sequences(t1, e1))
-    candidates = [[b for b, k in enumerate(orders2)
-                   if (k == orders1[g] if iso else orders1[g] % k == 0)]
+    candidates = [[b for b, k in enumerate(orders2) if orders1[g] % k == 0]
                   for g in gens]
     order1 = _bfs_order(t1, e1, gens)
     for images in product(*candidates):
         phi = _extend_by_products(t1, t2, e1, e2, gens, images, order1)
-        if phi is not None and (not iso or len(set(phi.values())) == n1):
+        if phi is not None:
             yield tuple(phi[a] for a in range(n1))
 
 
@@ -214,7 +220,7 @@ def is_isomorphic(t1, t2) -> bool:
     if (sorted(_element_orders(t1, identity_of(t1)))
             != sorted(_element_orders(t2, identity_of(t2)))):
         return False
-    return next(_homs(t1, t2, iso=True), None) is not None
+    return any(len(set(phi)) == len(t1) for phi in _homs(t1, t2))
 
 
 @lru_cache(maxsize=None)
@@ -226,9 +232,17 @@ def enumerate_homs(t1, t2) -> tuple[tuple[int, ...], ...]:
 
 def find_isomorphism(t1, t2) -> tuple[int, ...] | None:
     """The least isomorphism t1 -> t2 as an image tuple, or None."""
-    if len(t1) != len(t2):
+    (form1, ties1), (form2, ties2) = _canonical(t1), _canonical(t2)
+    if form1 != form2:  # also when the sizes differ
         return None
-    return min(_homs(t1, t2, iso=True), default=None)
+    # An isomorphism phi maps the tuples searched in t1 (irredundant,
+    # shortest, involution first) onto those searched in t2, and a BFS order
+    # o onto phi(o), which relabels to the same table.  Orders start with
+    # their distinct tuples, so phi -> phi(o1) is a bijection from the
+    # isomorphisms onto t2's tied orders, with inverse o -> (o1[i] -> o[i]).
+    o1 = ties1[0]
+    at = sorted(range(len(t1)), key=o1.__getitem__)  # o1[at[a]] == a
+    return min(tuple(map(o.__getitem__, at)) for o in ties2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,16 @@ from grpd import groups
 
 
 CATALOG = groups.small_groups(12)
+# products of order 24, beyond the catalog
+Z2, Z3 = groups.cyclic(2), groups.cyclic(3)
+ORDER_24 = {
+    "A4xZ2": groups.direct_product(groups.alternating4(), Z2),
+    "Dic3xZ2": groups.direct_product(groups.dicyclic(3), Z2),
+    "Q8xZ3": groups.direct_product(groups.dicyclic(2), Z3),
+    "Z2^3xZ3": groups.direct_product(
+        Z2, groups.direct_product(Z2, groups.direct_product(Z2, Z3))),
+    "D6xZ2": groups.direct_product(groups.dihedral(6), Z2),
+}
 
 
 def relabel(table, perm):
@@ -139,21 +149,58 @@ def test_find_isomorphism_produces_an_isomorphism():
                                        groups.cyclic(2))) is None
 
 
-@pytest.mark.parametrize("name", [n for n, t in CATALOG if len(t) <= 6])
+def least_isomorphism(t1, t2, homs):
+    return min((phi for phi in homs(t1, t2) if len(set(phi)) == len(t1)),
+               default=None)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n, t in CATALOG if len(t) <= 6] + sorted(ORDER_24))
 def test_find_isomorphism_is_the_least_isomorphism(name):
-    """The morita witness depends on which isomorphism is returned."""
-    t = dict(CATALOG)[name]
+    """The morita witness depends on which isomorphism is returned.  Up to
+    order 6 every map is tried; at order 24 the hom search, checked against
+    every map above, lists the candidates."""
+    tables = dict(CATALOG, **ORDER_24)
+    t = tables[name]
     rng = random.Random(name)
-    same_order = [u for _, u in CATALOG if len(u) == len(t)]
-    for _ in range(3):
+    same_order = [u for u in tables.values() if len(u) == len(t)]
+    small = len(t) <= 6
+    for _ in range(3 if small else 1):
         perm = list(range(len(t)))
         rng.shuffle(perm)
         t2 = relabel(t, perm)
         for u in same_order + [t2]:
-            bijective = [phi for phi in oracle_homs(u, t2)
-                         if len(set(phi)) == len(t)]
-            assert groups.find_isomorphism(u, t2) == min(bijective,
-                                                          default=None)
+            expected = least_isomorphism(
+                u, t2, oracle_homs if small else groups.enumerate_homs)
+            assert groups.find_isomorphism(u, t2) == expected
+
+
+def test_find_isomorphism_runs_no_hom_search(monkeypatch):
+    """The witness is read off the canonical search alone."""
+    rng = random.Random(7)
+    cases = []
+    for name, t in [*groups.small_groups(24), *ORDER_24.items()]:
+        perm = list(range(len(t)))
+        rng.shuffle(perm)
+        t2 = relabel(t, perm)
+        cases.append((name, t, t2,
+                      least_isomorphism(t, t2, groups.enumerate_homs)))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("hom search on the isomorphism path")
+
+    monkeypatch.setattr(groups, "_homs", no_search)
+    for name, t, t2, expected in cases:
+        assert expected is not None
+        assert groups.find_isomorphism(t, t2) == expected, name
+
+
+@pytest.mark.parametrize("name", [n for n, _ in CATALOG] + sorted(ORDER_24))
+def test_tied_orders_are_one_per_automorphism(name):
+    t = dict(CATALOG, **ORDER_24)[name]
+    automorphisms = [phi for phi in groups.enumerate_homs(t, t)
+                     if len(set(phi)) == len(t)]
+    assert len(groups._canonical(t)[1]) == len(automorphisms)
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +277,6 @@ def test_canonical_form_matches_unpruned_oracle(name, t, rnd):
     rnd.shuffle(perm)
     check_against_oracle(relabel(t, perm))
 
-
-Z2, Z3 = groups.cyclic(2), groups.cyclic(3)
-ORDER_24 = {
-    "A4xZ2": groups.direct_product(groups.alternating4(), Z2),
-    "Dic3xZ2": groups.direct_product(groups.dicyclic(3), Z2),
-    "Q8xZ3": groups.direct_product(groups.dicyclic(2), Z3),
-    "Z2^3xZ3": groups.direct_product(
-        Z2, groups.direct_product(Z2, groups.direct_product(Z2, Z3))),
-    "D6xZ2": groups.direct_product(groups.dihedral(6), Z2),
-}
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_24))
