@@ -45,7 +45,8 @@ class Action:
     the end ``meets`` of c that sits at ``actor[z]``, with ``acting(x)``
     the arrows whose ``meets`` end is x; and the end ``lands`` that z moved
     by c sits over.  Acting by p and then q is acting by ``comp[key(p, q)]``,
-    and ``key(*k)`` turns a key k back into (z, c)."""
+    ``key(*k)`` turns a key k back into (z, c), and ``written(table)``
+    rekeys a whole ``act`` table that way without a call per key."""
     groupoid: FinGroupoid
     carrier: tuple[str, ...]
     actor: dict[str, str]
@@ -78,6 +79,10 @@ class RightAction(Action):
     def key(z, c):
         return z, c
 
+    @staticmethod
+    def written(table):
+        return table
+
     def acting(self, x):
         return self.groupoid.arrows_into[x]
 
@@ -88,6 +93,10 @@ class LeftAction(Action):
     @staticmethod
     def key(z, c):
         return c, z
+
+    @staticmethod
+    def written(table):
+        return {(z, c): w for (c, z), w in table.items()}
 
     def acting(self, x):
         return self.groupoid.arrows_from[x]
@@ -107,8 +116,12 @@ def validate_action(a: Action) -> Action:
         if actor.get(z) not in objects:
             raise BadAction(f"actor undefined or invalid at {z!r}", witness=z)
 
+    # ``act`` keyed (z, c) on either side, so that no lookup below calls
+    # ``key``
+    moved = a.written(act)
+
     def placed(z, c):
-        w = act.get(key(z, c))
+        w = moved.get((z, c))
         return w in points and actor[w] == lands[c]
 
     # The table is right iff each arrow acting on each point has a
@@ -134,7 +147,7 @@ def validate_action(a: Action) -> Action:
                                 + " or ".join(key("point", "arrow")),
                                 witness=k)
     for z in a.carrier:
-        if act[key(z, g.unit[actor[z]])] != z:
+        if moved[z, g.unit[actor[z]]] != z:
             raise BadAction(f"unit acts nontrivially on {z!r}", witness=z)
     # Light's test, as in validate_groupoid, with the generator acting
     # second.  Write p*q for comp[key(p, q)], acting by p and then q.  The
@@ -145,12 +158,15 @@ def validate_action(a: Action) -> Action:
     #                 = z.(p*(q1*q2)),
     # using q2, q1, q2 and associativity in g, in turn.  Every arrow is an
     # iterated composite of g.generators, so checking those covers all.
+    # Each arrow p's steps (q, p*q) are composed once, not once per point.
     gens = index_arrows(g.generators, meets)
+    steps = {p: [(q, g.comp[key(p, q)]) for q in gens.get(lands[p], ())]
+             for p in g.arrows}
     for z in a.carrier:
         for p in a.acting(actor[z]):
-            zp = act[key(z, p)]
-            for q in gens.get(lands[p], ()):
-                if act[key(zp, q)] != act[key(z, g.comp[key(p, q)])]:
+            zp = moved[z, p]
+            for q, pq in steps[p]:
+                if moved[zp, q] != moved[z, pq]:
                     head, tail = key((z,), key(p, q))  # in written order
                     raise BadAction(
                         f"action not associative on {head + tail!r}",
@@ -259,8 +275,9 @@ def validate_bibundle(b: Bibundle) -> Bibundle:
     p, q = b.left.actor, b.right.actor
     for a, other, moves in ((b.left, q, "left action moves the right"),
                             (b.right, p, "right action moves the left")):
-        for k, w in a.act.items():
-            if other[w] != other[a.key(*k)[0]]:
+        for (z, c), w in a.written(a.act).items():
+            if other[w] != other[z]:
+                k = a.key(z, c)
                 raise BadAction(f"{moves} actor at {k!r}", witness=k)
     # Commuting on generators suffices.  For a fixed c, the eta that commute
     # with c are closed under composition (the left action is associative

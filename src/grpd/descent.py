@@ -9,6 +9,7 @@ Only set-valued descent lives here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import first_repeat, index_arrows, partition
 
@@ -59,11 +60,20 @@ class CoverPiece:
 
 @dataclass(frozen=True, eq=False)
 class Cover:
+    """Pieces mapped onto a finite base.  A cover is treated as immutable
+    once built: its check and its :attr:`by_base` index are cached."""
     name: str
     base: tuple[str, ...]
     pieces: tuple[CoverPiece, ...]
 
     def validate(self) -> "Cover":
+        """Distinct piece names, no element twice in a piece, every element
+        mapped onto the base, every base point hit.  A cover that passes is
+        not checked again; one that fails raises on every call."""
+        return self._validated
+
+    @cached_property
+    def _validated(self) -> "Cover":
         names = [p.name for p in self.pieces]
         if len(set(names)) != len(names):
             dup = first_repeat(names)
@@ -88,14 +98,16 @@ class Cover:
                 witness=tuple(sorted(base - hit)))
         return self
 
+    @cached_property
+    def by_base(self) -> dict[str, dict[str, list[str]]]:
+        """Each piece's elements grouped by their base point, in piece
+        order; every element must be mapped."""
+        return {p.name: index_arrows(p.elements, p.to_base)
+                for p in self.pieces}
+
     def overlap(self, pi: CoverPiece, pj: CoverPiece):
         """U_i x_X U_j as explicit pairs."""
         return _overlap(pi, index_arrows(pj.elements, pj.to_base))
-
-
-def _by_base(c: Cover) -> dict[str, dict[str, list[str]]]:
-    """Each piece's elements grouped by their base point, in piece order."""
-    return {p.name: index_arrows(p.elements, p.to_base) for p in c.pieces}
 
 
 def _overlap(pi: CoverPiece, over: dict[str, list[str]]):
@@ -107,11 +119,26 @@ def _overlap(pi: CoverPiece, over: dict[str, list[str]]):
 @dataclass(frozen=True, eq=False)
 class DescentDatum:
     """Per-piece bundles plus transition bijections over every ordered
-    overlap, indexed transitions[(i, j)][(u, v)][a] = b."""
+    overlap, indexed transitions[(i, j)][(u, v)][a] = b.  A datum is
+    treated as immutable once built: it is validated and glued at most
+    once, and :func:`check_cocycle` and :func:`glue` share the cached
+    outcome."""
     name: str
     cover: Cover
     fibres: dict[str, Bundle]
     transitions: dict[tuple[str, str], dict[tuple[str, str], dict[str, str]]]
+
+    @cached_property
+    def _glued(self) -> "GlueResult | tuple[str, str]":
+        """:func:`_glue_once`, cached.  A BadDatum is not cached: it is
+        raised again on every call."""
+        return _glue_once(self)
+
+    @cached_property
+    def _cocycle(self) -> "CocycleReport":
+        if isinstance(self._glued, GlueResult):
+            return CocycleReport(ok=True)
+        return _first_failure(self)
 
 
 def validate_datum(d: DescentDatum) -> DescentDatum:
@@ -127,7 +154,7 @@ def validate_datum(d: DescentDatum) -> DescentDatum:
             raise BadDatum(f"bundle over {p.name!r} has the wrong base",
                            witness=p.name)
         fibres[p.name] = index_arrows(bundle.total, bundle.proj)
-    by_base = _by_base(d.cover)
+    by_base = d.cover.by_base
     for pi in d.cover.pieces:
         for pj in d.cover.pieces:
             key = (pi.name, pj.name)
@@ -193,8 +220,18 @@ class CocycleReport:
 def check_cocycle(d: DescentDatum) -> CocycleReport:
     """Condition (a): diagonal transitions restrict to the identity.
     Condition (b): the triple-overlap composite f_jk . f_ij = f_ik,
-    pointwise over every double and triple overlap element."""
-    validate_datum(d)
+    pointwise over every double and triple overlap element.
+
+    The glue partition decides the answer (see :func:`glue`): when the
+    datum glues, both conditions hold.  Only when it does not is every
+    double and triple overlap swept, to name the first failure; a datum
+    whose conditions hold but whose glued class ids collide is ok."""
+    return d._cocycle
+
+
+def _first_failure(d: DescentDatum) -> CocycleReport:
+    """The cocycle sweep over a validated datum, stopping at the first
+    failing point."""
     for p in d.cover.pieces:
         table = d.transitions[(p.name, p.name)]
         for u in p.elements:
@@ -203,7 +240,7 @@ def check_cocycle(d: DescentDatum) -> CocycleReport:
                 if a != b:
                     return CocycleReport(ok=False,
                                          failure=("a", p.name, u, a, b))
-    by_base = _by_base(d.cover)
+    by_base = d.cover.by_base
     for pi in d.cover.pieces:
         for pj in d.cover.pieces:
             t_ij = d.transitions[(pi.name, pj.name)]
@@ -241,7 +278,27 @@ def glue(d: DescentDatum) -> GlueResult:
     """Quotient of the disjoint union of the local bundles by the
     transition relation; raises CocycleViolation when the data does not
     glue coherently.  Returns the glued bundle over the cover's base plus
-    the per-piece comparison isomorphisms."""
+    the per-piece comparison isomorphisms.
+
+    The partition decides the answer; on failure the cocycle sweep of
+    :func:`check_cocycle` only names the witness, and when the conditions
+    hold the witness is the (piece, point) whose comparison fails.  Every
+    call on one datum returns the same result object."""
+    glued = d._glued
+    if isinstance(glued, GlueResult):
+        return glued
+    report = d._cocycle
+    if not report:
+        raise CocycleViolation(f"cocycle conditions fail: {report.failure}",
+                               witness=report.failure)
+    piece, u = glued
+    raise CocycleViolation(f"piece {piece!r} does not compare bijectively "
+                           f"over {u!r}", witness=glued)
+
+
+def _glue_once(d: DescentDatum) -> GlueResult | tuple[str, str]:
+    """validate_datum, then the quotient and the comparison check: the
+    result, or the (piece, point) over which the comparison fails."""
     validate_datum(d)
     tagged = [(p.name, a) for p in d.cover.pieces
               for a in d.fibres[p.name].total]
@@ -276,21 +333,14 @@ def glue(d: DescentDatum) -> GlueResult:
         # if (a) fails, f_ii(a) = b != a puts a and b, both over u, in one
         # class; if (b) fails, f_jk(f_ij(a)) and f_ik(a), both over w, are
         # both linked to a.  Either way two elements of one local fibre
-        # share a class and the check below fails, so check_cocycle runs
-        # only then, to report the failure it finds first.
+        # share a class and the check below fails, so the cocycle sweep
+        # runs only then, to report the failure it finds first.
         for u in p.elements:
             elems = fibre.get(u, ())
             image = {local[(u, a)] for a in elems}
             if image != glued.get(p.to_base[u], set()) or \
                     len(image) != len(elems):
-                report = check_cocycle(d)
-                if not report:
-                    raise CocycleViolation(
-                        f"cocycle conditions fail: {report.failure}",
-                        witness=report.failure)
-                raise CocycleViolation(
-                    f"piece {p.name!r} does not compare bijectively over "
-                    f"{u!r}", witness=(p.name, u))
+                return p.name, u
         piece_maps[p.name] = local
     return GlueResult(bundle=bundle, piece_maps=piece_maps)
 
@@ -315,7 +365,7 @@ def descend(a: Bundle, c: Cover) -> DescentDatum:
                       total=tuple(total), proj=proj)
 
     fibres = {p.name: pulled(p) for p in c.pieces}
-    by_base = _by_base(c)
+    by_base = c.by_base
     transitions: dict = {}
     for pi in c.pieces:
         for pj in c.pieces:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grpd import descent
 from grpd.corpus import random_bundle, random_cover, random_datum, \
     scramble_datum
 from grpd.descent import (BadDatum, Bundle, CocycleReport, CocycleViolation,
@@ -476,6 +477,63 @@ def test_descent_agrees_with_the_quadratic_oracles():
     assert len(fails["s"]) > 200 and all(fails["s"])
     assert len(fails["d"]) > 200 and all(fails["d"])
     assert len(fails["r"]) > 100 and sum(fails["r"]) > 100
+
+
+ORDERS = (("check", "glue"), ("glue", "check"), ("check", "check"),
+          ("glue", "glue"))
+
+
+def test_check_and_glue_agree_in_any_order_and_validate_once(monkeypatch):
+    """check_cocycle and glue share one cached validation and glue attempt:
+    whichever runs first, and however often, each gives the oracles'
+    answer, and validate_datum runs once per datum."""
+    rng = random.Random(77)
+    data = [collision_datum()]
+    for i in range(40):
+        _, _, datum = random_datum(rng, f"c{i}", base_size=rng.randint(2, 6),
+                                   max_fibre=3)
+        data += [datum] + mutants(rng, datum)
+    want = [(oracle_check_cocycle(d), glue_outcome(oracle_glue, d))
+            for d in data]
+    assert sum(not report for report, _ in want) > 50
+    calls = []
+    monkeypatch.setattr(descent, "validate_datum",
+                        lambda d: calls.append(d) or validate_datum(d))
+    run = {"check": check_cocycle, "glue": lambda d: glue_outcome(glue, d)}
+    for d, (report, outcome) in zip(data, want):
+        for order in ORDERS:
+            fresh = DescentDatum(d.name, d.cover, d.fibres, d.transitions)
+            calls.clear()
+            for step in order:
+                got = run[step](fresh)
+                assert got == (report if step == "check" else outcome)
+            assert calls == [fresh]
+
+
+def test_an_invalid_datum_raises_the_same_error_on_every_call():
+    d = swap_datum()
+    table = d.transitions[("U", "U")]
+    bad_cover = Cover("C", ("*", "y"), d.cover.pieces)
+    broken = [
+        DescentDatum("D3", d.cover, d.fibres, {("U", "U"): {
+            k: v for k, v in table.items() if k != ("a", "b")}}),
+        DescentDatum("D4", d.cover, d.fibres, {("U", "U"): {
+            **table, ("a", "b"): {"a0": "b1", "a1": "b1"}}}),
+        DescentDatum("D5", d.cover, d.fibres, {("U", "U"): {
+            **table, ("a", "c"): {}}}),
+        DescentDatum("D6", bad_cover, d.fibres, d.transitions)]
+    kinds = set()
+    for bad in broken:
+        with pytest.raises(DescentError) as err:
+            validate_datum(bad)
+        want = type(err.value), str(err.value), err.value.witness
+        kinds.add(want[0])
+        for call in (check_cocycle, glue, check_cocycle, glue):
+            with pytest.raises(DescentError) as err:
+                call(bad)
+            assert (type(err.value), str(err.value),
+                    err.value.witness) == want
+    assert kinds == {BadDatum, NotSurjective}
 
 
 def oracle_descend(a, c):
