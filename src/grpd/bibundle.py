@@ -157,7 +157,9 @@ def validate_action(a: Action) -> Action:
     #   (z.p).(q1*q2) = ((z.p).q1).q2 = (z.(p*q1)).q2 = z.((p*q1)*q2)
     #                 = z.(p*(q1*q2)),
     # using q2, q1, q2 and associativity in g, in turn.  Every arrow is an
-    # iterated composite of g.generators, so checking those covers all.
+    # iterated composite of g.generators and the units, so checking those
+    # covers all.  Units lie among them because the unit laws were checked
+    # first: z.e == z for every point.
     # Each arrow p's steps (q, p*q) are composed once, not once per point.
     gens = index_arrows(g.generators, meets)
     steps = {p: [(q, g.comp[key(p, q)]) for q in gens.get(lands[p], ())]
@@ -200,20 +202,31 @@ def is_principal(a: Action) -> Principality:
     to check; the witness is the least ``act`` key that fixes its point by
     a non-unit arrow.
     """
-    g = a.groupoid
+    least = min(_unfree(a), default=None)
+    if least is not None:
+        return Principality(ok=False, witness=("not-free", *a.key(*least)))
     division: dict[tuple[str, str], str] = {}
     for k, w in sorted(a.act.items()):
         z, c = a.key(*k)
-        if w == z and c != g.unit[a.actor[z]]:
-            return Principality(ok=False, witness=("not-free", z, c))
         division[(z, w)] = c
     return Principality(ok=True, division=division)
+
+
+def _unfree(a: Action):
+    """The ``act`` keys, in table order, that fix their point by a non-unit
+    arrow; a valid action is free iff there are none."""
+    unit, actor, key = a.groupoid.unit, a.actor, a.key
+    for k, w in a.act.items():
+        if w in k:  # only then can the point be w itself
+            z, c = key(*k)
+            if w == z and c != unit[actor[z]]:
+                yield k
 
 
 def _principal_onto(a: Action, other: Action) -> bool:
     """``a`` is principal and the other side's actor induces a bijection
     from a's orbits onto the objects of the other side's groupoid."""
-    if not is_principal(a):
+    if next(_unfree(a), None) is not None:
         return False
     values = [other.actor[block[0]] for block in a.orbits]
     return (len(values) == len(set(values))
@@ -283,7 +296,9 @@ def validate_bibundle(b: Bibundle) -> Bibundle:
     # with c are closed under composition (the left action is associative
     # and keeps q), so each generator c commutes with every eta.  For a
     # fixed eta, the c that commute with it are closed under composition in
-    # the same way, so every c does.
+    # the same way, so every c does.  Units, which g.generators and
+    # h.generators leave out, commute with everything because the unit
+    # laws were checked first: both actions fix each point by a unit.
     h_gens = index_arrows(h.generators, h.src)
     g_gens = index_arrows(g.generators, g.tgt)
     for z in b.carrier:

@@ -9,10 +9,11 @@ line ``internal error: <Type>: <message>``, no traceback).
 GRPD_ISOTROPY_CAP, a positive integer, overrides the group isomorphism cap
 (default 24).
 
-Each handler validates every structure it loads (``_validated``) and
-returns ``(exit code, result, text lines)`` without printing; :func:`run`
-maps exceptions to exit codes and prints the one report (``_emit``).  A
-reader that closes stdout early does not change the exit code.
+Each handler validates every structure it loads (``_validated``, or
+``homotopy_pullback`` for the cospan's legs) and returns ``(exit code,
+result, text lines)`` without printing; :func:`run` maps exceptions to
+exit codes and prints the one report (``_emit``).  A reader that closes
+stdout early does not change the exit code.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 from . import bibundle as bib
 from . import complexity, corpus, descent, formats, homotopy
 from .core import (GroupoidError, are_homotopic, validate_functor,
-                   validate_groupoid)
+                   validate_groupoid, validate_joined)
 from .descent import DescentError
 from .formats import ParseError
 from .groups import InvalidGroupTable
@@ -169,13 +170,10 @@ _VALIDATE = {"functors": validate_functor, "bibundles": bib.validate_bibundle}
 def _validated(kind: str, structures):
     """Validate every groupoid that the structures are or join, each once
     and in order of first appearance, then each structure; return them."""
-    joined = structures if kind == "groupoids" else [
-        g for s in structures for g in (s.dom, s.cod)]
-    for g in dict.fromkeys(joined):
-        validate_groupoid(g)
     if kind != "groupoids":
-        for s in structures:
-            _VALIDATE[kind](s)
+        return validate_joined(structures, _VALIDATE[kind])
+    for g in dict.fromkeys(structures):
+        validate_groupoid(g)
     return structures
 
 
@@ -321,7 +319,7 @@ def _cmd_pullback(args):
     if len(functors) < 2:
         raise ParseError("cospan file needs two functor blocks",
                          args.cospan, 1, 1)
-    left, right = _validated("functors", functors[:2])
+    left, right = functors[:2]  # homotopy_pullback validates them
     grp = homotopy.homotopy_pullback(homotopy.Cospan(left=left, right=right),
                                      n=args.n).groupoid
     result = {"degree": args.n, "objects": len(grp.objects),

@@ -17,7 +17,7 @@ from . import groups
 from .bibundle import Bibundle, translation_actions
 from .core import (FinGroupoid, GroupoidError, NatTrans, StrictArrow,
                    conjugate, inclusion_functor, restrict, same_groupoid,
-                   tabulate, tree_loop)
+                   tabulate)
 from .homotopy import skeletonize
 
 
@@ -155,7 +155,7 @@ def is_weak_point_subgroupoid(u: Subgroupoid,
     collapse = StrictArrow(
         name=f"collapse_{sub.name}", dom=sub, cod=g,
         obj_map={x: x0 for x in sub.objects},
-        arr_map={a: tree_loop(g, a) for a in sub.arrows})
+        arr_map={a: g.tree_loop[a] for a in sub.arrows})
     homotopy = NatTrans(source_fun=inclusion_functor(sub, g),
                         target_fun=collapse,
                         component={x: g.inv[g.tree[x]] for x in sub.objects})

@@ -133,14 +133,30 @@ class FinGroupoid:
         return tree
 
     @cached_property
+    def tree_loop(self) -> dict[str, str]:
+        """The trivialization: each arrow a: x -> y sent to the loop
+        tree[y]^-1 . a . tree[x] at its component's base point (see
+        :attr:`tree`).  In a valid groupoid a -> (x, y, tree_loop[a]) is an
+        isomorphism onto Pair(block) x hom(base, base), by Brandt's
+        theorem."""
+        tree, comp, inv = self.tree, self.comp, self.inv
+        return {a: comp[inv[tree[self.tgt[a]]], comp[a, tree[self.src[a]]]]
+                for a in self.arrows}
+
+    @cached_property
     def generators(self) -> tuple[str, ...]:
-        """Arrows of which every arrow is an iterated composite, built
-        greedily: each component's spanning-tree arrows, then every arrow
-        not yet reached, in order.  Needs a total ``comp``."""
+        """Non-units of which, with the units, every arrow is an iterated
+        composite, built greedily from the units: per component, the
+        non-unit spanning-tree arrows, then the loops at the base point,
+        longest order first (ties in id order), then every arrow not yet
+        reached, in order.  So at most three loops are listed for each
+        catalog group and for the order-24 products A4xZ2, Dic3xZ2, Q8xZ3,
+        Z2^3xZ3 and D6xZ2.  Needs a total ``comp``; associativity is not
+        assumed, so a power walk stops after |hom(base, base)| steps."""
         src, tgt, comp = self.src, self.tgt, self.comp
         gens: list[str] = []
         gens_from: dict[str, list[str]] = {x: [] for x in self.objects}
-        reached: set[str] = set()
+        reached: set[str] = set(self.unit.values())
         reached_into: dict[str, list[str]] = {x: [] for x in self.objects}
         frontier: list[str] = []
 
@@ -164,9 +180,23 @@ class FinGroupoid:
                     if y not in reached:
                         reach(y)
 
-        for a in self.tree.values():
-            if a not in reached:
-                add(a)
+        def order(a, u, n):
+            x, k = a, 1
+            while x != u and k < n:
+                x, k = comp[(x, a)], k + 1
+            return k
+
+        for block in self.components:
+            for x in block[1:]:
+                if self.tree[x] not in reached:
+                    add(self.tree[x])
+            base = block[0]
+            loops = self.hom_set(base, base)
+            u = self.unit[base]
+            for a in sorted(loops, key=lambda a: order(a, u, len(loops)),
+                            reverse=True):
+                if a not in reached:
+                    add(a)
         for a in self.arrows:
             if a not in reached:
                 add(a)
@@ -210,15 +240,9 @@ def isotropy_table(g: FinGroupoid, x: str):
     """The loops at x (sorted) and their multiplication table by index."""
     loops = g.hom_set(x, x)
     index = {a: i for i, a in enumerate(loops)}
-    table = tuple(tuple(index[g.comp[(a, b)]] for b in loops) for a in loops)
+    comp = g.comp
+    table = tuple(tuple([index[comp[a, b]] for b in loops]) for a in loops)
     return loops, table
-
-
-def tree_loop(g: FinGroupoid, a: str) -> str:
-    """The loop tree[y]^-1 . a . tree[x] at the base point of a's component
-    (see :attr:`FinGroupoid.tree`), for a: x -> y."""
-    tree = g.tree
-    return g.comp[(g.inv[tree[g.tgt[a]]], g.comp[(a, tree[g.src[a]])])]
 
 
 def conjugate(g: FinGroupoid, cy: str, m: str, cx: str) -> str:
@@ -256,6 +280,9 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
     Check order is fixed: id references, totality of the structure maps,
     composition shape, unit laws, inverse laws, associativity.  The raised
     error carries the offending id / pair / triple as ``witness``.
+    Associativity is decided on each component's isotropy group through
+    the cached trivialization :attr:`FinGroupoid.tree_loop`; only a table
+    that fails there is searched for a failing triple.
     """
     objects, arrows = set(g.objects), set(g.arrows)
     if len(objects) != len(g.objects):
@@ -282,10 +309,29 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
             raise DanglingId(
                 f"inv({a!r}) = {g.inv[a]!r} is not an arrow", witness=a)
     src, tgt, comp = g.src, g.tgt, g.comp
-    if not all(p in arrows and q in arrows and r in arrows
-               and src[p] == tgt[q] and src[r] == src[q] and tgt[r] == tgt[p]
-               for (p, q), r in comp.items()):
-        # report the least bad entry
+    # Brandt's theorem: a valid component is Pair(block) x K, K the loops
+    # at its base point, through a -> (src a, tgt a, lam(a)), lam the
+    # trivialization.  Conversely, once the table checks below pass, (i)
+    # lam injective on each hom set, (ii) lam(p.q) = lam(p).lam(q) on every
+    # comp entry and (iii) K associative give associativity:
+    #   lam((c.b).a) = (lam c.lam b).lam a = lam c.(lam b.lam a)
+    #                = lam(c.(b.a)),
+    # and both sides share their ends, so by (i) they are equal.  A
+    # groupoid passes all three, so failing one proves a triple fails.
+    # (ii) rides on the shape sweep.  Both run before the table is known
+    # to be total, so a missing entry or id raises KeyError; then the
+    # checks below name the fault.  lam is keyed by the arrows, so reading
+    # it also checks that p, q and r are arrows.
+    try:
+        lam = g.tree_loop
+        labelled = all(
+            src[p] == tgt[q] and src[r] == src[q] and tgt[r] == tgt[p]
+            and lam[r] == comp[lam[p], lam[q]]
+            for (p, q), r in comp.items())
+    except KeyError:
+        labelled = False
+    if not labelled:
+        # report the least bad entry, if the shape is at fault
         for (p, q), r in sorted(comp.items()):
             if p not in arrows or q not in arrows or r not in arrows:
                 raise DanglingId(f"comp entry ({p!r}, {q!r}) = {r!r} "
@@ -326,13 +372,23 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
         if (g.comp[(b, a)] != g.unit[g.src[a]]
                 or g.comp[(a, b)] != g.unit[g.tgt[a]]):
             raise BadInverse(f"inv({a!r}) is not a two-sided inverse", witness=a)
+    # (i) by counting, then (iii) on each base point's isotropy table over
+    # the loops among g.generators there: they generate it, because
+    # generators adds them before any arrow into the base point
+    if (labelled and len({(src[a], tgt[a], lam[a]) for a in g.arrows})
+            == len(arrows)):
+        gens_from = index_arrows(g.generators, src)
+        if all(_light_at(g, block[0], gens_from.get(block[0], ()))
+               for block in g.components):
+            return g
     # Light's associativity test.  Let M be the set of arrows b with
     # (c.b).a == c.(b.a) for all composable a and c.  M is closed under
     # composition: for b1, b2 in M with b2.b1 defined,
     #   (c.(b2.b1)).a = ((c.b2).b1).a = (c.b2).(b1.a) = c.(b2.(b1.a))
     #                 = c.((b2.b1).a),
     # using that b2, b1, b2 and b1 lie in M, in turn.  Every arrow is an
-    # iterated composite of g.generators, so if those lie in M, all do.
+    # iterated composite of g.generators and the units, so if those lie in
+    # M, all do.  Units lie in M because the unit laws were checked first.
     for b in g.generators:
         outer = [(c, comp[(c, b)]) for c in by_src[tgt[b]]]
         for a in by_tgt[src[b]]:
@@ -343,6 +399,18 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
                         f"associativity fails on ({c!r}, {b!r}, {a!r})",
                         witness=(c, b, a))
     return g
+
+
+def _light_at(g: FinGroupoid, base: str, gens) -> bool:
+    """Light's test (see validate_groupoid) on the isotropy table at
+    ``base``, by index: whether (c.b).a == c.(b.a) for the loops b at base
+    among ``gens`` and all loops a, c there."""
+    loops, table = isotropy_table(g, base)
+    index = {a: i for i, a in enumerate(loops)}
+    cols = tuple(zip(*table))  # cols[y][x] = x.y
+    return all(cols[ba] == tuple(map(cols[a].__getitem__, cols[b]))
+               for b in (index[s] for s in gens if s in index)
+               for a, ba in enumerate(table[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +576,12 @@ def validate_functor(f: StrictArrow) -> StrictArrow:
     #   F((b2.b1).a) = F(b2.(b1.a)) = F(b2).F(b1.a) = F(b2).F(b1).F(a)
     #                = F(b2.b1).F(a),
     # using associativity in h and g.  Every arrow is an iterated composite
-    # of h.generators, so checking those covers every pair.  Units are
-    # compared first, the cheapest sign of a bad functor.  Only when either
-    # check fails is every comp entry swept, to report the same first
-    # failing pair as a full sweep would.
+    # of h.generators and the units, so checking those covers every pair.
+    # Units lie among them because the unit laws were checked first: F(e)
+    # is a unit, so F(e.a) = F(a) = F(e).F(a).  Units are compared first,
+    # the cheapest sign of a bad functor.  Only when either check fails is
+    # every comp entry swept, to report the same first failing pair as a
+    # full sweep would.
     am, hc, gc = f.arr_map, h.comp, g.comp
     if not (all(am[h.unit[x]] == g.unit[f.obj_map[x]] for x in h.objects)
             and all(gc[am[b], am[a]] == am[hc[b, a]]
@@ -525,6 +595,17 @@ def validate_functor(f: StrictArrow) -> StrictArrow:
     # a unit e, F(e) = F(e.e) = F(e).F(e) is an idempotent loop, hence a
     # unit, and F(a^-1).F(a) = F(a^-1.a) = F(e), so F(a^-1) = F(a)^-1.
     return f
+
+
+def validate_joined(structures, check):
+    """Validate every groupoid that the structures join (their ``dom`` and
+    ``cod``), each once and in order of first appearance, then each
+    structure by ``check``; return the structures."""
+    for g in dict.fromkeys(x for s in structures for x in (s.dom, s.cod)):
+        validate_groupoid(g)
+    for s in structures:
+        check(s)
+    return structures
 
 
 def inclusion_functor(sub: FinGroupoid, g: FinGroupoid,
@@ -644,7 +725,7 @@ def enumerate_functors(h: FinGroupoid, g: FinGroupoid) -> list[StrictArrow]:
         per_component.append(choices)
 
     rep_of = {a: h.component_of[h.src[a]][0] for a in h.arrows}
-    loop_of = {a: tree_loop(h, a) for a in h.arrows}
+    loop_of = h.tree_loop
     out = []
     for combo in product(*per_component):
         obj_map: dict[str, str] = {}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .core import (FinGroupoid, StrictArrow, conjugate, disjoint_union,
-                   index_arrows, isotropy_table, tabulate, tree_loop)
+                   index_arrows, isotropy_table, tabulate)
 from .descent import Bundle, Cover, CoverPiece, DescentDatum, descend
 
 
@@ -134,7 +134,7 @@ def random_functor(rng: random.Random, a: FinGroupoid,
     for c in a.arrows:
         rep = a.component_of[a.src[c]][0]
         arr_map[c] = conjugate(b, imgs[a.tgt[c]],
-                               thetas[rep][tree_loop(a, c)], imgs[a.src[c]])
+                               thetas[rep][a.tree_loop[c]], imgs[a.src[c]])
     return StrictArrow(name=f"rf[{a.name}->{b.name}]", dom=a, cod=b,
                        obj_map=obj_map, arr_map=arr_map)
 

@@ -82,12 +82,14 @@ def _element_orders(t, e) -> list[int]:
 def _bfs_order(t, e, gens) -> list[int]:
     """Deterministic enumeration of the whole group from a generating tuple."""
     order = [e]
-    seen = {e}
+    seen = [False] * len(t)
+    seen[e] = True
     for x in order:
+        row = t[x]
         for g in gens:
-            y = t[x][g]
-            if y not in seen:
-                seen.add(y)
+            y = row[g]
+            if not seen[y]:
+                seen[y] = True
                 order.append(y)
     return order
 
@@ -95,24 +97,26 @@ def _bfs_order(t, e, gens) -> list[int]:
 def _generating_sequences(t, e, firsts=None, max_len=None):
     """Irredundant ordered generating tuples (each next generator outside
     the span of the earlier ones), yielded lazily in depth-first order over
-    0..n-1.  ``firsts`` restricts the first generator; ``max_len`` skips
-    tuples longer than that."""
+    0..n-1, each with its BFS order (see _bfs_order), which the search
+    builds anyway to test the span.  ``firsts`` restricts the first
+    generator; ``max_len`` skips tuples longer than that."""
     n = len(t)
     gens: list[int] = []
 
-    def rec(span):
-        if len(span) == n:
-            yield tuple(gens)
+    def rec(order):
+        if len(order) == n:
+            yield tuple(gens), order
             return
         if len(gens) == max_len:
             return
+        span = set(order)
         for g in (firsts if not gens and firsts is not None else range(n)):
             if g not in span:
                 gens.append(g)
-                yield from rec(set(_bfs_order(t, e, gens)))
+                yield from rec(_bfs_order(t, e, gens))
                 gens.pop()
 
-    yield from rec({e})
+    yield from rec([e])
 
 
 def canonical_form(t) -> tuple[int, ...]:
@@ -121,7 +125,10 @@ def canonical_form(t) -> tuple[int, ...]:
     return _canonical(t)[0]
 
 
-@lru_cache(maxsize=None)
+# A classify run meets about 130 distinct tables, most of them many times,
+# and an order-24 entry holds up to 336 tied orders (about 84 KB), so the
+# bound keeps every repeat of such a run and caps the cache near 21 MB.
+@lru_cache(maxsize=256)
 def _canonical(t):
     """The canonical form and every BFS order that attains it (the ties)."""
     n = len(t)
@@ -145,8 +152,8 @@ def _canonical(t):
         if first is not None:
             break
     best = None
-    for gens in chain((first,), seqs):
-        order = tuple(_bfs_order(t, e, gens))
+    for _, order in chain((first,), seqs):
+        order = tuple(order)
         pos = [0] * n
         for i, x in enumerate(order):
             pos[x] = i
@@ -203,10 +210,9 @@ def _homs(t1, t2):
     n1 = len(t1)
     e1, e2 = identity_of(t1), identity_of(t2)
     orders1, orders2 = _element_orders(t1, e1), _element_orders(t2, e2)
-    gens = next(_generating_sequences(t1, e1))
+    gens, order1 = next(_generating_sequences(t1, e1))
     candidates = [[b for b, k in enumerate(orders2) if orders1[g] % k == 0]
                   for g in gens]
-    order1 = _bfs_order(t1, e1, gens)
     for images in product(*candidates):
         phi = _extend_by_products(t1, t2, e1, e2, gens, images, order1)
         if phi is not None:

@@ -18,7 +18,8 @@ from . import groups
 from .core import (FinGroupoid, StrictArrow, NatTrans, GroupoidError,
                    compose_functors, identity_functor, identity_nat,
                    inclusion_functor, isotropy_table, restrict,
-                   same_groupoid, tabulate, tree_loop, whisker)
+                   same_groupoid, tabulate, validate_functor,
+                   validate_joined, whisker)
 
 
 class InvalidCospan(GroupoidError):
@@ -100,15 +101,20 @@ def _p1(c: Cospan) -> PullbackResult:
 def homotopy_pullback(c: Cospan, n: int = 1) -> PullbackResult:
     """The n-th homotopy pullback of the cospan: chains of n connecting
     arrows threaded between the two legs, with projections and the chain
-    of connecting 2-cells; both legs must be valid functors."""
+    of connecting 2-cells.  The legs are validated first (a bad one raises
+    ``BadFunctor``)."""
+    validate_joined((c.left, c.right), validate_functor)
+    return _pullback(c, n)
+
+
+def _pullback(c: Cospan, n: int) -> PullbackResult:
     c.validate()
     if n < 1:
         raise InvalidCospan(f"degree must be >= 1, got {n}")
     if n == 1:
         return _p1(c)
     g = c.left.cod
-    inner = homotopy_pullback(Cospan(left=identity_functor(g), right=c.right),
-                              n - 1)
+    inner = _pullback(Cospan(left=identity_functor(g), right=c.right), n - 1)
     outer = _p1(Cospan(left=c.left, right=inner.pr1))
     pr2 = compose_functors(inner.pr2, outer.pr2)
     cells = (outer.cells[0],) + tuple(whisker(t, outer.pr2)
@@ -118,8 +124,13 @@ def homotopy_pullback(c: Cospan, n: int = 1) -> PullbackResult:
 
 
 def strict_pullback(f: StrictArrow, g: StrictArrow):
-    """Ordinary fibre product of groupoids over a shared codomain; both
-    legs must be valid functors."""
+    """Ordinary fibre product of groupoids over a shared codomain.  The
+    legs are validated first (a bad one raises ``BadFunctor``)."""
+    validate_joined((f, g), validate_functor)
+    return _fibre_product(f, g)
+
+
+def _fibre_product(f: StrictArrow, g: StrictArrow):
     if not same_groupoid(f.cod, g.cod):
         raise InvalidCospan("fibre product needs a shared codomain")
     a, b = f.dom, g.dom
@@ -148,7 +159,7 @@ def vertical_compose(p: PullbackResult, q: PullbackResult) -> FinGroupoid:
     """Paste two homotopy pullbacks along their shared middle projection."""
     if not same_groupoid(p.pr2.cod, q.pr1.cod):
         raise InvalidCospan("pullbacks do not share a middle groupoid")
-    grp, _, _ = strict_pullback(p.pr2, q.pr1)
+    grp, _, _ = _fibre_product(p.pr2, q.pr1)  # legs valid by construction
     return grp
 
 
@@ -286,7 +297,7 @@ def skeletal_retraction(g: FinGroupoid) -> StrictArrow:
     reps = [block[0] for block in g.components]
     sub = restrict(g, reps, name=f"sk({g.name})")
     obj_map = {x: g.component_of[x][0] for x in g.objects}
-    arr_map = {a: tree_loop(g, a) for a in g.arrows}
+    arr_map = dict(g.tree_loop)
     return StrictArrow(name=f"retr_{g.name}", dom=g, cod=sub,
                        obj_map=obj_map, arr_map=arr_map)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from grpd import groups
+from grpd import bibundle, groups
 from grpd.bibundle import (BadAction, Bibundle, EndpointMismatch,
                            LeftAction, NotComposable, NotPrincipal,
                            Principality, RightAction, are_morita_equivalent,
@@ -120,6 +120,32 @@ def test_principality_matches_the_checked_copy(small_corpus):
             assert a.orbits == union_find_orbits(a)
             outcomes[bool(got)] += 1
     assert outcomes[True] >= 20 and outcomes[False] >= 5
+
+
+def test_principality_flags_build_no_division(small_corpus, monkeypatch):
+    """The flags and the tensor product need freeness only: they agree with
+    ``is_principal`` without calling it, and so build no division map."""
+    rng = random.Random(23)
+    bibundles = [unit_bibundle(transitive_groupoid(
+        "p4s3", ["1", "2", "3", "4"], groups.symmetric3()))]
+    for g in small_corpus[:6]:
+        b = functor_to_bibundle(
+            random_functor(rng, g, rng.choice(small_corpus)))
+        bibundles += [b, transpose(b)]
+    want = [(bool(bibundle.is_principal(b.right)),
+             bool(bibundle.is_principal(b.left))) for b in bibundles]
+    assert {w[1] for w in want} == {True, False}
+
+    def no_division(a):
+        raise AssertionError("division map built for a flag")
+
+    monkeypatch.setattr(bibundle, "is_principal", no_division)
+    for b, (right, left) in zip(bibundles, want):
+        # the flags also ask for a bijection of orbits onto objects
+        assert b.is_right_principal <= right and b.is_left_principal <= left
+        if b.is_right_principal:
+            assert tensor(b, unit_bibundle(b.cod)).carrier
+    assert bibundles[0].is_equivalence
 
 
 # ---------------------------------------------------------------------------

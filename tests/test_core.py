@@ -1,6 +1,6 @@
 import dataclasses
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +104,131 @@ def test_swap_inside_one_hom_set_breaks_only_associativity():
     comp = dict(g.comp)
     comp[(p, q)], comp[(p, q2)] = comp[(p, q2)], comp[(p, q)]
     assert_non_associative(dataclasses.replace(g, comp=comp))
+
+
+# ---------------------------------------------------------------------------
+# associativity on the isotropy groups
+
+
+def brandt_checks(g):
+    """validate_groupoid's three associativity checks, computed apart: (i)
+    a -> (src a, tgt a, lam a) injective, (ii) lam(p.q) = lam(p).lam(q) on
+    every entry, (iii) each base point's loops associative, tried on every
+    triple.  lam(a) = tree[y]^-1 . a . tree[x] for a: x -> y."""
+    comp, inv, tree = g.comp, g.inv, g.tree
+    lam = {a: comp[(inv[tree[g.tgt[a]]], comp[(a, tree[g.src[a]])])]
+           for a in g.arrows}
+    assert g.tree_loop == lam
+    injective = len({(g.src[a], g.tgt[a], lam[a]) for a in g.arrows}) \
+        == len(g.arrows)
+    labelled = all(lam[r] == comp[(lam[p], lam[q])]
+                   for (p, q), r in comp.items())
+    loops = [g.hom_set(block[0], block[0]) for block in g.components]
+    associative = all(comp[(comp[(c, b)], a)] == comp[(c, comp[(b, a)])]
+                      for k in loops for a in k for b in k for c in k)
+    return injective, labelled, associative
+
+
+def test_hom_sets_that_the_tree_cannot_tell_apart_fail_check_i_only():
+    # Pair({1, 2}) with every hom set between 1 and 2 doubled: f, g: 1 -> 2
+    # with inverses f', g'.  Both trivialize to the unit at 1, and every
+    # loop is a unit, so (ii) and (iii) hold, yet (f.f').g = g != f =
+    # f.(f'.g).
+    ends = {"u1": "11", "u2": "22", "f": "12", "g": "12", "f'": "21",
+            "g'": "21"}
+    arrows, units = tuple(ends), ("u1", "u2")
+    # two non-units compose to a loop, which is a unit
+    comp = {(p, q): (q if p in units else p if q in units
+                     else "u" + ends[q][0])
+            for p, q in product(arrows, repeat=2) if ends[p][0] == ends[q][1]}
+    g = FinGroupoid(
+        name="doubled", objects=("1", "2"), arrows=arrows,
+        src={a: e[0] for a, e in ends.items()},
+        tgt={a: e[1] for a, e in ends.items()}, comp=comp,
+        unit={"1": "u1", "2": "u2"},
+        inv={"u1": "u1", "u2": "u2", "f": "f'", "g": "g'", "f'": "f",
+             "g'": "g"})
+    assert brandt_checks(g) == (False, True, True)
+    assert_non_associative(g)
+
+
+def test_a_swap_off_the_tree_fails_check_ii_only():
+    g = transitive_groupoid("p2z3", ["1", "2"], groups.cyclic(3))
+    p = "2>2:1"  # a non-unit loop at 2, composed with two arrows 1 -> 2
+    comp = dict(g.comp)
+    comp[(p, "1>2:1")], comp[(p, "1>2:2")] = (comp[(p, "1>2:2")],
+                                              comp[(p, "1>2:1")])
+    bad = dataclasses.replace(g, comp=comp)
+    assert brandt_checks(bad) == (True, False, True)
+    assert_non_associative(bad)
+
+
+def test_a_broken_isotropy_group_fails_check_iii_only():
+    """Pair(3) x K, K the dihedral group of order 8 with two products of
+    one row swapped: no unit or inverse law moves, and neither the row nor
+    the two columns is a loop generator at the base point."""
+    d4 = groups.dihedral(4)
+    e = groups.identity_of(d4)
+    candidates = []
+    for a, b, b2 in product(range(8), repeat=3):
+        if (b < b2 and e not in (a, b, b2)
+                and e not in (d4[a][b], d4[a][b2])):
+            rows = [list(row) for row in d4]
+            rows[a][b], rows[a][b2] = rows[a][b2], rows[a][b]
+            g = transitive_groupoid("p3k", ["1", "2", "3"], rows)
+            base_gens = {s for s in g.generators if s.startswith("1>1:")}
+            if base_gens.isdisjoint({f"1>1:{k}" for k in (a, b, b2)}):
+                candidates.append(g)
+    assert len(candidates) >= 10
+    for g in candidates:
+        assert brandt_checks(g) == (True, True, False)
+        assert_non_associative(g)
+
+
+def test_generators_hold_no_unit_and_reach_every_arrow(corpus):
+    cases = [*corpus, interval_groupoid(), pair_groupoid("p3", "123"),
+             transitive_groupoid("p3s3", ["1", "2", "3"],
+                                 groups.symmetric3())]
+    for g in cases:
+        gens = g.generators
+        assert len(set(gens)) == len(gens)
+        assert not set(gens) & set(g.unit.values()), g.name
+        # every composite of reached arrows, until nothing new appears
+        reached = set(gens) | set(g.unit.values())
+        grown = True
+        while grown:
+            new = {g.comp[(p, q)] for p in gens for q in reached
+                   if g.src[p] == g.tgt[q]} - reached
+            reached |= new
+            grown = bool(new)
+        assert reached == set(g.arrows), g.name
+
+
+# the order-24 products of tests/test_groups.py
+_Z2, _Z3 = groups.cyclic(2), groups.cyclic(3)
+ORDER_24 = [
+    groups.direct_product(groups.alternating4(), _Z2),
+    groups.direct_product(groups.dicyclic(3), _Z2),
+    groups.direct_product(groups.dicyclic(2), _Z3),
+    groups.direct_product(
+        _Z2, groups.direct_product(_Z2, groups.direct_product(_Z2, _Z3))),
+    groups.direct_product(groups.dihedral(6), _Z2),
+]
+
+
+def test_one_object_blocks_get_at_most_three_loop_generators():
+    rng = random.Random(13)
+    tables = [t for _, t in groups.small_groups(24)] + ORDER_24
+    for t in tables:
+        n = len(t)
+        for _ in range(20):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            inv = sorted(range(n), key=perm.__getitem__)  # perm[inv[i]] == i
+            relabelled = [[perm[t[inv[a]][inv[b]]] for b in range(n)]
+                          for a in range(n)]
+            g = transitive_groupoid("k", ["*"], relabelled)
+            assert len(g.generators) <= 3, (n, perm)
 
 
 def test_dangling_ids_detected():
@@ -438,37 +563,40 @@ def test_functor_check_on_generators_matches_the_full_sweep(small_corpus):
         h, g = f.dom, f.cod
         validate_groupoid(h)
         assert validate_functor(f) is full_sweep_validate_functor(f) is f
-        gens = set(h.generators)
+        # units are no generators, but are checked apart, below
+        gens = set(h.generators) | set(h.unit.values())
 
-        def rivals(a):
-            """The other arrows with the endpoints of F(a)."""
-            fa = f.arr_map[a]
-            return [b for b in g.hom_set(g.src[fa], g.tgt[fa]) if b != fa]
+        def rejected(arrows):
+            """Functors with the image of one of ``arrows`` moved to another
+            arrow with its endpoints, in random order, keeping only those
+            the oracle rejects: some moves leave a functor (an involution
+            sent to another involution, say)."""
+            moves = [(a, b) for a in arrows
+                     for b in g.hom_set(g.src[f.arr_map[a]],
+                                        g.tgt[f.arr_map[a]])
+                     if b != f.arr_map[a]]
+            rng.shuffle(moves)
+            for a, b in moves:
+                bad = dataclasses.replace(f, arr_map={**f.arr_map, a: b})
+                try:
+                    full_sweep_validate_functor(bad)
+                except BadFunctor:
+                    yield bad
 
         # the image of an arrow off the generators, endpoints kept
-        moved = [a for a in h.arrows if a not in gens and rivals(a)]
-        for a in rng.sample(moved, min(3, len(moved))):
-            bad = dataclasses.replace(
-                f, arr_map={**f.arr_map, a: rng.choice(rivals(a))})
+        for bad in islice(rejected([a for a in h.arrows if a not in gens]),
+                          3):
             assert (_functor_error(validate_functor, bad)
                     == _functor_error(full_sweep_validate_functor, bad))
             off_generators += 1
         # one unit sent to another loop
-        loose = [x for x in h.objects if rivals(h.unit[x])]
-        if loose:
-            u = h.unit[rng.choice(loose)]
-            bad = dataclasses.replace(
-                f, arr_map={**f.arr_map, u: rng.choice(rivals(u))})
+        for bad in islice(rejected([h.unit[x] for x in h.objects]), 1):
             assert (_functor_error(validate_functor, bad)
                     == _functor_error(full_sweep_validate_functor, bad))
             units += 1
         # only the image of one inverse moved: the composition sweep names
         # it before the oracle's own inverse loop is reached
-        flips = [a for a in h.arrows if rivals(h.inv[a])]
-        if flips:
-            b = h.inv[rng.choice(flips)]
-            bad = dataclasses.replace(
-                f, arr_map={**f.arr_map, b: rng.choice(rivals(b))})
+        for bad in islice(rejected([h.inv[a] for a in h.arrows]), 1):
             got = _functor_error(validate_functor, bad)
             assert got == _functor_error(full_sweep_validate_functor, bad)
             assert got[0].startswith("composition not preserved")

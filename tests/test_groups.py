@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -120,8 +120,8 @@ def test_every_extension_by_products_is_a_homomorphism():
         if len(t1) * len(t2) > 100:
             continue
         e1, e2 = groups.identity_of(t1), groups.identity_of(t2)
-        gens = next(groups._generating_sequences(t1, e1))
-        order1 = groups._bfs_order(t1, e1, gens)
+        gens, order1 = next(groups._generating_sequences(t1, e1))
+        assert order1 == groups._bfs_order(t1, e1, gens)
         for images in product(range(len(t2)), repeat=len(gens)):
             phi = groups._extend_by_products(t1, t2, e1, e2, gens, images,
                                              order1)
@@ -195,6 +195,19 @@ def test_find_isomorphism_runs_no_hom_search(monkeypatch):
         assert groups.find_isomorphism(t, t2) == expected, name
 
 
+def test_canonical_cache_is_bounded():
+    """Every tied order of every table met is kept, so the cache must not
+    grow with the number of distinct tables a process meets."""
+    bound = groups._canonical.cache_parameters()["maxsize"]
+    assert bound is not None
+    t = groups.cyclic(6)
+    tables = {relabel(t, perm) for perm in permutations(range(6))}
+    assert len(tables) > bound
+    for u in tables:
+        assert groups.canonical_form(u) == groups.canonical_form(t)
+    assert groups._canonical.cache_info().currsize <= bound
+
+
 @pytest.mark.parametrize("name", [n for n, _ in CATALOG] + sorted(ORDER_24))
 def test_tied_orders_are_one_per_automorphism(name):
     t = dict(CATALOG, **ORDER_24)[name]
@@ -265,7 +278,9 @@ def oracle_canonical_form(t, sequences):
 def check_against_oracle(t):
     sequences = oracle_generating_sequences(t)
     e = groups.identity_of(t)
-    assert next(groups._generating_sequences(t, e)) == sequences[0]
+    gens, order = next(groups._generating_sequences(t, e))
+    assert gens == sequences[0]
+    assert order == groups._bfs_order(t, e, gens)
     assert groups.canonical_form(t) == oracle_canonical_form(t, sequences)
 
 

@@ -1,11 +1,11 @@
 import pytest
 
-from grpd import groups
+from grpd import core, groups, homotopy
 from grpd.complexity import point_groupoid
-from grpd.core import (StrictArrow, discrete_groupoid, disjoint_union,
-                       identity_functor, pair_groupoid, restrict,
-                       terminal_groupoid, validate_functor, validate_groupoid,
-                       validate_nat)
+from grpd.core import (BadFunctor, StrictArrow, discrete_groupoid,
+                       disjoint_union, identity_functor, pair_groupoid,
+                       restrict, terminal_groupoid, validate_functor,
+                       validate_groupoid, validate_nat)
 from grpd.corpus import transitive_groupoid
 from grpd.homotopy import (Cospan, InvalidCospan, IsotropyTooLarge,
                            are_morita_homotopy_equivalent, homotopy_pullback,
@@ -123,6 +123,31 @@ def test_vertical_composition_matches_higher_degree(corpus):
         pasted3 = vertical_compose(p1, homotopy_pullback(c, 2))
         assert skeleton_equal(skeletonize(pasted3),
                               skeletonize(homotopy_pullback(c, 3).groupoid))
+
+
+def test_pullbacks_reject_a_leg_that_is_no_functor():
+    # identity on objects, but 1>2 sent to 2>1: BadFunctor, not a KeyError
+    swap = StrictArrow("swap", P2, P2, {"1": "1", "2": "2"},
+                       {**identity_functor(P2).arr_map, "1>2": "2>1"})
+    for build in (lambda: strict_pullback(swap, identity_functor(P2)),
+                  lambda: homotopy_pullback(
+                      Cospan(identity_functor(P2), swap))):
+        with pytest.raises(BadFunctor) as err:
+            build()
+        assert err.value.witness == "1>2"
+
+
+def test_homotopy_pullback_validates_its_legs_once(monkeypatch):
+    calls = []
+    for module, name in ((core, "validate_groupoid"),
+                         (homotopy, "validate_functor")):
+        check = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda x, check=check, name=name:
+                            calls.append(name) or check(x))
+    homotopy_pullback(identity_cospan(P2), 3)
+    # one groupoid joined by both legs, then the two legs
+    assert calls == ["validate_groupoid"] + ["validate_functor"] * 2
 
 
 def test_strict_pullback_of_identities_is_diagonal():
