@@ -415,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("locus", _cmd_locus, file="groupoid file")
     p = sub.add_parser("corpus")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=positive_int, default=20)
     p.add_argument("--max-objects", type=positive_int, default=6)
     p.add_argument("--max-isotropy", type=positive_int, default=6)
     p.add_argument("--out", default=None, help="directory for .grpd files")

@@ -143,6 +143,15 @@ class FinGroupoid:
         return {a: comp[inv[tree[self.tgt[a]]], comp[a, tree[self.src[a]]]]
                 for a in self.arrows}
 
+    def isotropy(self, x: str):
+        """The isotropy group at x: its loops (sorted) and their
+        multiplication table by index, built once per object and kept on
+        the instance, so that it is freed with the groupoid."""
+        memo = self.__dict__.setdefault("_isotropy", {})
+        if x not in memo:
+            memo[x] = _isotropy_table(self, x)
+        return memo[x]
+
     @cached_property
     def generators(self) -> tuple[str, ...]:
         """Non-units of which, with the units, every arrow is an iterated
@@ -236,8 +245,8 @@ def partition(items, links) -> tuple[tuple, ...]:
                         key=lambda b: b[0]))
 
 
-def isotropy_table(g: FinGroupoid, x: str):
-    """The loops at x (sorted) and their multiplication table by index."""
+def _isotropy_table(g: FinGroupoid, x: str):
+    """Builds :meth:`FinGroupoid.isotropy` at x."""
     loops = g.hom_set(x, x)
     index = {a: i for i, a in enumerate(loops)}
     comp = g.comp
@@ -405,7 +414,7 @@ def _light_at(g: FinGroupoid, base: str, gens) -> bool:
     """Light's test (see validate_groupoid) on the isotropy table at
     ``base``, by index: whether (c.b).a == c.(b.a) for the loops b at base
     among ``gens`` and all loops a, c there."""
-    loops, table = isotropy_table(g, base)
+    loops, table = g.isotropy(base)
     index = {a: i for i, a in enumerate(loops)}
     cols = tuple(zip(*table))  # cols[y][x] = x.y
     return all(cols[ba] == tuple(map(cols[a].__getitem__, cols[b]))
@@ -705,52 +714,48 @@ def enumerate_functors(h: FinGroupoid, g: FinGroupoid) -> list[StrictArrow]:
 
     A functor is assembled per connected component of ``h`` from: the image
     of the component's base point, a group homomorphism on the isotropy
-    there, and one image arrow per spanning-tree edge.  This reaches every
-    functor exactly once, so enumeration stays exhaustive.
+    there, and one image arrow per spanning-tree edge (see
+    :func:`transport`).  This reaches every functor exactly once, so
+    enumeration stays exhaustive.
     """
     from . import groups
 
     per_component = []
     for block in h.components:
-        rep = block[0]
-        loops, table = isotropy_table(h, rep)
-        choices = []
+        loops, table = h.isotropy(block[0])
+        choices, n = [], len(block) - 1
         for b in g.objects:
-            g_loops, g_table = isotropy_table(g, b)
+            g_loops, g_table = g.isotropy(b)
             for hom in groups.enumerate_homs(table, g_table):
                 theta = {loops[i]: g_loops[hom[i]] for i in range(len(loops))}
-                others = [x for x in block if x != rep]
-                for picks in product(*[g.arrows_from[b] for x in others]):
-                    choices.append((rep, b, theta, dict(zip(others, picks))))
+                for picks in product(g.arrows_from[b], repeat=n):
+                    choices.append((dict(zip(block, (g.unit[b],) + picks)),
+                                    theta))
         per_component.append(choices)
 
-    rep_of = {a: h.component_of[h.src[a]][0] for a in h.arrows}
-    loop_of = h.tree_loop
-    out = []
+    name, out = f"F[{h.name}->{g.name}]", []
     for combo in product(*per_component):
-        obj_map: dict[str, str] = {}
-        tree_img: dict[str, str] = {}
-        thetas: dict[str, dict[str, str]] = {}
-        for rep, b, theta, picks in combo:
-            obj_map[rep] = b
-            tree_img[rep] = g.unit[b]
-            thetas[rep] = theta
-            for x, a in picks.items():
-                obj_map[x] = g.tgt[a]
-                tree_img[x] = a
-        arr_map = {a: conjugate(g, tree_img[h.tgt[a]],
-                                thetas[rep_of[a]][loop_of[a]],
-                                tree_img[h.src[a]])
-                   for a in h.arrows}
-        out.append(StrictArrow(name=f"F[{h.name}->{g.name}]", dom=h, cod=g,
-                               obj_map=obj_map, arr_map=arr_map))
+        imgs = {x: a for part, _ in combo for x, a in part.items()}
+        theta = {a: b for _, part in combo for a, b in part.items()}
+        out.append(transport(name, h, g, imgs, theta))
+    objs, arrs = sorted(h.objects), sorted(h.arrows)
+    return sorted(out, key=lambda f: ([f.obj_map[x] for x in objs],
+                                      [f.arr_map[a] for a in arrs]))
 
-    def key(f):
-        return (tuple(f.obj_map[x] for x in sorted(h.objects)),
-                tuple(f.arr_map[a] for a in sorted(h.arrows)))
 
-    out.sort(key=key)
-    return out
+def transport(name: str, dom: FinGroupoid, cod: FinGroupoid, imgs,
+              theta) -> StrictArrow:
+    """The functor x -> tgt(imgs[x]), a: x -> y -> imgs[y] . theta[lam(a)]
+    . imgs[x]^-1, lam = dom.tree_loop: imgs[x] leaves the image of x's
+    base point, theta maps the base loops.  By Brandt's theorem every
+    functor F out of a valid dom is one, with imgs = F . tree and theta =
+    F on the base loops."""
+    lam, src, tgt = dom.tree_loop, dom.src, dom.tgt
+    return StrictArrow(
+        name=name, dom=dom, cod=cod,
+        obj_map={x: cod.tgt[imgs[x]] for x in dom.objects},
+        arr_map={a: conjugate(cod, imgs[tgt[a]], theta[lam[a]], imgs[src[a]])
+                 for a in dom.arrows})
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +814,11 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
 
     The component at a component's base point determines all others by
     naturality along spanning-tree arrows, so only base-point candidates
-    are tried; a naturality sweep over the arrows leaving the base point
-    then accepts or rejects each choice.  These suffice: they generate the
-    component, and naturality is closed under composition and inverses.
+    are tried, each checked on the base loops among ``dom.generators``.
+    These suffice: ``local`` makes the tree arrows natural, a: x -> y is
+    tree[y] . lam(a) . tree[x]^-1, those loops generate the lam(a) (see
+    validate_groupoid), and naturality is closed under composition and
+    inverses.
     """
     if not (same_groupoid(f.dom, g.dom) and same_groupoid(f.cod, g.cod)):
         raise SignatureMismatch(
@@ -819,13 +826,15 @@ def are_homotopic(f: StrictArrow, g: StrictArrow) -> NatTrans | None:
     dom, cod = f.dom, f.cod
     component: dict[str, str] = {}
     tree = dom.tree
+    loop_gens = index_arrows((s for s in dom.generators
+                              if dom.src[s] == dom.tgt[s]), dom.src)
     for block in dom.components:
         rep = block[0]
         for cand in cod.hom_set(f.obj_map[rep], g.obj_map[rep]):
             local = {x: conjugate(cod, g.arr_map[tree[x]], cand,
                                   f.arr_map[tree[x]])
                      for x in block}
-            if _unnatural(f, g, local, dom.arrows_from[rep]) is None:
+            if _unnatural(f, g, local, loop_gens.get(rep, ())) is None:
                 component.update(local)
                 break
         else:

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from . import groups
-from .core import (FinGroupoid, StrictArrow, conjugate, disjoint_union,
-                   index_arrows, isotropy_table, tabulate)
+from .core import (FinGroupoid, StrictArrow, disjoint_union, index_arrows,
+                   tabulate, transport)
 from .descent import Bundle, Cover, CoverPiece, DescentDatum, descend
 
 
@@ -115,28 +115,19 @@ def random_functor(rng: random.Random, a: FinGroupoid,
                    b: FinGroupoid) -> StrictArrow:
     """A random strict arrow a -> b: per component, a random target object,
     a random isotropy homomorphism, and spanning-tree transport."""
-    obj_map, imgs, thetas = {}, {}, {}
+    imgs, theta = {}, {}
     for block in a.components:
         rep = block[0]
-        loops, table = isotropy_table(a, rep)
+        loops, table = a.isotropy(rep)
         target = rng.choice(sorted(b.objects))
-        b_loops, b_table = isotropy_table(b, target)
+        b_loops, b_table = b.isotropy(target)
         hom = rng.choice(groups.enumerate_homs(table, b_table))
-        thetas[rep] = {loops[i]: b_loops[hom[i]] for i in range(len(loops))}
+        theta.update(zip(loops, (b_loops[i] for i in hom)))
         # tree arrows may land anywhere reachable from the target
-        for x in block:
-            if x == rep:
-                imgs[x] = b.unit[target]
-            else:
-                imgs[x] = rng.choice(sorted(b.arrows_from[target]))
-            obj_map[x] = b.tgt[imgs[x]]
-    arr_map = {}
-    for c in a.arrows:
-        rep = a.component_of[a.src[c]][0]
-        arr_map[c] = conjugate(b, imgs[a.tgt[c]],
-                               thetas[rep][a.tree_loop[c]], imgs[a.src[c]])
-    return StrictArrow(name=f"rf[{a.name}->{b.name}]", dom=a, cod=b,
-                       obj_map=obj_map, arr_map=arr_map)
+        imgs[rep] = b.unit[target]
+        for x in block[1:]:
+            imgs[x] = rng.choice(sorted(b.arrows_from[target]))
+    return transport(f"rf[{a.name}->{b.name}]", a, b, imgs, theta)
 
 
 # ---------------------------------------------------------------------------

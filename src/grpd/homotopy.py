@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from . import groups
 from .core import (FinGroupoid, StrictArrow, NatTrans, GroupoidError,
                    compose_functors, identity_functor, identity_nat,
-                   inclusion_functor, isotropy_table, restrict,
-                   same_groupoid, tabulate, validate_functor,
-                   validate_joined, whisker)
+                   inclusion_functor, restrict, same_groupoid, tabulate,
+                   transport, validate_functor, validate_joined, whisker)
 
 
 class InvalidCospan(GroupoidError):
@@ -274,7 +273,7 @@ def skeletonize(g: FinGroupoid, cap: int = 24) -> Skeleton:
             raise IsotropyTooLarge(
                 f"isotropy order {order} at {rep!r} exceeds cap {cap}",
                 limit=cap)
-        loops, table = isotropy_table(g, rep)
+        loops, table = g.isotropy(rep)
         entries.append(SkeletonEntry(
             orbit_rep=rep, orbit_size=len(block), isotropy_order=len(loops),
             loops=loops, table=table,
@@ -305,21 +304,19 @@ def skeletal_retraction(g: FinGroupoid) -> StrictArrow:
 def skeletal_equivalence_functor(h: FinGroupoid, g: FinGroupoid,
                                  cap: int = 24) -> StrictArrow | None:
     """An essentially surjective fully faithful functor h -> g built by
-    matching skeleton entries, or None when the skeletons differ."""
+    matching skeleton entries, or None when the skeletons differ: the
+    skeletal retraction of h, then the isotropy isomorphisms."""
     sk_h, sk_g = skeletonize(h, cap=cap), skeletonize(g, cap=cap)
     if not skeleton_equal(sk_h, sk_g):
         return None
-    retr = skeletal_retraction(h)
-    obj_map, arr_map = {}, {}
+    imgs, theta = {}, {}
     for eh, eg in zip(sk_h.entries, sk_g.entries):
-        theta = groups.find_isomorphism(eh.table, eg.table)
-        loop_index = {a: i for i, a in enumerate(eh.loops)}
-        obj_map[eh.orbit_rep] = eg.orbit_rep
-        for a in eh.loops:
-            arr_map[a] = eg.loops[theta[loop_index[a]]]
-    match = StrictArrow(name=f"match_{h.name}_{g.name}", dom=retr.cod,
-                        cod=g, obj_map=obj_map, arr_map=arr_map)
-    return compose_functors(match, retr)
+        iso = groups.find_isomorphism(eh.table, eg.table)
+        imgs.update(dict.fromkeys(h.component_of[eh.orbit_rep],
+                                  g.unit[eg.orbit_rep]))
+        theta.update(zip(eh.loops, (eg.loops[i] for i in iso)))
+    return transport(f"match_{h.name}_{g.name}*retr_{h.name}", h, g, imgs,
+                     theta)
 
 
 @dataclass(frozen=True, eq=False)

@@ -371,7 +371,8 @@ def test_non_utf8_file_exits_2_at_its_first_bad_byte(files, tmp_path,
     assert report["error"] == f"{path}:1:1: byte 0xff is not UTF-8"
 
 
-@pytest.mark.parametrize("option", ["--max-objects", "--max-isotropy"])
+@pytest.mark.parametrize("option", ["--max-objects", "--max-isotropy",
+                                    "--count"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_corpus_bounds_below_1_exit_2(capsys, option, value):
     # --max-isotropy 0 used to crash with IndexError (exit 1) and

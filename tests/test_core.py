@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from itertools import islice, product
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from grpd import groups
 from grpd.complexity import point_groupoid
-from grpd.core import (BadFunctor, BadInverse, BadUnit, DanglingId,
-                       DomainMismatch,
-                       FinGroupoid, GroupoidError, NonAssociative,
+from grpd.core import (BadFunctor, BadInverse, BadNatTrans, BadUnit,
+                       DanglingId, DomainMismatch,
+                       FinGroupoid, GroupoidError, NatTrans, NonAssociative,
                        PartialComposition, SignatureMismatch, StrictArrow,
                        are_homotopic,
                        cocylinder, compose_functors, discrete_groupoid,
@@ -641,7 +642,7 @@ def test_homotopic_signature_mismatch():
         are_homotopic(identity_functor(pt), identity_functor(p2))
 
 
-def test_homotopy_is_equivalence_relation_on_functor_sets(small_corpus):
+def _functor_set_cases(small_corpus):
     cases = [
         (interval_groupoid(), pair_groupoid("p2", ["1", "2"])),
         (point_groupoid("BZ2", groups.cyclic(2)),
@@ -650,10 +651,13 @@ def test_homotopy_is_equivalence_relation_on_functor_sets(small_corpus):
          disjoint_union("u", [pair_groupoid("p", ["1", "2"]),
                               terminal_groupoid()])),
     ]
-    cases += [(a, b) for a in small_corpus for b in small_corpus
-              if len(a.objects) <= 2 and len(a.arrows) <= 6
-              and len(b.objects) <= 5 and len(b.arrows) <= 12][:4]
-    for h, g in cases:
+    return cases + [(a, b) for a in small_corpus for b in small_corpus
+                    if len(a.objects) <= 2 and len(a.arrows) <= 6
+                    and len(b.objects) <= 5 and len(b.arrows) <= 12][:4]
+
+
+def test_homotopy_is_equivalence_relation_on_functor_sets(small_corpus):
+    for h, g in _functor_set_cases(small_corpus):
         fs = enumerate_functors(h, g)
         for f in fs:
             assert are_homotopic(f, f) is not None
@@ -670,6 +674,32 @@ def test_homotopy_is_equivalence_relation_on_functor_sets(small_corpus):
                     if (are_homotopic(f, k) is not None
                             and are_homotopic(k, m) is not None):
                         assert are_homotopic(f, m) is not None
+
+
+def _homotopic_by_brute_force(f, g):
+    """Whether some family of arrows f(x) -> g(x) is natural: every family
+    is tried, each checked on every arrow by validate_nat."""
+    dom, cod = f.dom, f.cod
+    for family in product(*[cod.hom_set(f.obj_map[x], g.obj_map[x])
+                            for x in dom.objects]):
+        try:
+            validate_nat(NatTrans(f, g, dict(zip(dom.objects, family))))
+            return True
+        except BadNatTrans:
+            pass
+    return False
+
+
+def test_are_homotopic_agrees_with_brute_force(small_corpus):
+    verdicts = Counter()
+    for h, g in _functor_set_cases(small_corpus):
+        fs = enumerate_functors(h, g)
+        for f in fs:
+            for k in fs:
+                found = are_homotopic(f, k) is not None
+                assert found == _homotopic_by_brute_force(f, k)
+                verdicts[found] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 @settings(deadline=None, max_examples=30)

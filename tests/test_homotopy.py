@@ -1,18 +1,21 @@
+from collections import Counter
+
 import pytest
 
-from grpd import core, groups, homotopy
+from grpd import bibundle, core, groups, homotopy
 from grpd.complexity import point_groupoid
-from grpd.core import (BadFunctor, StrictArrow, discrete_groupoid,
-                       disjoint_union, identity_functor, pair_groupoid,
-                       restrict, terminal_groupoid, validate_functor,
-                       validate_groupoid, validate_nat)
+from grpd.core import (BadFunctor, StrictArrow, compose_functors,
+                       discrete_groupoid, disjoint_union, identity_functor,
+                       pair_groupoid, restrict, terminal_groupoid,
+                       validate_functor, validate_groupoid, validate_nat)
 from grpd.corpus import transitive_groupoid
 from grpd.homotopy import (Cospan, InvalidCospan, IsotropyTooLarge,
                            are_morita_homotopy_equivalent, homotopy_pullback,
                            inclusion_functor, is_essential_equivalence,
                            is_essential_homotopy_equivalence,
-                           skeletal_retraction, skeleton_equal, skeletonize,
-                           strict_pullback, vertical_compose)
+                           skeletal_equivalence_functor, skeletal_retraction,
+                           skeleton_equal, skeletonize, strict_pullback,
+                           vertical_compose)
 
 BZ2 = point_groupoid("BZ2", groups.cyclic(2))
 P2 = pair_groupoid("P2", ["1", "2"])
@@ -321,3 +324,69 @@ def test_isotropy_cap_enforced():
     # cap at the documented default never triggers on the catalog
     for name, table in groups.small_groups(12):
         skeletonize(point_groupoid(name, table), cap=24)
+
+
+# ---------------------------------------------------------------------------
+# skeletal witnesses
+
+
+def test_skeletons_and_witnesses_reuse_the_validated_isotropy(monkeypatch):
+    s3, z2 = groups.symmetric3(), groups.cyclic(2)
+    g = disjoint_union("g", [transitive_groupoid("g0", ["a", "b"], s3),
+                             transitive_groupoid("g1", ["c"], z2)])
+    h = disjoint_union("h", [transitive_groupoid("h0", ["x"], s3),
+                             transitive_groupoid("h1", ["y", "z"], z2)])
+    for k in (g, h):
+        validate_groupoid(k)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(core, "_isotropy_table",
+                        counting("isotropy", core._isotropy_table))
+    for name in ("restrict", "compose_functors"):
+        fn = counting(name, getattr(core, name))
+        for mod in (core, homotopy, bibundle):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, fn)
+    skeletonize(g)
+    assert bibundle.are_morita_equivalent(g, h) is not None
+    assert calls == Counter()
+    assert g.isotropy("a") is g.isotropy("a")
+
+
+def _retraction_then_match(h, g):
+    """The skeletal comparison functor composed the long way: the skeletal
+    retraction of h, then a functor from sk(h) matching the isotropy
+    groups of the sorted skeleton entries."""
+    sk_h, sk_g = skeletonize(h), skeletonize(g)
+    if not skeleton_equal(sk_h, sk_g):
+        return None
+    retr = skeletal_retraction(h)
+    obj_map, arr_map = {}, {}
+    for eh, eg in zip(sk_h.entries, sk_g.entries):
+        theta = groups.find_isomorphism(eh.table, eg.table)
+        obj_map[eh.orbit_rep] = eg.orbit_rep
+        for i, a in enumerate(eh.loops):
+            arr_map[a] = eg.loops[theta[i]]
+    match = StrictArrow(name=f"match_{h.name}_{g.name}", dom=retr.cod,
+                        cod=g, obj_map=obj_map, arr_map=arr_map)
+    return compose_functors(match, retr)
+
+
+def test_skeletal_equivalence_functor_is_retraction_then_match(corpus):
+    equivalent = 0
+    for h in corpus:
+        for g in corpus:
+            f = skeletal_equivalence_functor(h, g)
+            slow = _retraction_then_match(h, g)
+            assert (f is None) == (slow is None)
+            if f is not None:
+                equivalent += 1
+                assert (f.name, f.obj_map, f.arr_map) == (
+                    slow.name, slow.obj_map, slow.arr_map)
+    assert len(corpus) < equivalent < len(corpus) ** 2
