@@ -11,6 +11,7 @@ import argparse
 import sys
 from collections import Counter
 
+from grpd.cli import positive_int
 from grpd.complexity import cgeo, locus_key, orbits
 from grpd.core import validate_groupoid
 from grpd.corpus import CorpusConfig, corpus_groupoids
@@ -20,9 +21,9 @@ from grpd.homotopy import skeletonize
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--count", type=int, default=40)
-    parser.add_argument("--max-objects", type=int, default=6)
-    parser.add_argument("--max-isotropy", type=int, default=6)
+    parser.add_argument("--count", type=positive_int, default=40)
+    parser.add_argument("--max-objects", type=positive_int, default=6)
+    parser.add_argument("--max-isotropy", type=positive_int, default=6)
     args = parser.parse_args()
 
     members = corpus_groupoids(CorpusConfig(

@@ -23,6 +23,6 @@ from .complexity import (orbits, is_transitive, point_groupoid,
                          is_weak_point_subgroupoid, cgeo, relative_cgeo,
                          exists_deformation, locus_key)
 from .descent import (Bundle, Cover, CoverPiece, DescentDatum,
-                      check_subcanonical, check_cocycle, glue, descend)
+                      check_cocycle, glue, descend)
 
 __version__ = "0.1.0"

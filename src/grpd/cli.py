@@ -9,11 +9,15 @@ line ``internal error: <Type>: <message>``, no traceback).
 GRPD_ISOTROPY_CAP, a positive integer, overrides the group isomorphism cap
 (default 24).
 
-Each handler validates every structure it loads (``_validated``, or
-``homotopy_pullback`` for the cospan's legs) and returns ``(exit code,
-result, text lines)`` without printing; :func:`run` maps exceptions to
-exit codes and prints the one report (``_emit``).  A reader that closes
-stdout early does not change the exit code.
+Every handler but ``pullback`` reads its one or two files through
+``_load``, which reports header errors (a line before the first block, an
+unnamed block, no block of the kind) before any other error in either
+file, and validates what it returns; ``pullback`` parses its one file
+the same way and takes two functors, which ``homotopy_pullback``
+validates.  A handler returns ``(exit code, result, text lines)`` without
+printing; :func:`run` maps exceptions to exit codes and prints the one
+report (``_emit``).  A reader that closes stdout early does not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -115,65 +119,21 @@ def _emit(command: str, as_json: bool, ok: bool, result: dict,
             print(f"error: {error}", file=sys.stderr)
 
 
-_KIND_LABEL = {"groupoids": "groupoid", "functors": "functor",
-               "bibundles": "bibundle", "data": "datum"}
-
-
-def _first(path: str, kind: str):
-    """The first structure of the kind (a ``Document`` table) in the file."""
-    for structure in getattr(formats.parse_files([path]), kind).values():
-        return structure
-    raise ParseError(f"no {_KIND_LABEL[kind]} block found", path, 1, 1)
-
-
-def _load_groupoid(path: str):
-    return validate_groupoid(_first(path, "groupoids"))
-
-
-def _check_headers(paths, texts, label: str) -> None:
-    """Raise the first header error of the files, in order: a line before
-    the first block, an unnamed block of the kind, or no such block."""
-    for path, text in zip(paths, texts):
-        if not formats.declared_names(text, label, source=str(path)):
-            raise ParseError(f"no {label} block found", str(path), 1, 1)
-
-
-def _load_two(paths, kind: str):
-    """Parse both files into one namespace, returning the first structure
-    of the requested kind declared by each file (the same file may be
-    passed twice; cross-file name references are allowed).
-
-    Header errors come first: one in either file is reported before any
-    error in assembling either.  The headers are read again only when
-    parsing failed or a file declared no block of the kind."""
-    label = _KIND_LABEL[kind]
-    texts = [formats.read_text(path) for path in paths]
-    doc = formats.Document()
-    wanted = []
-    try:
-        for path, text in zip(paths, texts):
-            start = len(doc.declared)
-            formats.parse_document(text, source=str(path), into=doc)
-            wanted.append(next((name for k, name in doc.declared[start:]
-                                if k == label), None))
-    except ParseError:
-        _check_headers(paths, texts, label)
-        raise
-    if None in wanted:
-        _check_headers(paths, texts, label)
-    return doc, [getattr(doc, kind)[name] for name in wanted]
-
-
 _VALIDATE = {"functors": validate_functor, "bibundles": bib.validate_bibundle}
 
 
-def _validated(kind: str, structures):
-    """Validate every groupoid that the structures are or join, each once
-    and in order of first appearance, then each structure; return them."""
-    if kind != "groupoids":
-        return validate_joined(structures, _VALIDATE[kind])
-    for g in dict.fromkeys(structures):
-        validate_groupoid(g)
+def _load(paths, kind: str) -> list:
+    """The first structure of the kind (a ``Document`` table) that each
+    file declares, read by :func:`formats.load` and validated: every
+    groupoid once, functors and bibundles after the groupoids they join
+    (``validate_joined``).  Descent data are left to ``check_cocycle`` and
+    ``glue``, which validate them."""
+    _, structures = formats.load(paths, kind)
+    if kind == "groupoids":
+        for g in dict.fromkeys(structures):
+            validate_groupoid(g)
+    elif kind != "data":
+        validate_joined(structures, _VALIDATE[kind])
     return structures
 
 
@@ -187,7 +147,7 @@ def _subset(g, raw: str):
 
 def _cmd_validate(args):
     try:
-        g = _load_groupoid(args.file)
+        [g] = _load([args.file], "groupoids")
     except GroupoidError as err:
         result = {"valid": False, "violation": str(err),
                   "witness": repr(err.witness)}
@@ -199,14 +159,14 @@ def _cmd_validate(args):
 
 
 def _cmd_orbits(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     blocks = complexity.orbits(g).blocks
     result = {"groupoid": g.name, "orbits": [list(b) for b in blocks]}
     return EXIT_OK, result, [" ".join(b) for b in blocks]
 
 
 def _cmd_transitive(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     ok = complexity.is_transitive(g)
     result = {"groupoid": g.name, "transitive": ok}
     if not ok:
@@ -215,14 +175,13 @@ def _cmd_transitive(args):
 
 
 def _cmd_skeleton(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     text = homotopy.skeletonize(g, cap=_cap()).serialize()
     return EXIT_OK, {"groupoid": g.name, "skeleton": text.splitlines()}, [text]
 
 
 def _cmd_morita(args):
-    _, pair = _load_two([args.a, args.b], "groupoids")
-    h, g = _validated("groupoids", pair)
+    h, g = _load([args.a, args.b], "groupoids")
     witness = bib.are_morita_equivalent(h, g, cap=_cap())
     if witness is None:
         return EXIT_FALSE, {"equivalent": False}, ["not Morita equivalent"]
@@ -231,8 +190,7 @@ def _cmd_morita(args):
 
 
 def _cmd_morita_homotopy(args):
-    _, pair = _load_two([args.a, args.b], "groupoids")
-    h, g = _validated("groupoids", pair)
+    h, g = _load([args.a, args.b], "groupoids")
     span = homotopy.are_morita_homotopy_equivalent(h, g, cap=_cap())
     if span is None:
         return (EXIT_FALSE, {"equivalent": False},
@@ -244,7 +202,7 @@ def _cmd_morita_homotopy(args):
 
 
 def _cmd_cgeo(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     value, cert = complexity.cgeo_with_cover(g)
     certificates = [
         {"point_object": w.point_object, "vacuous": w.vacuous,
@@ -257,7 +215,7 @@ def _cmd_cgeo(args):
 
 
 def _cmd_relcgeo(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     sub = _subset(g, args.subset)
     value = complexity.relative_cgeo(sub, g)
     result = {"groupoid": g.name, "subset": list(sub.objects),
@@ -266,7 +224,7 @@ def _cmd_relcgeo(args):
 
 
 def _cmd_weakpoint(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     sub = _subset(g, args.subset)
     witness = complexity.is_weak_point_subgroupoid(sub, g)
     if witness is None:
@@ -281,7 +239,7 @@ def _cmd_weakpoint(args):
 
 
 def _cmd_deform(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     h = _subset(g, getattr(args, "from"))
     k = _subset(g, args.to)
     diagram = complexity.exists_deformation(h, k, g)
@@ -294,8 +252,7 @@ def _cmd_deform(args):
 
 
 def _cmd_tensor(args):
-    _, pair = _load_two([args.z1, args.z2], "bibundles")
-    z1, z2 = _validated("bibundles", pair)
+    z1, z2 = _load([args.z1, args.z2], "bibundles")
     product = bib.validate_bibundle(bib.tensor(z1, z2))
     result = {"carrier": list(product.carrier),
               "dom": product.dom.name, "cod": product.cod.name}
@@ -303,8 +260,7 @@ def _cmd_tensor(args):
 
 
 def _cmd_homotopic(args):
-    _, pair = _load_two([args.f, args.g], "functors")
-    f, g = _validated("functors", pair)
+    f, g = _load([args.f, args.g], "functors")
     witness = are_homotopic(f, g)
     if witness is None:
         return EXIT_FALSE, {"homotopic": False}, ["not homotopic"]
@@ -315,7 +271,8 @@ def _cmd_homotopic(args):
 
 
 def _cmd_pullback(args):
-    functors = list(formats.parse_files([args.cospan]).functors.values())
+    doc, _ = formats.load([args.cospan], "functors")
+    functors = list(doc.functors.values())
     if len(functors) < 2:
         raise ParseError("cospan file needs two functor blocks",
                          args.cospan, 1, 1)
@@ -329,7 +286,8 @@ def _cmd_pullback(args):
 
 
 def _cmd_descent_check(args):
-    report = descent.check_cocycle(_first(args.datum, "data"))
+    [datum] = _load([args.datum], "data")
+    report = descent.check_cocycle(datum)
     if report.ok:
         return EXIT_OK, {"cocycle": True}, ["cocycle conditions hold"]
     result = {"cocycle": False, "failure": repr(report.failure)}
@@ -337,13 +295,14 @@ def _cmd_descent_check(args):
 
 
 def _cmd_descent_glue(args):
-    bundle = descent.glue(_first(args.datum, "data")).bundle
+    [datum] = _load([args.datum], "data")
+    bundle = descent.glue(datum).bundle
     result = {"total": list(bundle.total), "base": list(bundle.base)}
     return EXIT_OK, result, [formats.serialize_bundle(bundle).rstrip("\n")]
 
 
 def _cmd_locus(args):
-    g = _load_groupoid(args.file)
+    [g] = _load([args.file], "groupoids")
     key = complexity.locus_key(g, cap=_cap())
     return EXIT_OK, {"groupoid": g.name, "locus": key}, [key]
 

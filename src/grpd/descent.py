@@ -189,25 +189,6 @@ def validate_datum(d: DescentDatum) -> DescentDatum:
     return d
 
 
-def check_subcanonical(mapping: dict[str, str], base) -> dict:
-    """A surjection is the coequalizer of its kernel pair: the canonical
-    comparison from domain-mod-kernel to the base must be a bijection.
-    Returns the kernel classes and comparison map as witness."""
-    base = tuple(base)
-    hit = set(mapping.values())
-    if hit != set(base):
-        raise NotSurjective(f"map misses {sorted(set(base) - hit)}",
-                            witness=tuple(sorted(set(base) - hit)))
-    classes: dict[str, list[str]] = {}
-    for u in sorted(mapping):
-        classes.setdefault(mapping[u], []).append(u)
-    comparison = {tuple(v): x for x, v in classes.items()}
-    ok = (len(comparison) == len(base)
-          and set(comparison.values()) == set(base))
-    return {"ok": ok, "classes": sorted(classes.values()),
-            "comparison": comparison}
-
-
 @dataclass(frozen=True)
 class CocycleReport:
     ok: bool

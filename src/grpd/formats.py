@@ -474,6 +474,45 @@ def parse_files(paths, into: Document | None = None) -> Document:
     return doc
 
 
+_LABEL = {"groupoids": "groupoid", "functors": "functor",
+          "bibundles": "bibundle", "data": "datum"}
+
+
+def load(paths, kind: str) -> tuple[Document, list]:
+    """Parse the files into one Document and return it with the first
+    structure of the kind (a Document table) that each file declares; the
+    same file may be passed twice, and a file may name structures of an
+    earlier one.  Nothing is validated.
+
+    Header errors come first: a line before the first block, an unnamed
+    block of the kind or no such block in any file is reported before any
+    error in assembling a file.  The headers are read again only when
+    parsing failed or a file declared no block of the kind."""
+    label = _LABEL[kind]
+    texts = [read_text(path) for path in paths]
+    doc = Document()
+    wanted = []
+    try:
+        for path, text in zip(paths, texts):
+            start = len(doc.declared)
+            parse_document(text, source=str(path), into=doc)
+            wanted.append(next((name for k, name in doc.declared[start:]
+                                if k == label), None))
+    except ParseError:
+        _check_headers(paths, texts, label)
+        raise
+    if None in wanted:
+        _check_headers(paths, texts, label)
+    return doc, [getattr(doc, kind)[name] for name in wanted]
+
+
+def _check_headers(paths, texts, label: str) -> None:
+    """Raise the first header error of the files, in order."""
+    for path, text in zip(paths, texts):
+        if not declared_names(text, label, source=str(path)):
+            raise ParseError(f"no {label} block found", str(path), 1, 1)
+
+
 def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
     """Names of all blocks of the given kind, in order, without assembling
     anything (block headers carry the name as their second token)."""

@@ -3,6 +3,7 @@ import pytest
 from grpd import groups
 from grpd.core import validate_groupoid
 from grpd.corpus import CorpusConfig, corpus_groupoids
+from grpd.descent import NotSurjective
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +40,32 @@ def _isomorphic_skeletons(a, b) -> bool:
 @pytest.fixture(scope="session")
 def isomorphic_skeletons():
     return _isomorphic_skeletons
+
+
+def _factor_through(p, q, base):
+    """Factor q through the surjection p onto ``base`` (both maps are
+    dicts on one domain): ``(h, None)`` with h(p(u)) = q(u) for every u,
+    the only such h since p is onto.  A q that separates two points of one
+    fibre of p does not factor: ``(None, (u, v))`` names them, v the least
+    point at which q differs from its value at the least point u of v's
+    fibre.  A p that misses a base point raises NotSurjective.
+
+    p is the coequalizer of its kernel pair exactly when every map
+    constant on its fibres factors through it uniquely, and no other map
+    does: the ambient site is subcanonical when every cover passes."""
+    missed = sorted(set(base) - set(p.values()))
+    if missed:
+        raise NotSurjective(f"map misses {missed}", witness=tuple(missed))
+    h, first = {}, {}
+    for u in sorted(p):
+        x = p[u]
+        if x not in h:
+            h[x], first[x] = q[u], u
+        elif h[x] != q[u]:
+            return None, (first[x], u)
+    return h, None
+
+
+@pytest.fixture(scope="session")
+def factor_through():
+    return _factor_through

@@ -24,7 +24,7 @@ from grpd.core import (cocylinder, compose_functors, discrete_groupoid,
                        validate_groupoid, validate_nat)
 from grpd.corpus import (CorpusConfig, corpus_groupoids, inflate,
                          random_datum, random_functor)
-from grpd.descent import check_cocycle, check_subcanonical, descend, glue
+from grpd.descent import check_cocycle, descend, glue
 from grpd.homotopy import (are_morita_homotopy_equivalent,
                            is_essential_homotopy_equivalence, skeletonize)
 
@@ -258,7 +258,7 @@ def canonical_surjections(n, k):
     yield from rec(0, 0)
 
 
-def test_criterion_7_effective_descent_round_trip():
+def test_criterion_7_effective_descent_round_trip(factor_through):
     with criterion(7, "effective descent round trip") as stats:
         rng = random.Random(SEED + 7)
         for i in range(100):
@@ -287,22 +287,39 @@ def test_criterion_7_effective_descent_round_trip():
                     for (u, v), m in src.items():
                         for a2, b2 in m.items():
                             assert dst[(u, v)][theta[a2]] == theta_q[b2]
-        surjections = 0
+        # each surjection is the coequalizer of its kernel pair: a map
+        # constant on its fibres factors through it, uniquely, and the
+        # identity of a domain with a fibre of two points does not
+        surjections = refused = 0
         import itertools
         for n in range(1, 9):
             domain = [f"u{i}" for i in range(n)]
+            identity = {u: u for u in domain}
             for k in range(1, n + 1):
                 base = [f"x{j}" for j in range(k)]
+                parity = {x: j % 2 for j, x in enumerate(base)}
                 for canon in canonical_surjections(n, k):
                     for relab in itertools.permutations(range(k)):
                         mapping = {domain[i]: base[relab[canon[i]]]
                                    for i in range(n)}
-                        assert check_subcanonical(mapping, base)["ok"]
+                        q = {u: parity[x] for u, x in mapping.items()}
+                        assert factor_through(mapping, q, base) == \
+                            (parity, None)
+                        if n > k:
+                            h, (u, v) = factor_through(mapping, identity,
+                                                       base)
+                            assert h is None and u < v and \
+                                mapping[u] == mapping[v]
+                            refused += 1
                         surjections += 1
-        # Fubini numbers: every surjection with domain size up to 8
+        # Fubini numbers: every surjection with domain size up to 8; all
+        # but the 46,233 bijections are refused the identity
         assert surjections == sum(
             (1, 3, 13, 75, 541, 4683, 47293, 545835))
-        stats.update(round_trips=100, surjections=surjections, failures=0)
+        assert refused == surjections - sum(
+            (1, 2, 6, 24, 120, 720, 5040, 40320))
+        stats.update(round_trips=100, surjections=surjections,
+                     refused=refused, failures=0)
 
 
 def test_criterion_8_cocylinder_diad_law(corpus):

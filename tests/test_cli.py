@@ -385,6 +385,22 @@ def test_corpus_bounds_below_1_exit_2(capsys, option, value):
         == EXIT_OK
 
 
+@pytest.mark.parametrize("option", ["--count", "--max-isotropy"])
+def test_corpus_report_bounds_below_1_exit_2(option):
+    # --count 0 crashed in max() of no classes, --max-isotropy 0 in
+    # random.choice, both with a traceback and exit 1
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grpd.__file__).resolve().parents[1]))
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "corpus_report.py"
+    done = subprocess.run([sys.executable, str(script), "--seed", "1",
+                           option, "0"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == EXIT_INPUT
+    assert "must be at least 1" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_unexpected_exception_exits_4_in_one_line(files, monkeypatch,
                                                   capsys):
     def broken(g):
@@ -511,3 +527,28 @@ def test_pullback_validates_every_groupoid_before_its_legs(tmp_path, capsys):
     assert run(["pullback", str(path)]) == EXIT_INPUT
     assert capsys.readouterr() == (
         "", "error: inv('1>2') has wrong endpoints\n")
+
+
+@pytest.mark.parametrize("case", ["no groupoid", "unnamed", "pullback"])
+def test_one_file_reports_header_errors_first(tmp_path, capsys, case):
+    # as for two files: a functor naming a groupoid the file lacks used to
+    # report "unknown groupoid", and a bad inv line in the cospan file came
+    # before its unnamed functor, both assembly errors
+    g = pair_groupoid("pair3", ["1", "2", "3"])
+    p3 = serialize_groupoid(g)
+    path = tmp_path / "one.grpd"
+    command, body, line, message = {
+        "no groupoid": ("validate", serialize_functor(identity_functor(g)),
+                        1, "no groupoid block found"),
+        "unnamed": ("validate", p3.replace("groupoid pair3", "groupoid"), 1,
+                    "groupoid block without a name"),
+        "pullback": ("pullback", p3.replace("inv 1>2 = 2>1", "inv 1>2 2>1")
+                     + "functor\n", p3.count("\n") + 1,
+                     "functor block without a name"),
+    }[case]
+    path.write_text(body, encoding="utf-8")
+    error = f"{path}:{line}:1: {message}"
+    text, as_json = reports(capsys, [command, str(path)])
+    assert text == (EXIT_INPUT, "", f"error: {error}\n")
+    assert as_json == (EXIT_INPUT, {"command": command, "ok": False,
+                                    "error": error}, "")

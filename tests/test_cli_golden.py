@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 import grpd
-from grpd.cli import _load_groupoid, run
+from grpd.cli import _load, run
 from grpd.corpus import random_datum
 from grpd.descent import DescentDatum
 from grpd.formats import serialize_datum
@@ -98,7 +98,7 @@ def golden_calls(root: Path):
     calls = []
     for rel in EXAMPLE_GROUPOIDS + CORPUS:
         path = "{dir}/" + rel
-        g = _load_groupoid(str(root / rel))
+        [g] = _load([str(root / rel)], "groupoids")
         blocks = g.components
         first = ",".join(blocks[0])
         every = ",".join(sorted(g.objects))

@@ -10,7 +10,7 @@ from grpd.corpus import random_bundle, random_cover, random_datum, \
 from grpd.descent import (BadDatum, Bundle, CocycleReport, CocycleViolation,
                           Cover, CoverPiece, DescentDatum, DescentError,
                           GlueResult, NotSurjective, check_cocycle,
-                          check_subcanonical, descend, glue, validate_datum)
+                          descend, glue, validate_datum)
 from grpd.formats import serialize_datum
 
 
@@ -33,19 +33,25 @@ def swap_datum(f21_swap=True):
 # subcanonical
 
 
-def test_subcanonical_two_to_one():
-    r = check_subcanonical({"1": "x", "2": "x", "3": "y"}, ["x", "y"])
-    assert r["ok"]
-    assert r["classes"] == [["1", "2"], ["3"]]
+def test_subcanonical_two_to_one(factor_through):
+    p = {"1": "x", "2": "x", "3": "y"}
+    # a map constant on the fibres factors, and only through one map
+    assert factor_through(p, {"1": 0, "2": 0, "3": 0}, ["x", "y"]) == \
+        ({"x": 0, "y": 0}, None)
+    # a map separating the fibre {1, 2} does not, and the pair is named
+    for q in ({"1": 0, "2": 1, "3": 0}, {u: u for u in p}):
+        assert factor_through(p, q, ["x", "y"]) == (None, ("1", "2"))
+    assert factor_through({**p, "0": "y"}, {"0": 1, "1": 0, "2": 0, "3": 2},
+                          ["x", "y"]) == (None, ("0", "3"))
 
 
-def test_subcanonical_bijection():
-    assert check_subcanonical({"1": "x"}, ["x"])["ok"]
+def test_subcanonical_bijection(factor_through):
+    assert factor_through({"1": "x"}, {"1": "a"}, ["x"]) == ({"x": "a"}, None)
 
 
-def test_subcanonical_rejects_inclusion():
+def test_subcanonical_rejects_inclusion(factor_through):
     with pytest.raises(NotSurjective):
-        check_subcanonical({"1": "x"}, ["x", "y"])
+        factor_through({"1": "x"}, {"1": "x"}, ["x", "y"])
 
 
 def all_surjections(n, k):
@@ -67,18 +73,28 @@ def all_surjections(n, k):
     return out
 
 
-def test_every_small_surjection_is_subcanonical():
-    checked = 0
+def test_every_small_surjection_is_subcanonical(factor_through):
+    checked = refused = 0
     for n in range(1, 6):
+        domain = [f"u{i}" for i in range(n)]
+        identity = {u: u for u in domain}
         for k in range(1, n + 1):
             base = [f"x{j}" for j in range(k)]
+            parity = {x: j % 2 for j, x in enumerate(base)}
             for f in all_surjections(n, k):
-                mapping = {f"u{i}": base[f[i]] for i in range(n)}
-                assert check_subcanonical(mapping, base)["ok"]
+                mapping = {u: base[v] for u, v in zip(domain, f)}
+                q = {u: parity[x] for u, x in mapping.items()}
+                assert factor_through(mapping, q, base) == (parity, None)
+                if n > k:
+                    h, (u, v) = factor_through(mapping, identity, base)
+                    assert h is None and u < v and mapping[u] == mapping[v]
+                    refused += 1
                 checked += 1
     assert checked == sum(
         len(all_surjections(n, k))
         for n in range(1, 6) for k in range(1, n + 1))
+    # every surjection but the 1 + 2 + 6 + 24 + 120 bijections
+    assert refused == checked - 153
 
 
 # ---------------------------------------------------------------------------

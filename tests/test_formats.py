@@ -647,7 +647,7 @@ def test_parse_matches_the_line_by_line_oracle_on_mutated_corpus_files():
 
 
 def test_load_two_matches_the_oracle_on_mutated_file_pairs(tmp_path):
-    from grpd.cli import _load_two
+    from grpd.formats import load as _load_two
 
     rng = random.Random(77)
     pools = {"groupoids": [], "functors": [], "bibundles": []}
@@ -670,19 +670,21 @@ def test_load_two_matches_the_oracle_on_mutated_file_pairs(tmp_path):
             if rng.random() < 0.2:
                 paths[1] = paths[0]
 
-            def run(load):
-                doc, found = load(paths, kind)
-                return digest(doc), [s.name for s in found]
+            # both files, and the first one alone
+            for loaded in (paths, paths[:1]):
+                def run(load):
+                    doc, found = load(loaded, kind)
+                    return digest(doc), [s.name for s in found]
 
-            new = outcome(run, _load_two)
-            assert new == outcome(run, oracle_load_two), paths
-            cases += 1
-            errors += new[0] == "error"
+                new = outcome(run, _load_two)
+                assert new == outcome(run, oracle_load_two), loaded
+                cases += 1
+                errors += new[0] == "error"
     assert cases * 0.2 < errors < cases * 0.8
 
 
 def test_load_two_reports_header_errors_before_assembly_errors(tmp_path):
-    from grpd.cli import _load_two
+    from grpd.formats import load as _load_two
 
     g = serialize_groupoid(pair_groupoid("p2", ["1", "2"]))
     cover = serialize_cover(random_datum(random.Random(1), "d",
