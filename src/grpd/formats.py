@@ -530,9 +530,10 @@ def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
 # serialization (deterministic: sorted lines within each section)
 
 
-def _sorted_pair_lines(table, outer, inner, line, unique) -> list[str]:
-    """``line(x, y, table[x, y])`` for each key of ``table``, keys in sorted
-    order.
+def _sorted_rows(table, outer, inner, line, unique) -> list[str]:
+    """The lines ``line(x, y, table[x, y])`` for the keys of ``table`` in
+    sorted order, joined into one row per x: every line of one x in one
+    string, so a big table is never held as one string per entry.
 
     The keys are expected to be the pairs (x, y) with x in sorted ``outer``
     and y in ``inner(x)``, which lists them sorted; walking those pairs
@@ -540,17 +541,22 @@ def _sorted_pair_lines(table, outer, inner, line, unique) -> list[str]:
     kept only when it accounts for every entry exactly once: the id lists
     in ``unique``, of which the walked pairs are made, hold no repeats,
     every walked pair is a key, and the counts agree.  Otherwise (a table
-    with a missing or extra entry) the keys are sorted."""
+    with a missing or extra entry, or an id whose end is not an object)
+    the keys are sorted, into one row.  ``line`` ends its line with a
+    newline."""
     if all(len(set(ids)) == len(ids) for ids in unique):
         try:
-            lines = [line(x, y, table[x, y])
-                     for x in sorted(outer) for y in inner(x)]
+            rows, count = [], 0
+            for x in sorted(outer):
+                ys = inner(x)
+                count += len(ys)
+                rows.append("".join([line(x, y, table[x, y]) for y in ys]))
         except KeyError:
             pass
         else:
-            if len(lines) == len(table):
-                return lines
-    return [line(x, y, table[x, y]) for x, y in sorted(table)]
+            if count == len(table):
+                return rows
+    return ["".join([line(x, y, table[x, y]) for x, y in sorted(table)])]
 
 
 def serialize_groupoid(g: FinGroupoid) -> str:
@@ -563,10 +569,10 @@ def serialize_groupoid(g: FinGroupoid) -> str:
     for a in g.arrows:
         lines.append(f"inv {a} = {g.inv[a]}")
     # the composable pairs (p, q) are the q into src(p)
-    lines += _sorted_pair_lines(
+    rows = _sorted_rows(
         g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]],
-        lambda p, q, r: f"comp {p} {q} = {r}", [g.arrows])
-    return "\n".join(lines) + "\n"
+        lambda p, q, r: f"comp {p} {q} = {r}\n", [g.arrows])
+    return "".join(["\n".join(lines) + "\n", *rows])
 
 
 def serialize_functor(f: StrictArrow) -> str:
@@ -588,13 +594,13 @@ def serialize_bibundle(b: Bibundle) -> str:
     # eta acts on the points over src(eta); c acts on z when c lands on q(z)
     h, g = b.dom, b.cod
     points_over = index_arrows(sorted(b.carrier), b.left.actor)
-    lines += _sorted_pair_lines(
+    left = _sorted_rows(
         b.left.act, h.arrows, lambda eta: points_over.get(h.src[eta], ()),
-        lambda eta, z, w: f"lact {eta} {z} -> {w}", [h.arrows, b.carrier])
-    lines += _sorted_pair_lines(
+        lambda eta, z, w: f"lact {eta} {z} -> {w}\n", [h.arrows, b.carrier])
+    right = _sorted_rows(
         b.right.act, b.carrier, lambda z: g.arrows_into[b.right.actor[z]],
-        lambda z, c, w: f"ract {z} {c} -> {w}", [b.carrier, g.arrows])
-    return "\n".join(lines) + "\n"
+        lambda z, c, w: f"ract {z} {c} -> {w}\n", [b.carrier, g.arrows])
+    return "".join(["\n".join(lines) + "\n", *left, *right])
 
 
 def serialize_bundle(b: Bundle) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -399,6 +400,44 @@ def test_corpus_report_bounds_below_1_exit_2(option):
     assert done.returncode == EXIT_INPUT
     assert "must be at least 1" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("classify", [
+    '{"correct": true, "attempted": 9, "failed": 1}',
+    '{"correct": false, "attempted": 9, "failed": 2}',
+    "Traceback (most recent call last):",
+    ""])
+def test_bench_record_fails_on_a_wrong_or_missing_result(
+        classify, tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", root / "scripts" / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    (tmp_path / "BENCHMARK.json").write_text(
+        (root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "git_rev", lambda: "rev")
+    runs = []
+
+    def fake_run(argv, **kwargs):
+        workload = argv[argv.index("--workload") + 1]
+        runs.append(workload)
+        out = classify if workload == "classify" else \
+            '{"correct": true, "attempted": 5, "failed": 0}'
+        return subprocess.CompletedProcess(argv, 0, f"metrics\n{out}\n", "")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    code = bench_record.main(["--label", "t", "--seconds", "1"])
+    assert runs == ["classify", "construct", "descent"]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert (record["git_rev"], record["seed"], record["seconds"]) == \
+        ("rev", 1, 1.0)
+    assert record["results"]["descent"]["attempted"] == 5
+    wrong = '"correct": true' not in classify
+    assert code == (1 if wrong else 0)
+    assert (record["results"]["classify"] is None) == \
+        (not classify.startswith("{"))
 
 
 def test_unexpected_exception_exits_4_in_one_line(files, monkeypatch,

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from grpd.bibundle import (functor_to_bibundle, tensor, transpose,
                            unit_bibundle, validate_bibundle)
 from grpd.homotopy import Cospan, homotopy_pullback
 from grpd.corpus import (CorpusConfig, corpus_groupoids, random_datum,
-                         random_functor)
+                         random_functor, transitive_groupoid)
 from grpd.formats import (Document, ParseError, parse_document,
                           serialize_bibundle, serialize_bundle,
                           serialize_cover, serialize_datum,
@@ -219,6 +220,11 @@ def test_serializers_match_the_sort_based_copies(corpus):
     padded = {**p3.comp, **{("ghost", str(i)): "1>1"
                             for i in range(walked - len(p3.comp))}}
     groupoids += [twice, dataclasses.replace(twice, comp=padded)]
+    # an arrow whose target, or source, is not an object: the walk's
+    # lookups fail, and so must any count of the walked pairs
+    for end in ("tgt", "src"):
+        groupoids.append(dataclasses.replace(
+            p3, **{end: {**getattr(p3, end), "1>2": "ghost"}}))
     unit = unit_bibundle(p3)
     for side, key in (("left", ("2>3", "1>2")), ("right", ("1>2", "2>3"))):
         act = getattr(unit, side).act
@@ -230,6 +236,28 @@ def test_serializers_match_the_sort_based_copies(corpus):
         assert serialize_groupoid(g) == sorted_serialize_groupoid(g), g.name
     for b in bibundles:
         assert serialize_bibundle(b) == sorted_serialize_bibundle(b), b.name
+
+
+def test_serializers_peak_at_most_two_and_a_half_times_their_output():
+    """A big table is written one row at a time: the traced peak holds the
+    rows and the text they are joined into, but no string per line and no
+    second copy of the text."""
+    g = transitive_groupoid("g", ["a", "b"], groups.cyclic(2))
+    ident = identity_functor(g)
+    pullback = homotopy_pullback(Cospan(ident, ident), 1).groupoid
+    assert len(pullback.comp) == 2048
+    unit = unit_bibundle(transitive_groupoid("k", ["1", "2", "3"],
+                                             groups.symmetric3()))
+    for serialize, x in ((serialize_groupoid, pullback),
+                         (serialize_bibundle, tensor(unit, unit))):
+        serialize(x)  # build the cached sorted arrow lists first
+        tracemalloc.start()
+        try:
+            text = serialize(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text), (serialize.__name__, peak, len(text))
 
 
 # ---------------------------------------------------------------------------
