@@ -12,7 +12,7 @@ import sys
 from collections import Counter
 
 from grpd.cli import positive_int
-from grpd.complexity import cgeo, locus_key, orbits
+from grpd.complexity import cgeo, locus_key
 from grpd.core import validate_groupoid
 from grpd.corpus import CorpusConfig, corpus_groupoids
 from grpd.homotopy import skeletonize
@@ -34,7 +34,7 @@ def main() -> int:
     classes = Counter()
     for g in members:
         validate_groupoid(g)
-        n_orbits = len(orbits(g).blocks)
+        n_orbits = len(g.components)
         value = cgeo(g)
         key = locus_key(g)
         classes[tuple(e.canonical for e in skeletonize(g).entries)] += 1

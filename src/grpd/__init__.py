@@ -15,13 +15,11 @@ from .bibundle import (Bibundle, LeftAction, RightAction, unit_bibundle,
                        are_morita_equivalent, is_principal, transpose,
                        validate_bibundle)
 from .homotopy import (Cospan, homotopy_pullback, is_essential_equivalence,
-                       is_essential_homotopy_equivalence,
                        are_morita_homotopy_equivalent, skeletonize,
                        skeleton_equal, Skeleton)
-from .complexity import (orbits, is_transitive, point_groupoid,
-                         morita_point_check, subgroupoid,
-                         is_weak_point_subgroupoid, cgeo, relative_cgeo,
-                         exists_deformation, locus_key)
+from .complexity import (is_transitive, point_groupoid, morita_point_check,
+                         subgroupoid, is_weak_point_subgroupoid, cgeo,
+                         relative_cgeo, exists_deformation, locus_key)
 from .descent import (Bundle, Cover, CoverPiece, DescentDatum,
                       check_cocycle, glue, descend)
 

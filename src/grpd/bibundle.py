@@ -176,9 +176,6 @@ def validate_action(a: Action) -> Action:
     return a
 
 
-validate_left_action = validate_right_action = validate_action
-
-
 @dataclass(frozen=True)
 class Principality:
     """Outcome of the principality check: a division map as certificate, or
@@ -252,14 +249,6 @@ class Bibundle:
     @property
     def carrier(self) -> tuple[str, ...]:
         return self.left.carrier
-
-    @property
-    def right_orbits(self):
-        return self.right.orbits
-
-    @property
-    def left_orbits(self):
-        return self.left.orbits
 
     @cached_property
     def is_right_principal(self) -> bool:

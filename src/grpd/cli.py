@@ -33,9 +33,7 @@ from . import bibundle as bib
 from . import complexity, corpus, descent, formats, homotopy
 from .core import (GroupoidError, are_homotopic, validate_functor,
                    validate_groupoid, validate_joined)
-from .descent import DescentError
 from .formats import ParseError
-from .groups import InvalidGroupTable
 from .homotopy import IsotropyTooLarge
 
 EXIT_OK = 0
@@ -160,7 +158,7 @@ def _cmd_validate(args):
 
 def _cmd_orbits(args):
     [g] = _load([args.file], "groupoids")
-    blocks = complexity.orbits(g).blocks
+    blocks = g.components
     result = {"groupoid": g.name, "orbits": [list(b) for b in blocks]}
     return EXIT_OK, result, [" ".join(b) for b in blocks]
 
@@ -217,7 +215,7 @@ def _cmd_cgeo(args):
 def _cmd_relcgeo(args):
     [g] = _load([args.file], "groupoids")
     sub = _subset(g, args.subset)
-    value = complexity.relative_cgeo(sub, g)
+    value = complexity.relative_cgeo(sub)
     result = {"groupoid": g.name, "subset": list(sub.objects),
               "relative_cgeo": value}
     return EXIT_OK, result, [str(value)]
@@ -226,7 +224,7 @@ def _cmd_relcgeo(args):
 def _cmd_weakpoint(args):
     [g] = _load([args.file], "groupoids")
     sub = _subset(g, args.subset)
-    witness = complexity.is_weak_point_subgroupoid(sub, g)
+    witness = complexity.is_weak_point_subgroupoid(sub)
     if witness is None:
         return (EXIT_FALSE, {"weak_point": False},
                 ["not a weak point subgroupoid"])
@@ -242,7 +240,7 @@ def _cmd_deform(args):
     [g] = _load([args.file], "groupoids")
     h = _subset(g, getattr(args, "from"))
     k = _subset(g, args.to)
-    diagram = complexity.exists_deformation(h, k, g)
+    diagram = complexity.exists_deformation(h, k)
     if diagram is None:
         return EXIT_FALSE, {"deformation": False}, ["no deformation"]
     transport = diagram.transport.obj_map
@@ -390,8 +388,7 @@ def run(argv=None) -> int:
         code, result, lines = args.handler(args)
     except IsotropyTooLarge as err:
         code, error = EXIT_LIMIT, str(err)
-    except (ParseError, GroupoidError, DescentError, InvalidGroupTable,
-            BadEnvironment, OSError) as err:
+    except (ParseError, GroupoidError, BadEnvironment, OSError) as err:
         code, error = EXIT_INPUT, str(err)
     except Exception as err:  # a defect, which must not read as "false"
         code = EXIT_INTERNAL

@@ -25,17 +25,6 @@ class NotInvariant(GroupoidError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitPartition:
-    groupoid: FinGroupoid
-    blocks: tuple[tuple[str, ...], ...]
-
-
-def orbits(g: FinGroupoid) -> OrbitPartition:
-    """Partition of objects by the relation generated by src ~ tgt."""
-    return OrbitPartition(groupoid=g, blocks=g.components)
-
-
 def is_transitive(g: FinGroupoid) -> bool:
     """Exactly one orbit.  The empty groupoid counts as not transitive: it
     admits no equivalence with a one-object groupoid."""
@@ -133,14 +122,13 @@ class WeakPointWitness:
     vacuous: bool = False
 
 
-def is_weak_point_subgroupoid(u: Subgroupoid,
-                              g: FinGroupoid) -> WeakPointWitness | None:
-    """Weak point test: the inclusion of u is homotopic, inside g, to a
-    functor landing in a one-object subgroupoid.  This happens exactly when
-    the objects of u sit inside a single orbit; the witness transports every
-    object to the orbit's base point along chosen connecting arrows."""
-    if not same_groupoid(u.ambient, g):
-        raise GroupoidError("subgroupoid of a different ambient groupoid")
+def is_weak_point_subgroupoid(u: Subgroupoid) -> WeakPointWitness | None:
+    """Weak point test: the inclusion of u is homotopic, inside its ambient
+    groupoid, to a functor landing in a one-object subgroupoid.  This
+    happens exactly when the objects of u sit inside a single orbit; the
+    witness transports every object to the orbit's base point along chosen
+    connecting arrows."""
+    g = u.ambient
     if not u.is_invariant:
         raise NotInvariant(f"{sorted(u.objects)} is not a union of orbits",
                            witness=u.objects)
@@ -180,7 +168,7 @@ def cgeo_with_cover(g: FinGroupoid) -> tuple[int, CoverCertificate]:
     complexity 0 by convention; finite carriers never force the infinite
     value the codomain allows in general."""
     pieces = g.components
-    witnesses = tuple(is_weak_point_subgroupoid(subgroupoid(g, block), g)
+    witnesses = tuple(is_weak_point_subgroupoid(subgroupoid(g, block))
                       for block in pieces)
     return len(pieces), CoverCertificate(pieces=pieces, witnesses=witnesses)
 
@@ -190,12 +178,11 @@ def cgeo(g: FinGroupoid) -> int:
     return len(g.components)
 
 
-def relative_cgeo(h: Subgroupoid, g: FinGroupoid) -> int:
-    """Least number of weak-point-in-g invariant subgroupoids covering the
-    objects of h: the number of orbits of g that meet h."""
-    if not same_groupoid(h.ambient, g):
-        raise GroupoidError("subgroupoid of a different ambient groupoid")
-    return len({g.component_of[x] for x in h.objects})
+def relative_cgeo(h: Subgroupoid) -> int:
+    """Least number of invariant subgroupoids, weak point in h's ambient
+    groupoid, covering the objects of h: the number of its orbits that
+    meet h."""
+    return len({h.ambient.component_of[x] for x in h.objects})
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +199,18 @@ class DeformationDiagram:
     inclusion: StrictArrow
 
 
-def exists_deformation(h: Subgroupoid, k: Subgroupoid,
-                       g: FinGroupoid) -> DeformationDiagram | None:
-    """Deformation of h into k within g, or None.
+def exists_deformation(h: Subgroupoid,
+                       k: Subgroupoid) -> DeformationDiagram | None:
+    """Deformation of h into k within their shared ambient groupoid, or
+    None; subgroupoids of two different groupoids raise ``GroupoidError``.
 
     A deformation exists exactly when every orbit meeting h also meets k:
     the homotopy legs can only move objects within their orbits, and
     conversely connecting arrows transport h onto k orbitwise.  The
     returned diagram uses identity legs and the explicit transport."""
-    if not (same_groupoid(h.ambient, g) and same_groupoid(k.ambient, g)):
-        raise GroupoidError("subgroupoids of a different ambient groupoid")
+    if not same_groupoid(h.ambient, k.ambient):
+        raise GroupoidError("subgroupoids of different ambient groupoids")
+    g = h.ambient
     korbs = {g.component_of[y][0] for y in k.objects}
     target: dict[str, str] = {}
     for x in h.objects:

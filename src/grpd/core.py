@@ -691,12 +691,6 @@ def _unnatural(f: StrictArrow, g: StrictArrow, component, arrows):
                  != comp[component[tgt[a]], f.arr_map[a]]), None)
 
 
-def identity_nat(f: StrictArrow) -> NatTrans:
-    return NatTrans(source_fun=f, target_fun=f,
-                    component={x: f.cod.unit[f.obj_map[x]]
-                               for x in f.dom.objects})
-
-
 def whisker(t: NatTrans, w: StrictArrow) -> NatTrans:
     """Precompose a transformation with a functor into its domain."""
     return NatTrans(

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import first_repeat, index_arrows, partition
+from .core import GroupoidError, first_repeat, index_arrows, partition
 
 
-class DescentError(Exception):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+class DescentError(GroupoidError):
+    pass
 
 
 class NotSurjective(DescentError):
@@ -67,13 +65,18 @@ class Cover:
     pieces: tuple[CoverPiece, ...]
 
     def validate(self) -> "Cover":
-        """Distinct piece names, no element twice in a piece, every element
-        mapped onto the base, every base point hit.  A cover that passes is
-        not checked again; one that fails raises on every call."""
+        """Distinct base points and piece names, no element twice in a
+        piece, every element mapped onto the base, every base point hit.
+        A cover that passes is not checked again; one that fails raises on
+        every call."""
         return self._validated
 
     @cached_property
     def _validated(self) -> "Cover":
+        dup = first_repeat(self.base)
+        if dup is not None:
+            raise BadDatum(f"cover {self.name!r} lists base point {dup!r} "
+                           "twice", witness=dup)
         names = [p.name for p in self.pieces]
         if len(set(names)) != len(names):
             dup = first_repeat(names)
@@ -106,14 +109,11 @@ class Cover:
                 for p in self.pieces}
 
     def overlap(self, pi: CoverPiece, pj: CoverPiece):
-        """U_i x_X U_j as explicit pairs."""
-        return _overlap(pi, index_arrows(pj.elements, pj.to_base))
-
-
-def _overlap(pi: CoverPiece, over: dict[str, list[str]]):
-    """U_i x_X U_j from U_j's elements grouped by base point; the pairs come
-    in the order of U_i's elements, then U_j's."""
-    return [(u, v) for u in pi.elements for v in over.get(pi.to_base[u], ())]
+        """U_i x_X U_j as explicit pairs, for two pieces of this cover; the
+        pairs come in the order of U_i's elements, then U_j's."""
+        over = self.by_base[pj.name]
+        return [(u, v) for u in pi.elements
+                for v in over.get(pi.to_base[u], ())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,14 +154,13 @@ def validate_datum(d: DescentDatum) -> DescentDatum:
             raise BadDatum(f"bundle over {p.name!r} has the wrong base",
                            witness=p.name)
         fibres[p.name] = index_arrows(bundle.total, bundle.proj)
-    by_base = d.cover.by_base
     for pi in d.cover.pieces:
         for pj in d.cover.pieces:
             key = (pi.name, pj.name)
             table = d.transitions.get(key)
             if table is None:
                 raise BadDatum(f"missing transitions for {key}", witness=key)
-            pairs = _overlap(pi, by_base[pj.name])
+            pairs = d.cover.overlap(pi, pj)
             for (u, v) in pairs:
                 m = table.get((u, v))
                 if m is None:
@@ -346,12 +345,11 @@ def descend(a: Bundle, c: Cover) -> DescentDatum:
                       total=tuple(total), proj=proj)
 
     fibres = {p.name: pulled(p) for p in c.pieces}
-    by_base = c.by_base
     transitions: dict = {}
     for pi in c.pieces:
         for pj in c.pieces:
             table = {}
-            for (u, v) in _overlap(pi, by_base[pj.name]):
+            for (u, v) in c.overlap(pi, pj):
                 table[(u, v)] = {f"{u}.{e}": f"{v}.{e}"
                                  for e in fibre.get(pi.to_base[u], ())}
             transitions[(pi.name, pj.name)] = table

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .bibundle import Bibundle, LeftAction, RightAction
 from .core import FinGroupoid, StrictArrow, index_arrows
-from .descent import Bundle, Cover, CoverPiece, DescentDatum, _overlap
+from .descent import Bundle, Cover, CoverPiece, DescentDatum
 
 
 class ParseError(Exception):
@@ -379,10 +379,8 @@ def _assemble_datum(block: _Block, doc: Document) -> DescentDatum:
     fibre_elems: dict[str, dict[str, list[str]]] = {}
     # every ordered piece pair owns a table with one (possibly empty)
     # entry per overlap point; trans lines fill them in
-    by_base = cover.by_base
     transitions: dict = {
-        (pi.name, pj.name): {(u, v): {}
-                             for (u, v) in _overlap(pi, by_base[pj.name])}
+        (pi.name, pj.name): {(u, v): {} for (u, v) in cover.overlap(pi, pj)}
         for pi in cover.pieces for pj in cover.pieces}
     for t in block.body:
         head = t[0]

@@ -18,11 +18,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, combinations, count, permutations, product
 
+from .core import GroupoidError
 
-class InvalidGroupTable(Exception):
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+
+class InvalidGroupTable(GroupoidError):
+    pass
 
 
 def validate_table(t) -> int:

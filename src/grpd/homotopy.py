@@ -3,10 +3,14 @@
 In the finite-set model every natural transformation is invertible and
 chains of them compose, so the n-fold homotopy relation collapses to the
 single-step one and homotopy equivalences coincide with essentially
-surjective fully faithful functors.  The skeleton (one isotropy group per
-orbit, canonically ordered) is therefore a complete invariant for both
-Morita and Morita-homotopy equivalence, and the deciders below lean on it
-for their boolean answers while still constructing explicit witnesses.
+surjective fully faithful functors.  A functor factoring, up to homotopy,
+as a homotopy equivalence followed by an essential equivalence is then
+itself an essential equivalence, so :func:`is_essential_equivalence`
+decides the essential homotopy equivalences too.  The skeleton (one
+isotropy group per orbit, canonically ordered) is therefore a complete
+invariant for both Morita and Morita-homotopy equivalence, and the
+deciders below lean on it for their boolean answers while still
+constructing explicit witnesses.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from dataclasses import dataclass
 
 from . import groups
 from .core import (FinGroupoid, StrictArrow, NatTrans, GroupoidError,
-                   compose_functors, identity_functor, identity_nat,
-                   inclusion_functor, restrict, same_groupoid, tabulate,
-                   transport, validate_functor, validate_joined, whisker)
+                   compose_functors, identity_functor, inclusion_functor,
+                   restrict, same_groupoid, tabulate, transport,
+                   validate_functor, validate_joined, whisker)
 
 
 class InvalidCospan(GroupoidError):
@@ -200,34 +204,6 @@ def is_essential_equivalence(f: StrictArrow) -> EssentialEquivalence:
                                     witness=("missing",) + missing)
     return EssentialEquivalence(ok=True, essentially_surjective=True,
                                 fully_faithful=True)
-
-
-@dataclass(frozen=True, eq=False)
-class EssHomotopyFactorization:
-    mid: FinGroupoid          # L
-    equivalence: StrictArrow  # h: K -> L, homotopy equivalence
-    essential: StrictArrow    # eps: L -> G, essential equivalence
-    homotopy: NatTrans        # eps . h => f
-
-
-def is_essential_homotopy_equivalence(
-        f: StrictArrow) -> EssHomotopyFactorization | None:
-    """Factorization through a homotopy equivalence followed by an essential
-    equivalence, up to homotopy; None when impossible.
-
-    Both factorization classes are invariant under natural isomorphism and
-    compose to essentially surjective fully faithful functors, so a
-    factorization exists exactly when f itself passes the essential
-    equivalence check; the witness returned is the direct one.
-    """
-    if not is_essential_equivalence(f):
-        return None
-    h = identity_functor(f.dom)
-    composite = compose_functors(f, h)
-    return EssHomotopyFactorization(
-        mid=f.dom, equivalence=h, essential=f,
-        homotopy=NatTrans(source_fun=composite, target_fun=f,
-                          component=identity_nat(f).component))
 
 
 # ---------------------------------------------------------------------------

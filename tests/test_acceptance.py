@@ -17,8 +17,8 @@ from grpd.bibundle import (are_morita_equivalent, bibundles_isomorphic,
                            functor_to_bibundle, tensor, unit_bibundle,
                            validate_bibundle)
 from grpd.complexity import (cgeo, exists_deformation, is_transitive,
-                             locus_key, morita_point_check, orbits,
-                             point_groupoid, relative_cgeo, subgroupoid)
+                             locus_key, morita_point_check, point_groupoid,
+                             relative_cgeo, subgroupoid)
 from grpd.core import (cocylinder, compose_functors, discrete_groupoid,
                        functors_equal, identity_functor, validate_functor,
                        validate_groupoid, validate_nat)
@@ -26,7 +26,7 @@ from grpd.corpus import (CorpusConfig, corpus_groupoids, inflate,
                          random_datum, random_functor)
 from grpd.descent import check_cocycle, descend, glue
 from grpd.homotopy import (are_morita_homotopy_equivalent,
-                           is_essential_homotopy_equivalence, skeletonize)
+                           is_essential_equivalence, skeletonize)
 
 SEED = 20250810
 
@@ -99,7 +99,7 @@ def test_criterion_2_cgeo_counts_orbits(corpus):
     with criterion(2, "covering invariant equals orbit count") as stats:
         for g in corpus:
             value = cgeo(g)
-            assert value == len(orbits(g).blocks), g.name
+            assert value == len(g.components), g.name
             assert value == oracle_cover_minimum(g), g.name
         stats.update(groupoids=len(corpus), disagreements=0)
 
@@ -114,8 +114,8 @@ def test_criterion_3_invariance_under_inflation(corpus):
             assert cgeo(big) == cgeo(g), g.name
             span = are_morita_homotopy_equivalent(g, big)
             assert span is not None, g.name
-            assert is_essential_homotopy_equivalence(span.left_leg), g.name
-            assert is_essential_homotopy_equivalence(span.right_leg), g.name
+            assert is_essential_equivalence(span.left_leg), g.name
+            assert is_essential_equivalence(span.right_leg), g.name
         stats.update(groupoids=len(corpus), failures=0)
 
 
@@ -218,7 +218,7 @@ def test_criterion_6_deformation_monotonicity(corpus):
             rel = {}
             for h in subsets:
                 for k in subsets:
-                    d = exists_deformation(h, k, g)
+                    d = exists_deformation(h, k)
                     rel[(h.objects, k.objects)] = d is not None
                     checked += 1
                     if d is not None:
@@ -227,7 +227,7 @@ def test_criterion_6_deformation_monotonicity(corpus):
                         validate_nat(d.homotopy)
                         assert set(d.transport.obj_map.values()) <= \
                             set(k.objects)
-                        assert relative_cgeo(h, g) <= relative_cgeo(k, g)
+                        assert relative_cgeo(h) <= relative_cgeo(k)
             for h in subsets:
                 assert rel[(h.objects, h.objects)]
                 for k in subsets:

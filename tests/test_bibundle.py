@@ -9,8 +9,7 @@ from grpd.bibundle import (BadAction, Bibundle, EndpointMismatch,
                            Principality, RightAction, are_morita_equivalent,
                            bibundles_isomorphic, functor_to_bibundle,
                            is_principal, tensor, transpose, unit_bibundle,
-                           validate_bibundle, validate_left_action,
-                           validate_right_action)
+                           validate_action, validate_bibundle)
 from grpd.complexity import morita_point_check, point_groupoid
 from grpd.core import (StrictArrow, compose_functors, discrete_groupoid,
                        enumerate_functors, first_repeat, identity_functor,
@@ -203,25 +202,24 @@ def _swap_two_values(rng, a):
 
 
 def tampered_actions():
-    """Seeded translation actions, most with two values swapped, paired
-    with the validator of their side."""
+    """Seeded translation actions of both sides, most with two values
+    swapped."""
     rng = random.Random(41)
     for i in range(60):
         g = random_groupoid(rng, f"a{i}", 4, 4)
         u = unit_bibundle(g)
-        for a, check in ((u.right, validate_right_action),
-                         (u.left, validate_left_action)):
+        for a in (u.right, u.left):
             if rng.random() < 0.7:
                 a = _swap_two_values(rng, a)
-            yield a, check
+            yield a
 
 
 def test_action_validators_agree_with_naive_oracle():
     accepted = rejected = 0
-    for a, check in tampered_actions():
+    for a in tampered_actions():
         expected = oracle_action_ok(a)
         try:
-            check(a)
+            validate_action(a)
             got = True
         except BadAction:
             got = False
@@ -231,7 +229,7 @@ def test_action_validators_agree_with_naive_oracle():
     assert accepted >= 20 and rejected >= 20
 
 
-def sweep_validate_right_action(a):
+def sweep_right_action(a):
     """The right-action check with the domain swept over every (point,
     arrow) pair and the middle arrow of Light's test acting first: the
     independent copy the shared validator is compared against."""
@@ -277,8 +275,8 @@ def sweep_validate_right_action(a):
     return a
 
 
-def sweep_validate_left_action(a):
-    """The left-side copy of :func:`sweep_validate_right_action`, with
+def sweep_left_action(a):
+    """The left-side copy of :func:`sweep_right_action`, with
     the generator of Light's test acting first."""
     g = a.groupoid
     points = set(a.carrier)
@@ -359,24 +357,23 @@ def test_shared_action_validator_matches_the_sweeping_copies():
     then fail too."""
     rng = random.Random(43)
     cases = list(tampered_actions())
-    for a, check in cases[:40]:
-        cases += [(bad, check) for bad in _broken_tables(rng, a)]
+    for a in cases[:40]:
+        cases += _broken_tables(rng, a)
     u = unit_bibundle(P2)
-    for a, check in ((u.right, validate_right_action),
-                     (u.left, validate_left_action)):
-        cases.append((dataclasses.replace(
-            a, actor={**a.actor, "1>2": "ghost"}), check))
-        cases.append((dataclasses.replace(
-            a, carrier=a.carrier + a.carrier[:1]), check))
+    for a in (u.right, u.left):
+        cases.append(dataclasses.replace(
+            a, actor={**a.actor, "1>2": "ghost"}))
+        cases.append(dataclasses.replace(
+            a, carrier=a.carrier + a.carrier[:1]))
         unit = a.key(a.carrier[0], u.dom.unit["1"])
-        cases.append((dataclasses.replace(
-            a, act={**a.act, unit: a.carrier[1]}), check))
+        cases.append(dataclasses.replace(
+            a, act={**a.act, unit: a.carrier[1]}))
     kinds = {}
-    for a, check in cases:
+    for a in cases:
         right = isinstance(a, RightAction)
-        got = _action_error(check, a)
-        want = _action_error(sweep_validate_right_action if right
-                             else sweep_validate_left_action, a)
+        got = _action_error(validate_action, a)
+        want = _action_error(sweep_right_action if right
+                             else sweep_left_action, a)
         kind = "ok" if want is None else want[1].split(" ")[0]
         if not right and want and "not associative" in want[1]:
             assert got[:1] == want[:1] and "not associative" in got[1]
@@ -402,7 +399,7 @@ def test_action_failing_only_associativity_is_rejected():
     bad = RightAction(groupoid=g, carrier=u.carrier, actor=u.right.actor,
                       act=act)
     with pytest.raises(BadAction, match="not associative"):
-        validate_right_action(bad)
+        validate_action(bad)
     with pytest.raises(BadAction, match="not associative"):
         validate_bibundle(Bibundle(name="bad", left=u.left, right=bad))
     act = dict(u.left.act)
@@ -411,7 +408,7 @@ def test_action_failing_only_associativity_is_rejected():
     bad = LeftAction(groupoid=g, carrier=u.carrier, actor=u.left.actor,
                      act=act)
     with pytest.raises(BadAction, match="not associative"):
-        validate_left_action(bad)
+        validate_action(bad)
 
 
 def test_actions_that_do_not_commute_are_rejected():
@@ -422,7 +419,7 @@ def test_actions_that_do_not_commute_are_rejected():
     left = LeftAction(groupoid=g, carrier=u.carrier, actor=u.left.actor,
                       act={(eta, z): g.comp[(z, g.inv[eta])]
                            for (eta, z) in u.left.act})
-    validate_left_action(left)
+    validate_action(left)
     with pytest.raises(BadAction, match="do not commute"):
         validate_bibundle(Bibundle(name="twisted", left=left, right=u.right))
 
@@ -455,26 +452,24 @@ def test_action_moving_the_other_actor_is_rejected(moved):
 @pytest.mark.parametrize("stray", ["point", "arrow"])
 def test_stray_action_entry_is_rejected(side, stray):
     u = unit_bibundle(P2)
-    a, check = ((u.right, validate_right_action) if side == "right"
-                else (u.left, validate_left_action))
+    a = u.right if side == "right" else u.left
     z, c = ("ghost", "1>2") if stray == "point" else ("1>1", "ghost")
     key = (z, c) if side == "right" else (c, z)
     bad = type(a)(groupoid=P2, carrier=a.carrier, actor=a.actor,
                   act={**a.act, key: "1>1"})
     with pytest.raises(BadAction, match="unknown") as err:
-        check(bad)
+        validate_action(bad)
     assert err.value.witness == key
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_duplicate_carrier_id_is_rejected(side):
     u = unit_bibundle(P2)
-    a, check = ((u.right, validate_right_action) if side == "right"
-                else (u.left, validate_left_action))
+    a = u.right if side == "right" else u.left
     carrier = a.carrier[:2] + a.carrier[1:]
     bad = type(a)(groupoid=P2, carrier=carrier, actor=a.actor, act=a.act)
     with pytest.raises(BadAction, match="twice") as err:
-        check(bad)
+        validate_action(bad)
     assert err.value.witness == a.carrier[1]
 
 
@@ -506,7 +501,7 @@ def test_action_orbits_are_the_one_step_orbits(small_corpus):
 def test_unit_bibundle_shapes(g, size, quotient):
     u = validate_bibundle(unit_bibundle(g))
     assert len(u.carrier) == size
-    assert len(u.right_orbits) == quotient
+    assert len(u.right.orbits) == quotient
     assert u.is_right_principal and u.is_left_principal
 
 

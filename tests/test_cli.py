@@ -352,6 +352,29 @@ def test_cover_without_a_map_line_exits_2(tmp_path, capsys):
         "'P'\n")
 
 
+REPEATED_BASE = """cover C
+base: x x
+piece U : u
+map U u -> x
+datum D : C
+fiber U u : a
+trans U U u u a -> a
+"""
+
+
+@pytest.mark.parametrize("command", ["descent-check", "descent-glue"])
+def test_cover_listing_a_base_point_twice_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "twice.desc"
+    path.write_text(REPEATED_BASE, encoding="utf-8")
+    message = "cover 'C' lists base point 'x' twice"
+    assert run([command, str(path)]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+    code, report = run_json(capsys, [command, str(path)])
+    assert code == EXIT_INPUT
+    assert report == {"command": command, "ok": False, "error": message}
+
+
 def test_non_utf8_file_exits_2_at_its_first_bad_byte(files, tmp_path,
                                                      capsys):
     path = tmp_path / "latin1.grpd"
@@ -445,14 +468,14 @@ def test_unexpected_exception_exits_4_in_one_line(files, monkeypatch,
     def broken(g):
         raise KeyError("x")
 
-    monkeypatch.setattr(complexity, "orbits", broken)
-    assert run(["orbits", files["pair3.grpd"]]) == EXIT_INTERNAL
+    monkeypatch.setattr(complexity, "is_transitive", broken)
+    assert run(["transitive", files["pair3.grpd"]]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: KeyError: 'x'\n"
-    code, report = run_json(capsys, ["orbits", files["pair3.grpd"]])
+    code, report = run_json(capsys, ["transitive", files["pair3.grpd"]])
     assert code == EXIT_INTERNAL
-    assert report == {"command": "orbits", "ok": False,
+    assert report == {"command": "transitive", "ok": False,
                       "error": "internal error: KeyError: 'x'"}
 
 

@@ -8,10 +8,11 @@ from grpd.bibundle import validate_bibundle
 from grpd.complexity import (NotInvariant, cgeo, cgeo_with_cover,
                              exists_deformation,
                              is_transitive, is_weak_point_subgroupoid,
-                             locus_key, morita_point_check, orbits,
+                             locus_key, morita_point_check,
                              point_groupoid, relative_cgeo, subgroupoid)
-from grpd.core import (discrete_groupoid, disjoint_union, pair_groupoid,
-                       validate_functor, validate_groupoid, validate_nat)
+from grpd.core import (GroupoidError, discrete_groupoid, disjoint_union,
+                       pair_groupoid, validate_functor, validate_groupoid,
+                       validate_nat)
 from grpd.groups import InvalidGroupTable
 from grpd.homotopy import skeletonize
 
@@ -25,11 +26,11 @@ P2 = pair_groupoid("P2", ["1", "2"])
 
 def test_orbits_examples():
     p3 = pair_groupoid("p3", ["1", "2", "3"])
-    assert orbits(p3).blocks == (("1", "2", "3"),)
+    assert p3.components == (("1", "2", "3"),)
     d = discrete_groupoid("d", ["a", "b"])
-    assert orbits(d).blocks == (("a",), ("b",))
+    assert d.components == (("a",), ("b",))
     mix = disjoint_union("m", [P2, BZ2])
-    assert len(orbits(mix).blocks) == 2
+    assert len(mix.components) == 2
 
 
 def test_transitive_examples():
@@ -97,7 +98,7 @@ def test_single_orbit_is_weak_point():
     mix = disjoint_union("m", [P2, BZ2])
     block = next(b for b in mix.components if len(b) == 2)
     u = subgroupoid(mix, block)
-    w = is_weak_point_subgroupoid(u, mix)
+    w = is_weak_point_subgroupoid(u)
     assert w is not None and not w.vacuous
     validate_functor(w.collapse)
     validate_nat(w.homotopy)
@@ -107,18 +108,18 @@ def test_single_orbit_is_weak_point():
 
 def test_two_orbits_not_weak_point():
     d = discrete_groupoid("d", ["a", "b"])
-    assert is_weak_point_subgroupoid(subgroupoid(d, ["a", "b"]), d) is None
+    assert is_weak_point_subgroupoid(subgroupoid(d, ["a", "b"])) is None
 
 
 def test_empty_subgroupoid_vacuously_weak_point():
     d = discrete_groupoid("d", ["a", "b"])
-    w = is_weak_point_subgroupoid(subgroupoid(d, []), d)
+    w = is_weak_point_subgroupoid(subgroupoid(d, []))
     assert w is not None and w.vacuous
 
 
 def test_non_invariant_subset_rejected():
     with pytest.raises(NotInvariant):
-        is_weak_point_subgroupoid(subgroupoid(P2, ["1"]), P2)
+        is_weak_point_subgroupoid(subgroupoid(P2, ["1"]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +179,11 @@ def test_cgeo_matches_oracle(corpus):
 
 def test_relative_cgeo_examples():
     d3 = discrete_groupoid("d3", ["a", "b", "c"])
-    assert relative_cgeo(subgroupoid(d3, ["a", "b"]), d3) == 2
-    assert relative_cgeo(subgroupoid(d3, ["a", "b", "c"]), d3) == cgeo(d3)
+    assert relative_cgeo(subgroupoid(d3, ["a", "b"])) == 2
+    assert relative_cgeo(subgroupoid(d3, ["a", "b", "c"])) == cgeo(d3)
     mix = disjoint_union("m", [P2, BZ2])
     one_orbit = next(b for b in mix.components if len(b) == 2)
-    assert relative_cgeo(subgroupoid(mix, one_orbit), mix) == 1
+    assert relative_cgeo(subgroupoid(mix, one_orbit)) == 1
 
 
 def test_relative_cgeo_matches_oracle(corpus):
@@ -191,13 +192,13 @@ def test_relative_cgeo_matches_oracle(corpus):
         for _ in range(4):
             objs = rng.sample(sorted(g.objects),
                               rng.randint(0, len(g.objects)))
-            assert relative_cgeo(subgroupoid(g, objs), g) == \
+            assert relative_cgeo(subgroupoid(g, objs)) == \
                 oracle_cgeo(g, objs), (g.name, objs)
 
 
 def test_deformation_identity_diagram():
     h = subgroupoid(P2, ["1"])
-    d = exists_deformation(h, h, P2)
+    d = exists_deformation(h, h)
     assert d is not None
     assert d.transport.obj_map == {"1": "1"}
     validate_functor(d.transport)
@@ -205,7 +206,7 @@ def test_deformation_identity_diagram():
 
 
 def test_deformation_moves_within_an_orbit():
-    d = exists_deformation(subgroupoid(P2, ["1"]), subgroupoid(P2, ["2"]), P2)
+    d = exists_deformation(subgroupoid(P2, ["1"]), subgroupoid(P2, ["2"]))
     assert d is not None
     assert d.transport.obj_map == {"1": "2"}
     validate_functor(d.transport)
@@ -217,7 +218,7 @@ def test_deformation_moves_within_an_orbit():
 def test_no_deformation_across_orbits():
     d2 = discrete_groupoid("d", ["a", "b"])
     assert exists_deformation(subgroupoid(d2, ["a"]),
-                              subgroupoid(d2, ["b"]), d2) is None
+                              subgroupoid(d2, ["b"])) is None
 
 
 def test_deformation_monotone_reflexive_transitive(corpus):
@@ -231,10 +232,10 @@ def test_deformation_monotone_reflexive_transitive(corpus):
         rel = {}
         for h in subsets:
             for k in subsets:
-                d = exists_deformation(h, k, g)
+                d = exists_deformation(h, k)
                 rel[(h.objects, k.objects)] = d is not None
                 if d is not None:
-                    assert relative_cgeo(h, g) <= relative_cgeo(k, g)
+                    assert relative_cgeo(h) <= relative_cgeo(k)
         for h in subsets:
             assert rel[(h.objects, h.objects)]
         for h in subsets:
@@ -252,9 +253,20 @@ def test_deformation_on_full_non_invariant_subgroupoids():
     h = subgroupoid(big, ["1"])
     k = subgroupoid(big, ["2"])
     assert not h.is_invariant
-    d = exists_deformation(h, k, big)
+    d = exists_deformation(h, k)
     assert d is not None
-    assert exists_deformation(h, subgroupoid(big, ["x"]), big) is None
+    assert exists_deformation(h, subgroupoid(big, ["x"])) is None
+
+
+def test_deformation_between_different_ambients_is_rejected():
+    # the same object names in two groupoids that differ only in arrows
+    d2 = discrete_groupoid("d", ["1", "2"])
+    with pytest.raises(GroupoidError, match="different ambient"):
+        exists_deformation(subgroupoid(P2, ["1"]), subgroupoid(d2, ["2"]))
+    # a copy with the same presentation counts as the same ambient
+    twin = pair_groupoid("P2", ["1", "2"])
+    assert exists_deformation(subgroupoid(P2, ["1"]),
+                              subgroupoid(twin, ["2"])) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from grpd.corpus import transitive_groupoid
 from grpd.homotopy import (Cospan, InvalidCospan, IsotropyTooLarge,
                            are_morita_homotopy_equivalent, homotopy_pullback,
                            inclusion_functor, is_essential_equivalence,
-                           is_essential_homotopy_equivalence,
                            skeletal_equivalence_functor, skeletal_retraction,
                            skeleton_equal, skeletonize, strict_pullback,
                            vertical_compose)
@@ -194,30 +193,28 @@ def test_point_into_discrete_pair_not_essentially_surjective():
 
 
 # ---------------------------------------------------------------------------
-# essential homotopy equivalences
+# essential homotopy equivalences, which is_essential_equivalence decides
 
 
 def test_every_essential_equivalence_factors():
+    # f factors as the identity, a homotopy equivalence, followed by f
     one = restrict(P2, ["1"])
     f = inclusion_functor(one, P2)
-    fac = is_essential_homotopy_equivalence(f)
-    assert fac is not None
-    validate_functor(fac.equivalence)
-    validate_functor(fac.essential)
-    validate_nat(fac.homotopy)
-    assert is_essential_equivalence(fac.essential)
+    validate_functor(f)
+    assert is_essential_equivalence(f)
+    assert is_essential_equivalence(compose_functors(f, identity_functor(one)))
 
 
 def test_retraction_is_homotopy_equivalence_and_factors():
     retr = skeletal_retraction(P2)
     validate_functor(retr)
-    assert is_essential_homotopy_equivalence(retr) is not None
+    assert is_essential_equivalence(retr)
 
 
 def test_point_into_two_discrete_objects_never_factors():
     d = discrete_groupoid("d", ["a", "b"])
     f = StrictArrow("i", PT, d, {"*": "a"}, {"id_*": "id_a"})
-    assert is_essential_homotopy_equivalence(f) is None
+    assert not is_essential_equivalence(f)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +227,8 @@ def test_pair4_equivalent_to_point_with_validated_span():
     assert span is not None
     validate_functor(span.left_leg)
     validate_functor(span.right_leg)
-    assert is_essential_homotopy_equivalence(span.left_leg) is not None
-    assert is_essential_homotopy_equivalence(span.right_leg) is not None
+    assert is_essential_equivalence(span.left_leg)
+    assert is_essential_equivalence(span.right_leg)
 
 
 def test_discrete_sizes_differ():
@@ -254,8 +251,8 @@ def test_spans_validated_across_corpus(corpus, isomorphic_skeletons):
             agree = isomorphic_skeletons(skeletonize(g), skeletonize(h))
             assert (span is not None) == agree
             if span is not None:
-                assert is_essential_homotopy_equivalence(span.left_leg)
-                assert is_essential_homotopy_equivalence(span.right_leg)
+                assert is_essential_equivalence(span.left_leg)
+                assert is_essential_equivalence(span.right_leg)
 
 
 # ---------------------------------------------------------------------------
