@@ -6,13 +6,12 @@ geometric-complexity covering invariant, which is the number of orbits.
 """
 
 from .core import (FinGroupoid, StrictArrow, NatTrans, validate_groupoid,
-                   compose_functors, enumerate_functors, cocylinder,
-                   are_homotopic, interval_groupoid, pair_groupoid,
-                   discrete_groupoid, terminal_groupoid, disjoint_union,
+                   compose_functors, cocylinder, are_homotopic,
+                   pair_groupoid, discrete_groupoid, disjoint_union,
                    restrict)
 from .bibundle import (Bibundle, LeftAction, RightAction, unit_bibundle,
                        tensor, functor_to_bibundle, bibundles_isomorphic,
-                       are_morita_equivalent, is_principal, transpose,
+                       are_morita_equivalent, is_principal,
                        validate_bibundle)
 from .homotopy import (Cospan, homotopy_pullback, is_essential_equivalence,
                        are_morita_homotopy_equivalent, skeletonize,

@@ -356,18 +356,6 @@ def functor_to_bibundle(f: StrictArrow) -> Bibundle:
     return Bibundle(name=f"B[{f.name}]", left=left, right=right)
 
 
-def transpose(b: Bibundle, name: str | None = None) -> Bibundle:
-    """Swap the two sides, acting through inverses."""
-    h, g = b.dom, b.cod
-    left = LeftAction(
-        groupoid=g, carrier=b.carrier, actor=dict(b.right.actor),
-        act={(g.inv[c], z): w for (z, c), w in b.right.act.items()})
-    right = RightAction(
-        groupoid=h, carrier=b.carrier, actor=dict(b.left.actor),
-        act={(z, h.inv[eta]): w for (eta, z), w in b.left.act.items()})
-    return Bibundle(name=name or f"{b.name}^t", left=left, right=right)
-
-
 def tensor(z1: Bibundle, z2: Bibundle) -> Bibundle:
     """Generalized tensor product: fibre product over the middle objects,
     quotiented by the diagonal middle action (z, w) . c = (z c, c^-1 w).

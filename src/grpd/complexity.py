@@ -193,10 +193,8 @@ def relative_cgeo(h: Subgroupoid) -> int:
 class DeformationDiagram:
     """Witness that h deforms into k inside g: a functor carrying h into
     k's objects together with the transporting homotopy."""
-    mid: FinGroupoid            # L in the square, here h's restriction
     transport: StrictArrow      # h -> g, image inside k
     homotopy: NatTrans          # inclusion => transport
-    inclusion: StrictArrow
 
 
 def exists_deformation(h: Subgroupoid,
@@ -238,8 +236,7 @@ def exists_deformation(h: Subgroupoid,
                  for a in sub.arrows})
     homotopy = NatTrans(source_fun=incl, target_fun=transport,
                         component=dict(conn))
-    return DeformationDiagram(mid=sub, transport=transport,
-                              homotopy=homotopy, inclusion=incl)
+    return DeformationDiagram(transport=transport, homotopy=homotopy)
 
 
 # ---------------------------------------------------------------------------

@@ -460,10 +460,6 @@ def discrete_groupoid(name: str, objects) -> FinGroupoid:
                     unit=lambda x: x, inv=lambda x: x)
 
 
-def terminal_groupoid(name: str = "pt") -> FinGroupoid:
-    return discrete_groupoid(name, ("*",))
-
-
 def pair_groupoid(name: str, objects) -> FinGroupoid:
     """The pair groupoid: exactly one arrow (x, y): x -> y per object pair."""
     objects = tuple(objects)
@@ -472,20 +468,6 @@ def pair_groupoid(name: str, objects) -> FinGroupoid:
     return tabulate(name, objects, arrows, ends=lambda p: p,
                     compose=lambda q, p: (p[0], q[1]),
                     unit=lambda x: (x, x), inv=lambda p: (p[1], p[0]))
-
-
-def interval_groupoid() -> FinGroupoid:
-    """The two-object groupoid with a single connecting isomorphism."""
-    return FinGroupoid(
-        name="I", objects=("0", "1"), arrows=("id0", "id1", "s", "s_inv"),
-        src={"id0": "0", "id1": "1", "s": "0", "s_inv": "1"},
-        tgt={"id0": "0", "id1": "1", "s": "1", "s_inv": "0"},
-        comp={("id0", "id0"): "id0", ("id1", "id1"): "id1",
-              ("s", "id0"): "s", ("id1", "s"): "s",
-              ("s_inv", "id1"): "s_inv", ("id0", "s_inv"): "s_inv",
-              ("s_inv", "s"): "id0", ("s", "s_inv"): "id1"},
-        unit={"0": "id0", "1": "id1"},
-        inv={"id0": "id0", "id1": "id1", "s": "s_inv", "s_inv": "s"})
 
 
 def restrict(g: FinGroupoid, objects, name: str | None = None) -> FinGroupoid:
@@ -641,11 +623,6 @@ def compose_functors(g: StrictArrow, f: StrictArrow) -> StrictArrow:
         arr_map={a: g.arr_map[b] for a, b in f.arr_map.items()})
 
 
-def functors_equal(f: StrictArrow, g: StrictArrow) -> bool:
-    return (same_groupoid(f.dom, g.dom) and same_groupoid(f.cod, g.cod)
-            and f.obj_map == g.obj_map and f.arr_map == g.arr_map)
-
-
 # ---------------------------------------------------------------------------
 # natural transformations
 
@@ -672,6 +649,9 @@ def validate_nat(t: NatTrans) -> NatTrans:
         if x not in t.component:
             raise BadNatTrans(f"missing component at {x!r}", witness=x)
         c = t.component[x]
+        if c not in cod.src:
+            raise BadNatTrans(f"component at {x!r} not an arrow of "
+                              f"{cod.name}", witness=x)
         if cod.src[c] != f.obj_map[x] or cod.tgt[c] != g.obj_map[x]:
             raise BadNatTrans(f"component at {x!r} has wrong endpoints",
                               witness=x)
@@ -700,41 +680,7 @@ def whisker(t: NatTrans, w: StrictArrow) -> NatTrans:
 
 
 # ---------------------------------------------------------------------------
-# functor enumeration
-
-
-def enumerate_functors(h: FinGroupoid, g: FinGroupoid) -> list[StrictArrow]:
-    """Every strict arrow h -> g exactly once, sorted by object then arrow map.
-
-    A functor is assembled per connected component of ``h`` from: the image
-    of the component's base point, a group homomorphism on the isotropy
-    there, and one image arrow per spanning-tree edge (see
-    :func:`transport`).  This reaches every functor exactly once, so
-    enumeration stays exhaustive.
-    """
-    from . import groups
-
-    per_component = []
-    for block in h.components:
-        loops, table = h.isotropy(block[0])
-        choices, n = [], len(block) - 1
-        for b in g.objects:
-            g_loops, g_table = g.isotropy(b)
-            for hom in groups.enumerate_homs(table, g_table):
-                theta = {loops[i]: g_loops[hom[i]] for i in range(len(loops))}
-                for picks in product(g.arrows_from[b], repeat=n):
-                    choices.append((dict(zip(block, (g.unit[b],) + picks)),
-                                    theta))
-        per_component.append(choices)
-
-    name, out = f"F[{h.name}->{g.name}]", []
-    for combo in product(*per_component):
-        imgs = {x: a for part, _ in combo for x, a in part.items()}
-        theta = {a: b for _, part in combo for a, b in part.items()}
-        out.append(transport(name, h, g, imgs, theta))
-    objs, arrs = sorted(h.objects), sorted(h.arrows)
-    return sorted(out, key=lambda f: ([f.obj_map[x] for x in objs],
-                                      [f.arr_map[a] for a in arrs]))
+# functors by spanning-tree transport
 
 
 def transport(name: str, dom: FinGroupoid, cod: FinGroupoid, imgs,

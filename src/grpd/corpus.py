@@ -24,7 +24,6 @@ class CorpusConfig:
     max_objects: int = 6
     max_isotropy: int = 6
     max_arrows: int = 80
-    equivalent_cluster_rate: float = 0.3
 
 
 def transitive_groupoid(name: str, objects, table) -> FinGroupoid:
@@ -91,6 +90,10 @@ def random_groupoid(rng: random.Random, name: str,
     return disjoint_union(name, parts)
 
 
+# the chance that a corpus member reuses the previous member's skeleton
+EQUIVALENT_CLUSTER_RATE = 0.3
+
+
 def corpus_groupoids(cfg: CorpusConfig) -> list[FinGroupoid]:
     """Seeded corpus with deliberate clusters of equivalent groupoids
     (same skeleton, different orbit sizes and labels)."""
@@ -99,7 +102,7 @@ def corpus_groupoids(cfg: CorpusConfig) -> list[FinGroupoid]:
     out: list[FinGroupoid] = []
     cluster_spec = None
     for i in range(cfg.count):
-        if cluster_spec is not None and rng.random() < cfg.equivalent_cluster_rate:
+        if cluster_spec is not None and rng.random() < EQUIVALENT_CLUSTER_RATE:
             spec = cluster_spec
         else:
             n_orbits = rng.randint(1, max(1, cfg.max_objects // 2))

@@ -37,9 +37,6 @@ class Bundle:
     total: tuple[str, ...]
     proj: dict[str, str]
 
-    def fibre(self, x: str) -> tuple[str, ...]:
-        return tuple(a for a in self.total if self.proj[a] == x)
-
     def validate(self) -> "Bundle":
         base = set(self.base)
         for a in self.total:

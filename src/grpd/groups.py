@@ -300,10 +300,6 @@ def alternating4():
     return _table(even, lambda p, q: tuple(p[i] for i in q))
 
 
-def symmetric3():
-    return dihedral(3)
-
-
 def small_groups(max_order: int = 12):
     """Representatives of every isomorphism class of order <= max_order."""
     catalog = [

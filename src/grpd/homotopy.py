@@ -126,46 +126,6 @@ def _pullback(c: Cospan, n: int) -> PullbackResult:
                           cells=cells, degree=n)
 
 
-def strict_pullback(f: StrictArrow, g: StrictArrow):
-    """Ordinary fibre product of groupoids over a shared codomain.  The
-    legs are validated first (a bad one raises ``BadFunctor``)."""
-    validate_joined((f, g), validate_functor)
-    return _fibre_product(f, g)
-
-
-def _fibre_product(f: StrictArrow, g: StrictArrow):
-    if not same_groupoid(f.cod, g.cod):
-        raise InvalidCospan("fibre product needs a shared codomain")
-    a, b = f.dom, g.dom
-    obj = {(x, y): f"({x}&{y})" for x in a.objects for y in b.objects
-           if f.obj_map[x] == g.obj_map[y]}
-    arrows = {(p, q): f"({p}&{q})" for p in a.arrows for q in b.arrows
-              if f.arr_map[p] == g.arr_map[q]}
-    units = {o: (a.unit[x], b.unit[y]) for (x, y), o in obj.items()}
-    grp = tabulate(
-        f"({a.name}x{b.name})", obj.values(), arrows,
-        ends=lambda w: (obj[a.src[w[0]], b.src[w[1]]],
-                        obj[a.tgt[w[0]], b.tgt[w[1]]]),
-        compose=lambda v, w: (a.comp[v[0], w[0]], b.comp[v[1], w[1]]),
-        unit=units.__getitem__,
-        inv=lambda w: (a.inv[w[0]], b.inv[w[1]]))
-    pr1 = StrictArrow(name="pr1", dom=grp, cod=a,
-                      obj_map={o: x for (x, _), o in obj.items()},
-                      arr_map={i: p for (p, _), i in arrows.items()})
-    pr2 = StrictArrow(name="pr2", dom=grp, cod=b,
-                      obj_map={o: y for (_, y), o in obj.items()},
-                      arr_map={i: q for (_, q), i in arrows.items()})
-    return grp, pr1, pr2
-
-
-def vertical_compose(p: PullbackResult, q: PullbackResult) -> FinGroupoid:
-    """Paste two homotopy pullbacks along their shared middle projection."""
-    if not same_groupoid(p.pr2.cod, q.pr1.cod):
-        raise InvalidCospan("pullbacks do not share a middle groupoid")
-    grp, _, _ = _fibre_product(p.pr2, q.pr1)  # legs valid by construction
-    return grp
-
-
 # ---------------------------------------------------------------------------
 # essential equivalences
 
@@ -264,17 +224,6 @@ def skeleton_equal(a: Skeleton, b: Skeleton) -> bool:
     mean isomorphic groups, so the sorted canonical forms decide it."""
     return ([e.canonical for e in a.entries]
             == [e.canonical for e in b.entries])
-
-
-def skeletal_retraction(g: FinGroupoid) -> StrictArrow:
-    """Essential equivalence g -> g|reps collapsing each component onto its
-    least object by spanning-tree conjugation."""
-    reps = [block[0] for block in g.components]
-    sub = restrict(g, reps, name=f"sk({g.name})")
-    obj_map = {x: g.component_of[x][0] for x in g.objects}
-    arr_map = dict(g.tree_loop)
-    return StrictArrow(name=f"retr_{g.name}", dom=g, cod=sub,
-                       obj_map=obj_map, arr_map=arr_map)
 
 
 def skeletal_equivalence_functor(h: FinGroupoid, g: FinGroupoid,

@@ -1,7 +1,11 @@
+from collections import deque
+from itertools import product
+
 import pytest
 
 from grpd import groups
-from grpd.core import validate_groupoid
+from grpd.bibundle import Bibundle, LeftAction, RightAction
+from grpd.core import FinGroupoid, StrictArrow, transport, validate_groupoid
 from grpd.corpus import CorpusConfig, corpus_groupoids
 from grpd.descent import NotSurjective
 
@@ -69,3 +73,134 @@ def _factor_through(p, q, base):
 @pytest.fixture(scope="session")
 def factor_through():
     return _factor_through
+
+
+def _enumerate_functors(h, g) -> list[StrictArrow]:
+    """Every strict arrow h -> g exactly once, sorted by object then arrow map.
+
+    A functor is assembled per connected component of ``h`` from: the image
+    of the component's base point, a group homomorphism on the isotropy
+    there, and one image arrow per spanning-tree edge (see
+    ``core.transport``).  This reaches every functor exactly once, so
+    enumeration stays exhaustive.
+    """
+    per_component = []
+    for block in h.components:
+        loops, table = h.isotropy(block[0])
+        choices, n = [], len(block) - 1
+        for b in g.objects:
+            g_loops, g_table = g.isotropy(b)
+            for hom in groups.enumerate_homs(table, g_table):
+                theta = {loops[i]: g_loops[hom[i]] for i in range(len(loops))}
+                for picks in product(g.arrows_from[b], repeat=n):
+                    choices.append((dict(zip(block, (g.unit[b],) + picks)),
+                                    theta))
+        per_component.append(choices)
+
+    name, out = f"F[{h.name}->{g.name}]", []
+    for combo in product(*per_component):
+        imgs = {x: a for part, _ in combo for x, a in part.items()}
+        theta = {a: b for _, part in combo for a, b in part.items()}
+        out.append(transport(name, h, g, imgs, theta))
+    objs, arrs = sorted(h.objects), sorted(h.arrows)
+    return sorted(out, key=lambda f: ([f.obj_map[x] for x in objs],
+                                      [f.arr_map[a] for a in arrs]))
+
+
+@pytest.fixture(scope="session")
+def enumerate_functors():
+    return _enumerate_functors
+
+
+def _transpose(b, name=None) -> Bibundle:
+    """Swap the two sides, acting through inverses."""
+    h, g = b.dom, b.cod
+    left = LeftAction(
+        groupoid=g, carrier=b.carrier, actor=dict(b.right.actor),
+        act={(g.inv[c], z): w for (z, c), w in b.right.act.items()})
+    right = RightAction(
+        groupoid=h, carrier=b.carrier, actor=dict(b.left.actor),
+        act={(z, h.inv[eta]): w for (eta, z), w in b.left.act.items()})
+    return Bibundle(name=name or f"{b.name}^t", left=left, right=right)
+
+
+@pytest.fixture(scope="session")
+def transpose():
+    return _transpose
+
+
+def _strict_pullback(f, g):
+    """The ordinary fibre product of two functors with one codomain, built
+    pair by pair: the groupoid, then the object and arrow maps of each
+    projection."""
+    a, b = f.dom, g.dom
+
+    def oid(x, y):
+        return f"({x}&{y})"
+
+    objects, owhere = [], {}
+    for x in a.objects:
+        for y in b.objects:
+            if f.obj_map[x] == g.obj_map[y]:
+                objects.append(oid(x, y))
+                owhere[oid(x, y)] = (x, y)
+    arrows, src, tgt, where = [], {}, {}, {}
+    for p in a.arrows:
+        for q in b.arrows:
+            if f.arr_map[p] != g.arr_map[q]:
+                continue
+            i = oid(p, q)
+            arrows.append(i)
+            where[i] = (p, q)
+            src[i] = oid(a.src[p], b.src[q])
+            tgt[i] = oid(a.tgt[p], b.tgt[q])
+    comp = {}
+    unit = {o: oid(a.unit[x], b.unit[y]) for o, (x, y) in owhere.items()}
+    inv = {i: oid(a.inv[p], b.inv[q]) for i, (p, q) in where.items()}
+    by_src = {}
+    for i in arrows:
+        by_src.setdefault(src[i], []).append(i)
+    for i1 in arrows:
+        for i2 in by_src.get(tgt[i1], ()):
+            p2, q2 = where[i2]
+            p1, q1 = where[i1]
+            comp[(i2, i1)] = oid(a.comp[(p2, p1)], b.comp[(q2, q1)])
+    grp = FinGroupoid(name=f"({a.name}x{b.name})", objects=tuple(objects),
+                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
+                      unit=unit, inv=inv)
+    pr1 = {i: where[i][0] for i in arrows}
+    pr2 = {i: where[i][1] for i in arrows}
+    return grp, ({o: owhere[o][0] for o in objects}, pr1), \
+        ({o: owhere[o][1] for o in objects}, pr2)
+
+
+@pytest.fixture(scope="session")
+def strict_pullback():
+    return _strict_pullback
+
+
+def _orbit_count(g) -> int:
+    """The number of connected components of g, found by a search over
+    ``src`` and ``tgt`` alone: an oracle that reads no cached partition."""
+    links = {x: [] for x in g.objects}
+    for a in g.arrows:
+        links[g.src[a]].append(g.tgt[a])
+        links[g.tgt[a]].append(g.src[a])
+    seen, count = set(), 0
+    for x in g.objects:
+        if x in seen:
+            continue
+        count += 1
+        seen.add(x)
+        queue = deque([x])
+        while queue:
+            for z in links[queue.popleft()]:
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+    return count
+
+
+@pytest.fixture(scope="session")
+def orbit_count():
+    return _orbit_count

@@ -8,13 +8,13 @@ from grpd.bibundle import (BadAction, Bibundle, EndpointMismatch,
                            LeftAction, NotComposable, NotPrincipal,
                            Principality, RightAction, are_morita_equivalent,
                            bibundles_isomorphic, functor_to_bibundle,
-                           is_principal, tensor, transpose, unit_bibundle,
+                           is_principal, tensor, unit_bibundle,
                            validate_action, validate_bibundle)
 from grpd.complexity import morita_point_check, point_groupoid
 from grpd.core import (StrictArrow, compose_functors, discrete_groupoid,
-                       enumerate_functors, first_repeat, identity_functor,
-                       index_arrows, pair_groupoid, partition, restrict,
-                       same_groupoid, terminal_groupoid, validate_functor)
+                       first_repeat, identity_functor, index_arrows,
+                       pair_groupoid, partition, restrict, same_groupoid,
+                       validate_functor)
 from grpd.corpus import random_functor, random_groupoid, transitive_groupoid
 from grpd.homotopy import skeletonize
 
@@ -23,7 +23,7 @@ BZ2 = point_groupoid("BZ2", groups.cyclic(2))
 BZ3 = point_groupoid("BZ3", groups.cyclic(3))
 P2 = pair_groupoid("P2", ["1", "2"])
 P3 = pair_groupoid("P3", ["1", "2", "3"])
-PT = terminal_groupoid()
+PT = discrete_groupoid("pt", ["*"])
 
 
 def incl_one_into_p2():
@@ -98,7 +98,7 @@ def checked_is_principal(a):
     return Principality(ok=True, division=division)
 
 
-def test_principality_matches_the_checked_copy(small_corpus):
+def test_principality_matches_the_checked_copy(small_corpus, transpose):
     rng = random.Random(19)
     bz2_pt = StrictArrow("u", BZ2, PT, {BZ2.objects[0]: "*"},
                          {a: "id_*" for a in BZ2.arrows})
@@ -121,12 +121,13 @@ def test_principality_matches_the_checked_copy(small_corpus):
     assert outcomes[True] >= 20 and outcomes[False] >= 5
 
 
-def test_principality_flags_build_no_division(small_corpus, monkeypatch):
+def test_principality_flags_build_no_division(small_corpus, monkeypatch,
+                                              transpose):
     """The flags and the tensor product need freeness only: they agree with
     ``is_principal`` without calling it, and so build no division map."""
     rng = random.Random(23)
     bibundles = [unit_bibundle(transitive_groupoid(
-        "p4s3", ["1", "2", "3", "4"], groups.symmetric3()))]
+        "p4s3", ["1", "2", "3", "4"], groups.dihedral(3)))]
     for g in small_corpus[:6]:
         b = functor_to_bibundle(
             random_functor(rng, g, rng.choice(small_corpus)))
@@ -414,7 +415,7 @@ def test_action_failing_only_associativity_is_rejected():
 def test_actions_that_do_not_commute_are_rejected():
     # S3 acting on itself from the left by z -> z . eta^-1 is a left action,
     # but it does not commute with right translation, as S3 is not abelian
-    g = point_groupoid("BS3", groups.symmetric3())
+    g = point_groupoid("BS3", groups.dihedral(3))
     u = unit_bibundle(g)
     left = LeftAction(groupoid=g, carrier=u.carrier, actor=u.left.actor,
                       act={(eta, z): g.comp[(z, g.inv[eta])]
@@ -567,7 +568,7 @@ def test_left_unit_law():
     assert bibundles_isomorphic(t, z) is not None
 
 
-def test_tensor_of_the_two_pair_point_bibundles():
+def test_tensor_of_the_two_pair_point_bibundles(transpose):
     z = morita_point_check(P2).bibundle        # P2 -| 2 |- pt(P2)
     zi = transpose(z)
     validate_bibundle(zi)
@@ -659,10 +660,10 @@ def union_find_tensor(z1, z2):
     return carrier, p, q, lact, ract
 
 
-def test_tensor_matches_the_union_find_quotient(small_corpus):
+def test_tensor_matches_the_union_find_quotient(small_corpus, transpose):
     rng = random.Random(14)
     picked = [g for g in small_corpus if len(g.arrows) <= 16][:5]
-    s3 = transitive_groupoid("PS3", ["a", "b"], groups.symmetric3())
+    s3 = transitive_groupoid("PS3", ["a", "b"], groups.dihedral(3))
     cases = []
     for g in picked + [s3, P3, BZ3]:
         unit = unit_bibundle(g)
@@ -781,8 +782,9 @@ def scanning_bibundles_isomorphic(a, b):
     return dict(assign) if search(0) else None
 
 
-def test_isomorphism_search_matches_the_scanning_copy(small_corpus):
-    s3 = transitive_groupoid("PS3", ["a", "b"], groups.symmetric3())
+def test_isomorphism_search_matches_the_scanning_copy(small_corpus, transpose,
+                                                      enumerate_functors):
+    s3 = transitive_groupoid("PS3", ["a", "b"], groups.dihedral(3))
     pairs = []
     for g in small_corpus[:6] + [BZ2, P3]:
         u = unit_bibundle(g)

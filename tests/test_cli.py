@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -497,6 +498,26 @@ def test_runtime_imports_only_the_standard_library(files):
         [sys.executable, "-S", "-c", STDLIB_ONLY, files["pair3.grpd"]],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 ['grpd']"
+
+
+def test_every_runtime_module_imports_only_the_standard_library():
+    """Each module of the package is parsed, not run, so an import on a
+    path that no subcommand takes is caught too."""
+    allowed = set(sys.stdlib_module_names) | {"grpd"}
+    paths = sorted(Path(grpd.__file__).parent.glob("*.py"))
+    assert len(paths) >= 10
+    foreign = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside grpd
+            foreign += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert foreign == []
 
 
 def test_a_reader_closing_the_pipe_early_is_not_a_failure():

@@ -15,11 +15,24 @@ from grpd.core import (BadFunctor, BadInverse, BadNatTrans, BadUnit,
                        PartialComposition, SignatureMismatch, StrictArrow,
                        are_homotopic,
                        cocylinder, compose_functors, discrete_groupoid,
-                       disjoint_union, enumerate_functors, functors_equal,
-                       identity_functor, interval_groupoid, pair_groupoid,
-                       restrict, terminal_groupoid, validate_functor,
-                       validate_groupoid, validate_nat)
+                       disjoint_union, identity_functor, pair_groupoid,
+                       restrict, validate_functor, validate_groupoid,
+                       validate_nat)
 from grpd.corpus import random_groupoid, transitive_groupoid
+
+
+def interval_groupoid() -> FinGroupoid:
+    """The two-object groupoid with a single connecting isomorphism."""
+    return FinGroupoid(
+        name="I", objects=("0", "1"), arrows=("id0", "id1", "s", "s_inv"),
+        src={"id0": "0", "id1": "1", "s": "0", "s_inv": "1"},
+        tgt={"id0": "0", "id1": "1", "s": "1", "s_inv": "0"},
+        comp={("id0", "id0"): "id0", ("id1", "id1"): "id1",
+              ("s", "id0"): "s", ("id1", "s"): "s",
+              ("s_inv", "id1"): "s_inv", ("id0", "s_inv"): "s_inv",
+              ("s_inv", "s"): "id0", ("s", "s_inv"): "id1"},
+        unit={"0": "id0", "1": "id1"},
+        inv={"id0": "id0", "id1": "id1", "s": "s_inv", "s_inv": "s"})
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +40,7 @@ from grpd.corpus import random_groupoid, transitive_groupoid
 
 
 def test_terminal_groupoid_valid():
-    g = terminal_groupoid()
+    g = discrete_groupoid("pt", ["*"])
     assert validate_groupoid(g) is g
     assert len(g.objects) == 1 and len(g.arrows) == 1
 
@@ -189,7 +202,7 @@ def test_a_broken_isotropy_group_fails_check_iii_only():
 def test_generators_hold_no_unit_and_reach_every_arrow(corpus):
     cases = [*corpus, interval_groupoid(), pair_groupoid("p3", "123"),
              transitive_groupoid("p3s3", ["1", "2", "3"],
-                                 groups.symmetric3())]
+                                 groups.dihedral(3))]
     for g in cases:
         gens = g.generators
         assert len(set(gens)) == len(gens)
@@ -233,7 +246,7 @@ def test_one_object_blocks_get_at_most_three_loop_generators():
 
 
 def test_dangling_ids_detected():
-    g = terminal_groupoid()
+    g = discrete_groupoid("pt", ["*"])
     with pytest.raises(DanglingId):
         validate_groupoid(dataclasses.replace(g, src={"id_*": "ghost"}))
     with pytest.raises(BadUnit):
@@ -361,8 +374,9 @@ def test_compose_identity_laws(small_corpus):
         for h in small_corpus[:6]:
             f = random_functor(rng, g, h)
             validate_functor(f)
-            assert functors_equal(compose_functors(identity_functor(h), f), f)
-            assert functors_equal(compose_functors(f, identity_functor(g)), f)
+            for k in (compose_functors(identity_functor(h), f),
+                      compose_functors(f, identity_functor(g))):
+                assert (k.obj_map, k.arr_map) == (f.obj_map, f.arr_map)
 
 
 def test_compose_associative(small_corpus):
@@ -372,14 +386,15 @@ def test_compose_associative(small_corpus):
     f = random_functor(rng, a, b)
     g = random_functor(rng, b, c)
     h = random_functor(rng, c, d)
-    assert functors_equal(compose_functors(h, compose_functors(g, f)),
-                          compose_functors(compose_functors(h, g), f))
+    one = compose_functors(h, compose_functors(g, f))
+    other = compose_functors(compose_functors(h, g), f)
+    assert (one.obj_map, one.arr_map) == (other.obj_map, other.arr_map)
 
 
-def test_compose_through_terminal():
+def test_compose_through_terminal(enumerate_functors):
     p2 = pair_groupoid("p2", ["1", "2"])
     one = restrict(p2, ["1"])
-    pt = terminal_groupoid()
+    pt = discrete_groupoid("pt", ["*"])
     incl = StrictArrow("i", one, p2, {"1": "1"}, {"1>1": "1>1"})
     collapse = StrictArrow("c", p2, pt, {"1": "*", "2": "*"},
                            {a: "id_*" for a in p2.arrows})
@@ -387,14 +402,15 @@ def test_compose_through_terminal():
     validate_functor(collapse)
     composite = compose_functors(collapse, incl)
     (unique,) = enumerate_functors(one, pt)
-    assert functors_equal(composite, unique)
+    assert ((composite.obj_map, composite.arr_map)
+            == (unique.obj_map, unique.arr_map))
 
 
 def test_compose_domain_mismatch():
     p2 = pair_groupoid("p2", ["1", "2"])
     with pytest.raises(DomainMismatch):
         compose_functors(identity_functor(p2),
-                         identity_functor(terminal_groupoid()))
+                         identity_functor(discrete_groupoid("pt", ["*"])))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +436,7 @@ def oracle_functors(h, g):
 
 @pytest.mark.parametrize("build_h, build_g, expected", [
     # group homs 1 -> Z/2: only the trivial one
-    (lambda: terminal_groupoid(),
+    (lambda: discrete_groupoid("pt", ["*"]),
      lambda: point_groupoid("BZ2", groups.cyclic(2)), 1),
     # group homs Z/2 -> Z/3: only the trivial one
     (lambda: point_groupoid("BZ2", groups.cyclic(2)),
@@ -429,7 +445,8 @@ def oracle_functors(h, g):
     (lambda: interval_groupoid(),
      lambda: pair_groupoid("p2", ["1", "2"]), 4),
 ])
-def test_enumerate_functor_counts(build_h, build_g, expected):
+def test_enumerate_functor_counts(build_h, build_g, expected,
+                                  enumerate_functors):
     h, g = build_h(), build_g()
     mine = enumerate_functors(h, g)
     keys = [(tuple(sorted(f.obj_map.items())),
@@ -442,7 +459,8 @@ def test_enumerate_functor_counts(build_h, build_g, expected):
         validate_functor(f)
 
 
-def test_enumerate_functors_matches_oracle_on_corpus(small_corpus):
+def test_enumerate_functors_matches_oracle_on_corpus(small_corpus,
+                                                     enumerate_functors):
     pairs = [(a, b) for a in small_corpus[:6] for b in small_corpus[:6]
              if len(a.objects) <= 2 and len(a.arrows) <= 6
              and len(b.arrows) <= 12]
@@ -475,7 +493,7 @@ def oracle_square_count(g):
 
 
 def test_cocylinder_terminal():
-    cyl = cocylinder(terminal_groupoid())
+    cyl = cocylinder(discrete_groupoid("pt", ["*"]))
     assert len(cyl.groupoid.objects) == 1
     assert len(cyl.groupoid.arrows) == 1
 
@@ -507,8 +525,10 @@ def test_cocylinder_endpoint_sections(corpus):
         validate_functor(cyl.e1)
         validate_functor(cyl.t)
         ident = identity_functor(g)
-        assert functors_equal(compose_functors(cyl.e0, cyl.t), ident)
-        assert functors_equal(compose_functors(cyl.e1, cyl.t), ident)
+        for law in (compose_functors(cyl.e0, cyl.t),
+                    compose_functors(cyl.e1, cyl.t)):
+            assert (law.obj_map, law.arr_map) == (ident.obj_map,
+                                                  ident.arr_map)
 
 
 def full_sweep_validate_functor(f):
@@ -551,9 +571,10 @@ def _functor_error(check, f):
     return str(info.value), info.value.witness
 
 
-def test_functor_check_on_generators_matches_the_full_sweep(small_corpus):
+def test_functor_check_on_generators_matches_the_full_sweep(
+        small_corpus, enumerate_functors):
     rng = random.Random(21)
-    s3 = transitive_groupoid("PS3", ["a", "b"], groups.symmetric3())
+    s3 = transitive_groupoid("PS3", ["a", "b"], groups.dihedral(3))
     z3 = transitive_groupoid("PZ3", ["a", "b"], groups.cyclic(3))
     functors = [identity_functor(s3), cocylinder(z3).e0, cocylinder(z3).e1]
     for g in small_corpus[:8]:
@@ -619,7 +640,7 @@ def test_homotopic_reflexive_identity_components():
 
 def test_interval_endpoints_homotopic():
     iv = interval_groupoid()
-    pt = terminal_groupoid()
+    pt = discrete_groupoid("pt", ["*"])
     e0 = StrictArrow("e0", pt, iv, {"*": "0"}, {"id_*": "id0"})
     e1 = StrictArrow("e1", pt, iv, {"*": "1"}, {"id_*": "id1"})
     t = are_homotopic(e0, e1)
@@ -629,17 +650,26 @@ def test_interval_endpoints_homotopic():
 
 def test_no_homotopy_across_discrete_components():
     d = discrete_groupoid("d", ["a", "b"])
-    pt = terminal_groupoid()
+    pt = discrete_groupoid("pt", ["*"])
     fa = StrictArrow("fa", pt, d, {"*": "a"}, {"id_*": "id_a"})
     fb = StrictArrow("fb", pt, d, {"*": "b"}, {"id_*": "id_b"})
     assert are_homotopic(fa, fb) is None
 
 
 def test_homotopic_signature_mismatch():
-    pt = terminal_groupoid()
+    pt = discrete_groupoid("pt", ["*"])
     p2 = pair_groupoid("p2", ["1", "2"])
     with pytest.raises(SignatureMismatch):
         are_homotopic(identity_functor(pt), identity_functor(p2))
+
+
+def test_nat_component_that_is_no_arrow_is_named():
+    # like validate_functor's dangling arrow: BadNatTrans, not a KeyError
+    p2 = pair_groupoid("p2", ["1", "2"])
+    ident = identity_functor(p2)
+    with pytest.raises(BadNatTrans, match="not an arrow of p2") as err:
+        validate_nat(NatTrans(ident, ident, {"1": "ghost", "2": "2>2"}))
+    assert err.value.witness == "1"
 
 
 def _functor_set_cases(small_corpus):
@@ -649,14 +679,15 @@ def _functor_set_cases(small_corpus):
          point_groupoid("BZ2b", groups.cyclic(2))),
         (discrete_groupoid("d", ["a", "b"]),
          disjoint_union("u", [pair_groupoid("p", ["1", "2"]),
-                              terminal_groupoid()])),
+                              discrete_groupoid("pt", ["*"])])),
     ]
     return cases + [(a, b) for a in small_corpus for b in small_corpus
                     if len(a.objects) <= 2 and len(a.arrows) <= 6
                     and len(b.objects) <= 5 and len(b.arrows) <= 12][:4]
 
 
-def test_homotopy_is_equivalence_relation_on_functor_sets(small_corpus):
+def test_homotopy_is_equivalence_relation_on_functor_sets(
+        small_corpus, enumerate_functors):
     for h, g in _functor_set_cases(small_corpus):
         fs = enumerate_functors(h, g)
         for f in fs:
@@ -690,7 +721,8 @@ def _homotopic_by_brute_force(f, g):
     return False
 
 
-def test_are_homotopic_agrees_with_brute_force(small_corpus):
+def test_are_homotopic_agrees_with_brute_force(small_corpus,
+                                               enumerate_functors):
     verdicts = Counter()
     for h, g in _functor_set_cases(small_corpus):
         fs = enumerate_functors(h, g)
@@ -710,13 +742,14 @@ def test_random_groupoids_validate_and_satisfy_diad_law(seed):
     validate_groupoid(g)
     cyl = cocylinder(g)
     ident = identity_functor(g)
-    assert functors_equal(compose_functors(cyl.e0, cyl.t), ident)
-    assert functors_equal(compose_functors(cyl.e1, cyl.t), ident)
+    for law in (compose_functors(cyl.e0, cyl.t),
+                compose_functors(cyl.e1, cyl.t)):
+        assert (law.obj_map, law.arr_map) == (ident.obj_map, ident.arr_map)
 
 
 def test_disjoint_union_prefixes_on_clash():
-    a = terminal_groupoid()
-    b = terminal_groupoid()
+    a = discrete_groupoid("pt", ["*"])
+    b = discrete_groupoid("pt", ["*"])
     u = disjoint_union("u", [a, b])
     validate_groupoid(u)
     assert len(u.objects) == 2

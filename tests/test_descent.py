@@ -14,6 +14,11 @@ from grpd.descent import (BadDatum, Bundle, CocycleReport, CocycleViolation,
 from grpd.formats import serialize_datum
 
 
+def fibre_of(b: Bundle, x):
+    """The elements of b over x, in the order of b's total."""
+    return [a for a in b.total if b.proj[a] == x]
+
+
 def swap_datum(f21_swap=True):
     cover = Cover("C", ("*",), (CoverPiece("U", ("a", "b"),
                                            {"a": "*", "b": "*"}),))
@@ -163,7 +168,7 @@ def test_glue_constant_datum_recovers_product():
     cover = Cover("C", base, pieces)
     glued = glue(descend(bundle, cover))
     assert len(glued.bundle.total) == len(bundle.total)
-    fibre_sizes = sorted(len(glued.bundle.fibre(x)) for x in base)
+    fibre_sizes = sorted(len(fibre_of(glued.bundle, x)) for x in base)
     assert fibre_sizes == [2, 2, 2]
 
 
@@ -177,8 +182,8 @@ def test_glue_single_identity_piece_is_the_local_bundle():
     glued = glue(datum)
     assert len(glued.bundle.total) == 3
     local = datum.fibres["U"]
-    assert sorted(len(local.fibre(u)) for u in ("x", "y")) == \
-        sorted(len(glued.bundle.fibre(x)) for x in base)
+    assert sorted(len(fibre_of(local, u)) for u in ("x", "y")) == \
+        sorted(len(fibre_of(glued.bundle, x)) for x in base)
 
 
 def test_glue_raises_on_cocycle_violation():
@@ -193,7 +198,7 @@ def test_glue_raises_on_cocycle_violation():
 def assert_bundle_isomorphic_over_base(a: Bundle, b: Bundle):
     assert set(a.base) == set(b.base)
     for x in a.base:
-        assert len(a.fibre(x)) == len(b.fibre(x)), x
+        assert len(fibre_of(a, x)) == len(fibre_of(b, x)), x
 
 
 def test_descend_then_glue_round_trip():
@@ -208,8 +213,8 @@ def test_descend_then_glue_round_trip():
             fib = datum.fibres[p.name]
             local = glued.piece_maps[p.name]
             for u in p.elements:
-                images = {local[(u, a)] for a in fib.fibre(u)}
-                assert len(images) == len(fib.fibre(u))
+                images = {local[(u, a)] for a in fibre_of(fib, u)}
+                assert len(images) == len(fibre_of(fib, u))
                 assert images == {c for c in glued.bundle.total
                                   if glued.bundle.proj[c] == p.to_base[u]}
 
@@ -388,8 +393,8 @@ def oracle_glue(d):
         for u in p.elements:
             glued_fibre = {c for c in bundle.total
                            if proj[c] == p.to_base[u]}
-            image = {local[(u, a)] for a in fib.fibre(u)}
-            if image != glued_fibre or len(image) != len(fib.fibre(u)):
+            image = {local[(u, a)] for a in fibre_of(fib, u)}
+            if image != glued_fibre or len(image) != len(fibre_of(fib, u)):
                 raise CocycleViolation(
                     f"piece {p.name!r} does not compare bijectively over "
                     f"{u!r}", witness=(p.name, u))
@@ -555,14 +560,11 @@ def test_an_invalid_datum_raises_the_same_error_on_every_call():
 def oracle_descend(a, c):
     """descend's fibres and transitions, each fibre of ``a`` found by
     filtering its whole total."""
-    def fibre(x):
-        return [e for e in a.total if a.proj[e] == x]
-
     fibres = {p.name: [(f"{u}.{e}", u) for u in p.elements
-                       for e in fibre(p.to_base[u])] for p in c.pieces}
+                       for e in fibre_of(a, p.to_base[u])] for p in c.pieces}
     transitions = {
         (pi.name, pj.name): [((u, v), [(f"{u}.{e}", f"{v}.{e}")
-                                       for e in fibre(pi.to_base[u])])
+                                       for e in fibre_of(a, pi.to_base[u])])
                              for (u, v) in oracle_overlap(pi, pj)]
         for pi in c.pieces for pj in c.pieces}
     return fibres, transitions
@@ -575,7 +577,7 @@ def oracle_relabel(rng, d):
     for p in d.cover.pieces:
         fib = d.fibres[p.name]
         for u in p.elements:
-            elems = list(fib.fibre(u))
+            elems = fibre_of(fib, u)
             rng.shuffle(elems)
             relabel.update({(p.name, a): f"{p.name}.{u}.f{i}"
                             for i, a in enumerate(elems)})
@@ -605,5 +607,5 @@ def test_fibre_indexes_keep_the_order_of_a_full_scan():
         lines = [line for line in serialize_datum(datum).splitlines()
                  if line.startswith("fiber ")]
         assert lines == [f"fiber {p.name} {u} : "
-                         + " ".join(datum.fibres[p.name].fibre(u))
+                         + " ".join(fibre_of(datum.fibres[p.name], u))
                          for p in cover.pieces for u in p.elements]

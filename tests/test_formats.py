@@ -10,8 +10,8 @@ from grpd.complexity import point_groupoid
 from grpd.core import (BadInverse, PartialComposition, cocylinder,
                        identity_functor, pair_groupoid, validate_functor,
                        validate_groupoid)
-from grpd.bibundle import (functor_to_bibundle, tensor, transpose,
-                           unit_bibundle, validate_bibundle)
+from grpd.bibundle import (functor_to_bibundle, tensor, unit_bibundle,
+                           validate_bibundle)
 from grpd.homotopy import Cospan, homotopy_pullback
 from grpd.corpus import (CorpusConfig, corpus_groupoids, random_datum,
                          random_functor, transitive_groupoid)
@@ -188,7 +188,7 @@ def sorted_serialize_bibundle(b):
     return "\n".join(lines) + "\n"
 
 
-def test_serializers_match_the_sort_based_copies(corpus):
+def test_serializers_match_the_sort_based_copies(corpus, transpose):
     rng = random.Random(31)
     small = [g for g in corpus if len(g.arrows) <= 12][:6]
     p2 = pair_groupoid("p2", ["1", "2"])
@@ -247,7 +247,7 @@ def test_serializers_peak_at_most_two_and_a_half_times_their_output():
     pullback = homotopy_pullback(Cospan(ident, ident), 1).groupoid
     assert len(pullback.comp) == 2048
     unit = unit_bibundle(transitive_groupoid("k", ["1", "2", "3"],
-                                             groups.symmetric3()))
+                                             groups.dihedral(3)))
     for serialize, x in ((serialize_groupoid, pullback),
                          (serialize_bibundle, tensor(unit, unit))):
         serialize(x)  # build the cached sorted arrow lists first

@@ -6,19 +6,18 @@ from grpd import bibundle, core, groups, homotopy
 from grpd.complexity import point_groupoid
 from grpd.core import (BadFunctor, StrictArrow, compose_functors,
                        discrete_groupoid, disjoint_union, identity_functor,
-                       pair_groupoid, restrict, terminal_groupoid,
-                       validate_functor, validate_groupoid, validate_nat)
+                       pair_groupoid, restrict, validate_functor,
+                       validate_groupoid, validate_nat)
 from grpd.corpus import transitive_groupoid
 from grpd.homotopy import (Cospan, InvalidCospan, IsotropyTooLarge,
                            are_morita_homotopy_equivalent, homotopy_pullback,
                            inclusion_functor, is_essential_equivalence,
-                           skeletal_equivalence_functor, skeletal_retraction,
-                           skeleton_equal, skeletonize, strict_pullback,
-                           vertical_compose)
+                           skeletal_equivalence_functor, skeleton_equal,
+                           skeletonize)
 
 BZ2 = point_groupoid("BZ2", groups.cyclic(2))
 P2 = pair_groupoid("P2", ["1", "2"])
-PT = terminal_groupoid()
+PT = discrete_groupoid("pt", ["*"])
 
 
 def identity_cospan(g):
@@ -112,17 +111,19 @@ def test_diagonal_functor_into_p1_is_essential_equivalence():
         assert is_essential_equivalence(diag)
 
 
-def test_vertical_composition_matches_higher_degree(corpus):
+def test_vertical_composition_matches_higher_degree(corpus,
+                                                    strict_pullback):
     picked = [BZ2, discrete_groupoid("d2", ["a", "b"])]
     picked += [g for g in corpus if len(g.arrows) <= 3][:2]
     for g in picked:
         c = identity_cospan(g)
         p1 = homotopy_pullback(c, 1)
         p2 = homotopy_pullback(c, 2)
-        pasted = vertical_compose(p1, p1)
+        # paste along the shared middle projection
+        pasted, _, _ = strict_pullback(p1.pr2, p1.pr1)
         validate_groupoid(pasted)
         assert skeleton_equal(skeletonize(pasted), skeletonize(p2.groupoid))
-        pasted3 = vertical_compose(p1, homotopy_pullback(c, 2))
+        pasted3, _, _ = strict_pullback(p1.pr2, homotopy_pullback(c, 2).pr1)
         assert skeleton_equal(skeletonize(pasted3),
                               skeletonize(homotopy_pullback(c, 3).groupoid))
 
@@ -131,12 +132,9 @@ def test_pullbacks_reject_a_leg_that_is_no_functor():
     # identity on objects, but 1>2 sent to 2>1: BadFunctor, not a KeyError
     swap = StrictArrow("swap", P2, P2, {"1": "1", "2": "2"},
                        {**identity_functor(P2).arr_map, "1>2": "2>1"})
-    for build in (lambda: strict_pullback(swap, identity_functor(P2)),
-                  lambda: homotopy_pullback(
-                      Cospan(identity_functor(P2), swap))):
-        with pytest.raises(BadFunctor) as err:
-            build()
-        assert err.value.witness == "1>2"
+    with pytest.raises(BadFunctor) as err:
+        homotopy_pullback(Cospan(identity_functor(P2), swap))
+    assert err.value.witness == "1>2"
 
 
 def test_homotopy_pullback_validates_its_legs_once(monkeypatch):
@@ -150,13 +148,6 @@ def test_homotopy_pullback_validates_its_legs_once(monkeypatch):
     homotopy_pullback(identity_cospan(P2), 3)
     # one groupoid joined by both legs, then the two legs
     assert calls == ["validate_groupoid"] + ["validate_functor"] * 2
-
-
-def test_strict_pullback_of_identities_is_diagonal():
-    g, pr1, pr2 = strict_pullback(identity_functor(P2), identity_functor(P2))
-    validate_groupoid(g)
-    assert len(g.objects) == len(P2.objects)
-    assert len(g.arrows) == len(P2.arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +288,7 @@ def test_skeleton_alignment_ignores_orbit_size():
     # the other way round; ordering by orbit size would misalign these
     g = disjoint_union("g", [point_groupoid("A", groups.cyclic(2)),
                              pair_groupoid("p", ["1", "2"])])
-    h = disjoint_union("h", [terminal_groupoid("t"),
+    h = disjoint_union("h", [discrete_groupoid("t", ["*"]),
                              transitive_groupoid("q", ["1", "2"],
                                                  groups.cyclic(2))])
     assert skeleton_equal(skeletonize(g), skeletonize(h))
@@ -307,7 +298,7 @@ def test_skeleton_alignment_ignores_orbit_size():
 def test_skeleton_serialization_is_bit_exact_on_classes():
     g = disjoint_union("g", [point_groupoid("A", groups.cyclic(2)),
                              pair_groupoid("p", ["1", "2"])])
-    h = disjoint_union("h", [terminal_groupoid("t"),
+    h = disjoint_union("h", [discrete_groupoid("t", ["*"]),
                              transitive_groupoid("q", ["x", "y"],
                                                  groups.cyclic(2))])
     assert skeletonize(g).serialize() == skeletonize(h).serialize()
@@ -328,7 +319,7 @@ def test_isotropy_cap_enforced():
 
 
 def test_skeletons_and_witnesses_reuse_the_validated_isotropy(monkeypatch):
-    s3, z2 = groups.symmetric3(), groups.cyclic(2)
+    s3, z2 = groups.dihedral(3), groups.cyclic(2)
     g = disjoint_union("g", [transitive_groupoid("g0", ["a", "b"], s3),
                              transitive_groupoid("g1", ["c"], z2)])
     h = disjoint_union("h", [transitive_groupoid("h0", ["x"], s3),
@@ -354,6 +345,17 @@ def test_skeletons_and_witnesses_reuse_the_validated_isotropy(monkeypatch):
     assert bibundle.are_morita_equivalent(g, h) is not None
     assert calls == Counter()
     assert g.isotropy("a") is g.isotropy("a")
+
+
+def skeletal_retraction(g):
+    """Essential equivalence g -> g|reps collapsing each component onto its
+    least object by spanning-tree conjugation."""
+    reps = [block[0] for block in g.components]
+    sub = restrict(g, reps, name=f"sk({g.name})")
+    obj_map = {x: g.component_of[x][0] for x in g.objects}
+    arr_map = dict(g.tree_loop)
+    return StrictArrow(name=f"retr_{g.name}", dom=g, cod=sub,
+                       obj_map=obj_map, arr_map=arr_map)
 
 
 def _retraction_then_match(h, g):

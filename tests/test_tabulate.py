@@ -13,8 +13,7 @@ from grpd.core import (FinGroupoid, StrictArrow, NatTrans, cocylinder,
                        pair_groupoid, tabulate, validate_groupoid, whisker)
 from grpd.corpus import inflate, random_functor, transitive_groupoid
 from grpd.formats import serialize_groupoid
-from grpd.homotopy import (Cospan, PullbackResult, _p1, homotopy_pullback,
-                           strict_pullback)
+from grpd.homotopy import Cospan, PullbackResult, _p1, homotopy_pullback
 
 # ---------------------------------------------------------------------------
 # the builders as they were, each with its own by_src index and comp loop
@@ -142,48 +141,6 @@ def old_p1(c):
                     component={o: osrc[o][1] for o in objects})
     return PullbackResult(groupoid=grp, pr1=pr1, pr2=pr2, cells=(cell,),
                           degree=1)
-
-
-def old_strict_pullback(f, g):
-    a, b = f.dom, g.dom
-
-    def oid(x, y):
-        return f"({x}&{y})"
-
-    objects, owhere = [], {}
-    for x in a.objects:
-        for y in b.objects:
-            if f.obj_map[x] == g.obj_map[y]:
-                objects.append(oid(x, y))
-                owhere[oid(x, y)] = (x, y)
-    arrows, src, tgt, where = [], {}, {}, {}
-    for p in a.arrows:
-        for q in b.arrows:
-            if f.arr_map[p] != g.arr_map[q]:
-                continue
-            i = oid(p, q)
-            arrows.append(i)
-            where[i] = (p, q)
-            src[i] = oid(a.src[p], b.src[q])
-            tgt[i] = oid(a.tgt[p], b.tgt[q])
-    comp = {}
-    unit = {o: oid(a.unit[x], b.unit[y]) for o, (x, y) in owhere.items()}
-    inv = {i: oid(a.inv[p], b.inv[q]) for i, (p, q) in where.items()}
-    by_src = {}
-    for i in arrows:
-        by_src.setdefault(src[i], []).append(i)
-    for i1 in arrows:
-        for i2 in by_src.get(tgt[i1], ()):
-            p2, q2 = where[i2]
-            p1, q1 = where[i1]
-            comp[(i2, i1)] = oid(a.comp[(p2, p1)], b.comp[(q2, q1)])
-    grp = FinGroupoid(name=f"({a.name}x{b.name})", objects=tuple(objects),
-                      arrows=tuple(arrows), src=src, tgt=tgt, comp=comp,
-                      unit=unit, inv=inv)
-    pr1 = {i: where[i][0] for i in arrows}
-    pr2 = {i: where[i][1] for i in arrows}
-    return grp, ({o: owhere[o][0] for o in objects}, pr1), \
-        ({o: owhere[o][1] for o in objects}, pr2)
 
 
 def old_transitive_groupoid(name, objects, table):
@@ -406,12 +363,3 @@ def test_p2_matches_the_loop_version(tiny, blocks):
             cells=(outer.cells[0],) + tuple(whisker(t, outer.pr2)
                                             for t in inner.cells),
             degree=2))
-
-
-def test_strict_pullback_matches_the_loop_version(tiny, blocks):
-    for c in _cospans(tiny + blocks, 30, seed=22):
-        grp, pr1, pr2 = strict_pullback(c.left, c.right)
-        old, maps1, maps2 = old_strict_pullback(c.left, c.right)
-        assert_same(grp, old)
-        assert_same_maps(pr1, *maps1)
-        assert_same_maps(pr2, *maps2)
