@@ -155,60 +155,39 @@ class FinGroupoid:
     @cached_property
     def generators(self) -> tuple[str, ...]:
         """Non-units of which, with the units, every arrow is an iterated
-        composite, built greedily from the units: per component, the
-        non-unit spanning-tree arrows, then the loops at the base point,
-        longest order first (ties in id order), then every arrow not yet
-        reached, in order.  So at most three loops are listed for each
-        catalog group and for the order-24 products A4xZ2, Dic3xZ2, Q8xZ3,
-        Z2^3xZ3 and D6xZ2.  Needs a total ``comp``; associativity is not
-        assumed, so a power walk stops after |hom(base, base)| steps."""
-        src, tgt, comp = self.src, self.tgt, self.comp
+        composite, read off Brandt's decomposition (see :attr:`tree_loop`):
+        per component, each non-unit spanning-tree arrow tree[x] and its
+        inverse, then the loops at the base point, longest order first
+        (ties in id order), each outside the span of those before it.  In
+        a valid groupoid a: x -> y is tree[y] . tree_loop[a] . tree[x]^-1.
+        At most three loops are listed for each catalog group and for the
+        order-24 products A4xZ2, Dic3xZ2, Q8xZ3, Z2^3xZ3 and D6xZ2.  Needs
+        a total ``comp``; associativity is not assumed, so a power walk
+        stops after |hom(base, base)| steps (see validate_groupoid)."""
         gens: list[str] = []
-        gens_from: dict[str, list[str]] = {x: [] for x in self.objects}
-        reached: set[str] = set(self.unit.values())
-        reached_into: dict[str, list[str]] = {x: [] for x in self.objects}
-        frontier: list[str] = []
-
-        def reach(a):
-            reached.add(a)
-            reached_into[tgt[a]].append(a)
-            frontier.append(a)
-
-        def add(s):
-            gens.append(s)
-            gens_from[src[s]].append(s)
-            reach(s)
-            for r in list(reached_into[src[s]]):
-                y = comp[(s, r)]
-                if y not in reached:
-                    reach(y)
-            while frontier:
-                r = frontier.pop()
-                for s2 in gens_from[tgt[r]]:
-                    y = comp[(s2, r)]
-                    if y not in reached:
-                        reach(y)
-
-        def order(a, u, n):
-            x, k = a, 1
-            while x != u and k < n:
-                x, k = comp[(x, a)], k + 1
-            return k
-
         for block in self.components:
             for x in block[1:]:
-                if self.tree[x] not in reached:
-                    add(self.tree[x])
-            base = block[0]
-            loops = self.hom_set(base, base)
-            u = self.unit[base]
-            for a in sorted(loops, key=lambda a: order(a, u, len(loops)),
-                            reverse=True):
-                if a not in reached:
-                    add(a)
-        for a in self.arrows:
-            if a not in reached:
-                add(a)
+                gens += (self.tree[x], self.inv[self.tree[x]])
+            loops, table = self.isotropy(block[0])
+            n, u = len(loops), loops.index(self.unit[block[0]])
+
+            def order(a):
+                x, k = a, 1
+                while x != u and k < n:
+                    x, k = table[x][a], k + 1
+                return k
+
+            picked, reach, span = [], [u], {u}
+            for a in sorted(range(n), key=order, reverse=True):
+                if a not in span:
+                    gens.append(loops[a])
+                    picked.append(a)
+                    for x in reach:  # grows as it is read
+                        for s in picked:
+                            y = table[s][x]
+                            if y not in span:
+                                span.add(y)
+                                reach.append(y)
         return tuple(gens)
 
     def equal_presentation(self, other: "FinGroupoid") -> bool:
@@ -382,8 +361,8 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
                 or g.comp[(a, b)] != g.unit[g.tgt[a]]):
             raise BadInverse(f"inv({a!r}) is not a two-sided inverse", witness=a)
     # (i) by counting, then (iii) on each base point's isotropy table over
-    # the loops among g.generators there: they generate it, because
-    # generators adds them before any arrow into the base point
+    # the loops among g.generators there: generators lists loops until
+    # their span is the whole table
     if (labelled and len({(src[a], tgt[a], lam[a]) for a in g.arrows})
             == len(arrows)):
         gens_from = index_arrows(g.generators, src)
@@ -395,9 +374,21 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
     # composition: for b1, b2 in M with b2.b1 defined,
     #   (c.(b2.b1)).a = ((c.b2).b1).a = (c.b2).(b1.a) = c.(b2.(b1.a))
     #                 = c.((b2.b1).a),
-    # using that b2, b1, b2 and b1 lie in M, in turn.  Every arrow is an
-    # iterated composite of g.generators and the units, so if those lie in
-    # M, all do.  Units lie in M because the unit laws were checked first.
+    # using that b2, b1, b2 and b1 lie in M, in turn.  Units lie in M
+    # because the unit laws were checked first.  Suppose every generator
+    # lies in M.  Then every arrow is a composite of arrows of M, so all
+    # lie in M, which holds on any table that passed the checks above, with
+    # no associativity assumed.  By Brandt's decomposition, in each
+    # component with base point base:
+    # - a base loop is a composite of the loop generators, as generators
+    #   lists loops until their span holds every loop;
+    # - a: base -> y is t.(t^-1.a), t = tree[y], by the triple with t^-1 in
+    #   the middle, and t^-1.a is a base loop;
+    # - d: x -> base is (d.t).t^-1, t = tree[x], by the triple with t in
+    #   the middle, and d.t is a base loop;
+    # - any other a: x -> y is t.(t^-1.a), t = tree[y], as in the first
+    #   case, and t^-1.a is an arrow into base.
+    # The inverse laws turn t.t^-1 and t^-1.t into units in each case.
     for b in g.generators:
         outer = [(c, comp[(c, b)]) for c in by_src[tgt[b]]]
         for a in by_tgt[src[b]]:

@@ -64,10 +64,6 @@ def inverse_of(t, a: int) -> int:
     raise InvalidGroupTable(f"element {a} has no inverse", witness=a)
 
 
-def element_order(t, a: int) -> int:
-    return _element_orders(t, identity_of(t))[a]
-
-
 def _element_orders(t, e) -> list[int]:
     out = []
     for a in range(len(t)):

@@ -204,3 +204,39 @@ def _orbit_count(g) -> int:
 @pytest.fixture(scope="session")
 def orbit_count():
     return _orbit_count
+
+
+# the order-5 loop: 0 is a two-sided unit and every element is its own
+# inverse, but (1.1).2 = 2 while 1.(1.2) = 4
+_LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+          (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+@pytest.fixture(scope="session")
+def loop5():
+    return _LOOP5
+
+
+def _doubled_hom_sets() -> FinGroupoid:
+    """Pair({1, 2}) with every hom set between 1 and 2 doubled: f, g: 1 -> 2
+    with inverses f', g'.  Two non-units compose to a loop, which is a
+    unit, so the unit and inverse laws hold, yet (f.f').g = g != f =
+    f.(f'.g)."""
+    ends = {"u1": "11", "u2": "22", "f": "12", "g": "12", "f'": "21",
+            "g'": "21"}
+    arrows, units = tuple(ends), ("u1", "u2")
+    comp = {(p, q): (q if p in units else p if q in units
+                     else "u" + ends[q][0])
+            for p, q in product(arrows, repeat=2) if ends[p][0] == ends[q][1]}
+    return FinGroupoid(
+        name="doubled", objects=("1", "2"), arrows=arrows,
+        src={a: e[0] for a, e in ends.items()},
+        tgt={a: e[1] for a, e in ends.items()}, comp=comp,
+        unit={"1": "u1", "2": "u2"},
+        inv={"u1": "u1", "u2": "u2", "f": "f'", "g": "g'", "f'": "f",
+             "g'": "g"})
+
+
+@pytest.fixture(scope="session")
+def doubled_hom_sets():
+    return _doubled_hom_sets()

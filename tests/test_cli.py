@@ -18,7 +18,7 @@ from grpd.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT,
 from grpd.complexity import point_groupoid
 from grpd.core import (StrictArrow, discrete_groupoid, disjoint_union,
                        identity_functor, pair_groupoid, restrict)
-from grpd.corpus import random_datum
+from grpd.corpus import random_datum, transitive_groupoid
 from grpd.formats import (serialize_datum, serialize_functor,
                           serialize_groupoid)
 from grpd.homotopy import inclusion_functor
@@ -588,6 +588,32 @@ def test_invalid_groupoid_report_is_exact(files, capsys):
         "result": {"valid": False,
                    "violation": "inv('1>2') has wrong endpoints",
                    "witness": "'1>2'"}}, "")
+
+
+@pytest.mark.parametrize("name", ["p2L", "doubled"])
+def test_non_associative_input_exits_2_with_a_failing_triple(
+        files, tmp_path, capsys, loop5, doubled_hom_sets, name):
+    # the order-5 loop as Pair(2) x L, and doubled hom sets whose loops
+    # are all units
+    g = {"p2L": transitive_groupoid("p2L", ["1", "2"], loop5),
+         "doubled": doubled_hom_sets}[name]
+    path = tmp_path / f"{name}.grpd"
+    path.write_text(serialize_groupoid(g), encoding="utf-8")
+    text, as_json = reports(capsys, ["validate", str(path)])
+    violation = as_json[1]["result"]["violation"]
+    assert violation.startswith("associativity fails on (")
+    assert text == (EXIT_INPUT, f"invalid: {violation}\n", "")
+    assert as_json == (EXIT_INPUT, {
+        "command": "validate", "ok": False,
+        "result": {"valid": False, "violation": violation,
+                   "witness": violation[len("associativity fails on "):]}},
+        "")
+    c, b, a = ast.literal_eval(as_json[1]["result"]["witness"])
+    assert g.comp[(c, g.comp[(b, a)])] != g.comp[(g.comp[(c, b)], a)]
+    for argv in (["cgeo", str(path)],
+                 ["morita", str(path), files["pair3.grpd"]]):
+        assert run(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"error: {violation}\n")
 
 
 def test_pullback_validates_every_groupoid_before_its_legs(tmp_path, capsys):

@@ -76,12 +76,6 @@ def test_missing_comp_is_partial_composition():
         assert err.value.witness == witness
 
 
-# the order-5 loop: 0 is a two-sided unit and every element is its own
-# inverse, but (1.1).2 = 2 while 1.(1.2) = 4
-LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
-         (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
-
-
 def loop_groupoid(table):
     """One-object 'groupoid' whose composition is the given table."""
     arrows = tuple(str(i) for i in range(len(table)))
@@ -102,9 +96,9 @@ def assert_non_associative(g):
     assert g.comp[(c, g.comp[(b, a)])] != g.comp[(g.comp[(c, b)], a)]
 
 
-def test_order_5_loop_is_rejected_as_non_associative():
-    assert_non_associative(loop_groupoid(LOOP5))
-    assert_non_associative(transitive_groupoid("p2L", ["1", "2"], LOOP5))
+def test_order_5_loop_is_rejected_as_non_associative(loop5):
+    assert_non_associative(loop_groupoid(loop5))
+    assert_non_associative(transitive_groupoid("p2L", ["1", "2"], loop5))
 
 
 def test_swap_inside_one_hom_set_breaks_only_associativity():
@@ -143,27 +137,12 @@ def brandt_checks(g):
     return injective, labelled, associative
 
 
-def test_hom_sets_that_the_tree_cannot_tell_apart_fail_check_i_only():
-    # Pair({1, 2}) with every hom set between 1 and 2 doubled: f, g: 1 -> 2
-    # with inverses f', g'.  Both trivialize to the unit at 1, and every
-    # loop is a unit, so (ii) and (iii) hold, yet (f.f').g = g != f =
-    # f.(f'.g).
-    ends = {"u1": "11", "u2": "22", "f": "12", "g": "12", "f'": "21",
-            "g'": "21"}
-    arrows, units = tuple(ends), ("u1", "u2")
-    # two non-units compose to a loop, which is a unit
-    comp = {(p, q): (q if p in units else p if q in units
-                     else "u" + ends[q][0])
-            for p, q in product(arrows, repeat=2) if ends[p][0] == ends[q][1]}
-    g = FinGroupoid(
-        name="doubled", objects=("1", "2"), arrows=arrows,
-        src={a: e[0] for a, e in ends.items()},
-        tgt={a: e[1] for a, e in ends.items()}, comp=comp,
-        unit={"1": "u1", "2": "u2"},
-        inv={"u1": "u1", "u2": "u2", "f": "f'", "g": "g'", "f'": "f",
-             "g'": "g"})
-    assert brandt_checks(g) == (False, True, True)
-    assert_non_associative(g)
+def test_hom_sets_that_the_tree_cannot_tell_apart_fail_check_i_only(
+        doubled_hom_sets):
+    # f, g: 1 -> 2 both trivialize to the unit at 1, and every loop is a
+    # unit, so (ii) and (iii) hold, yet (f.f').g = g != f = f.(f'.g)
+    assert brandt_checks(doubled_hom_sets) == (False, True, True)
+    assert_non_associative(doubled_hom_sets)
 
 
 def test_a_swap_off_the_tree_fails_check_ii_only():
@@ -207,15 +186,36 @@ def test_generators_hold_no_unit_and_reach_every_arrow(corpus):
         gens = g.generators
         assert len(set(gens)) == len(gens)
         assert not set(gens) & set(g.unit.values()), g.name
-        # every composite of reached arrows, until nothing new appears
-        reached = set(gens) | set(g.unit.values())
-        grown = True
-        while grown:
-            new = {g.comp[(p, q)] for p in gens for q in reached
-                   if g.src[p] == g.tgt[q]} - reached
-            reached |= new
-            grown = bool(new)
-        assert reached == set(g.arrows), g.name
+        assert _closure(g, set(gens) | set(g.unit.values())) \
+            == set(g.arrows), g.name
+        # the non-loops are the tree arrows to the other objects and their
+        # inverses
+        bases = {block[0] for block in g.components}
+        tree = [a for x in g.objects if x not in bases
+                for a in (g.tree[x], g.inv[g.tree[x]])]
+        assert sorted(s for s in gens if g.src[s] != g.tgt[s]) \
+            == sorted(tree), g.name
+        # the loops sit at base points, each outside the span of those
+        # before it, and they generate the isotropy group there
+        loops = [s for s in gens if g.src[s] == g.tgt[s]]
+        assert {g.src[s] for s in loops} <= bases, g.name
+        for base in bases:
+            span = {g.unit[base]}
+            for s in (s for s in loops if g.src[s] == base):
+                assert s not in span, g.name
+                span = _closure(g, span | {s})
+            assert span == set(g.hom_set(base, base)), g.name
+
+
+def _closure(g, arrows):
+    """The composites of the given arrows, until nothing new appears."""
+    out = set(arrows)
+    while True:
+        new = {g.comp[(p, q)] for p in out for q in out
+               if g.src[p] == g.tgt[q]} - out
+        if not new:
+            return out
+        out |= new
 
 
 # the order-24 products of tests/test_groups.py
@@ -352,6 +352,49 @@ def test_validator_agrees_with_naive_oracle_on_200_instances():
         accepted += got
         rejected += not got
     assert accepted >= 100 and rejected >= 20
+
+
+def _row_swap(rng, g):
+    """Two entries of one row of ``comp`` swapped inside one hom set, so
+    that every entry keeps its ends."""
+    p = rng.choice(g.arrows)
+    hom = g.hom_set(rng.choice(g.objects), g.src[p])
+    if len(hom) < 2:
+        return g
+    q, q2 = rng.sample(hom, 2)
+    comp = dict(g.comp)
+    comp[(p, q)], comp[(p, q2)] = comp[(p, q2)], comp[(p, q)]
+    return dataclasses.replace(g, comp=comp)
+
+
+def test_validator_witnesses_on_tampered_group_blocks():
+    """Mutants and row swaps of Pair(m) x K, K a catalog group of order at
+    most 8 and m = 1, 2, 3: the validator agrees with the naive oracle,
+    and each associativity witness (c, b, a) really fails.  With m >= 2
+    the sweep rests on the tree arrows and their inverses being among the
+    generators (see validate_groupoid)."""
+    rng = random.Random(19)
+    catalog = [t for _, t in groups.small_groups(8)]
+    accepted = witnesses = 0
+    for i in range(600):
+        m = 1 + i % 3
+        g = transitive_groupoid(f"t{i}", list("123"[:m]), rng.choice(catalog))
+        g = _row_swap(rng, g) if rng.random() < 0.5 else _mutate(rng, g)
+        expected = oracle_is_groupoid(g)
+        try:
+            validate_groupoid(g)
+            got = True
+        except NonAssociative as err:
+            c, b, a = err.witness
+            assert g.comp[(c, g.comp[(b, a)])] \
+                != g.comp[(g.comp[(c, b)], a)], g.name
+            witnesses += 1
+            got = False
+        except GroupoidError:
+            got = False
+        assert got == expected, g.name
+        accepted += got
+    assert accepted >= 30 and witnesses >= 150
 
 
 def test_components_are_the_nonempty_hom_set_classes(corpus):
