@@ -5,15 +5,18 @@ Runs ``perfbench/run.py --trace 0`` for each workload that BENCHMARK.json
 declares, at a fixed seed, and writes ``BENCH_<label>.json`` at the
 repository root: the last JSON line of each run, the git revision and the
 Python version.  Exits 1 when a run reads ``"correct": false`` or a
-workload leaves no result line.
+workload leaves no result line, and 2, before any run, when the label is
+not a plain file-name fragment or the seconds are not positive.
 
 Usage: python scripts/bench_record.py --label baseline [--seconds 30]
 """
 
 import argparse
 import json
+import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +53,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float,
                         default=bench["run_seconds"])
     args = parser.parse_args(argv)
+    # the label names the file BENCH_<label>.json at the repository root,
+    # and each run needs time to finish at least one op
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
+        parser.error("--label may hold only letters, digits, '.', '_' "
+                     "and '-'")
+    if not 0 < args.seconds < math.inf:
+        parser.error("--seconds must be a positive number")
 
     results, ok = {}, True
     for workload in [w["name"] for w in bench["workloads"]]:

@@ -45,7 +45,8 @@ def point_groupoid(name: str, table, elements=None) -> FinGroupoid:
                 "element names do not match table size", witness=elements)
     return tabulate(name, ("*",), dict(enumerate(elements)),
                     ends=lambda i: ("*", "*"),
-                    compose=lambda i, j: table[i][j], unit=lambda x: e,
+                    compose=lambda p, qs: [elements[table[q][p]] for q in qs],
+                    unit=lambda x: e,
                     inv=lambda i: groups.inverse_of(table, i))
 
 

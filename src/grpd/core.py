@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 
 
 class GroupoidError(Exception):
@@ -100,6 +100,15 @@ class FinGroupoid:
         for a in self.arrows:
             table[self.tgt[a]].append(a)
         return {k: tuple(sorted(v)) for k, v in table.items()}
+
+    @cached_property
+    def after(self) -> dict[str, dict[str, str]]:
+        """Rows of ``comp`` by first arrow: ``after[p][q] = comp[q, p]``
+        ("p then q"), for the builders that compose a whole row at once."""
+        rows: dict[str, dict[str, str]] = {a: {} for a in self.arrows}
+        for (q, p), r in self.comp.items():
+            rows[p][q] = r
+        return rows
 
     @cached_property
     def components(self) -> tuple[tuple[str, ...], ...]:
@@ -423,19 +432,22 @@ def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
 
     ``arrows`` maps each arrow's parts (a tuple, or any hashable) to its
     id, in arrow order; ``ends(p)`` gives the source and target object ids
-    of the arrow with parts ``p``; ``compose(q, p)`` ("p then q"),
-    ``unit(x)`` and ``inv(p)`` give parts.  Every table value is looked up
-    from its parts, so no id is built twice.
+    of the arrow with parts ``p``; ``unit(x)`` and ``inv(p)`` give parts.
+    ``compose(p, qs)`` is called once per arrow, with ``qs`` the parts of
+    the arrows that leave p's target, in arrow order, and returns the id
+    of "p then q" for each q: one row of ``comp``, filled in one update.
     """
-    src, tgt, by_src = {}, {}, {}
+    src, tgt, out_parts, out_ids = {}, {}, {}, {}
     for p, a in arrows.items():
         x, y = ends(p)
         src[a], tgt[a] = x, y
-        by_src.setdefault(x, []).append((p, a))
+        out_parts.setdefault(x, []).append(p)
+        out_ids.setdefault(x, []).append(a)
     comp = {}
     for p, a in arrows.items():
-        for q, b in by_src.get(tgt[a], ()):
-            comp[b, a] = arrows[compose(q, p)]
+        y = tgt[a]
+        comp.update(zip(zip(out_ids.get(y, ()), repeat(a)),
+                        compose(p, out_parts.get(y, ()))))
     objects = tuple(objects)
     return FinGroupoid(
         name=name, objects=objects, arrows=tuple(arrows.values()),
@@ -446,8 +458,9 @@ def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
 
 def discrete_groupoid(name: str, objects) -> FinGroupoid:
     objects = tuple(objects)
-    return tabulate(name, objects, {x: f"id_{x}" for x in objects},
-                    ends=lambda x: (x, x), compose=lambda q, p: p,
+    arrows = {x: f"id_{x}" for x in objects}
+    return tabulate(name, objects, arrows, ends=lambda x: (x, x),
+                    compose=lambda p, qs: [arrows[p]] * len(qs),
                     unit=lambda x: x, inv=lambda x: x)
 
 
@@ -457,7 +470,7 @@ def pair_groupoid(name: str, objects) -> FinGroupoid:
     arrows = {(x, y): f"{x}>{y}"
               for x, y in sorted(product(objects, objects))}
     return tabulate(name, objects, arrows, ends=lambda p: p,
-                    compose=lambda q, p: (p[0], q[1]),
+                    compose=lambda p, qs: [arrows[p[0], z] for _, z in qs],
                     unit=lambda x: (x, x), inv=lambda p: (p[1], p[0]))
 
 
@@ -709,9 +722,11 @@ def cocylinder(g: FinGroupoid) -> Cocylinder:
     unit section t; e0 . t = e1 . t = id holds on the nose.
     """
     objects = tuple(sorted(g.arrows))
-    # (u, source base, target base) determines the square (v is forced)
-    arrows, e1a = {}, {}
+    # (u, source base, target base) determines the square (v is forced);
+    # ids[a][b][u] is its id
+    arrows, ids, e1a = {}, {}, {}
     for a in objects:
+        row = ids[a] = {}
         for u in g.arrows:
             if g.src[u] != g.src[a]:
                 continue
@@ -721,11 +736,18 @@ def cocylinder(g: FinGroupoid) -> Cocylinder:
                 # square condition v . a = b . u forces v
                 v = g.comp[(g.comp[(b, u)], g.inv[a])]
                 sq = f"({u},{v})@{a}"
-                arrows[u, a, b] = sq
+                arrows[u, a, b] = row.setdefault(b, {})[u] = sq
                 e1a[sq] = v
-    gcomp = g.comp
+    after = g.after
+
+    def compose(p, qs):
+        # (u, a, b) then (w, b, c) is (u then w, a, c)
+        u, a, _ = p
+        row, then = ids[a], after[u]
+        return [row[c][then[w]] for w, _, c in qs]
+
     cyl = tabulate(f"{g.name}^I", objects, arrows, ends=lambda p: p[1:],
-                   compose=lambda q, p: (gcomp[q[0], p[0]], p[1], q[2]),
+                   compose=compose,
                    unit=lambda a: (g.unit[g.src[a]], a, a),
                    inv=lambda p: (g.inv[p[0]], p[2], p[1]))
     e0 = StrictArrow(name=f"e0_{g.name}", dom=cyl, cod=g,

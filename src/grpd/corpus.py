@@ -36,7 +36,8 @@ def transitive_groupoid(name: str, objects, table) -> FinGroupoid:
               for x in objects for y in objects for k in range(len(table))}
     return tabulate(
         name, objects, arrows, ends=lambda p: p[:2],
-        compose=lambda q, p: (p[0], q[1], table[q[2]][p[2]]),
+        compose=lambda p, qs: [arrows[p[0], z, table[l][p[2]]]
+                               for _, z, l in qs],
         unit=lambda x: (x, x, e), inv=lambda p: (p[1], p[0], inv[p[2]]))
 
 
@@ -45,14 +46,25 @@ def inflate(g: FinGroupoid, copies: dict[str, int]):
     inflated groupoid and the collapsing projection functor, an essential
     equivalence."""
     obj = {(x, i): f"{x}@{i}" for x in g.objects for i in range(copies[x])}
-    arrows = {(c, i, j): f"{c}@{i}>{j}" for c in g.arrows
-              for i in range(copies[g.src[c]])
-              for j in range(copies[g.tgt[c]])}
+    # arrows[c, i, j] = ids[i][j][c]
+    arrows, ids = {}, {}
+    for c in g.arrows:
+        for i in range(copies[g.src[c]]):
+            row = ids.setdefault(i, {})
+            for j in range(copies[g.tgt[c]]):
+                arrows[c, i, j] = row.setdefault(j, {})[c] = f"{c}@{i}>{j}"
     units = {o: (g.unit[x], i, i) for (x, i), o in obj.items()}
+    after = g.after
+
+    def compose(p, qs):
+        c, i, _ = p
+        row, then = ids[i], after[c]
+        return [row[j][then[d]] for d, _, j in qs]
+
     big = tabulate(
         f"{g.name}*inflated", obj.values(), arrows,
         ends=lambda p: (obj[g.src[p[0]], p[1]], obj[g.tgt[p[0]], p[2]]),
-        compose=lambda q, p: (g.comp[q[0], p[0]], p[1], q[2]),
+        compose=compose,
         unit=units.__getitem__, inv=lambda p: (g.inv[p[0]], p[2], p[1]))
     proj = StrictArrow(
         name=f"collapse_{g.name}", dom=big, cod=g,

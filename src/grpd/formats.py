@@ -528,33 +528,39 @@ def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
 # serialization (deterministic: sorted lines within each section)
 
 
-def _sorted_rows(table, outer, inner, line, unique) -> list[str]:
-    """The lines ``line(x, y, table[x, y])`` for the keys of ``table`` in
-    sorted order, joined into one row per x: every line of one x in one
-    string, so a big table is never held as one string per entry.
+def _sorted_rows(table, outer, inner, head, mid, unique) -> list[str]:
+    """The lines ``f"{head}{x} {y}{mid}{table[x, y]}\\n"`` for the keys of
+    ``table`` in sorted order, joined into one row per x: every line of
+    one x in one string, so a big table is never held as one string per
+    entry.
 
     The keys are expected to be the pairs (x, y) with x in sorted ``outer``
     and y in ``inner(x)``, which lists them sorted; walking those pairs
-    gives the sorted order without sorting the tuple keys.  The walk is
-    kept only when it accounts for every entry exactly once: the id lists
-    in ``unique``, of which the walked pairs are made, hold no repeats,
-    every walked pair is a key, and the counts agree.  Otherwise (a table
-    with a missing or extra entry, or an id whose end is not an object)
-    the keys are sorted, into one row.  ``line`` ends its line with a
-    newline."""
+    gives the sorted order without sorting the tuple keys.  The table is
+    read once, into one dict per x, and each x's dict is dropped once its
+    row is written.  The walk is kept only when it accounts for every
+    entry exactly once: the id lists in ``unique``, of which the walked
+    pairs are made, hold no repeats, every walked pair is a key, and the
+    counts agree.  Otherwise (a table with a missing or extra entry, or an
+    id whose end is not an object) the keys are sorted, into one row."""
     if all(len(set(ids)) == len(ids) for ids in unique):
         try:
+            by_x = {x: {} for x in outer}
+            for (x, y), r in table.items():
+                by_x[x][y] = r
             rows, count = [], 0
             for x in sorted(outer):
-                ys = inner(x)
+                row, ys = by_x.pop(x), inner(x)
                 count += len(ys)
-                rows.append("".join([line(x, y, table[x, y]) for y in ys]))
+                h = f"{head}{x} "
+                rows.append("".join([f"{h}{y}{mid}{row[y]}\n" for y in ys]))
         except KeyError:
             pass
         else:
             if count == len(table):
                 return rows
-    return ["".join([line(x, y, table[x, y]) for x, y in sorted(table)])]
+    return ["".join([f"{head}{x} {y}{mid}{table[x, y]}\n"
+                     for x, y in sorted(table)])]
 
 
 def serialize_groupoid(g: FinGroupoid) -> str:
@@ -568,8 +574,8 @@ def serialize_groupoid(g: FinGroupoid) -> str:
         lines.append(f"inv {a} = {g.inv[a]}")
     # the composable pairs (p, q) are the q into src(p)
     rows = _sorted_rows(
-        g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]],
-        lambda p, q, r: f"comp {p} {q} = {r}\n", [g.arrows])
+        g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]], "comp ", " = ",
+        [g.arrows])
     return "".join(["\n".join(lines) + "\n", *rows])
 
 
@@ -594,10 +600,10 @@ def serialize_bibundle(b: Bibundle) -> str:
     points_over = index_arrows(sorted(b.carrier), b.left.actor)
     left = _sorted_rows(
         b.left.act, h.arrows, lambda eta: points_over.get(h.src[eta], ()),
-        lambda eta, z, w: f"lact {eta} {z} -> {w}\n", [h.arrows, b.carrier])
+        "lact ", " -> ", [h.arrows, b.carrier])
     right = _sorted_rows(
         b.right.act, b.carrier, lambda z: g.arrows_into[b.right.actor[z]],
-        lambda z, c, w: f"ract {z} {c} -> {w}\n", [b.carrier, g.arrows])
+        "ract ", " -> ", [b.carrier, g.arrows])
     return "".join(["\n".join(lines) + "\n", *left, *right])
 
 

@@ -70,22 +70,29 @@ def _p1(c: Cospan) -> PullbackResult:
     # An arrow is a square kk: x -> x', ii: y -> y' with diagonal
     # s: phi(x) -> psi(y'), from (x, psi(ii)^-1.s, y) to (x', s.phi(kk)^-1,
     # y'); its parts are (kk, ii, source object id), so a composite is
-    # (k-composite, j-composite, first source).
-    arrows, ends = {}, {}
+    # (k-composite, j-composite, first source).  ids[o][kk][ii] is its id.
+    arrows, ends, ids = {}, {}, {}
     for kk in k.arrows:
         for ii in j.arrows:
             back = ginv[psi.arr_map[ii]]
             for s in g.hom_set(phi.obj_map[k.src[kk]],
                                psi.obj_map[j.tgt[ii]]):
                 p = (kk, ii, obj[k.src[kk], gcomp[back, s], j.src[ii]])
-                arrows[p] = f"[{kk}!{s}!{ii}]"
+                a = arrows[p] = f"[{kk}!{s}!{ii}]"
+                ids.setdefault(p[2], {}).setdefault(kk, {})[ii] = a
                 ends[p] = (p[2], obj[k.tgt[kk],
                                      gcomp[s, ginv[phi.arr_map[kk]]],
                                      j.tgt[ii]])
-    kcomp, jcomp = k.comp, j.comp
+    kafter, jafter = k.after, j.after
+
+    def compose(p, qs):
+        kk, ii, o = p
+        row, kthen, jthen = ids[o], kafter[kk], jafter[ii]
+        return [row[kthen[k2]][jthen[i2]] for k2, i2, _ in qs]
+
     grp = tabulate(
         f"P1({phi.name},{psi.name})", obj.values(), arrows, ends.__getitem__,
-        compose=lambda q, p: (kcomp[q[0], p[0]], jcomp[q[1], p[1]], p[2]),
+        compose=compose,
         unit=lambda o: (k.unit[where[o][0]], j.unit[where[o][2]], o),
         inv=lambda p: (k.inv[p[0]], j.inv[p[1]], ends[p][1]))
     pr1 = StrictArrow(name="pr1", dom=grp, cod=k,

@@ -426,21 +426,28 @@ def test_corpus_report_bounds_below_1_exit_2(option):
     assert "Traceback" not in done.stderr
 
 
+@pytest.fixture
+def bench_record(tmp_path, monkeypatch):
+    """scripts/bench_record.py, writing into tmp_path, which holds a copy
+    of BENCHMARK.json."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "bench_record", root / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "BENCHMARK.json").write_text(
+        (root / "BENCHMARK.json").read_text())
+    monkeypatch.setattr(module, "ROOT", tmp_path)
+    return module
+
+
 @pytest.mark.parametrize("classify", [
     '{"correct": true, "attempted": 9, "failed": 1}',
     '{"correct": false, "attempted": 9, "failed": 2}',
     "Traceback (most recent call last):",
     ""])
 def test_bench_record_fails_on_a_wrong_or_missing_result(
-        classify, tmp_path, monkeypatch):
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "bench_record", root / "scripts" / "bench_record.py")
-    bench_record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_record)
-    (tmp_path / "BENCHMARK.json").write_text(
-        (root / "BENCHMARK.json").read_text())
-    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+        classify, bench_record, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "git_rev", lambda: "rev")
     runs = []
 
@@ -462,6 +469,25 @@ def test_bench_record_fails_on_a_wrong_or_missing_result(
     assert code == (1 if wrong else 0)
     assert (record["results"]["classify"] is None) == \
         (not classify.startswith("{"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--label", "a/b"], ["--label", "../up"], ["--label", ""],
+    ["--label", "t", "--seconds", "0"], ["--label", "t", "--seconds", "-1"],
+    ["--label", "t", "--seconds", "nan"]])
+def test_bench_record_rejects_unusable_arguments_before_any_run(
+        argv, bench_record, tmp_path, monkeypatch, capsys):
+    # "--label a/b" ran every workload, then died writing BENCH_a/b.json;
+    # "--seconds 0" made every benchmark run crash
+    def no_run(argv, **kwargs):
+        raise AssertionError(f"ran {argv}")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_record.main(argv)
+    assert exit_info.value.code == 2
+    assert "error: --" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
 
 
 def test_unexpected_exception_exits_4_in_one_line(files, monkeypatch,

@@ -238,6 +238,34 @@ def test_serializers_match_the_sort_based_copies(corpus, transpose):
         assert serialize_bibundle(b) == sorted_serialize_bibundle(b), b.name
 
 
+class CountingDict(dict):
+    """A table that counts its keyed reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_serializers_read_each_valid_table_without_keyed_lookups():
+    g = transitive_groupoid("g", ["a", "b"], groups.cyclic(2))
+    ident = identity_functor(g)
+    pullback = homotopy_pullback(Cospan(ident, ident), 1).groupoid
+    comp = CountingDict(pullback.comp)
+    counted = dataclasses.replace(pullback, comp=comp)
+    assert serialize_groupoid(counted) == serialize_groupoid(pullback)
+    assert comp.reads == 0
+    unit = unit_bibundle(g)
+    left = CountingDict(unit.left.act)
+    right = CountingDict(unit.right.act)
+    counted = dataclasses.replace(
+        unit, left=dataclasses.replace(unit.left, act=left),
+        right=dataclasses.replace(unit.right, act=right))
+    assert serialize_bibundle(counted) == serialize_bibundle(unit)
+    assert (left.reads, right.reads) == (0, 0)
+
+
 def test_serializers_peak_at_most_two_and_a_half_times_their_output():
     """A big table is written one row at a time: the traced peak holds the
     rows and the text they are joined into, but no string per line and no

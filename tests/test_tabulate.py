@@ -273,15 +273,39 @@ def blocks():
 
 
 def test_tabulate_builds_a_valid_groupoid_from_parts():
-    # Z3 as parts 0, 1, 2 on one object: every table entry is an id
-    # looked up from the parts that compose gives
+    # Z3 as parts 0, 1, 2 on one object: compose gives one row of ids,
+    # "p then q" for each q; unit and inverse are looked up from parts
     g = tabulate("Z3", ("*",), {k: f"r{k}" for k in range(3)},
-                 ends=lambda k: ("*", "*"), compose=lambda q, p: (q + p) % 3,
+                 ends=lambda k: ("*", "*"),
+                 compose=lambda p, qs: [f"r{(q + p) % 3}" for q in qs],
                  unit=lambda x: 0, inv=lambda k: -k % 3)
     validate_groupoid(g)
     assert g.arrows == ("r0", "r1", "r2")
     assert g.comp["r2", "r2"] == "r1"
     assert g.inv == {"r0": "r0", "r1": "r2", "r2": "r1"}
+
+
+def test_tabulate_composes_once_per_arrow_over_the_arrows_out_of_its_target():
+    # Pair({a, b}) x Z2 with arrows listed out of sorted order: each call's
+    # qs are the parts leaving p's target, in arrow order
+    parts = [(x, y, k) for k in (1, 0) for y in "ba" for x in "ab"]
+    arrows = {p: "".join(map(str, p)) for p in parts}
+    calls = []
+
+    def compose(p, qs):
+        calls.append((p, list(qs)))
+        return [arrows[p[0], q[1], (p[2] + q[2]) % 2] for q in qs]
+
+    g = tabulate("P2xZ2", ("a", "b"), arrows, ends=lambda p: p[:2],
+                 compose=compose, unit=lambda x: (x, x, 0),
+                 inv=lambda p: (p[1], p[0], p[2]))
+    validate_groupoid(g)
+    assert [p for p, _ in calls] == parts
+    for p, qs in calls:
+        assert qs == [q for q in parts if q[0] == p[1]]
+    # the rows go into comp in the same order: p in arrow order, then q
+    assert list(g.comp) == [(arrows[q], arrows[p]) for p, qs in calls
+                            for q in qs]
 
 
 def test_small_builders_match_the_loop_versions():
