@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import GroupoidError, first_repeat, index_arrows, partition
+from .core import GroupoidError, first_repeat, index_arrows
 
 
 class DescentError(GroupoidError):
@@ -117,9 +117,9 @@ class Cover:
 class DescentDatum:
     """Per-piece bundles plus transition bijections over every ordered
     overlap, indexed transitions[(i, j)][(u, v)][a] = b.  A datum is
-    treated as immutable once built: it is validated and glued at most
-    once, and :func:`check_cocycle` and :func:`glue` share the cached
-    outcome."""
+    treated as immutable once built: it is validated and glued through
+    its charts at most once, and :func:`check_cocycle` and :func:`glue`
+    share the cached outcome."""
     name: str
     cover: Cover
     fibres: dict[str, Bundle]
@@ -150,9 +150,13 @@ def validate_datum(d: DescentDatum) -> DescentDatum:
         if set(bundle.base) != set(p.elements):
             raise BadDatum(f"bundle over {p.name!r} has the wrong base",
                            witness=p.name)
-        fibres[p.name] = index_arrows(bundle.total, bundle.proj)
+        # each fibre sorted once, for every overlap pair it meets
+        fibres[p.name] = {u: sorted(fibre) for u, fibre in
+                          index_arrows(bundle.total, bundle.proj).items()}
     for pi in d.cover.pieces:
+        fib_i = fibres[pi.name]
         for pj in d.cover.pieces:
+            fib_j = fibres[pj.name]
             key = (pi.name, pj.name)
             table = d.transitions.get(key)
             if table is None:
@@ -164,8 +168,8 @@ def validate_datum(d: DescentDatum) -> DescentDatum:
                     raise BadDatum(
                         f"missing transition over overlap {(u, v)} of {key}",
                         witness=(key, (u, v)))
-                if sorted(m) != sorted(fibres[pi.name].get(u, ())) or sorted(
-                        m.values()) != sorted(fibres[pj.name].get(v, ())):
+                if sorted(m) != fib_i.get(u, []) or \
+                        sorted(m.values()) != fib_j.get(v, []):
                     raise BadDatum(
                         f"transition over {(u, v)} of {key} is not a "
                         "fibre bijection", witness=(key, (u, v)))
@@ -199,10 +203,11 @@ def check_cocycle(d: DescentDatum) -> CocycleReport:
     Condition (b): the triple-overlap composite f_jk . f_ij = f_ik,
     pointwise over every double and triple overlap element.
 
-    The glue partition decides the answer (see :func:`glue`): when the
-    datum glues, both conditions hold.  Only when it does not is every
-    double and triple overlap swept, to name the first failure; a datum
-    whose conditions hold but whose glued class ids collide is ok."""
+    The chart sweep of :func:`glue` decides the answer: when every
+    transition entry stays in its chart class, both conditions hold.  Only
+    when the datum does not glue is every double and triple overlap swept,
+    to name the first failure; a datum whose conditions hold but whose
+    glued class ids collide is ok."""
     return d._cocycle
 
 
@@ -257,10 +262,12 @@ def glue(d: DescentDatum) -> GlueResult:
     glue coherently.  Returns the glued bundle over the cover's base plus
     the per-piece comparison isomorphisms.
 
-    The partition decides the answer; on failure the cocycle sweep of
-    :func:`check_cocycle` only names the witness, and when the conditions
-    hold the witness is the (piece, point) whose comparison fails.  Every
-    call on one datum returns the same result object."""
+    The classes are read off one chart per base point and checked by one
+    sweep over the transition entries (see :func:`_glue_once`).  On
+    failure the cocycle sweep of :func:`check_cocycle` only names the
+    witness, and when the conditions hold the witness is the (piece,
+    point) whose comparison fails.  Every call on one datum returns the
+    same result object."""
     glued = d._glued
     if isinstance(glued, GlueResult):
         return glued
@@ -275,50 +282,89 @@ def glue(d: DescentDatum) -> GlueResult:
 
 def _glue_once(d: DescentDatum) -> GlueResult | tuple[str, str]:
     """validate_datum, then the quotient and the comparison check: the
-    result, or the (piece, point) over which the comparison fails."""
-    validate_datum(d)
-    tagged = [(p.name, a) for p in d.cover.pieces
-              for a in d.fibres[p.name].total]
-    links = (((pi.name, a), (pj.name, b))
-             for pi in d.cover.pieces for pj in d.cover.pieces
-             for m in d.transitions[(pi.name, pj.name)].values()
-             for a, b in m.items())
-    piece_of = {p.name: p for p in d.cover.pieces}
-    total, proj, member_cls = [], {}, {}
-    for members in partition(tagged, links):
-        rep = members[0]
-        cid = f"{rep[0]}.{rep[1]}"
-        total.append(cid)
-        for member in members:
-            member_cls[member] = cid
-        # every link joins fibres over an overlap pair, whose two points
-        # share a base point (validate_datum), so each class has one
-        proj[cid] = piece_of[rep[0]].to_base[d.fibres[rep[0]].proj[rep[1]]]
-    bundle = Bundle(name=f"glue({d.name})", base=d.cover.base,
-                    total=tuple(sorted(total)), proj=proj)
-    glued = {x: set(cs) for x, cs in index_arrows(bundle.total, proj).items()}
+    result, or a (piece, point) over which the comparison fails.
 
+    The quotient is read off one chart per base point x: the first piece
+    point (c, u) over x in cover order.  Each element of the chart's fibre
+    starts one class, and every point (q, v) over x takes its classes
+    through the bijection f_cq over (u, v).  One sweep over every
+    transition entry then checks that f_ij(a) = b lies in the class of a.
+    - If it passes, these classes are exactly the classes that the
+      transitions generate: each member is linked to its chart element,
+      and no link joins two classes.  Each class is named after its least
+      (piece, element) member.
+    - If it fails at a over (i, u), the generated relation joins the
+      classes of a and of f_ij(a).  Each meets i's fibre over u, so two
+      elements of that fibre are joined.  When (a) and (b) hold, f_ij(a) =
+      b is already an equivalence relation (f_ji . f_ij = f_ii = id), and
+      as f_ii is the identity it joins no two elements of one fibre.  So
+      the cocycle conditions fail, and :func:`glue` raises the first
+      failure of the cocycle sweep.
+    """
+    validate_datum(d)
+    trans = d.transitions
+    over: dict[str, list[tuple[str, str]]] = {}
+    for p in d.cover.pieces:
+        for u in p.elements:
+            over.setdefault(p.to_base[u], []).append((p.name, u))
+    cls: dict[str, dict[str, int]] = {p.name: {} for p in d.cover.pieces}
+    least, base_of = [], []  # each class's least member and base point
+    for x, points in over.items():
+        c, u = points[0]
+        start = {a: len(least) + k
+                 for k, a in enumerate(trans[(c, c)][(u, u)])}
+        # a class meets every point over x once, so its least member lies
+        # over a point of the least piece over x
+        lead = min(q for q, _ in points)
+        lead_maps = []
+        for q, v in points:
+            cq, m = cls[q], trans[(c, q)][(u, v)]
+            for a, b in m.items():
+                cq[b] = start[a]
+            if q == lead:
+                lead_maps.append(m)
+        if len(lead_maps) == 1:
+            m = lead_maps[0]
+            least += [(lead, m[a]) for a in start]
+        else:
+            least += [(lead, min(m[a] for m in lead_maps)) for a in start]
+        base_of += [x] * len(start)
+    for (i, j), table in trans.items():
+        ci, cj = cls[i], cls[j]
+        for (u, v), m in table.items():
+            for a, b in m.items():
+                if ci[a] != cj[b]:
+                    return i, u
+    ids = [f"{piece}.{elem}" for piece, elem in least]
+    proj = dict(zip(ids, base_of))
+    collide = len(proj) != len(ids)
+    if collide:
+        # Two classes share an id, as ids are not yet injective.  Taken in
+        # order of their least members, the later one sets the projection.
+        proj = {ids[k]: base_of[k]
+                for k in sorted(range(len(ids)), key=least.__getitem__)}
+    bundle = Bundle(name=f"glue({d.name})", base=d.cover.base,
+                    total=tuple(sorted(ids)), proj=proj)
     piece_maps: dict[str, dict[tuple[str, str], str]] = {}
     for p in d.cover.pieces:
-        fib = d.fibres[p.name]
-        fibre = index_arrows(fib.total, fib.proj)
-        local: dict[tuple[str, str], str] = {}
-        for a in fib.total:
-            local[(fib.proj[a], a)] = member_cls[(p.name, a)]
-        # the comparison must be a fibrewise bijection onto the pullback.
-        # For a validated datum this also decides the cocycle conditions:
-        # if (a) fails, f_ii(a) = b != a puts a and b, both over u, in one
-        # class; if (b) fails, f_jk(f_ij(a)) and f_ik(a), both over w, are
-        # both linked to a.  Either way two elements of one local fibre
-        # share a class and the check below fails, so the cocycle sweep
-        # runs only then, to report the failure it finds first.
-        for u in p.elements:
-            elems = fibre.get(u, ())
-            image = {local[(u, a)] for a in elems}
-            if image != glued.get(p.to_base[u], set()) or \
-                    len(image) != len(elems):
-                return p.name, u
-        piece_maps[p.name] = local
+        fib, cp = d.fibres[p.name], cls[p.name]
+        piece_maps[p.name] = {(fib.proj[a], a): ids[cp[a]]
+                              for a in fib.total}
+    # Every point's fibre meets each class over its base point once, so
+    # with distinct ids each comparison is a bijection onto the glued
+    # fibre.  With a shared id some glued fibre lacks it or some local
+    # image is too small: name the first (piece, point) where that shows.
+    if collide:
+        glued = {x: set(cs) for x, cs in index_arrows(ids, proj).items()}
+        for p in d.cover.pieces:
+            fib, local = d.fibres[p.name], piece_maps[p.name]
+            fibre = index_arrows(fib.total, fib.proj)
+            for u in p.elements:
+                elems = fibre.get(u, ())
+                image = {local[(u, a)] for a in elems}
+                if image != glued.get(p.to_base[u], set()) or \
+                        len(image) != len(elems):
+                    return p.name, u
     return GlueResult(bundle=bundle, piece_maps=piece_maps)
 
 

@@ -179,26 +179,35 @@ def strict_pullback():
     return _strict_pullback
 
 
-def _orbit_count(g) -> int:
-    """The number of connected components of g, found by a search over
-    ``src`` and ``tgt`` alone: an oracle that reads no cached partition."""
+def _orbits(g) -> dict[str, str]:
+    """Each object's orbit, named by its first object in ``g.objects``,
+    found by a search over ``src`` and ``tgt`` alone: an oracle that reads
+    no cached partition."""
     links = {x: [] for x in g.objects}
     for a in g.arrows:
         links[g.src[a]].append(g.tgt[a])
         links[g.tgt[a]].append(g.src[a])
-    seen, count = set(), 0
+    orbit = {}
     for x in g.objects:
-        if x in seen:
+        if x in orbit:
             continue
-        count += 1
-        seen.add(x)
+        orbit[x] = x
         queue = deque([x])
         while queue:
             for z in links[queue.popleft()]:
-                if z not in seen:
-                    seen.add(z)
+                if z not in orbit:
+                    orbit[z] = x
                     queue.append(z)
-    return count
+    return orbit
+
+
+@pytest.fixture(scope="session")
+def orbits():
+    return _orbits
+
+
+def _orbit_count(g) -> int:
+    return len(set(_orbits(g).values()))
 
 
 @pytest.fixture(scope="session")

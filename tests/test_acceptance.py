@@ -20,7 +20,8 @@ from grpd.bibundle import (are_morita_equivalent, bibundles_isomorphic,
 from grpd.complexity import (cgeo, exists_deformation, is_transitive,
                              locus_key, morita_point_check, point_groupoid,
                              relative_cgeo, subgroupoid)
-from grpd.core import (cocylinder, compose_functors, discrete_groupoid,
+from grpd.core import (StrictArrow, are_homotopic, cocylinder,
+                       compose_functors, conjugate, discrete_groupoid,
                        identity_functor, validate_functor, validate_groupoid,
                        validate_nat)
 from grpd.corpus import (CorpusConfig, corpus_groupoids, inflate,
@@ -348,3 +349,86 @@ def test_criterion_9_locus_collapse(corpus, skeletons):
             assert len(keys) == 1, key
         stats.update(point_groupoids=len(groups.small_groups(12)),
                      corpus_classes=len(classes), failures=0)
+
+
+def orbit_map(z, orbits):
+    """The map that a bibundle Z: H -| G induces on orbits, read off the
+    carrier and the two anchors: the orbit of x goes to the orbit of q(w),
+    for any point w over x.  Fails unless the points over each orbit of H
+    meet exactly one orbit of G."""
+    of_h, of_g = orbits(z.dom), orbits(z.cod)
+    met = {o: set() for o in of_h.values()}
+    for w in z.carrier:
+        met[of_h[z.left.actor[w]]].add(of_g[z.right.actor[w]])
+    assert all(len(targets) == 1 for targets in met.values()), (z.name, met)
+    return {o: targets.pop() for o, targets in met.items()}
+
+
+def conjugated(f, rng):
+    """A functor homotopic to f: each f(x) moved along a random arrow c_x
+    out of it, and each f(a): x -> y to c_y . f(a) . c_x^-1."""
+    b = f.cod
+    move = {x: rng.choice(b.arrows_from[y]) for x, y in f.obj_map.items()}
+    dom = f.dom
+    arr_map = {a: conjugate(b, move[dom.tgt[a]], f.arr_map[a],
+                            move[dom.src[a]]) for a in dom.arrows}
+    return validate_functor(StrictArrow(
+        name=f"{f.name}~", dom=dom, cod=b,
+        obj_map={x: b.tgt[c] for x, c in move.items()}, arr_map=arr_map))
+
+
+def test_criterion_10_cgeo_functorial_on_the_localization(corpus, skeletons,
+                                                         orbits):
+    """Right-principal bibundles map orbits to orbits, and this map is a
+    functor on the localization: units go to identities, tensor products
+    to composites, a functor to its own map on orbits, Morita witnesses to
+    bijections, and homotopic functors to one map.  ``orbit_map`` reads
+    no tensor isomorphism search, so it checks tensor independently."""
+    with criterion(10, "geometric complexity functorial on the "
+                       "localization") as stats:
+        rng = random.Random(SEED + 10)
+
+        def induced(f):
+            of_a, of_b = orbits(f.dom), orbits(f.cod)
+            return {of_a[x]: of_b[y] for x, y in f.obj_map.items()}
+
+        for g in corpus:
+            assert orbit_map(unit_bibundle(g), orbits) == \
+                {o: o for o in orbits(g).values()}, g.name
+        small = [g for g in corpus if len(g.arrows) <= 16]
+        composites = 0
+        for _ in range(100):
+            a, b, c = (rng.choice(small) for _ in range(3))
+            f, g = random_functor(rng, a, b), random_functor(rng, b, c)
+            z1, z2 = functor_to_bibundle(f), functor_to_bibundle(g)
+            m1, m2 = orbit_map(z1, orbits), orbit_map(z2, orbits)
+            assert m1 == induced(f) and m2 == induced(g), (f.name, g.name)
+            assert orbit_map(tensor(z1, z2), orbits) == \
+                {o: m2[m1[o]] for o in m1}, (f.name, g.name)
+            composites += 1
+        classes: dict = {}
+        for g in corpus:
+            key = tuple(e.canonical for e in skeletons[g.name].entries)
+            classes.setdefault(key, []).append(g)
+        witnesses = 0
+        for members in classes.values():
+            for a, b in combinations(members[:4], 2):
+                w = are_morita_equivalent(a, b)
+                if w is None:
+                    continue
+                m = orbit_map(w, orbits)
+                assert sorted(m.values()) == sorted(set(orbits(b).values()))
+                assert cgeo(a) == cgeo(b) == len(m), (a.name, b.name)
+                witnesses += 1
+        homotopic = 0
+        for _ in range(60):
+            a, b = rng.choice(small), rng.choice(small)
+            f = random_functor(rng, a, b)
+            g = conjugated(f, rng)
+            assert are_homotopic(f, g) is not None, f.name
+            assert orbit_map(functor_to_bibundle(g), orbits) == \
+                orbit_map(functor_to_bibundle(f), orbits) == induced(f)
+            homotopic += 1
+        stats.update(units=len(corpus), composites=composites,
+                     morita_witnesses=witnesses, homotopic_pairs=homotopic,
+                     failures=0)

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -394,6 +395,87 @@ def test_non_utf8_file_exits_2_at_its_first_bad_byte(files, tmp_path,
                                      str(path)])
     assert code == EXIT_INPUT
     assert report["error"] == f"{path}:1:1: byte 0xff is not UTF-8"
+
+
+# file kinds each subcommand reads, in argument order; ``corpus`` reads no
+# file and has its own bounds test below
+FUZZ_COMMANDS = {
+    "validate": ["groupoid"], "orbits": ["groupoid"],
+    "transitive": ["groupoid"], "skeleton": ["groupoid"],
+    "cgeo": ["groupoid"], "locus": ["groupoid"],
+    "relcgeo": ["groupoid", "--subset"], "weakpoint": ["groupoid", "--subset"],
+    "deform": ["groupoid", "--from", "--to"],
+    "morita": ["groupoid", "groupoid"],
+    "morita-homotopy": ["groupoid", "groupoid"],
+    "tensor": ["bibundle", "bibundle"],
+    "homotopic": ["functor", "other functor"],
+    "pullback": ["cospan"],
+    "descent-check": ["datum"], "descent-glue": ["datum"],
+}
+# runs per subcommand; one random edit seldom reaches the datum reader's
+# rarer paths (a trans line off the overlaps, a point with no fiber line),
+# so the cheap descent subcommands run more often
+FUZZ_RUNS = {"descent-check": 150, "descent-glue": 150}
+
+
+def test_every_file_subcommand_keeps_the_exit_contract_on_mutated_files(
+        tmp_path, capsys):
+    """A seeded fuzz gate: corpus files go to every subcommand that reads
+    a file, one file of a run (or none) with the parser test's random line
+    edits and deleted lines.  Each run exits 0, 1, 2 or 3, and none prints a traceback or an
+    internal error."""
+    from test_formats import corpus_texts, mutate
+
+    texts = corpus_texts(5)
+    data = [serialize_datum(random_datum(random.Random(seed), "d",
+                                         base_size=4, max_fibre=3)[2])
+            for seed in range(3)]
+    header = "functor rf[g0->g1]"
+    functor = texts[4][texts[4].index(header):]
+    mix = serialize_groupoid(disjoint_union(
+        "mix", [pair_groupoid("p2", ["1", "2"]),
+                point_groupoid("B", groups.cyclic(2))]))
+    pools = {"groupoid": texts[1:4] + [mix], "functor": [texts[4]],
+             "other functor": [texts[4].replace(header, "functor h")],
+             "cospan": [texts[4] + functor.replace(header, "functor g")],
+             "bibundle": [texts[5]], "datum": [texts[6]] + data}
+    rng = random.Random(21)
+    codes = dict.fromkeys(range(5), 0)
+    for i in range(max(FUZZ_RUNS.values())):
+        for command, kinds in FUZZ_COMMANDS.items():
+            if i >= FUZZ_RUNS.get(command, 30):
+                continue
+            files = [rng.choice(pools[kind]) for kind in kinds
+                     if not kind.startswith("--")]
+            victim = rng.randrange(len(files) + 1)
+            argv = [command]
+            for k, text in enumerate(files):
+                for _ in range(rng.randint(1, 2) if k == victim else 0):
+                    text = mutate(rng, text)
+                    if rng.random() < 0.25:
+                        # mutate edits tokens; a whole line goes only here
+                        lines = text.splitlines()
+                        del lines[rng.randrange(len(lines))]
+                        text = "\n".join(lines)
+                path = tmp_path / f"{command}-{i}-{k}.grpd"
+                path.write_text(text, encoding="utf-8")
+                argv.append(str(path))
+            for option in kinds[len(files):]:
+                objects = next(line.split()[1:] for line in
+                               files[0].splitlines()
+                               if line.startswith("objects:"))
+                ids = rng.sample(objects, rng.randint(1, len(objects)))
+                argv += [option, ",".join(ids + ["ghost"] * (i % 7 == 0))]
+            code = run(argv)
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_LIMIT), \
+                (argv, err)
+            assert "Traceback" not in err and "internal error" not in err, \
+                (argv, err)
+            codes[code] += 1
+    # the runs reach the deciders as well as the parser's errors
+    assert codes[EXIT_OK] > 60 and codes[EXIT_FALSE] > 10 and \
+        codes[EXIT_INPUT] > 100
 
 
 @pytest.mark.parametrize("option", ["--max-objects", "--max-isotropy",

@@ -475,6 +475,121 @@ def test_glue_reports_its_own_failure_when_the_cocycle_holds():
     assert glue_outcome(glue, d) == glue_outcome(oracle_glue, d)
 
 
+def test_colliding_ids_project_in_order_of_least_member():
+    """The collision datum with its pieces in the other order: the class
+    of ("U.V", "e") over x comes first in cover order, yet of the two
+    classes named "U.V.e" it has the greater least member, so it sets the
+    projection and the comparison fails over u, not v."""
+    d = collision_datum()
+    flipped = DescentDatum("D", Cover("C", ("y", "x"), (
+        CoverPiece("U.V", ("v",), {"v": "x"}),
+        CoverPiece("U", ("u",), {"u": "y"}))), d.fibres, d.transitions)
+    assert check_cocycle(flipped).ok
+    outcome = glue_outcome(glue, flipped)
+    assert outcome[2] == ("U", "u")
+    assert outcome == glue_outcome(oracle_glue, flipped)
+
+
+# ---------------------------------------------------------------------------
+# charts: glue takes the first piece point over each base point, in cover
+# order, as its chart
+
+
+def labelled_datum(name, base, pieces, fibres):
+    """A datum from labelled fibres: ``pieces`` maps each piece, in cover
+    order, to its points and their base points, and ``fibres`` maps a
+    (piece, point) to its elements and their labels.  Every transition
+    sends an element to the element of the same label, so the cocycle
+    conditions hold."""
+    cover = Cover("C", tuple(base), tuple(
+        CoverPiece(p, tuple(points), dict(points))
+        for p, points in pieces.items()))
+    bundles = {p: Bundle(f"F{p}", tuple(points),
+                         tuple(a for u in points for a in fibres[(p, u)]),
+                         {a: u for u in points for a in fibres[(p, u)]})
+               for p, points in pieces.items()}
+    trans = {}
+    for p, points in pieces.items():
+        for q, others in pieces.items():
+            table = {}
+            for u, x in points.items():
+                for v, y in others.items():
+                    if x == y:
+                        by_label = {k: b for b, k in fibres[(q, v)].items()}
+                        table[(u, v)] = {a: by_label[k] for a, k in
+                                         fibres[(p, u)].items()}
+            trans[(p, q)] = table
+    return DescentDatum(name, cover, bundles, trans)
+
+
+def assert_glues_as_the_oracle(d, total):
+    assert check_cocycle(d) == oracle_check_cocycle(d)
+    assert glue_outcome(glue, d) == glue_outcome(oracle_glue, d)
+    assert glue(d).bundle.total == total
+
+
+def test_chart_from_a_later_piece():
+    """B comes first but misses y, so y's chart is A's point a2; over x
+    the chart is B's point, yet each class is named after its A member."""
+    d = labelled_datum("D", ("x", "y"), {
+        "B": {"b": "x"},
+        "A": {"a1": "x", "a2": "y"},
+    }, {("B", "b"): {"b0": 0, "b1": 1},
+        ("A", "a1"): {"s": 1, "t": 0},
+        ("A", "a2"): {"k": 0, "j": 1}})
+    assert_glues_as_the_oracle(d, ("A.j", "A.k", "A.s", "A.t"))
+    glued = glue(d)
+    assert glued.bundle.proj == {"A.j": "y", "A.k": "y", "A.s": "x",
+                                 "A.t": "x"}
+    assert glued.piece_maps["B"] == {("b", "b0"): "A.t", ("b", "b1"): "A.s"}
+
+
+def test_chart_piece_with_two_points_over_one_base_point():
+    """The chart is a1, but a2's elements are less, so they name the
+    classes."""
+    d = labelled_datum("D", ("x",), {
+        "A": {"a1": "x", "a2": "x"},
+        "B": {"b": "x"},
+    }, {("A", "a1"): {"p": 0, "q": 1},
+        ("A", "a2"): {"n": 0, "m": 1},
+        ("B", "b"): {"e": 1, "f": 0}})
+    assert_glues_as_the_oracle(d, ("A.m", "A.n"))
+    assert glue(d).piece_maps["A"] == {
+        ("a1", "p"): "A.n", ("a1", "q"): "A.m",
+        ("a2", "n"): "A.n", ("a2", "m"): "A.m"}
+
+
+def test_base_point_with_empty_fibres():
+    d = labelled_datum("D", ("x", "y", "z"), {
+        "A": {"a": "x", "ay": "y"},
+        "B": {"by": "y", "bz": "z"},
+    }, {("A", "a"): {"a0": 0},
+        ("A", "ay"): {}, ("B", "by"): {},
+        ("B", "bz"): {"z0": 0, "z1": 1}})
+    assert_glues_as_the_oracle(d, ("A.a0", "B.z0", "B.z1"))
+    assert "y" not in glue(d).bundle.proj.values()
+
+
+def test_swap_between_two_pieces_that_are_no_charts():
+    """A holds every chart; a swap in f_BC leaves every link from a chart
+    intact, and only the sweep over all entries sees it."""
+    d = labelled_datum("D", ("x",), {
+        "A": {"a": "x"}, "B": {"b": "x"}, "C": {"c": "x"},
+    }, {("A", "a"): {"a0": 0, "a1": 1},
+        ("B", "b"): {"b0": 0, "b1": 1},
+        ("C", "c"): {"c0": 0, "c1": 1}})
+    assert glue(d).bundle.total == ("A.a0", "A.a1")
+    trans = {k: {uv: dict(m) for uv, m in t.items()}
+             for k, t in d.transitions.items()}
+    trans[("B", "C")][("b", "c")] = {"b0": "c1", "b1": "c0"}
+    bad = DescentDatum("D", d.cover, d.fibres, trans)
+    assert not check_cocycle(bad).ok
+    assert check_cocycle(bad) == oracle_check_cocycle(bad)
+    want = glue_outcome(oracle_glue, bad)
+    assert want[0] is CocycleViolation
+    assert glue_outcome(glue, bad) == want
+
+
 def test_descent_agrees_with_the_quadratic_oracles():
     rng = random.Random(2024)
     fails = {"s": [], "d": [], "r": []}
