@@ -11,6 +11,10 @@ Conventions used throughout the package:
 
 All values are immutable after validation and all operations are pure;
 derived data (hom sets, connected components) is cached on first use.
+
+The cocylinder [I, G] is the degree-1 homotopy pullback of G -> G <- G
+along the identity twice, so :func:`cocylinder` calls the pullback
+builder in :mod:`grpd.homotopy` rather than building squares itself.
 """
 
 from __future__ import annotations
@@ -549,13 +553,13 @@ def validate_functor(f: StrictArrow) -> StrictArrow:
     of ``f.dom`` only, which is enough for valid groupoids alone.
     """
     h, g = f.dom, f.cod
+    objset, arrset = set(g.objects), set(g.arrows)
     for x in h.objects:
         if x not in f.obj_map:
             raise BadFunctor(f"object map undefined on {x!r}", witness=x)
-        if f.obj_map[x] not in set(g.objects):
+        if f.obj_map[x] not in objset:
             raise BadFunctor(f"obj_map({x!r}) not an object of {g.name}",
                              witness=x)
-    arrset = set(g.arrows)
     for a in h.arrows:
         if a not in f.arr_map:
             raise BadFunctor(f"arrow map undefined on {a!r}", witness=a)
@@ -715,50 +719,27 @@ class Cocylinder:
 
 
 def cocylinder(g: FinGroupoid) -> Cocylinder:
-    """The functor groupoid [I, g]: objects are arrows of g, arrows are
-    commuting squares (u, v) with v . base = base' . u.
+    """The functor groupoid [I, g], built as the degree-1 homotopy pullback
+    of g -> g <- g along the identity twice: an object is an arrow
+    a: x -> y of g, with id ``(x!a!y)``, and an arrow is a commuting square
+    (u, v) at a, with id ``[u!v.a!v]``.
 
-    Returns the groupoid with the two endpoint evaluations e0, e1 and the
-    unit section t; e0 . t = e1 . t = id holds on the nose.
+    Returns the groupoid with the two endpoint evaluations e0 = pr1 and
+    e1 = pr2, and the unit section t, read off the pullback: t(x) lies over
+    (x, x) with the unit as connecting arrow, and t(a) lies over (a, a) out
+    of t(src a).  e0 . t = e1 . t = id holds on the nose.
     """
-    objects = tuple(sorted(g.arrows))
-    # (u, source base, target base) determines the square (v is forced);
-    # ids[a][b][u] is its id
-    arrows, ids, e1a = {}, {}, {}
-    for a in objects:
-        row = ids[a] = {}
-        for u in g.arrows:
-            if g.src[u] != g.src[a]:
-                continue
-            for b in objects:
-                if g.src[b] != g.tgt[u]:
-                    continue
-                # square condition v . a = b . u forces v
-                v = g.comp[(g.comp[(b, u)], g.inv[a])]
-                sq = f"({u},{v})@{a}"
-                arrows[u, a, b] = row.setdefault(b, {})[u] = sq
-                e1a[sq] = v
-    after = g.after
-
-    def compose(p, qs):
-        # (u, a, b) then (w, b, c) is (u then w, a, c)
-        u, a, _ = p
-        row, then = ids[a], after[u]
-        return [row[c][then[w]] for w, _, c in qs]
-
-    cyl = tabulate(f"{g.name}^I", objects, arrows, ends=lambda p: p[1:],
-                   compose=compose,
-                   unit=lambda a: (g.unit[g.src[a]], a, a),
-                   inv=lambda p: (g.inv[p[0]], p[2], p[1]))
-    e0 = StrictArrow(name=f"e0_{g.name}", dom=cyl, cod=g,
-                     obj_map={a: g.src[a] for a in objects},
-                     arr_map={sq: p[0] for p, sq in arrows.items()})
-    e1 = StrictArrow(name=f"e1_{g.name}", dom=cyl, cod=g,
-                     obj_map={a: g.tgt[a] for a in objects}, arr_map=e1a)
+    from .homotopy import Cospan, _p1
+    ident = identity_functor(g)
+    pb = _p1(Cospan(left=ident, right=ident))
+    cyl, e0, e1 = pb.groupoid, pb.pr1, pb.pr2
+    over = pb.cells[0].component
+    units = {o: x for o, x in e0.obj_map.items() if over[o] == g.unit[x]}
     t = StrictArrow(name=f"t_{g.name}", dom=g, cod=cyl,
-                    obj_map={x: g.unit[x] for x in g.objects},
-                    arr_map={a: arrows[a, g.unit[g.src[a]], g.unit[g.tgt[a]]]
-                             for a in g.arrows})
+                    obj_map={x: o for o, x in units.items()},
+                    arr_map={e0.arr_map[p]: p for p in cyl.arrows
+                             if cyl.src[p] in units
+                             and e0.arr_map[p] == e1.arr_map[p]})
     return Cocylinder(groupoid=cyl, e0=e0, e1=e1, t=t)
 
 

@@ -1,4 +1,4 @@
-"""Seeded random instances: groupoids, functors, covers, descent data.
+"""Seeded random instances: groupoids, covers, descent data.
 
 Every finite groupoid is, up to isomorphism, a disjoint union of
 transitive blocks Pair(m) x K with K the isotropy group, so the generator
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import groups
 from .core import (FinGroupoid, StrictArrow, disjoint_union, index_arrows,
-                   tabulate, transport)
+                   tabulate)
 from .descent import Bundle, Cover, CoverPiece, DescentDatum, descend
 
 
@@ -124,25 +124,6 @@ def corpus_groupoids(cfg: CorpusConfig) -> list[FinGroupoid]:
                                    cfg.max_isotropy, skeleton_spec=spec,
                                    max_arrows=cfg.max_arrows))
     return out
-
-
-def random_functor(rng: random.Random, a: FinGroupoid,
-                   b: FinGroupoid) -> StrictArrow:
-    """A random strict arrow a -> b: per component, a random target object,
-    a random isotropy homomorphism, and spanning-tree transport."""
-    imgs, theta = {}, {}
-    for block in a.components:
-        rep = block[0]
-        loops, table = a.isotropy(rep)
-        target = rng.choice(sorted(b.objects))
-        b_loops, b_table = b.isotropy(target)
-        hom = rng.choice(groups.enumerate_homs(table, b_table))
-        theta.update(zip(loops, (b_loops[i] for i in hom)))
-        # tree arrows may land anywhere reachable from the target
-        imgs[rep] = b.unit[target]
-        for x in block[1:]:
-            imgs[x] = rng.choice(sorted(b.arrows_from[target]))
-    return transport(f"rf[{a.name}->{b.name}]", a, b, imgs, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,49 @@ def enumerate_functors():
     return _enumerate_functors
 
 
+def _random_functor(rng, a, b) -> StrictArrow:
+    """A random strict arrow a -> b: per component, a random target object,
+    a random isotropy homomorphism, and spanning-tree transport."""
+    imgs, theta = {}, {}
+    for block in a.components:
+        rep = block[0]
+        loops, table = a.isotropy(rep)
+        target = rng.choice(sorted(b.objects))
+        b_loops, b_table = b.isotropy(target)
+        hom = rng.choice(groups.enumerate_homs(table, b_table))
+        theta.update(zip(loops, (b_loops[i] for i in hom)))
+        # tree arrows may land anywhere reachable from the target
+        imgs[rep] = b.unit[target]
+        for x in block[1:]:
+            imgs[x] = rng.choice(sorted(b.arrows_from[target]))
+    return transport(f"rf[{a.name}->{b.name}]", a, b, imgs, theta)
+
+
+@pytest.fixture(scope="session")
+def random_functor():
+    return _random_functor
+
+
+def _relabel(g, names, name=None) -> FinGroupoid:
+    """g with each object and arrow id i renamed to names.get(i, i)."""
+    def n(i):
+        return names.get(i, i)
+
+    return FinGroupoid(
+        name=name or g.name, objects=tuple(map(n, g.objects)),
+        arrows=tuple(map(n, g.arrows)),
+        src={n(a): n(x) for a, x in g.src.items()},
+        tgt={n(a): n(x) for a, x in g.tgt.items()},
+        comp={(n(p), n(q)): n(r) for (p, q), r in g.comp.items()},
+        unit={n(x): n(a) for x, a in g.unit.items()},
+        inv={n(a): n(b) for a, b in g.inv.items()})
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    return _relabel
+
+
 def _transpose(b, name=None) -> Bibundle:
     """Swap the two sides, acting through inverses."""
     h, g = b.dom, b.cod

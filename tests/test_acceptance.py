@@ -25,7 +25,7 @@ from grpd.core import (StrictArrow, are_homotopic, cocylinder,
                        identity_functor, validate_functor, validate_groupoid,
                        validate_nat)
 from grpd.corpus import (CorpusConfig, corpus_groupoids, inflate,
-                         random_datum, random_functor)
+                         random_datum)
 from grpd.descent import check_cocycle, descend, glue
 from grpd.homotopy import (are_morita_homotopy_equivalent,
                            is_essential_equivalence, skeletonize)
@@ -171,7 +171,7 @@ def test_criterion_4_equivalence_relation_laws(corpus, skeletons,
                      morita_pairs=morita_pairs, failures=0)
 
 
-def test_criterion_5_tensor_bicategory_laws(corpus):
+def test_criterion_5_tensor_bicategory_laws(corpus, random_functor):
     with criterion(5, "tensor unit/associativity/functoriality") as stats:
         rng = random.Random(SEED + 5)
         small = [g for g in corpus if len(g.arrows) <= 16]
@@ -378,7 +378,8 @@ def conjugated(f, rng):
 
 
 def test_criterion_10_cgeo_functorial_on_the_localization(corpus, skeletons,
-                                                         orbits):
+                                                         orbits,
+                                                         random_functor):
     """Right-principal bibundles map orbits to orbits, and this map is a
     functor on the localization: units go to identities, tensor products
     to composites, a functor to its own map on orbits, Morita witnesses to

@@ -15,7 +15,7 @@ from grpd.core import (StrictArrow, compose_functors, discrete_groupoid,
                        first_repeat, identity_functor, index_arrows,
                        pair_groupoid, partition, restrict, same_groupoid,
                        validate_functor)
-from grpd.corpus import random_functor, random_groupoid, transitive_groupoid
+from grpd.corpus import random_groupoid, transitive_groupoid
 from grpd.homotopy import skeletonize
 
 
@@ -98,7 +98,8 @@ def checked_is_principal(a):
     return Principality(ok=True, division=division)
 
 
-def test_principality_matches_the_checked_copy(small_corpus, transpose):
+def test_principality_matches_the_checked_copy(small_corpus, transpose,
+                                               random_functor):
     rng = random.Random(19)
     bz2_pt = StrictArrow("u", BZ2, PT, {BZ2.objects[0]: "*"},
                          {a: "id_*" for a in BZ2.arrows})
@@ -122,7 +123,7 @@ def test_principality_matches_the_checked_copy(small_corpus, transpose):
 
 
 def test_principality_flags_build_no_division(small_corpus, monkeypatch,
-                                              transpose):
+                                              transpose, random_functor):
     """The flags and the tensor product need freeness only: they agree with
     ``is_principal`` without calling it, and so build no division map."""
     rng = random.Random(23)
@@ -474,7 +475,7 @@ def test_duplicate_carrier_id_is_rejected(side):
     assert err.value.witness == a.carrier[1]
 
 
-def test_action_orbits_are_the_one_step_orbits(small_corpus):
+def test_action_orbits_are_the_one_step_orbits(small_corpus, random_functor):
     """Oracle without union-find: in a groupoid action the orbit of z is
     {z . c}, one step from z."""
     rng = random.Random(17)
@@ -598,7 +599,8 @@ def test_tensor_rejects_mismatched_or_nonprincipal():
         tensor(bad, unit_bibundle(BZ2))
 
 
-def test_tensor_associative_up_to_iso_on_composable_triples(small_corpus):
+def test_tensor_associative_up_to_iso_on_composable_triples(small_corpus,
+                                                            random_functor):
     rng = random.Random(12)
     picked = [g for g in small_corpus if len(g.arrows) <= 16][:4]
     assert len(picked) >= 3
@@ -617,7 +619,7 @@ def test_tensor_associative_up_to_iso_on_composable_triples(small_corpus):
     assert count == 6
 
 
-def test_functor_composition_carried_to_tensor(small_corpus):
+def test_functor_composition_carried_to_tensor(small_corpus, random_functor):
     rng = random.Random(13)
     picked = [g for g in small_corpus if len(g.arrows) <= 16][:4]
     for i in range(6):
@@ -660,7 +662,8 @@ def union_find_tensor(z1, z2):
     return carrier, p, q, lact, ract
 
 
-def test_tensor_matches_the_union_find_quotient(small_corpus, transpose):
+def test_tensor_matches_the_union_find_quotient(small_corpus, transpose,
+                                                 random_functor):
     rng = random.Random(14)
     picked = [g for g in small_corpus if len(g.arrows) <= 16][:5]
     s3 = transitive_groupoid("PS3", ["a", "b"], groups.dihedral(3))

@@ -419,14 +419,14 @@ FUZZ_RUNS = {"descent-check": 150, "descent-glue": 150}
 
 
 def test_every_file_subcommand_keeps_the_exit_contract_on_mutated_files(
-        tmp_path, capsys):
+        tmp_path, capsys, random_functor):
     """A seeded fuzz gate: corpus files go to every subcommand that reads
     a file, one file of a run (or none) with the parser test's random line
     edits and deleted lines.  Each run exits 0, 1, 2 or 3, and none prints a traceback or an
     internal error."""
     from test_formats import corpus_texts, mutate
 
-    texts = corpus_texts(5)
+    texts = corpus_texts(5, random_functor)
     data = [serialize_datum(random_datum(random.Random(seed), "d",
                                          base_size=4, max_fibre=3)[2])
             for seed in range(3)]
@@ -626,6 +626,83 @@ def test_every_runtime_module_imports_only_the_standard_library():
             foreign += [(path.name, name) for name in names
                         if name.partition(".")[0] not in allowed]
     assert foreign == []
+
+
+# Top-level definitions in grpd that no code path reaches, by reason.  A
+# name leaves this list when something starts to call it.
+UNREACHED = {
+    # perfbench's tracer names these as strings only (ROADMAP item 7)
+    "is_isomorphic": "traced only", "enumerate_homs": "traced only",
+    "_homs": "traced only", "_extend_by_products": "traced only",
+    "_element_orders": "traced only", "is_principal": "traced only",
+    "Principality": "traced only",
+    # witness builders that no subcommand routes yet (ROADMAP item 2)
+    "morita_point_check": "witness", "PointCheck": "witness",
+    "is_essential_equivalence": "witness",
+    "EssentialEquivalence": "witness",
+    # test vocabulary: the tests build discrete groupoids with it
+    "discrete_groupoid": "tests",
+}
+
+
+def _names(node):
+    """Every name and attribute name that occurs under the node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _reach(roots, defs):
+    """The names reached from the roots through the bodies of defs."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            for node in defs.get(name, ()):
+                todo += _names(node) - seen
+    return seen
+
+
+def test_every_runtime_definition_is_reached_or_listed_with_a_reason():
+    """An AST walk over names.  Its roots are every name in cli.py,
+    scripts/*.py and perfbench/*.py and in each runtime module's top-level
+    statements other than definitions and imports; a reached definition
+    adds the names in its body.  The strings in perfbench's tracer lists
+    are not roots: the names only they reach are the ones listed as
+    "traced only".  The walk matches names, not bindings, so an unrelated
+    attribute of the same name counts as a use."""
+    pkg = Path(grpd.__file__).resolve().parent
+    repo = pkg.parents[1]
+    defs, roots = {}, set()
+    for path in sorted(pkg.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "cli.py":
+            roots |= _names(tree)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(stmt.name, []).append(stmt)
+            elif not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                roots |= _names(stmt)
+    tools = sorted(repo.glob("scripts/*.py")) + sorted(
+        repo.glob("perfbench/*.py"))
+    assert len(tools) >= 8
+    traced = set()
+    for path in tools:
+        tree = ast.parse(path.read_text(), str(path))
+        roots |= _names(tree)
+        if path.name == "spans.py":
+            traced = {n.value for n in ast.walk(tree)
+                      if isinstance(n, ast.Constant)
+                      and isinstance(n.value, str) and n.value.isidentifier()}
+    reached = _reach(roots, defs)
+    unreached = set(defs) - reached
+    assert sorted(unreached - set(UNREACHED)) == []
+    # a listed name that became reachable leaves the list
+    assert sorted(set(UNREACHED) - unreached) == []
+    # the tracer's string lists reach exactly the names listed for them
+    assert sorted(unreached - _reach(roots | traced, defs)) == sorted(
+        name for name, why in UNREACHED.items() if why != "traced only")
 
 
 def test_a_reader_closing_the_pipe_early_is_not_a_failure():

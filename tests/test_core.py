@@ -410,9 +410,8 @@ def test_components_are_the_nonempty_hom_set_classes(corpus):
 # functor composition
 
 
-def test_compose_identity_laws(small_corpus):
+def test_compose_identity_laws(small_corpus, random_functor):
     rng = random.Random(3)
-    from grpd.corpus import random_functor
     for g in small_corpus[:6]:
         for h in small_corpus[:6]:
             f = random_functor(rng, g, h)
@@ -422,9 +421,8 @@ def test_compose_identity_laws(small_corpus):
                 assert (k.obj_map, k.arr_map) == (f.obj_map, f.arr_map)
 
 
-def test_compose_associative(small_corpus):
+def test_compose_associative(small_corpus, random_functor):
     rng = random.Random(4)
-    from grpd.corpus import random_functor
     a, b, c, d = small_corpus[:4]
     f = random_functor(rng, a, b)
     g = random_functor(rng, b, c)

@@ -14,7 +14,7 @@ from grpd.bibundle import (functor_to_bibundle, tensor, unit_bibundle,
                            validate_bibundle)
 from grpd.homotopy import Cospan, homotopy_pullback
 from grpd.corpus import (CorpusConfig, corpus_groupoids, random_datum,
-                         random_functor, transitive_groupoid)
+                         transitive_groupoid)
 from grpd.formats import (Document, ParseError, parse_document,
                           serialize_bibundle, serialize_bundle,
                           serialize_cover, serialize_datum,
@@ -29,7 +29,7 @@ def test_groupoid_round_trip():
         validate_groupoid(g2)
 
 
-def test_functor_round_trip():
+def test_functor_round_trip(random_functor):
     rng = random.Random(9)
     a, b = corpus_groupoids(CorpusConfig(seed=8, count=2))
     f = random_functor(rng, a, b)
@@ -188,7 +188,8 @@ def sorted_serialize_bibundle(b):
     return "\n".join(lines) + "\n"
 
 
-def test_serializers_match_the_sort_based_copies(corpus, transpose):
+def test_serializers_match_the_sort_based_copies(corpus, transpose,
+                                                  random_functor):
     rng = random.Random(31)
     small = [g for g in corpus if len(g.arrows) <= 12][:6]
     p2 = pair_groupoid("p2", ["1", "2"])
@@ -661,7 +662,7 @@ def mutate(rng, text):
     return "\n".join(lines)
 
 
-def corpus_texts(seed):
+def corpus_texts(seed, random_functor):
     """Serialized groupoids, functors, bibundles, bundles, covers and data."""
     from grpd.corpus import random_bundle
 
@@ -681,11 +682,12 @@ def corpus_texts(seed):
     return texts
 
 
-def test_parse_matches_the_line_by_line_oracle_on_mutated_corpus_files():
+def test_parse_matches_the_line_by_line_oracle_on_mutated_corpus_files(
+        random_functor):
     cases = failures = 0
     for seed in range(25):
         rng = random.Random(1000 + seed)
-        for text in corpus_texts(seed):
+        for text in corpus_texts(seed, random_functor):
             assert outcome(lambda t: digest(parse_document(t, "f")), text) \
                 == outcome(lambda t: digest(oracle_parse(t, "f")), text)
             for _ in range(12):
@@ -702,13 +704,14 @@ def test_parse_matches_the_line_by_line_oracle_on_mutated_corpus_files():
     assert cases * 0.5 < failures < cases * 0.95
 
 
-def test_load_two_matches_the_oracle_on_mutated_file_pairs(tmp_path):
+def test_load_two_matches_the_oracle_on_mutated_file_pairs(tmp_path,
+                                                           random_functor):
     from grpd.formats import load as _load_two
 
     rng = random.Random(77)
     pools = {"groupoids": [], "functors": [], "bibundles": []}
     for seed in (3, 4):
-        texts = corpus_texts(seed)
+        texts = corpus_texts(seed, random_functor)
         pools["groupoids"] += texts[:4] + texts[6:]
         functor = texts[4].index("functor ")
         pools["functors"] += [texts[4], texts[4][functor:]]

@@ -150,6 +150,30 @@ def test_homotopy_pullback_validates_its_legs_once(monkeypatch):
     assert calls == ["validate_groupoid"] + ["validate_functor"] * 2
 
 
+# Pair(2) with ids over {a, !}: the objects (a!!!aa!a!) of (a!!, aa, a!)
+# and of (a!, !aa, a!) in P1 of its identity cospan are spelled alike
+BANG = {"1": "a!!", "2": "a!", "1>1": "!aa!", "1>2": "aa", "2>1": "a!!!",
+        "2>2": "!aa"}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_p1_ids_stay_apart_when_ids_hold_the_separator(relabel):
+    bang = validate_groupoid(relabel(P2, BANG, "bang"))
+    grp = homotopy_pullback(identity_cospan(bang)).groupoid
+    assert len(set(grp.objects)) == len(grp.objects) == 4
+    assert len(set(grp.arrows)) == len(grp.arrows) == 16
+    validate_groupoid(grp)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_cocylinder_ids_stay_apart_when_ids_hold_the_separator(relabel):
+    bang = validate_groupoid(relabel(P2, BANG, "bang"))
+    cyl = core.cocylinder(bang).groupoid
+    assert len(set(cyl.objects)) == len(cyl.objects) == 4
+    assert len(set(cyl.arrows)) == len(cyl.arrows) == 16
+    validate_groupoid(cyl)
+
+
 # ---------------------------------------------------------------------------
 # essential equivalences
 
