@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (FinGroupoid, StrictArrow, GroupoidError, first_repeat,
-                   index_arrows, same_groupoid)
+                   id_part, index_arrows, same_groupoid)
 from . import homotopy
 
 
@@ -332,12 +332,14 @@ def unit_bibundle(g: FinGroupoid) -> Bibundle:
 def functor_to_bibundle(f: StrictArrow) -> Bibundle:
     """Carrier {(x, c) : c lands on f(x)}, left action through f, right by
     composition.  Always right-principal; an equivalence iff f is
-    essentially surjective and fully faithful."""
+    essentially surjective and fully faithful.  The point (x, c) has id
+    ``x|c``, x escaped by ``core.id_part``."""
     h, g = f.dom, f.cod
     pts = [(x, c) for x in h.objects for c in g.arrows_into[f.obj_map[x]]]
+    head = {x: id_part(x, "|") for x in h.objects}
 
     def pid(x, c):
-        return f"{x}|{c}"
+        return f"{head[x]}|{c}"
 
     carrier = tuple(sorted(pid(x, c) for x, c in pts))
     where = {pid(x, c): (x, c) for x, c in pts}
@@ -362,7 +364,8 @@ def tensor(z1: Bibundle, z2: Bibundle) -> Bibundle:
 
     Both bibundles must be valid (see :func:`validate_bibundle`), over
     valid groupoids: each class is taken directly as the orbit of its
-    least pair, which it is only when the actions are valid.
+    least pair (z, w), which it is only when the actions are valid.  Its
+    id is ``[z*w]``, z escaped by ``core.id_part``.
     """
     if not same_groupoid(z1.cod, z2.dom):
         raise NotComposable(
@@ -375,20 +378,19 @@ def tensor(z1: Bibundle, z2: Bibundle) -> Bibundle:
     over = index_arrows(sorted(z2.carrier), z2.left.actor)
     cls_of: dict[tuple[str, str], str] = {}
     rep_of: dict[str, tuple[str, str]] = {}
-    carrier = []
     # The pairs (z, w) over a common middle object, visited in sorted order:
     # the first one not yet in a class is the least member of its class.
     for z in sorted(z1.carrier):
         into = [(c, mid.inv[c]) for c in mid.arrows_into[q1[z]]]
+        head = id_part(z, "*")
         for w in over.get(q1[z], ()):
             if (z, w) in cls_of:
                 continue
-            cid = f"[{z}*{w}]"
-            carrier.append(cid)
-            rep_of.setdefault(cid, (z, w))
+            cid = f"[{head}*{w}]"
+            rep_of[cid] = (z, w)
             for c, c_inv in into:
                 cls_of[ract1[z, c], lact2[c_inv, w]] = cid
-    carrier = tuple(sorted(carrier))
+    carrier = tuple(sorted(rep_of))
 
     h, k = z1.dom, z2.cod
     p = {cid: z1.left.actor[rep_of[cid][0]] for cid in carrier}

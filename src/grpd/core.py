@@ -430,6 +430,15 @@ def _light_at(g: FinGroupoid, base: str, gens) -> bool:
 # basic constructions
 
 
+def id_part(s: str, sep: str) -> str:
+    """An id part followed by a bare ``sep``: ``s`` with each ``\\`` and
+    ``sep`` backslashed, so the first bare ``sep`` ends it and distinct
+    parts give distinct ids.  An ``s`` holding neither is unchanged."""
+    if sep in s or "\\" in s:
+        return s.replace("\\", "\\\\").replace(sep, "\\" + sep)
+    return s
+
+
 def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
              inv) -> FinGroupoid:
     """The groupoid presented by structured arrows.
@@ -471,7 +480,8 @@ def discrete_groupoid(name: str, objects) -> FinGroupoid:
 def pair_groupoid(name: str, objects) -> FinGroupoid:
     """The pair groupoid: exactly one arrow (x, y): x -> y per object pair."""
     objects = tuple(objects)
-    arrows = {(x, y): f"{x}>{y}"
+    head = {x: id_part(x, ">") for x in objects}
+    arrows = {(x, y): f"{head[x]}>{y}"
               for x, y in sorted(product(objects, objects))}
     return tabulate(name, objects, arrows, ends=lambda p: p,
                     compose=lambda p, qs: [arrows[p[0], z] for _, z in qs],
@@ -722,7 +732,7 @@ def cocylinder(g: FinGroupoid) -> Cocylinder:
     """The functor groupoid [I, g], built as the degree-1 homotopy pullback
     of g -> g <- g along the identity twice: an object is an arrow
     a: x -> y of g, with id ``(x!a!y)``, and an arrow is a commuting square
-    (u, v) at a, with id ``[u!v.a!v]``.
+    (u, v) at a, with id ``[u!v.a!v]`` (parts escaped as in ``_p1``).
 
     Returns the groupoid with the two endpoint evaluations e0 = pr1 and
     e1 = pr2, and the unit section t, read off the pullback: t(x) lies over

@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from . import groups
-from .core import (FinGroupoid, StrictArrow, disjoint_union, index_arrows,
-                   tabulate)
+from .core import (FinGroupoid, StrictArrow, disjoint_union, id_part,
+                   index_arrows, tabulate)
 from .descent import Bundle, Cover, CoverPiece, DescentDatum, descend
 
 
@@ -32,7 +32,8 @@ def transitive_groupoid(name: str, objects, table) -> FinGroupoid:
     table = tuple(tuple(row) for row in table)
     e = groups.identity_of(table)
     inv = [groups.inverse_of(table, k) for k in range(len(table))]
-    arrows = {(x, y, k): f"{x}>{y}:{k}"
+    head = {x: id_part(x, ">") for x in objects}
+    arrows = {(x, y, k): f"{head[x]}>{y}:{k}"
               for x in objects for y in objects for k in range(len(table))}
     return tabulate(
         name, objects, arrows, ends=lambda p: p[:2],

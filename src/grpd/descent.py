@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import GroupoidError, first_repeat, index_arrows
+from .core import GroupoidError, first_repeat, id_part, index_arrows
 
 
 class DescentError(GroupoidError):
@@ -126,14 +126,14 @@ class DescentDatum:
     transitions: dict[tuple[str, str], dict[tuple[str, str], dict[str, str]]]
 
     @cached_property
-    def _glued(self) -> "GlueResult | tuple[str, str]":
+    def _glued(self) -> "GlueResult | None":
         """:func:`_glue_once`, cached.  A BadDatum is not cached: it is
         raised again on every call."""
         return _glue_once(self)
 
     @cached_property
     def _cocycle(self) -> "CocycleReport":
-        if isinstance(self._glued, GlueResult):
+        if self._glued is not None:
             return CocycleReport(ok=True)
         return _first_failure(self)
 
@@ -206,8 +206,7 @@ def check_cocycle(d: DescentDatum) -> CocycleReport:
     The chart sweep of :func:`glue` decides the answer: when every
     transition entry stays in its chart class, both conditions hold.  Only
     when the datum does not glue is every double and triple overlap swept,
-    to name the first failure; a datum whose conditions hold but whose
-    glued class ids collide is ok."""
+    to name the first failure."""
     return d._cocycle
 
 
@@ -260,29 +259,25 @@ def glue(d: DescentDatum) -> GlueResult:
     """Quotient of the disjoint union of the local bundles by the
     transition relation; raises CocycleViolation when the data does not
     glue coherently.  Returns the glued bundle over the cover's base plus
-    the per-piece comparison isomorphisms.
+    the per-piece comparison isomorphisms.  A class has id ``piece.elem``
+    after its least (piece, element) member, piece escaped by
+    ``core.id_part``.
 
     The classes are read off one chart per base point and checked by one
     sweep over the transition entries (see :func:`_glue_once`).  On
     failure the cocycle sweep of :func:`check_cocycle` only names the
-    witness, and when the conditions hold the witness is the (piece,
-    point) whose comparison fails.  Every call on one datum returns the
-    same result object."""
+    witness.  Every call on one datum returns the same result object."""
     glued = d._glued
-    if isinstance(glued, GlueResult):
-        return glued
-    report = d._cocycle
-    if not report:
+    if glued is None:
+        report = d._cocycle
         raise CocycleViolation(f"cocycle conditions fail: {report.failure}",
                                witness=report.failure)
-    piece, u = glued
-    raise CocycleViolation(f"piece {piece!r} does not compare bijectively "
-                           f"over {u!r}", witness=glued)
+    return glued
 
 
-def _glue_once(d: DescentDatum) -> GlueResult | tuple[str, str]:
-    """validate_datum, then the quotient and the comparison check: the
-    result, or a (piece, point) over which the comparison fails.
+def _glue_once(d: DescentDatum) -> GlueResult | None:
+    """validate_datum, then the quotient: the result, or None when a
+    transition leaves its chart class.
 
     The quotient is read off one chart per base point x: the first piece
     point (c, u) over x in cover order.  Each element of the chart's fibre
@@ -292,7 +287,8 @@ def _glue_once(d: DescentDatum) -> GlueResult | tuple[str, str]:
     - If it passes, these classes are exactly the classes that the
       transitions generate: each member is linked to its chart element,
       and no link joins two classes.  Each class is named after its least
-      (piece, element) member.
+      (piece, element) member, which no other class shares, and each
+      comparison is a bijection onto the glued fibre.
     - If it fails at a over (i, u), the generated relation joins the
       classes of a and of f_ij(a).  Each meets i's fibre over u, so two
       elements of that fibre are joined.  When (a) and (b) hold, f_ij(a) =
@@ -334,67 +330,47 @@ def _glue_once(d: DescentDatum) -> GlueResult | tuple[str, str]:
         for (u, v), m in table.items():
             for a, b in m.items():
                 if ci[a] != cj[b]:
-                    return i, u
-    ids = [f"{piece}.{elem}" for piece, elem in least]
-    proj = dict(zip(ids, base_of))
-    collide = len(proj) != len(ids)
-    if collide:
-        # Two classes share an id, as ids are not yet injective.  Taken in
-        # order of their least members, the later one sets the projection.
-        proj = {ids[k]: base_of[k]
-                for k in sorted(range(len(ids)), key=least.__getitem__)}
+                    return None
+    head = {p.name: id_part(p.name, ".") for p in d.cover.pieces}
+    ids = [f"{head[piece]}.{elem}" for piece, elem in least]
     bundle = Bundle(name=f"glue({d.name})", base=d.cover.base,
-                    total=tuple(sorted(ids)), proj=proj)
+                    total=tuple(sorted(ids)), proj=dict(zip(ids, base_of)))
     piece_maps: dict[str, dict[tuple[str, str], str]] = {}
     for p in d.cover.pieces:
         fib, cp = d.fibres[p.name], cls[p.name]
         piece_maps[p.name] = {(fib.proj[a], a): ids[cp[a]]
                               for a in fib.total}
-    # Every point's fibre meets each class over its base point once, so
-    # with distinct ids each comparison is a bijection onto the glued
-    # fibre.  With a shared id some glued fibre lacks it or some local
-    # image is too small: name the first (piece, point) where that shows.
-    if collide:
-        glued = {x: set(cs) for x, cs in index_arrows(ids, proj).items()}
-        for p in d.cover.pieces:
-            fib, local = d.fibres[p.name], piece_maps[p.name]
-            fibre = index_arrows(fib.total, fib.proj)
-            for u in p.elements:
-                elems = fibre.get(u, ())
-                image = {local[(u, a)] for a in elems}
-                if image != glued.get(p.to_base[u], set()) or \
-                        len(image) != len(elems):
-                    return p.name, u
     return GlueResult(bundle=bundle, piece_maps=piece_maps)
 
 
 def descend(a: Bundle, c: Cover) -> DescentDatum:
     """Pull the bundle back along every piece; canonical transitions.  The
-    cocycle conditions hold by construction."""
+    cocycle conditions hold by construction.  The element e over the piece
+    point u has id ``u.e``, u escaped by ``core.id_part``."""
     a.validate()
     c.validate()
     if set(a.base) != set(c.base):
         raise BadDatum("bundle and cover have different bases")
     fibre = index_arrows(a.total, a.proj)
-
-    def pulled(p: CoverPiece) -> Bundle:
+    ids: dict[str, dict[str, list[str]]] = {}  # piece -> u -> ids over u
+    fibres = {}
+    for p in c.pieces:
+        over = ids[p.name] = {}
         total, proj = [], {}
         for u in p.elements:
+            head = id_part(u, ".")
+            over[u] = pulled = []
             for e in fibre.get(p.to_base[u], ()):
-                t = f"{u}.{e}"
+                t = f"{head}.{e}"
+                pulled.append(t)
                 total.append(t)
                 proj[t] = u
-        return Bundle(name=f"{a.name}|{p.name}", base=p.elements,
-                      total=tuple(total), proj=proj)
-
-    fibres = {p.name: pulled(p) for p in c.pieces}
-    transitions: dict = {}
-    for pi in c.pieces:
-        for pj in c.pieces:
-            table = {}
-            for (u, v) in c.overlap(pi, pj):
-                table[(u, v)] = {f"{u}.{e}": f"{v}.{e}"
-                                 for e in fibre.get(pi.to_base[u], ())}
-            transitions[(pi.name, pj.name)] = table
+        fibres[p.name] = Bundle(name=f"{a.name}|{p.name}", base=p.elements,
+                                total=tuple(total), proj=proj)
+    # u and v lie over one base point, so their ids list one fibre in order
+    transitions = {(pi.name, pj.name): {
+        (u, v): dict(zip(ids[pi.name][u], ids[pj.name][v]))
+        for (u, v) in c.overlap(pi, pj)}
+        for pi in c.pieces for pj in c.pieces}
     return DescentDatum(name=f"desc({a.name})", cover=c, fibres=fibres,
                         transitions=transitions)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from . import groups
 from .core import (FinGroupoid, StrictArrow, NatTrans, GroupoidError,
-                   compose_functors, identity_functor, inclusion_functor,
-                   restrict, same_groupoid, tabulate, transport,
-                   validate_functor, validate_joined, whisker)
+                   compose_functors, id_part, identity_functor,
+                   inclusion_functor, restrict, same_groupoid, tabulate,
+                   transport, validate_functor, validate_joined, whisker)
 
 
 class InvalidCospan(GroupoidError):
@@ -57,14 +57,18 @@ class PullbackResult:
 
 
 def _p1(c: Cospan) -> PullbackResult:
+    """The degree-1 homotopy pullback: objects (x, s, y) with s: phi(x) ->
+    psi(y), ids ``(x!s!y)``, and squares (kk, ii) with diagonal s, ids
+    ``[kk!s!ii]``, the first two parts escaped by ``core.id_part``."""
     phi, psi = c.left, c.right
     k, j, g = phi.dom, psi.dom, phi.cod
     gcomp, ginv = g.comp, g.inv
+    esc = {s: id_part(s, "!") for s in (*k.objects, *k.arrows, *g.arrows)}
     obj, where = {}, {}
     for x in k.objects:
         for y in j.objects:
             for s in g.hom_set(phi.obj_map[x], psi.obj_map[y]):
-                o = f"({x}!{s}!{y})"
+                o = f"({esc[x]}!{esc[s]}!{y})"
                 obj[x, s, y] = o
                 where[o] = (x, s, y)
     # An arrow is a square kk: x -> x', ii: y -> y' with diagonal
@@ -78,7 +82,7 @@ def _p1(c: Cospan) -> PullbackResult:
             for s in g.hom_set(phi.obj_map[k.src[kk]],
                                psi.obj_map[j.tgt[ii]]):
                 p = (kk, ii, obj[k.src[kk], gcomp[back, s], j.src[ii]])
-                a = arrows[p] = f"[{kk}!{s}!{ii}]"
+                a = arrows[p] = f"[{esc[kk]}!{esc[s]}!{ii}]"
                 ids.setdefault(p[2], {}).setdefault(kk, {})[ii] = a
                 ends[p] = (p[2], obj[k.tgt[kk],
                                      gcomp[s, ginv[phi.arr_map[kk]]],

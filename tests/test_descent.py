@@ -360,6 +360,13 @@ def oracle_classes(items, links):
     return sorted(classes)
 
 
+def escaped(s, sep):
+    """The id escape rule, a character at a time: a backslash before each
+    ``sep`` and each backslash.  The oracles spell ids with it rather than
+    with ``core.id_part``."""
+    return "".join("\\" + ch if ch in (sep, "\\") else ch for ch in s)
+
+
 def oracle_glue(d):
     report = oracle_check_cocycle(d)
     if not report:
@@ -373,7 +380,7 @@ def oracle_glue(d):
     piece_of = {p.name: p for p in pieces}
     total, proj, member_cls = [], {}, {}
     for members in oracle_classes(tagged, links):
-        cid = f"{members[0][0]}.{members[0][1]}"
+        cid = f"{escaped(members[0][0], '.')}.{members[0][1]}"
         total.append(cid)
         bases = {piece_of[pname].to_base[d.fibres[pname].proj[a]]
                  for (pname, a) in members}
@@ -452,9 +459,9 @@ def mutants(rng, d):
 
 
 def collision_datum():
-    """A valid datum whose glued class ids collide: piece U holds V.e over
-    x and piece U.V holds e over y, so "U.V.e" names two classes, sits
-    over y only, and the comparison over u fails though the cocycle holds."""
+    """A valid datum whose glued class ids would collide unescaped: piece U
+    holds V.e over x and piece U.V holds e over y, and both classes would
+    be spelled "U.V.e"."""
     cover = Cover("C", ("x", "y"),
                   (CoverPiece("U", ("u",), {"u": "x"}),
                    CoverPiece("U.V", ("v",), {"v": "y"})))
@@ -466,28 +473,32 @@ def collision_datum():
     return DescentDatum("D", cover, fibres, trans)
 
 
-def test_glue_reports_its_own_failure_when_the_cocycle_holds():
-    d = collision_datum()
+def assert_glues_apart(d, over_u, over_v):
+    """d is the collision datum, its piece U over ``over_u`` and its piece
+    U.V over ``over_v``: the piece name U.V is escaped, so the two classes
+    glue to two ids, and the glued bundle descends again."""
     assert check_cocycle(d).ok
-    with pytest.raises(CocycleViolation) as err:
-        glue(d)
-    assert err.value.witness == ("U", "u")
+    r = glue(d)
+    assert r.bundle.total == ("U.V.e", "U\\.V.e")
+    assert r.bundle.proj == {"U.V.e": over_u, "U\\.V.e": over_v}
+    assert r.piece_maps == {"U": {("u", "V.e"): "U.V.e"},
+                            "U.V": {("v", "e"): "U\\.V.e"}}
     assert glue_outcome(glue, d) == glue_outcome(oracle_glue, d)
+    assert check_cocycle(validate_datum(descend(r.bundle, d.cover))).ok
 
 
-def test_colliding_ids_project_in_order_of_least_member():
-    """The collision datum with its pieces in the other order: the class
-    of ("U.V", "e") over x comes first in cover order, yet of the two
-    classes named "U.V.e" it has the greater least member, so it sets the
-    projection and the comparison fails over u, not v."""
+def test_piece_names_holding_the_separator_glue_into_distinct_classes():
+    assert_glues_apart(collision_datum(), "x", "y")
+
+
+def test_flipped_cover_glues_the_separator_datum_into_distinct_classes():
+    """The collision datum with its pieces in the other order, so that the
+    class of ("U.V", "e") comes first in cover order."""
     d = collision_datum()
     flipped = DescentDatum("D", Cover("C", ("y", "x"), (
         CoverPiece("U.V", ("v",), {"v": "x"}),
         CoverPiece("U", ("u",), {"u": "y"}))), d.fibres, d.transitions)
-    assert check_cocycle(flipped).ok
-    outcome = glue_outcome(glue, flipped)
-    assert outcome[2] == ("U", "u")
-    assert outcome == glue_outcome(oracle_glue, flipped)
+    assert_glues_apart(flipped, "y", "x")
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +686,13 @@ def test_an_invalid_datum_raises_the_same_error_on_every_call():
 def oracle_descend(a, c):
     """descend's fibres and transitions, each fibre of ``a`` found by
     filtering its whole total."""
-    fibres = {p.name: [(f"{u}.{e}", u) for u in p.elements
+    def t(u, e):
+        return f"{escaped(u, '.')}.{e}"
+
+    fibres = {p.name: [(t(u, e), u) for u in p.elements
                        for e in fibre_of(a, p.to_base[u])] for p in c.pieces}
     transitions = {
-        (pi.name, pj.name): [((u, v), [(f"{u}.{e}", f"{v}.{e}")
+        (pi.name, pj.name): [((u, v), [(t(u, e), t(v, e))
                                        for e in fibre_of(a, pi.to_base[u])])
                              for (u, v) in oracle_overlap(pi, pj)]
         for pi in c.pieces for pj in c.pieces}

@@ -150,13 +150,13 @@ def test_homotopy_pullback_validates_its_legs_once(monkeypatch):
     assert calls == ["validate_groupoid"] + ["validate_functor"] * 2
 
 
-# Pair(2) with ids over {a, !}: the objects (a!!!aa!a!) of (a!!, aa, a!)
-# and of (a!, !aa, a!) in P1 of its identity cospan are spelled alike
+# Pair(2) with ids over {a, !}: unescaped, the objects of (a!!, aa, a!)
+# and of (a!, !aa, a!) in P1 of its identity cospan would both be spelled
+# (a!!!aa!a!)
 BANG = {"1": "a!!", "2": "a!", "1>1": "!aa!", "1>2": "aa", "2>1": "a!!!",
         "2>2": "!aa"}
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_p1_ids_stay_apart_when_ids_hold_the_separator(relabel):
     bang = validate_groupoid(relabel(P2, BANG, "bang"))
     grp = homotopy_pullback(identity_cospan(bang)).groupoid
@@ -165,7 +165,6 @@ def test_p1_ids_stay_apart_when_ids_hold_the_separator(relabel):
     validate_groupoid(grp)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_cocylinder_ids_stay_apart_when_ids_hold_the_separator(relabel):
     bang = validate_groupoid(relabel(P2, BANG, "bang"))
     cyl = core.cocylinder(bang).groupoid
