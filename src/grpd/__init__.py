@@ -16,9 +16,9 @@ from .bibundle import (Bibundle, LeftAction, RightAction, unit_bibundle,
 from .homotopy import (Cospan, homotopy_pullback, is_essential_equivalence,
                        are_morita_homotopy_equivalent, skeletonize,
                        skeleton_equal, Skeleton)
-from .complexity import (is_transitive, point_groupoid, morita_point_check,
-                         subgroupoid, is_weak_point_subgroupoid, cgeo,
-                         relative_cgeo, exists_deformation, locus_key)
+from .complexity import (is_transitive, point_groupoid, subgroupoid,
+                         is_weak_point_subgroupoid, cgeo, relative_cgeo,
+                         exists_deformation, locus_key)
 from .descent import (Bundle, Cover, CoverPiece, DescentDatum,
                       check_cocycle, glue, descend)
 

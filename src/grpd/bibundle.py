@@ -305,27 +305,20 @@ def validate_bibundle(b: Bibundle) -> Bibundle:
 # constructions
 
 
-def translation_actions(g: FinGroupoid, carrier: tuple[str, ...],
-                        k: FinGroupoid) -> tuple[LeftAction, RightAction]:
-    """Translation by g on the left and by k on the right (g, or the full
-    subgroupoid of g on the carrier's sources) of ``carrier``, arrows of g
-    closed under both; each table lists point by point, then arrow."""
+def unit_bibundle(g: FinGroupoid) -> Bibundle:
+    """g acting on its own arrows by translation on both sides; each table
+    lists point by point, then arrow."""
+    carrier = tuple(sorted(g.arrows))
     left = LeftAction(
         groupoid=g, carrier=carrier,
         actor={a: g.tgt[a] for a in carrier},
         act={(eta, a): g.comp[(eta, a)]
              for a in carrier for eta in g.arrows_from[g.tgt[a]]})
     right = RightAction(
-        groupoid=k, carrier=carrier,
+        groupoid=g, carrier=carrier,
         actor={a: g.src[a] for a in carrier},
         act={(a, c): g.comp[(a, c)]
-             for a in carrier for c in k.arrows_into[g.src[a]]})
-    return left, right
-
-
-def unit_bibundle(g: FinGroupoid) -> Bibundle:
-    """g acting on its own arrows by translation on both sides."""
-    left, right = translation_actions(g, tuple(sorted(g.arrows)), g)
+             for a in carrier for c in g.arrows_into[g.src[a]]})
     return Bibundle(name=f"unit_{g.name}", left=left, right=right)
 
 
@@ -488,8 +481,6 @@ def are_morita_equivalent(h: FinGroupoid, g: FinGroupoid,
     skeletal comparison functor, whose induced carrier stays inside the
     |h1| * |g1| search bound.
     """
-    if same_groupoid(h, g):
-        return unit_bibundle(g)
     f = homotopy.skeletal_equivalence_functor(h, g, cap=cap)
     if f is None:
         return None

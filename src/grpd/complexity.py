@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import groups
-from .bibundle import Bibundle, translation_actions
 from .core import (FinGroupoid, GroupoidError, NatTrans, StrictArrow,
                    conjugate, inclusion_functor, restrict, same_groupoid,
                    tabulate)
@@ -48,35 +47,6 @@ def point_groupoid(name: str, table, elements=None) -> FinGroupoid:
                     compose=lambda p, qs: [elements[table[q][p]] for q in qs],
                     unit=lambda x: e,
                     inv=lambda i: groups.inverse_of(table, i))
-
-
-@dataclass(frozen=True, eq=False)
-class PointCheck:
-    """Outcome of the transitive-to-point comparison: an equivalence
-    bibundle onto the isotropy point groupoid, or a two-orbit witness."""
-    bibundle: Bibundle | None
-    point: FinGroupoid | None = None
-    witness: tuple[str, str] | None = None
-
-    def __bool__(self):
-        return self.bibundle is not None
-
-
-def morita_point_check(g: FinGroupoid) -> PointCheck:
-    """For a transitive groupoid, the equivalence induced by the inclusion
-    of the isotropy at the least object: carrier = arrows out of that
-    object, left translation by g, right translation by the isotropy."""
-    if not g.objects:
-        return PointCheck(bibundle=None, witness=None)
-    if not is_transitive(g):
-        b0, b1 = g.components[0], g.components[1]
-        return PointCheck(bibundle=None, witness=(b0[0], b1[0]))
-    x0 = g.components[0][0]
-    point = restrict(g, (x0,), name=f"pt({g.name})")
-    left, right = translation_actions(g, g.arrows_from[x0], point)
-    return PointCheck(
-        bibundle=Bibundle(name=f"pt_equiv_{g.name}", left=left, right=right),
-        point=point)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +86,8 @@ def subgroupoid(g: FinGroupoid, objects) -> Subgroupoid:
 @dataclass(frozen=True, eq=False)
 class WeakPointWitness:
     """Diagram witnessing that an invariant subgroupoid collapses onto a
-    point subgroupoid: the conjugating retraction and its homotopy."""
+    point subgroupoid: its deformation onto the point, as a transport and
+    the homotopy to it."""
     point_object: str | None
     collapse: StrictArrow | None   # U -> ambient, image inside the point
     homotopy: NatTrans | None      # inclusion => collapse
@@ -127,8 +98,9 @@ def is_weak_point_subgroupoid(u: Subgroupoid) -> WeakPointWitness | None:
     """Weak point test: the inclusion of u is homotopic, inside its ambient
     groupoid, to a functor landing in a one-object subgroupoid.  This
     happens exactly when the objects of u sit inside a single orbit; the
-    witness transports every object to the orbit's base point along chosen
-    connecting arrows."""
+    witness is the deformation of u onto the orbit's base point (see
+    :func:`exists_deformation`), which sends each arrow a to
+    ``tree_loop[a]``."""
     g = u.ambient
     if not u.is_invariant:
         raise NotInvariant(f"{sorted(u.objects)} is not a union of orbits",
@@ -136,20 +108,12 @@ def is_weak_point_subgroupoid(u: Subgroupoid) -> WeakPointWitness | None:
     if not u.objects:
         return WeakPointWitness(point_object=None, collapse=None,
                                 homotopy=None, vacuous=True)
-    blocks = {g.component_of[x][0] for x in u.objects}
-    if len(blocks) > 1:
-        return None
     x0 = g.component_of[u.objects[0]][0]
-    sub = u.restriction
-    collapse = StrictArrow(
-        name=f"collapse_{sub.name}", dom=sub, cod=g,
-        obj_map={x: x0 for x in sub.objects},
-        arr_map={a: g.tree_loop[a] for a in sub.arrows})
-    homotopy = NatTrans(source_fun=inclusion_functor(sub, g),
-                        target_fun=collapse,
-                        component={x: g.inv[g.tree[x]] for x in sub.objects})
-    return WeakPointWitness(point_object=x0, collapse=collapse,
-                            homotopy=homotopy)
+    diagram = exists_deformation(u, Subgroupoid(ambient=g, objects=(x0,)))
+    if diagram is None:
+        return None
+    return WeakPointWitness(point_object=x0, collapse=diagram.transport,
+                            homotopy=diagram.homotopy)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +187,17 @@ def exists_deformation(h: Subgroupoid,
                             if g.component_of[y] == block)
     sub = h.restriction
     incl = inclusion_functor(sub, g)
-    # connecting arrow x -> target(x), the unit when x already sits in k
-    conn = {}
-    for x in h.objects:
-        if target[x] == x:
-            conn[x] = g.unit[x]
-        else:
-            conn[x] = g.hom_set(x, target[x])[0]
+    # connecting arrow x -> target(x) off the spanning tree, tree[t] .
+    # tree[x]^-1, which is the unit when x already sits in k
+    tree, comp, inv = g.tree, g.comp, g.inv
+    conn = {x: comp[tree[target[x]], inv[tree[x]]] for x in sub.objects}
     transport = StrictArrow(
         name=f"deform_{sub.name}", dom=sub, cod=g,
         obj_map=dict(target),
         arr_map={a: conjugate(g, conn[g.tgt[a]], a, conn[g.src[a]])
                  for a in sub.arrows})
     homotopy = NatTrans(source_fun=incl, target_fun=transport,
-                        component=dict(conn))
+                        component=conn)
     return DeformationDiagram(transport=transport, homotopy=homotopy)
 
 

@@ -478,9 +478,10 @@ _LABEL = {"groupoids": "groupoid", "functors": "functor",
 
 def load(paths, kind: str) -> tuple[Document, list]:
     """Parse the files into one Document and return it with the first
-    structure of the kind (a Document table) that each file declares; the
-    same file may be passed twice, and a file may name structures of an
-    earlier one.  Nothing is validated.
+    structure of the kind (a Document table) that each file declares, taken
+    as soon as that file is parsed, so that a later file declaring the same
+    name does not replace it; the same file may be passed twice, and a
+    file may name structures of an earlier one.  Nothing is validated.
 
     Header errors come first: a line before the first block, an unnamed
     block of the kind or no such block in any file is reported before any
@@ -494,14 +495,15 @@ def load(paths, kind: str) -> tuple[Document, list]:
         for path, text in zip(paths, texts):
             start = len(doc.declared)
             parse_document(text, source=str(path), into=doc)
-            wanted.append(next((name for k, name in doc.declared[start:]
-                                if k == label), None))
+            name = next((name for k, name in doc.declared[start:]
+                         if k == label), None)
+            wanted.append(None if name is None else getattr(doc, kind)[name])
     except ParseError:
         _check_headers(paths, texts, label)
         raise
     if None in wanted:
         _check_headers(paths, texts, label)
-    return doc, [getattr(doc, kind)[name] for name in wanted]
+    return doc, wanted
 
 
 def _check_headers(paths, texts, label: str) -> None:

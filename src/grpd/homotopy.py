@@ -270,9 +270,6 @@ def are_morita_homotopy_equivalent(k: FinGroupoid, g: FinGroupoid,
     the skeletal subgroupoid of k, whose inclusion and whose matching
     functor into g are both essential equivalences.
     """
-    if same_groupoid(k, g):
-        ident = identity_functor(g)
-        return MoritaHomotopySpan(mid=g, left_leg=ident, right_leg=ident)
     right = skeletal_equivalence_functor(k, g, cap=cap)
     if right is None:
         return None

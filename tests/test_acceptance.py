@@ -18,12 +18,12 @@ from grpd.bibundle import (are_morita_equivalent, bibundles_isomorphic,
                            functor_to_bibundle, tensor, unit_bibundle,
                            validate_bibundle)
 from grpd.complexity import (cgeo, exists_deformation, is_transitive,
-                             locus_key, morita_point_check, point_groupoid,
-                             relative_cgeo, subgroupoid)
+                             locus_key, point_groupoid, relative_cgeo,
+                             subgroupoid)
 from grpd.core import (StrictArrow, are_homotopic, cocylinder,
                        compose_functors, conjugate, discrete_groupoid,
-                       identity_functor, validate_functor, validate_groupoid,
-                       validate_nat)
+                       identity_functor, restrict, validate_functor,
+                       validate_groupoid, validate_nat)
 from grpd.corpus import (CorpusConfig, corpus_groupoids, inflate,
                          random_datum)
 from grpd.descent import check_cocycle, descend, glue
@@ -63,13 +63,14 @@ def test_criterion_1_transitive_iff_point_equivalent(corpus):
     with criterion(1, "transitivity equals point equivalence") as stats:
         transitive = witnesses = 0
         for g in corpus:
-            res = morita_point_check(g)
-            assert bool(res) == is_transitive(g), g.name
-            if res:
+            point = restrict(g, g.objects[:1])
+            res = are_morita_equivalent(g, point)
+            assert (res is not None) == is_transitive(g), g.name
+            if res is not None:
                 transitive += 1
-                b = validate_bibundle(res.bibundle)
+                b = validate_bibundle(res)
                 assert b.is_equivalence, g.name
-                assert len(res.point.objects) == 1
+                assert len(point.objects) == 1
                 witnesses += 1
         stats.update(groupoids=len(corpus), transitive=transitive,
                      validated_witnesses=witnesses, disagreements=0)

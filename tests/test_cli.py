@@ -152,6 +152,32 @@ def test_homotopic_validates_its_groupoids(files, tmp_path, capsys):
     assert "('2>3', '1>2') has no composite" in capsys.readouterr().err
 
 
+def test_files_reusing_a_groupoid_name_keep_their_own(tmp_path, capsys):
+    # Pair(3) and BZ2, both named g: not Morita equivalent
+    a, b = tmp_path / "a.grpd", tmp_path / "b.grpd"
+    a.write_text(serialize_groupoid(pair_groupoid("g", ["1", "2", "3"])),
+                 encoding="utf-8")
+    b.write_text(serialize_groupoid(point_groupoid("g", groups.cyclic(2))),
+                 encoding="utf-8")
+    assert run(["morita", str(a), str(b)]) == EXIT_FALSE
+    assert capsys.readouterr().out == "not Morita equivalent\n"
+
+
+def test_files_reusing_a_functor_name_keep_their_own(tmp_path, capsys):
+    # the identity and the swap of a discrete pair, both named F: not
+    # homotopic
+    d = discrete_groupoid("D", ["a", "b"])
+    ua, ub = d.unit["a"], d.unit["b"]
+    swap = StrictArrow(name="F", dom=d, cod=d, obj_map={"a": "b", "b": "a"},
+                       arr_map={ua: ub, ub: ua})
+    f1, f2 = tmp_path / "f1.grpd", tmp_path / "f2.grpd"
+    f1.write_text(serialize_groupoid(d) + serialize_functor(
+        dataclasses.replace(identity_functor(d), name="F")), encoding="utf-8")
+    f2.write_text(serialize_functor(swap), encoding="utf-8")
+    assert run(["homotopic", str(f1), str(f2)]) == EXIT_FALSE
+    assert capsys.readouterr().out == "not homotopic\n"
+
+
 def test_stray_action_entry_exits_2(files, tmp_path, capsys):
     text = Path(files["unit_p3.grpd"]).read_text(encoding="utf-8")
     ghost = tmp_path / "ghost.bib"
@@ -637,7 +663,6 @@ UNREACHED = {
     "_element_orders": "traced only", "is_principal": "traced only",
     "Principality": "traced only",
     # witness builders that no subcommand routes yet (ROADMAP item 2)
-    "morita_point_check": "witness", "PointCheck": "witness",
     "is_essential_equivalence": "witness",
     "EssentialEquivalence": "witness",
     # test vocabulary: the tests build discrete groupoids with it

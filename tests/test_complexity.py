@@ -4,15 +4,15 @@ from itertools import combinations
 import pytest
 
 from grpd import groups
-from grpd.bibundle import validate_bibundle
+from grpd.bibundle import are_morita_equivalent, validate_bibundle
 from grpd.complexity import (NotInvariant, cgeo, cgeo_with_cover,
                              exists_deformation,
                              is_transitive, is_weak_point_subgroupoid,
-                             locus_key, morita_point_check,
-                             point_groupoid, relative_cgeo, subgroupoid)
+                             locus_key, point_groupoid, relative_cgeo,
+                             subgroupoid)
 from grpd.core import (GroupoidError, discrete_groupoid, disjoint_union,
-                       pair_groupoid, validate_functor, validate_groupoid,
-                       validate_nat)
+                       pair_groupoid, restrict, validate_functor,
+                       validate_groupoid, validate_nat)
 from grpd.groups import InvalidGroupTable
 from grpd.homotopy import skeletonize
 
@@ -59,35 +59,40 @@ def test_point_groupoid_rejects_bad_tables():
         point_groupoid("bad", groups.cyclic(2), elements=("a",))
 
 
+def point_equivalence(g):
+    """Morita equivalence of g to the point at its first object, or None."""
+    return are_morita_equivalent(g, restrict(g, g.objects[:1]))
+
+
 def test_morita_point_check_pair2():
-    res = morita_point_check(P2)
-    assert res
-    assert len(res.bibundle.carrier) == 2
-    assert sorted(res.bibundle.carrier) == ["1>1", "1>2"]
-    assert validate_bibundle(res.bibundle).is_equivalence
-    assert len(res.point.objects) == 1
+    b = point_equivalence(P2)
+    assert b is not None
+    assert len(b.carrier) == 2
+    assert sorted(b.carrier) == ["1|1>1", "2|1>1"]
+    assert validate_bibundle(b).is_equivalence
+    assert len(b.cod.objects) == 1
 
 
 def test_morita_point_check_on_point_groupoid_is_self():
-    res = morita_point_check(BZ2)
-    assert res.point.equal_presentation(BZ2) or (
-        set(res.point.arrows) == set(BZ2.arrows))
-    assert validate_bibundle(res.bibundle).is_equivalence
+    b = point_equivalence(BZ2)
+    assert b.cod.equal_presentation(BZ2)
+    assert validate_bibundle(b).is_equivalence
 
 
 def test_morita_point_check_nontransitive_witness():
     d = discrete_groupoid("d", ["a", "b"])
-    res = morita_point_check(d)
-    assert not res
-    assert res.witness == ("a", "b")
+    assert point_equivalence(d) is None
+    assert point_equivalence(disjoint_union("m", [P2, BZ2])) is None
 
 
 def test_transitive_iff_point_witness(corpus):
     for g in corpus:
-        res = morita_point_check(g)
-        assert bool(res) == is_transitive(g)
-        if res:
-            assert validate_bibundle(res.bibundle).is_equivalence
+        b = point_equivalence(g)
+        assert (b is not None) == is_transitive(g)
+        if b is not None:
+            assert validate_bibundle(b).is_equivalence
+            # m objects times the isotropy at the point
+            assert len(b.carrier) == len(g.arrows_from[g.objects[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +109,10 @@ def test_single_orbit_is_weak_point():
     validate_nat(w.homotopy)
     # the collapse lands inside the one-object subgroupoid at the witness
     assert set(w.collapse.obj_map.values()) == {w.point_object}
+    # as the deformation onto the base point, it is the trivialization
+    assert w.collapse.arr_map == {a: mix.tree_loop[a] for a in
+                                  w.collapse.dom.arrows}
+    assert w.homotopy.component == {x: mix.inv[mix.tree[x]] for x in block}
 
 
 def test_two_orbits_not_weak_point():

@@ -251,10 +251,11 @@ def test_discrete_sizes_differ():
         is None
 
 
-def test_same_groupoid_identity_span():
+def test_same_groupoid_spans_through_its_skeleton():
     span = are_morita_homotopy_equivalent(P2, P2)
-    assert span.mid is P2
-    assert span.left_leg.obj_map == {x: x for x in P2.objects}
+    assert span.mid.name == "sk(P2)" and span.mid.objects == ("1",)
+    assert is_essential_equivalence(span.left_leg)
+    assert is_essential_equivalence(span.right_leg)
 
 
 def test_spans_validated_across_corpus(corpus, isomorphic_skeletons):
