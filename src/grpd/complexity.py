@@ -46,7 +46,7 @@ def point_groupoid(name: str, table, elements=None) -> FinGroupoid:
                     ends=lambda i: ("*", "*"),
                     compose=lambda p, qs: [elements[table[q][p]] for q in qs],
                     unit=lambda x: e,
-                    inv=lambda i: groups.inverse_of(table, i))
+                    inv=groups.inverses(table).__getitem__)
 
 
 # ---------------------------------------------------------------------------

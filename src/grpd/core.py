@@ -496,14 +496,16 @@ def restrict(g: FinGroupoid, objects, name: str | None = None) -> FinGroupoid:
         raise DanglingId(f"objects {sorted(unknown)} not in {g.name}",
                          witness=sorted(unknown))
     objs = tuple(x for x in g.objects if x in keep)
-    arrs = tuple(a for a in g.arrows if g.src[a] in keep and g.tgt[a] in keep)
-    arrset = set(arrs)
+    src, tgt, comp = g.src, g.tgt, g.comp
+    arrs = tuple(a for a in g.arrows if src[a] in keep and tgt[a] in keep)
+    # the composable pairs (q, p) of the piece: q leaves p's target and
+    # stays in the piece, so each kept row is read, not all of comp
+    outs = {x: [q for q in g.arrows_from[x] if tgt[q] in keep] for x in objs}
     return FinGroupoid(
         name=name or f"{g.name}|{{{','.join(objs)}}}",
         objects=objs, arrows=arrs,
-        src={a: g.src[a] for a in arrs}, tgt={a: g.tgt[a] for a in arrs},
-        comp={k: v for k, v in g.comp.items()
-              if k[0] in arrset and k[1] in arrset},
+        src={a: src[a] for a in arrs}, tgt={a: tgt[a] for a in arrs},
+        comp={k: comp[k] for p in arrs for k in zip(outs[tgt[p]], repeat(p))},
         unit={x: g.unit[x] for x in objs},
         inv={a: g.inv[a] for a in arrs})
 

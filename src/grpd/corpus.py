@@ -31,7 +31,7 @@ def transitive_groupoid(name: str, objects, table) -> FinGroupoid:
     objects = tuple(objects)
     table = tuple(tuple(row) for row in table)
     e = groups.identity_of(table)
-    inv = [groups.inverse_of(table, k) for k in range(len(table))]
+    inv = groups.inverses(table)
     head = {x: id_part(x, ">") for x in objects}
     arrows = {(x, y, k): f"{head[x]}>{y}:{k}"
               for x in objects for y in objects for k in range(len(table))}

@@ -4,14 +4,23 @@ Tables are square tuples of tuples over indices 0..n-1 with ``t[a][b]`` the
 product a*b.  The identity may sit at any index.  Everything here is exact,
 sized for the small isotropy groups this package meets (the hard cap is
 enforced by callers, default 24).  One builder, ``_table``, tabulates a
-list of elements under a product.  One hom search, ``_homs``, lists the
-homomorphisms from the first irredundant generating tuple.  The canonical
-form searches only the generating tuples that can give the least relabelled
-table (the shortest ones that start with an involution) and drops a
-candidate at its first row above the best so far.  Canonical forms decide
-isomorphism at run time and certify it: the orders that attain the form,
-one per automorphism, give the least isomorphism.  The brute-force
-``is_isomorphic`` is the tests' oracle for them."""
+list of elements under a product, and ``inverses`` gives each table's
+inverses.  One tuple search, ``_generating_sequences``, lists irredundant
+generating tuples, one per orbit of the inner automorphisms (McKay's orbit
+representatives): each generator is the least of its orbit under the
+conjugations that fix the earlier ones.  One hom search, ``_homs``, lists
+the homomorphisms from the first tuple.  The canonical form searches only
+the tuples that can give the least relabelled table (the shortest ones
+that start with an involution).  It drops a candidate whose row 1 is above
+the best, and calls it a tie when its Cayley columns (the columns of the
+generators) equal the best's, since the map between the two orders is
+then an isomorphism; otherwise the rows decide.  Automorphisms carry BFS
+orders to BFS orders with the same relabelled table, so each tied
+representative, moved by every conjugation, gives back its whole orbit of
+tied orders.  Canonical forms decide isomorphism at run time and certify
+it: the orders that attain the form, one per automorphism, give the least
+isomorphism.  The brute-force ``is_isomorphic`` is the tests' oracle for
+them; the proofs are comments in ``_canonical``."""
 
 from __future__ import annotations
 
@@ -56,12 +65,24 @@ def identity_of(t) -> int:
     raise InvalidGroupTable("no two-sided identity")
 
 
-def inverse_of(t, a: int) -> int:
+def inverses(t) -> tuple[int, ...]:
+    """The inverse table: ``inverses(t)[a]`` is the inverse of a."""
     e = identity_of(t)
-    for b in range(len(t)):
-        if t[a][b] == e:
-            return b
-    raise InvalidGroupTable(f"element {a} has no inverse", witness=a)
+    inv = []
+    for a, row in enumerate(t):
+        if e not in row:
+            raise InvalidGroupTable(f"element {a} has no inverse", witness=a)
+        inv.append(row.index(e))
+    return tuple(inv)
+
+
+def _inner_automorphisms(t) -> list[tuple[int, ...]]:
+    """The conjugations g -> h g h^-1 other than the identity, each once
+    (one h per coset of the centre), as image tuples indexed by g."""
+    rows = dict.fromkeys(tuple([t[hg][hi] for hg in row])
+                         for row, hi in zip(t, inverses(t)))
+    rows.pop(tuple(range(len(t))))
+    return list(rows)
 
 
 def _element_orders(t, e) -> list[int]:
@@ -90,16 +111,19 @@ def _bfs_order(t, e, gens) -> list[int]:
     return order
 
 
-def _generating_sequences(t, e, firsts=None, max_len=None):
+def _generating_sequences(t, e, inner, firsts=None, max_len=None):
     """Irredundant ordered generating tuples (each next generator outside
-    the span of the earlier ones), yielded lazily in depth-first order over
-    0..n-1, each with its BFS order (see _bfs_order), which the search
-    builds anyway to test the span.  ``firsts`` restricts the first
-    generator; ``max_len`` skips tuples longer than that."""
+    the span of the earlier ones), one per orbit of the inner automorphisms
+    ``inner`` (see _inner_automorphisms and _canonical), yielded lazily in
+    depth-first order over 0..n-1, each with its BFS order (see
+    _bfs_order), which the search builds anyway to test the span.  A tuple
+    is kept when each g_i is the least element of its orbit under the
+    conjugations that fix g_0, ..., g_{i-1}.  ``firsts`` restricts the
+    first generator; ``max_len`` skips tuples longer than that."""
     n = len(t)
     gens: list[int] = []
 
-    def rec(order):
+    def rec(order, fixing):
         if len(order) == n:
             yield tuple(gens), order
             return
@@ -107,12 +131,13 @@ def _generating_sequences(t, e, firsts=None, max_len=None):
             return
         span = set(order)
         for g in (firsts if not gens and firsts is not None else range(n)):
-            if g not in span:
+            if g not in span and all(c[g] >= g for c in fixing):
                 gens.append(g)
-                yield from rec(_bfs_order(t, e, gens))
+                yield from rec(_bfs_order(t, e, gens),
+                               [c for c in fixing if c[g] == g])
                 gens.pop()
 
-    yield from rec([e])
+    yield from rec([e], inner)
 
 
 def canonical_form(t) -> tuple[int, ...]:
@@ -141,33 +166,74 @@ def _canonical(t):
     # lies among the tuples that start with an involution (any element when
     # the order is odd), and among those, as k+1 grows with k, the shortest.
     # Deepening the length bound finds them.
+    #
+    # One tuple per inner-automorphism orbit is searched (McKay's orbit
+    # representatives).  An automorphism phi carries a tuple T to phi(T),
+    # which is irredundant, generating, as long as T and starts with an
+    # involution exactly when T does, and it carries T's BFS order o to
+    # phi(o), the BFS order of phi(T), since phi(x g) = phi(x) phi(g).  The
+    # table relabelled along phi(o) is the one relabelled along o.  So the
+    # searched tuples fall into orbits of the inner automorphisms, all of
+    # an orbit give one table, and one tuple per orbit finds the minimum.
+    # The search keeps the tuple whose every g_i is least in its orbit
+    # under the conjugations that fix g0, ..., g_{i-1}, and each orbit
+    # holds exactly one such tuple.  One exists: conjugate g0 to the least
+    # of its class, then g1 to the least of its orbit under the centralizer
+    # of g0, which fixes g0, and so on.  Only one does: if T and h T h^-1
+    # both qualify, g0 and h g0 h^-1 are both the least of one class, so
+    # they are equal and h centralizes g0; then g1 = h g1 h^-1 likewise,
+    # and so on, so h T h^-1 = T.  A tied representative stands for its
+    # orbit, whose orders are its images under the inner automorphisms,
+    # each once, since a conjugation that fixes a generating tuple fixes
+    # the group.  So the expanded ties are every order that attains the
+    # form, one per automorphism of t.
+    #
+    # Ties are found on the Cayley columns.  Row 0 is 0..n-1 for every
+    # order and is never built.  Let a candidate o, with generators
+    # g_j = o[1+j], have the best order b's relabelled columns 1..k, that
+    # is pos_o[o[i] g_j] = pos_b[b[i] b[1+j]] for all i and j.  Then the
+    # bijection phi: b[i] -> o[i] has phi(x b[1+j]) = phi(x) g_j for every
+    # x and generator, so by the argument of _extend_by_products it is an
+    # isomorphism, which carries b to o: o relabels t to the best table.
+    # A candidate with the best row 1 and other columns differs in a later
+    # row, and the rows decide as before.
     involutions = [g for g in range(n) if g != e and t[g][g] == e]
+    inner = _inner_automorphisms(t)
     for k in count():
-        seqs = _generating_sequences(t, e, involutions or None, k)
+        seqs = _generating_sequences(t, e, inner, involutions or None, k)
         first = next(seqs, None)
         if first is not None:
             break
+    # best[i] is row i+1 of the least table so far, cols[i] its columns
+    # 1..k, the Cayley columns
     best = None
-    for _, order in chain((first,), seqs):
-        order = tuple(order)
+    for gens, order in chain((first,), seqs):
         pos = [0] * n
         for i, x in enumerate(order):
             pos[x] = i
-        rows = (tuple([pos[y] for y in map(t[a].__getitem__, order)])
-                for a in order)
+        rows = ([pos[y] for y in map(t[a].__getitem__, order)]
+                for a in order[1:])
         if best is None:
             best, ties = list(rows), [order]
+            cols = [row[1:k + 1] for row in best]
             continue
-        # compare row by row; build the rest only for a new best
-        for i, row in enumerate(rows):
-            if row != best[i]:
-                if row < best[i]:
-                    best[i:] = [row, *rows]
-                    ties = [order]
-                break
-        else:
-            ties.append(order)
-    return tuple(chain.from_iterable(best)), tuple(ties)
+        i, row = 0, next(rows)
+        if row == best[0]:
+            if all(c == [pos[y] for y in map(t[a].__getitem__, gens)]
+                   for a, c in zip(order[1:], cols)):
+                ties.append(order)
+                continue
+            # compare row by row; build the rest only for a new best
+            for i, row in enumerate(rows, 1):
+                if row != best[i]:
+                    break
+        if row < best[i]:
+            best[i:] = [row, *rows]
+            ties = [order]
+            cols = [row[1:k + 1] for row in best]
+    return (tuple(chain(range(n), *best)),
+            tuple(tuple(map(c.__getitem__, o))
+                  for o in ties for c in (range(n), *inner)))
 
 
 def unflatten(flat: tuple[int, ...]):
@@ -206,7 +272,8 @@ def _homs(t1, t2):
     n1 = len(t1)
     e1, e2 = identity_of(t1), identity_of(t2)
     orders1, orders2 = _element_orders(t1, e1), _element_orders(t2, e2)
-    gens, order1 = next(_generating_sequences(t1, e1))
+    gens, order1 = next(_generating_sequences(t1, e1,
+                                              _inner_automorphisms(t1)))
     candidates = [[b for b, k in enumerate(orders2) if orders1[g] % k == 0]
                   for g in gens]
     for images in product(*candidates):
@@ -237,11 +304,13 @@ def find_isomorphism(t1, t2) -> tuple[int, ...] | None:
     (form1, ties1), (form2, ties2) = _canonical(t1), _canonical(t2)
     if form1 != form2:  # also when the sizes differ
         return None
-    # An isomorphism phi maps the tuples searched in t1 (irredundant,
-    # shortest, involution first) onto those searched in t2, and a BFS order
-    # o onto phi(o), which relabels to the same table.  Orders start with
-    # their distinct tuples, so phi -> phi(o1) is a bijection from the
-    # isomorphisms onto t2's tied orders, with inverse o -> (o1[i] -> o[i]).
+    # An isomorphism phi maps the candidate tuples of t1 (irredundant,
+    # shortest, involution first) onto those of t2, and a BFS order o onto
+    # phi(o), which relabels to the same table.  The ties hold every order
+    # that attains the form, in no promised sequence (see _canonical), and
+    # orders start with their distinct tuples, so phi -> phi(o1) is a
+    # bijection from the isomorphisms onto t2's tied orders, with inverse
+    # o -> (o1[i] -> o[i]).
     o1 = ties1[0]
     at = sorted(range(len(t1)), key=o1.__getitem__)  # o1[at[a]] == a
     return min(tuple(map(o.__getitem__, at)) for o in ties2)

@@ -454,6 +454,30 @@ def test_compose_domain_mismatch():
                          identity_functor(discrete_groupoid("pt", ["*"])))
 
 
+def test_restrict_matches_the_filter_over_every_entry(corpus):
+    """restrict reads the rows of the kept arrows; the oracle filters every
+    comp entry of the ambient groupoid.  Subsets: each orbit, one object
+    per orbit, and random subsets that cut orbits."""
+    rng = random.Random(5)
+    checked = 0
+    for g in corpus:
+        subsets = [*g.components, [b[0] for b in g.components]]
+        subsets += [rng.sample(g.objects, rng.randint(1, len(g.objects)))
+                    for _ in range(3)]
+        for objects in subsets:
+            sub = restrict(g, objects)
+            keep = set(objects)
+            arrs = tuple(a for a in g.arrows
+                         if g.src[a] in keep and g.tgt[a] in keep)
+            kept = set(arrs)
+            assert sub.arrows == arrs
+            assert sub.comp == {(q, p): r for (q, p), r in g.comp.items()
+                                if q in kept and p in kept}
+            validate_groupoid(sub)
+            checked += 1
+    assert checked > 150
+
+
 # ---------------------------------------------------------------------------
 # functor enumeration (oracle first: raw product search filtered by axioms)
 

@@ -120,7 +120,8 @@ def test_every_extension_by_products_is_a_homomorphism():
         if len(t1) * len(t2) > 100:
             continue
         e1, e2 = groups.identity_of(t1), groups.identity_of(t2)
-        gens, order1 = next(groups._generating_sequences(t1, e1))
+        gens, order1 = next(groups._generating_sequences(
+            t1, e1, groups._inner_automorphisms(t1)))
         assert order1 == groups._bfs_order(t1, e1, gens)
         for images in product(range(len(t2)), repeat=len(gens)):
             phi = groups._extend_by_products(t1, t2, e1, e2, gens, images,
@@ -156,23 +157,35 @@ def least_isomorphism(t1, t2, homs):
 
 @pytest.mark.parametrize(
     "name", [n for n, t in CATALOG if len(t) <= 6] + sorted(ORDER_24))
-def test_find_isomorphism_is_the_least_isomorphism(name):
+def test_find_isomorphism_is_the_least_isomorphism(name, monkeypatch):
     """The morita witness depends on which isomorphism is returned.  Up to
     order 6 every map is tried; at order 24 the hom search, checked against
-    every map above, lists the candidates."""
+    every map above, lists the candidates.  The witness is read off tied
+    orders whose sequence follows the search, so it is checked again with
+    every tie sequence reversed: the order of the ties must not matter."""
     tables = dict(CATALOG, **ORDER_24)
     t = tables[name]
     rng = random.Random(name)
     same_order = [u for u in tables.values() if len(u) == len(t)]
-    small = len(t) <= 6
-    for _ in range(3 if small else 1):
+    homs = oracle_homs if len(t) <= 6 else groups.enumerate_homs
+    cases = []
+    for _ in range(3):
         perm = list(range(len(t)))
         rng.shuffle(perm)
         t2 = relabel(t, perm)
-        for u in same_order + [t2]:
-            expected = least_isomorphism(
-                u, t2, oracle_homs if small else groups.enumerate_homs)
-            assert groups.find_isomorphism(u, t2) == expected
+        cases += [(u, t2, least_isomorphism(u, t2, homs))
+                  for u in same_order + [t2]]
+    for u, t2, expected in cases:
+        assert groups.find_isomorphism(u, t2) == expected
+    canonical = groups._canonical
+
+    def reversed_ties(u):
+        form, ties = canonical(u)
+        return form, ties[::-1]
+
+    monkeypatch.setattr(groups, "_canonical", reversed_ties)
+    for u, t2, expected in cases:
+        assert groups.find_isomorphism(u, t2) == expected
 
 
 def test_find_isomorphism_runs_no_hom_search(monkeypatch):
@@ -206,6 +219,35 @@ def test_canonical_cache_is_bounded():
     for u in tables:
         assert groups.canonical_form(u) == groups.canonical_form(t)
     assert groups._canonical.cache_info().currsize <= bound
+
+
+# BFS orders the canonical search builds for a table of the group, the same
+# for every labelling: the tuple search visits one prefix per orbit of
+# irredundant prefixes, and the orbits do not depend on the labels.  A
+# search without the orbit pruning builds 168 and 1245.
+BFS_ORDERS_BUILT = {"A4xZ2": 32, "Dic3xZ2": 313}
+
+
+@pytest.mark.parametrize("name", sorted(BFS_ORDERS_BUILT))
+def test_canonical_search_work_is_pinned(name, monkeypatch):
+    """A lost pruning shows as more BFS orders, on any machine."""
+    built = 0
+    bfs_order = groups._bfs_order
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return bfs_order(*args)
+
+    monkeypatch.setattr(groups, "_bfs_order", counting)
+    t = ORDER_24[name]
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = list(range(len(t)))
+        rng.shuffle(perm)
+        built = 0
+        groups._canonical.__wrapped__(relabel(t, perm))
+        assert built == BFS_ORDERS_BUILT[name]
 
 
 @pytest.mark.parametrize("name", [n for n, _ in CATALOG] + sorted(ORDER_24))
@@ -254,10 +296,11 @@ def oracle_generating_sequences(t):
 
 
 def oracle_canonical_form(t, sequences):
-    """Least BFS-relabelled flat table over all the given tuples."""
+    """Least BFS-relabelled flat table over all the given tuples, and the
+    set of BFS orders that attain it."""
     n = len(t)
     e = groups.identity_of(t)
-    best = None
+    best, ties = None, set()
     for gens in sequences:
         order, seen = [e], {e}
         for x in order:
@@ -271,17 +314,22 @@ def oracle_canonical_form(t, sequences):
             pos[x] = i
         flat = tuple([pos[t[a][b]] for a in order for b in order])
         if best is None or flat < best:
-            best = flat
-    return best
+            best, ties = flat, set()
+        if flat == best:
+            ties.add(tuple(order))
+    return best, ties
 
 
 def check_against_oracle(t):
     sequences = oracle_generating_sequences(t)
     e = groups.identity_of(t)
-    gens, order = next(groups._generating_sequences(t, e))
+    gens, order = next(groups._generating_sequences(
+        t, e, groups._inner_automorphisms(t)))
     assert gens == sequences[0]
     assert order == groups._bfs_order(t, e, gens)
-    assert groups.canonical_form(t) == oracle_canonical_form(t, sequences)
+    form, ties = groups._canonical(t)
+    assert len(set(ties)) == len(ties)
+    assert (form, set(ties)) == oracle_canonical_form(t, sequences)
 
 
 @pytest.mark.parametrize("name, t", CATALOG, ids=[n for n, _ in CATALOG])

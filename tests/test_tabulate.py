@@ -168,7 +168,8 @@ def old_transitive_groupoid(name, objects, table):
                     for k2 in range(n):
                         comp[(aid(y, z, k2), aid(x, y, k1))] = \
                             aid(x, z, table[k2][k1])
-    inv_idx = {k: groups.inverse_of(table, k) for k in range(n)}
+    inv_idx = {k: next(b for b in range(n) if table[k][b] == e)
+               for k in range(n)}
     return FinGroupoid(
         name=name, objects=objects, arrows=tuple(arrows), src=src, tgt=tgt,
         comp=comp, unit={x: aid(x, x, e) for x in objects},
@@ -232,7 +233,8 @@ def old_point_groupoid(name, table, elements=None):
         comp={(elements[i], elements[j]): elements[table[i][j]]
               for i in range(n) for j in range(n)},
         unit={obj: elements[e]},
-        inv={elements[i]: elements[groups.inverse_of(table, i)]
+        inv={elements[i]: elements[next(b for b in range(n)
+                                        if table[i][b] == e)]
              for i in range(n)})
 
 
