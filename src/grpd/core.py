@@ -11,6 +11,10 @@ Conventions used throughout the package:
 
 All values are immutable after validation and all operations are pure;
 derived data (hom sets, connected components) is cached on first use.
+A groupoid built by :func:`tabulate` (the discrete, pair and point
+groupoids, Pair(m) x K, every homotopy pullback and cocylinder, and
+inflation) stores no ``comp`` entry: its ``comp`` is a read-only
+:class:`Composite` that composes the arrows' parts when it is read.
 
 The cocylinder [I, G] is the degree-1 homotopy pullback of G -> G <- G
 along the identity twice, so :func:`cocylinder` calls the pullback
@@ -19,6 +23,7 @@ builder in :mod:`grpd.homotopy` rather than building squares itself.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
@@ -77,7 +82,7 @@ class FinGroupoid:
     arrows: tuple[str, ...]
     src: dict[str, str]
     tgt: dict[str, str]
-    comp: dict[tuple[str, str], str]
+    comp: Mapping[tuple[str, str], str]
     unit: dict[str, str]
     inv: dict[str, str]
 
@@ -319,16 +324,32 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
     #                = lam(c.(b.a)),
     # and both sides share their ends, so by (i) they are equal.  A
     # groupoid passes all three, so failing one proves a triple fails.
-    # (ii) rides on the shape sweep.  Both run before the table is known
-    # to be total, so a missing entry or id raises KeyError; then the
-    # checks below name the fault.  lam is keyed by the arrows, so reading
-    # it also checks that p, q and r are arrows.
+    # (ii) rides on the shape sweep, one read of each comp entry (a
+    # computed table composes on every read), over labels: an arrow a is
+    # (src a, tgt a, row of lam(a) in its base point's isotropy table,
+    # index of lam(a) there), so lam(r) == lam(p).lam(q) is
+    # ir == row_p[iq]; p and q share a component once sp == tq.  Labels
+    # are keyed by the arrows, so reading them also checks that p, q and r
+    # are arrows.  Both run before the table is known to be total, so a
+    # missing entry or id, or a lam(a) that is no loop at the base point
+    # of a's component, raises KeyError; then the checks below name the
+    # fault.
     try:
-        lam = g.tree_loop
-        labelled = all(
-            src[p] == tgt[q] and src[r] == src[q] and tgt[r] == tgt[p]
-            and lam[r] == comp[lam[p], lam[q]]
-            for (p, q), r in comp.items())
+        lam, label = g.tree_loop, {}
+        for block in g.components:
+            loops, table = g.isotropy(block[0])
+            at = {s: (row, i) for i, (s, row) in enumerate(zip(loops, table))}
+            for x in block:
+                for a in g.arrows_from[x]:
+                    label[a] = (x, tgt[a], *at[lam[a]])
+        labelled = True
+        for (p, q), r in comp.items():
+            sp, tp, row_p, _ = label[p]
+            sq, tq, _, iq = label[q]
+            sr, tr, _, ir = label[r]
+            if sp != tq or sr != sq or tr != tp or ir != row_p[iq]:
+                labelled = False
+                break
     except KeyError:
         labelled = False
     if not labelled:
@@ -376,7 +397,7 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
     # (i) by counting, then (iii) on each base point's isotropy table over
     # the loops among g.generators there: generators lists loops until
     # their span is the whole table
-    if (labelled and len({(src[a], tgt[a], lam[a]) for a in g.arrows})
+    if (labelled and len({(s, t, i) for s, t, _, i in label.values()})
             == len(arrows)):
         gens_from = index_arrows(g.generators, src)
         if all(_light_at(g, block[0], gens_from.get(block[0], ()))
@@ -439,6 +460,72 @@ def id_part(s: str, sep: str) -> str:
     return s
 
 
+class Composite(Mapping):
+    """The ``comp`` of a :func:`tabulate` groupoid, computed when read from
+    the arrows' parts and the ``compose`` it was built with; no entry is
+    stored.  ``comp[q, a]`` ("a then q") is defined exactly when
+    ``src[q] == tgt[a]``, as in a dict, and costs one ``compose`` call on
+    one part.  ``items()`` calls ``compose`` once per arrow, in arrow
+    order, and yields the entries in the order of a dict filled row by
+    row; ``len`` is counted once, when the table is made.  So a reader
+    that needs every entry should read ``items()`` once."""
+
+    __slots__ = ("_parts", "_src", "_tgt", "_out_parts", "_out_ids",
+                 "_compose", "_len")
+
+    def __init__(self, arrows: dict, src, tgt, compose):
+        self._parts = {a: p for p, a in arrows.items()}
+        self._src, self._tgt, self._compose = src, tgt, compose
+        # the parts and ids of the arrows out of each object, in arrow order
+        self._out_parts, self._out_ids = {}, {}
+        for p, a in arrows.items():
+            self._out_parts.setdefault(src[a], []).append(p)
+            self._out_ids.setdefault(src[a], []).append(a)
+        self._len = sum(len(self._out_ids.get(tgt[a], ()))
+                        for a in self._parts)
+
+    def __contains__(self, key):
+        try:
+            q, a = key
+            return self._src[q] == self._tgt[a]
+        except (KeyError, TypeError, ValueError):
+            return False
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        q, a = key
+        return self._compose(self._parts[a], [self._parts[q]])[0]
+
+    def __iter__(self):
+        out_ids, tgt = self._out_ids, self._tgt
+        for a in self._parts:
+            yield from zip(out_ids.get(tgt[a], ()), repeat(a))
+
+    def __len__(self):
+        return self._len
+
+    def items(self):
+        return _CompositeItems(self)
+
+    def _rows(self):
+        out_parts, out_ids = self._out_parts, self._out_ids
+        tgt, compose = self._tgt, self._compose
+        for a, p in self._parts.items():
+            y = tgt[a]
+            yield from zip(zip(out_ids.get(y, ()), repeat(a)),
+                           compose(p, out_parts.get(y, ())))
+
+
+class _CompositeItems(ItemsView):
+    """``Composite.items()``: one ``compose`` call per row, not per entry."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._rows()
+
+
 def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
              inv) -> FinGroupoid:
     """The groupoid presented by structured arrows.
@@ -446,25 +533,20 @@ def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
     ``arrows`` maps each arrow's parts (a tuple, or any hashable) to its
     id, in arrow order; ``ends(p)`` gives the source and target object ids
     of the arrow with parts ``p``; ``unit(x)`` and ``inv(p)`` give parts.
-    ``compose(p, qs)`` is called once per arrow, with ``qs`` the parts of
-    the arrows that leave p's target, in arrow order, and returns the id
-    of "p then q" for each q: one row of ``comp``, filled in one update.
+    ``compose(p, qs)``, with ``qs`` parts of arrows that leave p's target,
+    returns the id of "p then q" for each q.  It is not called here: the
+    groupoid's ``comp`` is a :class:`Composite`, which calls it with all
+    the arrows leaving p's target, in arrow order, for a row of
+    ``comp.items()``, and with one part for a lookup.  ``compose`` is
+    kept, so nothing it reads may change afterwards.
     """
-    src, tgt, out_parts, out_ids = {}, {}, {}, {}
+    src, tgt = {}, {}
     for p, a in arrows.items():
-        x, y = ends(p)
-        src[a], tgt[a] = x, y
-        out_parts.setdefault(x, []).append(p)
-        out_ids.setdefault(x, []).append(a)
-    comp = {}
-    for p, a in arrows.items():
-        y = tgt[a]
-        comp.update(zip(zip(out_ids.get(y, ()), repeat(a)),
-                        compose(p, out_parts.get(y, ()))))
+        src[a], tgt[a] = ends(p)
     objects = tuple(objects)
     return FinGroupoid(
         name=name, objects=objects, arrows=tuple(arrows.values()),
-        src=src, tgt=tgt, comp=comp,
+        src=src, tgt=tgt, comp=Composite(arrows, src, tgt, compose),
         unit={x: arrows[unit(x)] for x in objects},
         inv={a: arrows[inv(p)] for p, a in arrows.items()})
 

@@ -1,9 +1,10 @@
 from collections import deque
-from itertools import product
+from itertools import product, repeat
 
 import pytest
 
-from grpd import groups
+from grpd import complexity, core, groups, homotopy
+from grpd import corpus as corpus_module
 from grpd.bibundle import Bibundle, LeftAction, RightAction
 from grpd.core import FinGroupoid, StrictArrow, transport, validate_groupoid
 from grpd.corpus import CorpusConfig, corpus_groupoids
@@ -292,3 +293,42 @@ def _doubled_hom_sets() -> FinGroupoid:
 @pytest.fixture(scope="session")
 def doubled_hom_sets():
     return _doubled_hom_sets()
+
+
+def _eager_tabulate(name: str, objects, arrows: dict, ends, compose, unit,
+                    inv) -> FinGroupoid:
+    """``core.tabulate`` as it was while it stored ``comp``: every row
+    composed once, as it is built, into a dict.  An oracle for the
+    computed ``core.Composite``."""
+    src, tgt, out_parts, out_ids = {}, {}, {}, {}
+    for p, a in arrows.items():
+        x, y = ends(p)
+        src[a], tgt[a] = x, y
+        out_parts.setdefault(x, []).append(p)
+        out_ids.setdefault(x, []).append(a)
+    comp = {}
+    for p, a in arrows.items():
+        y = tgt[a]
+        comp.update(zip(zip(out_ids.get(y, ()), repeat(a)),
+                        compose(p, out_parts.get(y, ()))))
+    objects = tuple(objects)
+    return FinGroupoid(
+        name=name, objects=objects, arrows=tuple(arrows.values()),
+        src=src, tgt=tgt, comp=comp,
+        unit={x: arrows[unit(x)] for x in objects},
+        inv={a: arrows[inv(p)] for p, a in arrows.items()})
+
+
+def _eagerly(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` with every builder module's ``tabulate``
+    swapped for the eager oracle, so each groupoid it tabulates (factors
+    of a pullback too) holds its ``comp`` as a dict."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (core, complexity, corpus_module, homotopy):
+            patch.setattr(module, "tabulate", _eager_tabulate)
+        return build(*args, **kwargs)
+
+
+@pytest.fixture(scope="session")
+def eagerly():
+    return _eagerly

@@ -178,6 +178,39 @@ def test_a_broken_isotropy_group_fails_check_iii_only():
         assert_non_associative(g)
 
 
+def two_components():
+    """Pair({1, 2}) x Z3 beside Z2 at 3: base points 1 and 3, tree[2] =
+    1>2:0, lam(x>y:k) = 1>1:k on the first component."""
+    return validate_groupoid(disjoint_union("two", [
+        transitive_groupoid("a", ["1", "2"], groups.cyclic(3)),
+        transitive_groupoid("b", ["3"], groups.cyclic(2))]))
+
+
+@pytest.mark.parametrize("key, value, error, witness", [
+    # sp == tq alone: a non-composable pair, valued with the pair's ends
+    # and loop
+    (("2>2:0", "1>1:0"), "1>2:0", PartialComposition, ("2>2:0", "1>1:0")),
+    # sr == sq alone: 1>2:2 moved to the loop 2>2:2, read by no tree loop
+    (("2>2:1", "1>2:1"), "2>2:2", PartialComposition, ("2>2:1", "1>2:1")),
+    # tr == tp alone
+    (("2>2:1", "1>2:1"), "1>1:2", PartialComposition, ("2>2:1", "1>2:1")),
+    # ir == row_p[iq] alone: the right ends, the wrong loop
+    (("2>2:1", "1>2:1"), "1>2:0", NonAssociative,
+     ("2>2:1", "1>2:0", "1>1:1")),
+    # lam(1>2:1) = 2>1:0 . 1>2:1 lands on the loop 3>3:1 at the other
+    # base point, so labelling raises KeyError
+    (("2>1:0", "1>2:1"), "3>3:1", PartialComposition, ("2>1:0", "1>2:1")),
+])
+def test_each_label_condition_fails_on_its_own_entry(key, value, error,
+                                                     witness):
+    g = two_components()
+    assert g.comp.get(key) != value
+    bad = dataclasses.replace(g, comp={**g.comp, key: value})
+    with pytest.raises(error) as err:
+        validate_groupoid(bad)
+    assert err.value.witness == witness
+
+
 def test_generators_hold_no_unit_and_reach_every_arrow(corpus):
     cases = [*corpus, interval_groupoid(), pair_groupoid("p3", "123"),
              transitive_groupoid("p3s3", ["1", "2", "3"],

@@ -2,19 +2,27 @@
 copies of the loop-per-builder versions they replaced: the same ids in
 the same order, the same tables and functors, the same serialized text.
 The cocylinder, now the pullback of the identity cospan, is compared
-through the isomorphism between the two id formats."""
+through the isomorphism between the two id formats.  Each computed
+``comp`` is compared with the eager ``tabulate`` that stored it (the
+``eagerly`` fixture)."""
 
+import dataclasses
 import random
+import sys
+import tracemalloc
+from itertools import islice
 
 import pytest
 
 from grpd import groups
+from grpd.cli import run
 from grpd.complexity import point_groupoid
-from grpd.core import (FinGroupoid, StrictArrow, NatTrans, cocylinder,
-                       compose_functors, discrete_groupoid, identity_functor,
-                       pair_groupoid, tabulate, validate_groupoid, whisker)
+from grpd.core import (Composite, FinGroupoid, StrictArrow, NatTrans,
+                       cocylinder, compose_functors, discrete_groupoid,
+                       identity_functor, pair_groupoid, tabulate,
+                       validate_groupoid, whisker)
 from grpd.corpus import inflate, transitive_groupoid
-from grpd.formats import serialize_groupoid
+from grpd.formats import parse_document, serialize_functor, serialize_groupoid
 from grpd.homotopy import Cospan, PullbackResult, _p1, homotopy_pullback
 
 # ---------------------------------------------------------------------------
@@ -290,8 +298,10 @@ def test_tabulate_builds_a_valid_groupoid_from_parts():
 
 
 def test_tabulate_composes_once_per_arrow_over_the_arrows_out_of_its_target():
-    # Pair({a, b}) x Z2 with arrows listed out of sorted order: each call's
-    # qs are the parts leaving p's target, in arrow order
+    # Pair({a, b}) x Z2 with arrows listed out of sorted order: building
+    # composes nothing; one pass over comp.items() composes once per arrow,
+    # in arrow order, each call's qs the parts leaving p's target in arrow
+    # order; one lookup is one call on one part
     parts = [(x, y, k) for k in (1, 0) for y in "ba" for x in "ab"]
     arrows = {p: "".join(map(str, p)) for p in parts}
     calls = []
@@ -303,13 +313,24 @@ def test_tabulate_composes_once_per_arrow_over_the_arrows_out_of_its_target():
     g = tabulate("P2xZ2", ("a", "b"), arrows, ends=lambda p: p[:2],
                  compose=compose, unit=lambda x: (x, x, 0),
                  inv=lambda p: (p[1], p[0], p[2]))
-    validate_groupoid(g)
+    assert calls == []
+    entries = list(g.comp.items())
     assert [p for p, _ in calls] == parts
     for p, qs in calls:
         assert qs == [q for q in parts if q[0] == p[1]]
-    # the rows go into comp in the same order: p in arrow order, then q
-    assert list(g.comp) == [(arrows[q], arrows[p]) for p, qs in calls
-                            for q in qs]
+    # the rows come in the same order: p in arrow order, then q; the keys
+    # alone compose nothing
+    assert [k for k, _ in entries] == [(arrows[q], arrows[p])
+                                       for p, qs in calls for q in qs]
+    del calls[:]
+    assert list(g.comp) == [k for k, _ in entries]
+    assert len(g.comp) == len(entries) == 32 and calls == []
+    for (q, p), r in entries[:5]:
+        del calls[:]
+        assert g.comp[q, p] == r
+        assert calls == [(parts[g.arrows.index(p)],
+                          [parts[g.arrows.index(q)]])]
+    validate_groupoid(g)
 
 
 def test_small_builders_match_the_loop_versions():
@@ -427,3 +448,92 @@ def test_p2_matches_the_loop_version(tiny, blocks, random_functor):
             cells=(outer.cells[0],) + tuple(whisker(t, outer.pr2)
                                             for t in inner.cells),
             degree=2))
+
+
+# ---------------------------------------------------------------------------
+# the computed comp against the eager oracle (tests/conftest.py)
+
+# Pair(2) with ids over {a, !}, as in the CLI's pullback probe
+BANG = {"1": "a!!", "2": "a!", "1>1": "!aa!", "1>2": "aa", "2>1": "a!!!",
+        "2>2": "!aa"}
+HOSTILE = ["a", "a!", "a!!", "x>y", "\\", "a\\>", "(a!b)", "[a:b]@c"]
+
+
+def _oracle_case(case, relabel):
+    """A builder that tabulates and its arguments, on hostile ids."""
+    bang = relabel(pair_groupoid("P2", "12"), BANG, "bang")
+    block = transitive_groupoid("z2", HOSTILE[:2], groups.cyclic(2))
+    ident = Cospan(identity_functor(bang), identity_functor(bang))
+    return {
+        "discrete": (discrete_groupoid, ("d", HOSTILE)),
+        "pair": (pair_groupoid, ("p", HOSTILE)),
+        "point": (point_groupoid, ("S3", dict(groups.small_groups(6))["S3"],
+                                   HOSTILE[:6])),
+        "transitive": (transitive_groupoid,
+                       ("t", HOSTILE[3:6], groups.cyclic(3))),
+        "cocylinder": (lambda g: cocylinder(g).groupoid, (block,)),
+        "P1": (lambda c: _p1(c).groupoid, (ident,)),
+        "P2": (lambda c: homotopy_pullback(c, 2).groupoid, (ident,)),
+        "inflate": (lambda g: inflate(g, {"a!!": 2, "a!": 3})[0], (bang,)),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["discrete", "pair", "point", "transitive",
+                                  "cocylinder", "P1", "P2", "inflate"])
+def test_computed_comp_matches_the_eager_oracle(case, relabel, eagerly):
+    build, args = _oracle_case(case, relabel)
+    new, old = build(*args), eagerly(build, *args)
+    assert isinstance(new.comp, Composite) and type(old.comp) is dict
+    assert list(new.comp.items()) == list(old.comp.items())
+    assert list(new.comp) == list(old.comp)
+    assert len(new.comp) == len(old.comp)
+    assert all(new.comp[k] == r for k, r in old.comp.items())
+    # what the dict refuses, the computed table refuses: reversed pairs
+    # that compose one way only, pairs that do not compose, unknown ids
+    arrows, src, tgt = new.arrows, new.src, new.tgt
+    reverse = list(islice(((a, q) for q, a in old.comp
+                           if (a, q) not in old.comp), 20))
+    apart = list(islice(((q, a) for q in arrows for a in arrows
+                         if src[q] != tgt[a]), 20))
+    unknown = [("ghost", arrows[0]), (arrows[0], "ghost"), "ghost",
+               (arrows[0],), (arrows[0],) * 3]
+    assert bool(apart) == (len(new.objects) > 1)
+    assert bool(reverse) == any(src[a] != tgt[a] for a in arrows)
+    for key in reverse + apart + unknown:
+        assert key not in new.comp and key not in old.comp
+        assert new.comp.get(key) is None
+        with pytest.raises(KeyError):
+            new.comp[key]
+    parsed = parse_document(serialize_groupoid(new)).groupoids[new.name]
+    assert new.equal_presentation(parsed) and parsed.equal_presentation(new)
+    assert new.equal_presentation(old)
+    validate_groupoid(new)
+
+
+def test_p2_holds_less_than_the_eager_table(eagerly, tmp_path, capsys):
+    """construct's pullback2 shape, Pair(2) x Z2 against itself: building
+    P_2 peaks below the eager table alone, and ``grpd pullback --n 2``
+    prints the same text and JSON as with the eager table."""
+    g = validate_groupoid(
+        transitive_groupoid("s0_5", ["s0_5o0", "s0_5o1"], groups.cyclic(2)))
+    legs = [dataclasses.replace(identity_functor(g), name=n) for n in "LR"]
+    cospan = Cospan(*legs)
+    tracemalloc.start()
+    try:
+        grp = homotopy_pullback(cospan, 2).groupoid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = eagerly(homotopy_pullback, cospan, 2).groupoid.comp
+    assert len(grp.comp) == len(table) == 2**9 * 2**8
+    assert peak < sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+    path = tmp_path / "p2.grpd"
+    path.write_text(serialize_groupoid(g) + "".join(map(serialize_functor,
+                                                        legs)))
+    outputs = []
+    for build in (run, lambda argv: eagerly(run, argv)):
+        for argv in (["pullback", "--n", "2", str(path)],
+                     ["--json", "pullback", "--n", "2", str(path)]):
+            outputs.append((build(argv), *capsys.readouterr()))
+    assert outputs[0] == (0, "P_2: 32 objects, 2048 arrows\n", "")
+    assert outputs[:2] == outputs[2:]
