@@ -465,10 +465,12 @@ class Composite(Mapping):
     the arrows' parts and the ``compose`` it was built with; no entry is
     stored.  ``comp[q, a]`` ("a then q") is defined exactly when
     ``src[q] == tgt[a]``, as in a dict, and costs one ``compose`` call on
-    one part.  ``items()`` calls ``compose`` once per arrow, in arrow
-    order, and yields the entries in the order of a dict filled row by
-    row; ``len`` is counted once, when the table is made.  So a reader
-    that needs every entry should read ``items()`` once."""
+    one part.  Two bulk reads make the same ``compose`` calls, once per
+    arrow: ``items()`` reads by row, in arrow order, and yields the
+    entries in the order of a dict filled row by row; :meth:`blocks`
+    reads by target, one object at a time.  ``len`` is counted once, when
+    the table is made.  So a reader that needs every entry should read
+    one of them once."""
 
     __slots__ = ("_parts", "_src", "_tgt", "_out_parts", "_out_ids",
                  "_compose", "_len")
@@ -508,6 +510,22 @@ class Composite(Mapping):
     def items(self):
         return _CompositeItems(self)
 
+    def blocks(self):
+        """For each object y that an arrow enters: the arrows into y, in
+        arrow order; the arrows out of y, in arrow order; and for each
+        arrow a into y, the row ``compose(a's part, parts out of y)``, so
+        that ``rows[i][j] == self[outs[j], ins[i]]``.  These are the calls
+        of ``items()``, grouped by target."""
+        parts, out_parts, out_ids = self._parts, self._out_parts, self._out_ids
+        tgt, compose = self._tgt, self._compose
+        ins = {}
+        for a in parts:
+            ins.setdefault(tgt[a], []).append(a)
+        for y, into in ins.items():
+            qs = out_parts.get(y, ())
+            yield into, out_ids.get(y, ()), [compose(parts[a], qs)
+                                             for a in into]
+
     def _rows(self):
         out_parts, out_ids = self._out_parts, self._out_ids
         tgt, compose = self._tgt, self._compose
@@ -536,9 +554,10 @@ def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
     ``compose(p, qs)``, with ``qs`` parts of arrows that leave p's target,
     returns the id of "p then q" for each q.  It is not called here: the
     groupoid's ``comp`` is a :class:`Composite`, which calls it with all
-    the arrows leaving p's target, in arrow order, for a row of
-    ``comp.items()``, and with one part for a lookup.  ``compose`` is
-    kept, so nothing it reads may change afterwards.
+    the arrows leaving p's target, in arrow order, once per arrow in
+    either bulk read (``comp.items()`` by row, ``comp.blocks()`` by
+    target), and with one part for a lookup.  ``compose`` is kept, so
+    nothing it reads may change afterwards.
     """
     src, tgt = {}, {}
     for p, a in arrows.items():

@@ -16,9 +16,10 @@ when a ParseError reports it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .bibundle import Bibundle, LeftAction, RightAction
-from .core import FinGroupoid, StrictArrow, index_arrows
+from .core import Composite, FinGroupoid, StrictArrow, index_arrows
 from .descent import Bundle, Cover, CoverPiece, DescentDatum
 
 
@@ -534,7 +535,8 @@ def _sorted_rows(table, outer, inner, head, mid, unique) -> list[str]:
     """The lines ``f"{head}{x} {y}{mid}{table[x, y]}\\n"`` for the keys of
     ``table`` in sorted order, joined into one row per x: every line of
     one x in one string, so a big table is never held as one string per
-    entry.
+    entry.  This is the path of stored tables (dicts) and bibundle
+    actions; a computed ``comp`` is read by :func:`_composite_rows`.
 
     The keys are expected to be the pairs (x, y) with x in sorted ``outer``
     and y in ``inner(x)``, which lists them sorted; walking those pairs
@@ -565,7 +567,35 @@ def _sorted_rows(table, outer, inner, head, mid, unique) -> list[str]:
                      for x, y in sorted(table)])]
 
 
+def _composite_rows(comp: Composite) -> list[str] | None:
+    """The rows that :func:`_sorted_rows` would write for a computed
+    ``comp``, one string per arrow p (every line ``comp p q = r``), read
+    one object y at a time from ``comp.blocks()``: the block's rows, one
+    per arrow q into y and sorted by q, are transposed into one column
+    per arrow p out of y, and each column is joined into p's row.  The
+    keys written are the table's own, so they come in sorted order by
+    construction.  None when a block lists an arrow out of y twice (an id
+    that names two arrows, both filed under its one source): the caller
+    then falls back to the walk."""
+    texts, count = {}, 0
+    for ins, outs, rows in comp.blocks():
+        ins, rows = zip(*sorted(zip(ins, rows)))
+        mids = [q + " = " for q in ins]
+        for p, col in zip(outs, zip(*rows)):
+            h = "comp " + p + " "
+            texts[p] = h + ("\n" + h).join(map(add, mids, col)) + "\n"
+        count += len(outs)
+        if len(texts) != count:
+            return None
+    return [texts[p] for p in sorted(texts)]
+
+
 def serialize_groupoid(g: FinGroupoid) -> str:
+    """The groupoid's block: its objects, then one line per arrow, unit,
+    inverse and ``comp`` entry, the ``comp`` lines in sorted key order.
+    A computed ``comp`` (a :class:`~grpd.core.Composite`) is written by
+    :func:`_composite_rows`, one object at a time; a stored one, or one
+    whose ids repeat, by :func:`_sorted_rows`."""
     lines = [f"groupoid {g.name}"]
     lines.append("objects: " + " ".join(g.objects))
     for a in g.arrows:
@@ -574,10 +604,13 @@ def serialize_groupoid(g: FinGroupoid) -> str:
         lines.append(f"id {x} = {g.unit[x]}")
     for a in g.arrows:
         lines.append(f"inv {a} = {g.inv[a]}")
-    # the composable pairs (p, q) are the q into src(p)
-    rows = _sorted_rows(
-        g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]], "comp ", " = ",
-        [g.arrows])
+    rows = (_composite_rows(g.comp) if isinstance(g.comp, Composite)
+            else None)
+    if rows is None:
+        # the composable pairs (p, q) are the q into src(p)
+        rows = _sorted_rows(
+            g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]], "comp ",
+            " = ", [g.arrows])
     return "".join(["\n".join(lines) + "\n", *rows])
 
 

@@ -5,18 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from grpd import groups
+from grpd import core, groups, homotopy
 from grpd.complexity import point_groupoid
-from grpd.core import (BadInverse, PartialComposition, cocylinder,
-                       identity_functor, pair_groupoid, validate_functor,
-                       validate_groupoid)
+from grpd.core import (BadInverse, Composite, PartialComposition, cocylinder,
+                       identity_functor, pair_groupoid, tabulate,
+                       validate_functor, validate_groupoid)
 from grpd.bibundle import (functor_to_bibundle, tensor, unit_bibundle,
                            validate_bibundle)
 from grpd.homotopy import Cospan, homotopy_pullback
 from grpd.corpus import (CorpusConfig, corpus_groupoids, random_datum,
                          transitive_groupoid)
-from grpd.formats import (Document, ParseError, parse_document,
-                          serialize_bibundle, serialize_bundle,
+from grpd.formats import (Document, ParseError, _composite_rows,
+                          parse_document, serialize_bibundle, serialize_bundle,
                           serialize_cover, serialize_datum,
                           serialize_functor, serialize_groupoid)
 
@@ -239,6 +239,46 @@ def test_serializers_match_the_sort_based_copies(corpus, transpose,
         assert serialize_bibundle(b) == sorted_serialize_bibundle(b), b.name
 
 
+def _p2_shape():
+    """construct's pullback2 shape: P_2 of Pair(2) x Z2 against itself,
+    131,072 computed comp entries."""
+    g = transitive_groupoid("s0_5", ["s0_5o0", "s0_5o1"], groups.cyclic(2))
+    ident = identity_functor(g)
+    return homotopy_pullback(Cospan(ident, ident), 2).groupoid
+
+
+HOSTILE = ["a!", "x>y", "\\", "(a!b)"]
+
+
+def _computed_case(case):
+    if case == "hostile":
+        # ids whose sorted order is not their arrow order
+        g = transitive_groupoid("t", HOSTILE, groups.cyclic(2))
+        ident = identity_functor(pair_groupoid("p", HOSTILE[:2]))
+        return [pair_groupoid("p", HOSTILE), g, cocylinder(g).groupoid,
+                homotopy_pullback(Cospan(ident, ident), 1).groupoid]
+    if case == "repeated":
+        # Pair({a, b}) whose two units share the id u: the block of b
+        # lists u twice, so the serializer falls back to the sorted keys
+        arrows = {(x, y): "u" if x == y else f"{x}>{y}"
+                  for x in "ab" for y in "ab"}
+        return [tabulate(
+            "twice", "ab", arrows, ends=lambda p: p,
+            compose=lambda p, qs: [arrows[p[0], q[1]] for q in qs],
+            unit=lambda x: (x, x), inv=lambda p: p[::-1])]
+    return [_p2_shape()]
+
+
+@pytest.mark.parametrize("case", ["hostile", "repeated", "P2"])
+def test_serializers_match_the_sort_based_copies_on_computed_tables(case):
+    for g in _computed_case(case):
+        assert isinstance(g.comp, Composite)
+        assert (_composite_rows(g.comp) is None) == (case == "repeated")
+        if case == "hostile":
+            assert list(g.comp) != sorted(g.comp), g.name
+        assert serialize_groupoid(g) == sorted_serialize_groupoid(g), g.name
+
+
 class CountingDict(dict):
     """A table that counts its keyed reads."""
 
@@ -249,14 +289,38 @@ class CountingDict(dict):
         return super().__getitem__(key)
 
 
-def test_serializers_read_each_valid_table_without_keyed_lookups():
+def test_serializers_read_each_valid_table_without_keyed_lookups(
+        monkeypatch):
     g = transitive_groupoid("g", ["a", "b"], groups.cyclic(2))
     ident = identity_functor(g)
     pullback = homotopy_pullback(Cospan(ident, ident), 1).groupoid
+    text = serialize_groupoid(pullback)
     comp = CountingDict(pullback.comp)
     counted = dataclasses.replace(pullback, comp=comp)
-    assert serialize_groupoid(counted) == serialize_groupoid(pullback)
+    assert serialize_groupoid(counted) == text
     assert comp.reads == 0
+    # the same P1, computed: one compose call per arrow, no keyed read
+    calls, reads = [], []
+
+    def counting_tabulate(*args, compose, **kwargs):
+        def counted(p, qs):
+            calls.append(p)
+            return compose(p, qs)
+        return core.tabulate(*args, compose=counted, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homotopy, "tabulate", counting_tabulate)
+        computed = homotopy_pullback(Cospan(ident, ident), 1).groupoid
+    lookup = Composite.__getitem__
+
+    def counting_lookup(self, key):
+        reads.append(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(Composite, "__getitem__", counting_lookup)
+    del calls[:]
+    assert serialize_groupoid(computed) == text
+    assert len(calls) == len(computed.arrows) == 128 and reads == []
     unit = unit_bibundle(g)
     left = CountingDict(unit.left.act)
     right = CountingDict(unit.right.act)
@@ -277,7 +341,10 @@ def test_serializers_peak_at_most_two_and_a_half_times_their_output():
     assert len(pullback.comp) == 2048
     unit = unit_bibundle(transitive_groupoid("k", ["1", "2", "3"],
                                              groups.dihedral(3)))
+    # construct's P_2 shape, written one object at a time, peaks at 2.03x
+    # its text; a path that held the table's lines at once would not fit
     for serialize, x in ((serialize_groupoid, pullback),
+                         (serialize_groupoid, _p2_shape()),
                          (serialize_bibundle, tensor(unit, unit))):
         serialize(x)  # build the cached sorted arrow lists first
         tracemalloc.start()

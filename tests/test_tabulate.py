@@ -333,6 +333,49 @@ def test_tabulate_composes_once_per_arrow_over_the_arrows_out_of_its_target():
     validate_groupoid(g)
 
 
+def test_blocks_make_the_calls_of_items_grouped_by_target(monkeypatch):
+    # the same Pair({a, b}) x Z2: making comp.blocks() composes nothing;
+    # reading it composes once per arrow, with the parts leaving that
+    # arrow's target (the calls of items()), grouped by target, and
+    # looks no entry up
+    parts = [(x, y, k) for k in (1, 0) for y in "ba" for x in "ab"]
+    arrows = {p: "".join(map(str, p)) for p in parts}
+    calls = []
+
+    def compose(p, qs):
+        calls.append((p, list(qs)))
+        return [arrows[p[0], q[1], (p[2] + q[2]) % 2] for q in qs]
+
+    g = tabulate("P2xZ2", ("a", "b"), arrows, ends=lambda p: p[:2],
+                 compose=compose, unit=lambda x: (x, x, 0),
+                 inv=lambda p: (p[1], p[0], p[2]))
+    entries = dict(g.comp.items())
+    by_row = calls[:]
+    del calls[:]
+
+    def lookup(self, key):
+        raise AssertionError(f"keyed read of {key!r}")
+
+    monkeypatch.setattr(Composite, "__getitem__", lookup)
+    blocks = g.comp.blocks()
+    assert calls == []
+    blocks = list(blocks)
+    assert sorted(calls) == sorted(by_row) and len(calls) == len(parts)
+    part = dict(zip(g.arrows, parts))
+    grouped = []
+    for ins, outs, rows in blocks:
+        (y,) = {g.tgt[a] for a in ins}
+        assert list(ins) == [a for a in g.arrows if g.tgt[a] == y]
+        assert list(outs) == [a for a in g.arrows if g.src[a] == y]
+        qs = [part[q] for q in outs]
+        grouped += [(part[a], qs) for a in ins]
+        assert [list(r) for r in rows] == [[entries[q, a] for q in outs]
+                                           for a in ins]
+    assert calls == grouped
+    assert sum(len(ins) * len(outs) for ins, outs, _ in blocks) \
+        == len(entries) == 32
+
+
 def test_small_builders_match_the_loop_versions():
     for objects in ((), ("a",), ("b", "a", "c"), ("1", "2", "3", "4")):
         assert_same(discrete_groupoid("d", objects),
