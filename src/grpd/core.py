@@ -27,6 +27,7 @@ from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
+from operator import itemgetter
 
 
 class GroupoidError(Exception):
@@ -143,11 +144,13 @@ class FinGroupoid:
             queue = [block[0]]
             tree[block[0]] = self.unit[block[0]]
             for x in queue:
+                first: dict[str, str] = {}  # new object -> first arrow to it
                 for a in self.arrows_from[x]:
-                    y = self.tgt[a]
-                    if y not in tree:
-                        tree[y] = self.comp[(a, tree[x])]
-                        queue.append(y)
+                    if self.tgt[a] not in tree:
+                        first.setdefault(self.tgt[a], a)
+                tree.update(zip(first, comp_row(self.comp, tree[x],
+                                                first.values())))
+                queue += first
         return tree
 
     @cached_property
@@ -158,7 +161,10 @@ class FinGroupoid:
         isomorphism onto Pair(block) x hom(base, base), by Brandt's
         theorem."""
         tree, comp, inv = self.tree, self.comp, self.inv
-        return {a: comp[inv[tree[self.tgt[a]]], comp[a, tree[self.src[a]]]]
+        inner = {}  # a . tree[x], one row per object x
+        for x, outs in self.arrows_from.items():
+            inner.update(zip(outs, comp_row(comp, tree[x], outs)))
+        return {a: comp[inv[tree[self.tgt[a]]], inner[a]]
                 for a in self.arrows}
 
     def isotropy(self, x: str):
@@ -246,9 +252,11 @@ def _isotropy_table(g: FinGroupoid, x: str):
     """Builds :meth:`FinGroupoid.isotropy` at x."""
     loops = g.hom_set(x, x)
     index = {a: i for i, a in enumerate(loops)}
-    comp = g.comp
-    table = tuple(tuple([index[comp[a, b]] for b in loops]) for a in loops)
-    return loops, table
+    # the row of loop b holds "b then q" = table[q][b] for each loop q:
+    # column b
+    cols = [list(map(index.__getitem__, comp_row(g.comp, b, loops)))
+            for b in loops]
+    return loops, tuple(zip(*cols))
 
 
 def conjugate(g: FinGroupoid, cy: str, m: str, cx: str) -> str:
@@ -288,7 +296,13 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
     error carries the offending id / pair / triple as ``witness``.
     Associativity is decided on each component's isotropy group through
     the cached trivialization :attr:`FinGroupoid.tree_loop`; only a table
-    that fails there is searched for a failing triple.
+    that fails there is searched for a failing triple.  The unit and
+    inverse laws are read off the same labels (see :func:`_laws_on_labels`);
+    the per-arrow checks run only when that fails, to name the failure.  A
+    computed ``comp`` of a valid groupoid is read by rows
+    (:func:`comp_row`) and blocks (:meth:`Composite.blocks`), with one
+    lookup per arrow in ``tree_loop`` and no other; only a table that
+    fails is read entry by entry, to name the failure.
     """
     objects, arrows = set(g.objects), set(g.arrows)
     if len(objects) != len(g.objects):
@@ -324,10 +338,11 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
     #                = lam(c.(b.a)),
     # and both sides share their ends, so by (i) they are equal.  A
     # groupoid passes all three, so failing one proves a triple fails.
-    # (ii) rides on the shape sweep, one read of each comp entry (a
-    # computed table composes on every read), over labels: an arrow a is
-    # (src a, tgt a, row of lam(a) in its base point's isotropy table,
-    # index of lam(a) there), so lam(r) == lam(p).lam(q) is
+    # (ii) rides on the shape sweep, one read of each comp entry (by
+    # items() on a stored table, by blocks() on a computed one), over
+    # labels: an arrow a is (src a, tgt a, row of lam(a) in its base
+    # point's isotropy table, index of lam(a) there), so lam(r) ==
+    # lam(p).lam(q) is
     # ir == row_p[iq]; p and q share a component once sp == tq.  Labels
     # are keyed by the arrows, so reading them also checks that p, q and r
     # are arrows.  Both run before the table is known to be total, so a
@@ -342,14 +357,9 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
             for x in block:
                 for a in g.arrows_from[x]:
                     label[a] = (x, tgt[a], *at[lam[a]])
-        labelled = True
-        for (p, q), r in comp.items():
-            sp, tp, row_p, _ = label[p]
-            sq, tq, _, iq = label[q]
-            sr, tr, _, ir = label[r]
-            if sp != tq or sr != sq or tr != tp or ir != row_p[iq]:
-                labelled = False
-                break
+        labelled = (_labels_multiply_on_blocks(comp, label)
+                    if isinstance(comp, Composite)
+                    else _labels_multiply(comp, label))
     except KeyError:
         labelled = False
     if not labelled:
@@ -383,22 +393,28 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
         u = g.unit[x]
         if g.src[u] != x or g.tgt[u] != x:
             raise BadUnit(f"unit({x!r}) is not a loop at {x!r}", witness=x)
-    for a in g.arrows:
-        if g.comp[(a, g.unit[g.src[a]])] != a or g.comp[(g.unit[g.tgt[a]], a)] != a:
-            raise BadUnit(f"unit is not an identity against arrow {a!r}",
-                          witness=g.src[a])
-    for a in g.arrows:
-        b = g.inv[a]
-        if g.src[b] != g.tgt[a] or g.tgt[b] != g.src[a]:
-            raise BadInverse(f"inv({a!r}) has wrong endpoints", witness=a)
-        if (g.comp[(b, a)] != g.unit[g.src[a]]
-                or g.comp[(a, b)] != g.unit[g.tgt[a]]):
-            raise BadInverse(f"inv({a!r}) is not a two-sided inverse", witness=a)
-    # (i) by counting, then (iii) on each base point's isotropy table over
-    # the loops among g.generators there: generators lists loops until
-    # their span is the whole table
-    if (labelled and len({(s, t, i) for s, t, _, i in label.values()})
-            == len(arrows)):
+    # (i) by counting; then the unit and inverse laws off the labels, or,
+    # when that fails, the per-arrow checks name the first failing arrow
+    injective = labelled and len({(s, t, i) for s, t, _, i in
+                                  label.values()}) == len(arrows)
+    if not (injective and _laws_on_labels(g, label)):
+        for a in g.arrows:
+            if (comp[(a, g.unit[src[a]])] != a
+                    or comp[(g.unit[tgt[a]], a)] != a):
+                raise BadUnit(f"unit is not an identity against arrow {a!r}",
+                              witness=src[a])
+        for a in g.arrows:
+            b = g.inv[a]
+            if src[b] != tgt[a] or tgt[b] != src[a]:
+                raise BadInverse(f"inv({a!r}) has wrong endpoints", witness=a)
+            if (comp[(b, a)] != g.unit[src[a]]
+                    or comp[(a, b)] != g.unit[tgt[a]]):
+                raise BadInverse(f"inv({a!r}) is not a two-sided inverse",
+                                 witness=a)
+    # then (iii) on each base point's isotropy table over the loops among
+    # g.generators there: generators lists loops until their span is the
+    # whole table
+    if injective:
         gens_from = index_arrows(g.generators, src)
         if all(_light_at(g, block[0], gens_from.get(block[0], ()))
                for block in g.components):
@@ -433,6 +449,76 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
                         f"associativity fails on ({c!r}, {b!r}, {a!r})",
                         witness=(c, b, a))
     return g
+
+
+def _labels_multiply(comp, label) -> bool:
+    """(ii) of validate_groupoid, one read of each entry of a stored
+    table: whether every (p, q) -> r composes, r keeps q's source and p's
+    target, and lam(r) == lam(p).lam(q)."""
+    for (p, q), r in comp.items():
+        sp, tp, row_p, _ = label[p]
+        sq, tq, _, iq = label[q]
+        sr, tr, _, ir = label[r]
+        if sp != tq or sr != sq or tr != tp or ir != row_p[iq]:
+            return False
+    return True
+
+
+def _labels_multiply_on_blocks(comp: Composite, label) -> bool:
+    """:func:`_labels_multiply` on a computed table, one object y at a
+    time from ``comp.blocks()``: each row r = comp[p, q] of an arrow q
+    into y, against the arrows p out of y (composable by construction),
+    is compared in bulk with the (src, tgt, index) labels
+    (src q, tgt p, row_p[iq]) it must carry."""
+    key = {a: (s, t, i) for a, (s, t, _, i) in label.items()}
+    for ins, outs, rows in comp.blocks():
+        tps = [label[p][1] for p in outs]
+        prows = [label[p][2] for p in outs]
+        for q, row in zip(ins, rows):
+            sq, _, _, iq = label[q]
+            if (list(map(key.__getitem__, row))
+                    != list(zip(repeat(sq), tps, map(itemgetter(iq), prows)))):
+                return False
+    return True
+
+
+def _laws_on_labels(g: FinGroupoid, label) -> bool:
+    """Whether the unit and inverse laws hold, read off injective labels
+    (see validate_groupoid) that passed (ii) on a total table: each base
+    point's isotropy table has a two-sided identity e, the label index of
+    its unit; every unit[x] (a loop at x, checked before) has index e;
+    every inv[a] runs from tgt a to src a and has an index j with
+    table[j][i_a] == table[i_a][j] == e.
+
+    Each entry's label is fixed by (ii): (q, p) -> r carries (src p,
+    tgt q, table[i_q][i_p]), and as labels are injective, that label
+    fixes r.  So for a: x -> y, the entry (a, unit[x]) carries (x, y,
+    table[i_a][e]) = (x, y, i_a), the label of a, and is a; likewise
+    (unit[y], a) by the identity row; (inv a, a) carries (x, x,
+    table[j][i_a]) = (x, x, e), the label of unit[x], and is unit[x]; and
+    likewise (a, inv a) is unit[y].  Conversely, once the laws hold,
+    units and inverses are found in every entry above: the loops at a
+    base point b carry every index of its table, so the unit laws there
+    make e = i_unit[b] a two-sided identity; lam(unit[x]) = tree[x]^-1 .
+    tree[x] = unit[b] has index e; and the inverse laws give the two
+    products of j and i_a as e.  So False only when a law fails, and
+    validate_groupoid's per-arrow checks then name the first failure."""
+    unit, inv = g.unit, g.inv
+    for block in g.components:
+        _, table = g.isotropy(block[0])
+        e = label[unit[block[0]]][3]
+        if (table[e] != tuple(range(len(table)))
+                or any(row[e] != i for i, row in enumerate(table))):
+            return False
+        for x in block:
+            if label[unit[x]][3] != e:
+                return False
+            for a in g.arrows_from[x]:
+                _, y, row_a, i = label[a]
+                sb, tb, row_b, j = label[inv[a]]
+                if sb != y or tb != x or row_b[i] != e or row_a[j] != e:
+                    return False
+    return True
 
 
 def _light_at(g: FinGroupoid, base: str, gens) -> bool:
@@ -470,7 +556,10 @@ class Composite(Mapping):
     entries in the order of a dict filled row by row; :meth:`blocks`
     reads by target, one object at a time.  ``len`` is counted once, when
     the table is made.  So a reader that needs every entry should read
-    one of them once."""
+    one of them once, and a reader that needs several entries "a then q"
+    of one arrow a should read them as one row, :func:`comp_row`, one
+    ``compose`` call; the validators read a computed table only so, but
+    for one lookup per arrow in :attr:`FinGroupoid.tree_loop`."""
 
     __slots__ = ("_parts", "_src", "_tgt", "_out_parts", "_out_ids",
                  "_compose", "_len")
@@ -544,6 +633,22 @@ class _CompositeItems(ItemsView):
         return self._mapping._rows()
 
 
+def comp_row(comp: Mapping, a: str, qs) -> list[str]:
+    """``[comp[q, a] for q in qs]``, "a then q" for each q: plain reads on
+    a stored table, one ``compose`` call on a :class:`Composite`.  A q that
+    does not leave a's target raises ``KeyError``, as its lookup would."""
+    if not isinstance(comp, Composite):
+        return [comp[q, a] for q in qs]
+    qs = list(qs)
+    if not qs:
+        return []
+    # the sentinel comp is no object, so an unknown a takes no q
+    if list(map(comp._src.get, qs)) != [comp._tgt.get(a, comp)] * len(qs):
+        raise KeyError(next((q, a) for q in qs if (q, a) not in comp))
+    parts = comp._parts
+    return list(comp._compose(parts[a], list(map(parts.__getitem__, qs))))
+
+
 def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
              inv) -> FinGroupoid:
     """The groupoid presented by structured arrows.
@@ -606,7 +711,9 @@ def restrict(g: FinGroupoid, objects, name: str | None = None) -> FinGroupoid:
         name=name or f"{g.name}|{{{','.join(objs)}}}",
         objects=objs, arrows=arrs,
         src={a: src[a] for a in arrs}, tgt={a: tgt[a] for a in arrs},
-        comp={k: comp[k] for p in arrs for k in zip(outs[tgt[p]], repeat(p))},
+        comp={k: r for p in arrs
+              for k, r in zip(zip(outs[tgt[p]], repeat(p)),
+                              comp_row(comp, p, outs[tgt[p]]))},
         unit={x: g.unit[x] for x in objs},
         inv={a: g.inv[a] for a in arrs})
 
@@ -683,21 +790,26 @@ def validate_functor(f: StrictArrow) -> StrictArrow:
         if g.src[fa] != f.obj_map[h.src[a]] or g.tgt[fa] != f.obj_map[h.tgt[a]]:
             raise BadFunctor(f"arr_map({a!r}) breaks the src/tgt squares",
                              witness=a)
-    # The arrows b with F(b.a) = F(b).F(a) for every a into src(b) are
-    # closed under composition: for b1, b2 among them with b2.b1 defined,
-    #   F((b2.b1).a) = F(b2.(b1.a)) = F(b2).F(b1.a) = F(b2).F(b1).F(a)
-    #                = F(b2.b1).F(a),
+    # The arrows a with F(b.a) = F(b).F(a) for every b out of tgt(a) are
+    # closed under composition: for a1, a2 among them with a2.a1 defined,
+    #   F(b.(a2.a1)) = F((b.a2).a1) = F(b.a2).F(a1) = F(b).F(a2).F(a1)
+    #                = F(b).F(a2.a1),
     # using associativity in h and g.  Every arrow is an iterated composite
-    # of h.generators and the units, so checking those covers every pair.
-    # Units lie among them because the unit laws were checked first: F(e)
-    # is a unit, so F(e.a) = F(a) = F(e).F(a).  Units are compared first,
-    # the cheapest sign of a bad functor.  Only when either check fails is
-    # every comp entry swept, to report the same first failing pair as a
-    # full sweep would.
+    # of h.generators and the units, so checking those covers every pair,
+    # one row per generator a in h and one in g.  Units lie among them
+    # because the unit laws were checked first: F(e) is a unit, so F(b.e)
+    # = F(b) = F(b).F(e).  Units are compared first, the cheapest sign of
+    # a bad functor.  Only when either check fails is every comp entry
+    # swept, to report the same first failing pair as a full sweep would.
     am, hc, gc = f.arr_map, h.comp, g.comp
+
+    def preserves_row(a):
+        bs = h.arrows_from[h.tgt[a]]
+        return (list(map(am.__getitem__, comp_row(hc, a, bs)))
+                == comp_row(gc, am[a], list(map(am.__getitem__, bs))))
+
     if not (all(am[h.unit[x]] == g.unit[f.obj_map[x]] for x in h.objects)
-            and all(gc[am[b], am[a]] == am[hc[b, a]]
-                    for b in h.generators for a in h.arrows_into[h.src[b]])):
+            and all(map(preserves_row, h.generators))):
         for (p, q), r in hc.items():
             if gc[(am[p], am[q])] != am[r]:
                 raise BadFunctor(

@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 from grpd import groups
 from grpd.complexity import point_groupoid
 from grpd.core import (BadFunctor, BadInverse, BadNatTrans, BadUnit,
+                       Composite,
                        DanglingId, DomainMismatch,
                        FinGroupoid, GroupoidError, NatTrans, NonAssociative,
                        PartialComposition, SignatureMismatch, StrictArrow,
                        are_homotopic,
                        cocylinder, compose_functors, discrete_groupoid,
                        disjoint_union, identity_functor, pair_groupoid,
-                       restrict, validate_functor, validate_groupoid,
-                       validate_nat)
+                       restrict, tabulate, validate_functor,
+                       validate_groupoid, validate_nat)
 from grpd.corpus import random_groupoid, transitive_groupoid
 
 
@@ -186,7 +187,7 @@ def two_components():
         transitive_groupoid("b", ["3"], groups.cyclic(2))]))
 
 
-@pytest.mark.parametrize("key, value, error, witness", [
+LABEL_FAULTS = [
     # sp == tq alone: a non-composable pair, valued with the pair's ends
     # and loop
     (("2>2:0", "1>1:0"), "1>2:0", PartialComposition, ("2>2:0", "1>1:0")),
@@ -200,7 +201,10 @@ def two_components():
     # lam(1>2:1) = 2>1:0 . 1>2:1 lands on the loop 3>3:1 at the other
     # base point, so labelling raises KeyError
     (("2>1:0", "1>2:1"), "3>3:1", PartialComposition, ("2>1:0", "1>2:1")),
-])
+]
+
+
+@pytest.mark.parametrize("key, value, error, witness", LABEL_FAULTS)
 def test_each_label_condition_fails_on_its_own_entry(key, value, error,
                                                      witness):
     g = two_components()
@@ -209,6 +213,104 @@ def test_each_label_condition_fails_on_its_own_entry(key, value, error,
     with pytest.raises(error) as err:
         validate_groupoid(bad)
     assert err.value.witness == witness
+
+
+def tabulated(g, key=None, value=None):
+    """g as a tabulated groupoid, its arrows their own parts, whose
+    ``compose`` reads g.comp but gives ``value`` for the entry ``key``."""
+    def compose(p, qs):
+        return [value if (q, p) == key else g.comp[q, p] for q in qs]
+
+    return tabulate(g.name, g.objects, {a: a for a in g.arrows},
+                    ends=lambda a: (g.src[a], g.tgt[a]), compose=compose,
+                    unit=g.unit.__getitem__, inv=g.inv.__getitem__)
+
+
+# a computed table holds no non-composable pair, so the first fault has
+# no computed copy
+@pytest.mark.parametrize("key, value, error, witness", LABEL_FAULTS[1:])
+def test_each_label_condition_fails_on_a_computed_table(key, value, error,
+                                                        witness):
+    """The blocks() sweep of a computed table raises what the items()
+    sweep raises on the same corruption stored in a dict."""
+    g = tabulated(two_components(), key, value)
+    assert isinstance(g.comp, Composite) and g.comp[key] == value
+    raised = []
+    for table in (g, dataclasses.replace(g, comp=dict(g.comp.items()))):
+        with pytest.raises(error) as err:
+            validate_groupoid(table)
+        raised.append((type(err.value), err.value.witness, str(err.value)))
+    assert raised[0] == raised[1] and raised[0][1] == witness
+
+
+def one_object(comp, unit, inv):
+    """The one-object table on the arrows that ``comp`` names."""
+    arrows = tuple(sorted({a for key in comp for a in key}))
+    at = dict.fromkeys(arrows, "*")
+    return FinGroupoid(name="m", objects=("*",), arrows=arrows, src=at,
+                       tgt=dict(at), comp=comp, unit={"*": unit}, inv=inv)
+
+
+def z3_by(op):
+    """Z3's elements r0, r1, r2 under ``op``, unit r0, each its own
+    inverse."""
+    ids = ("r0", "r1", "r2")
+    return one_object({(ids[p], ids[q]): ids[op(p, q) % 3]
+                       for p in range(3) for q in range(3)},
+                      "r0", {a: a for a in ids})
+
+
+def one_sided_inverses(left):
+    """u, a, c with u the identity and inv a = c, inv c = c: c.a = u (the
+    left inverse law) but a.c = a when ``left``, the other way round
+    otherwise; c.c = u and a.a = c.  The unit is the identity and its own
+    inverse, so lam is the identity and the labels pass (i) and (ii)."""
+    comp = {("a", "a"): "c", ("c", "c"): "u",
+            ("c", "a"): "u" if left else "a",
+            ("a", "c"): "a" if left else "u"}
+    for x in "uac":
+        comp["u", x] = comp[x, "u"] = x
+    return one_object(comp, "u", {"u": "u", "a": "c", "c": "c"})
+
+
+def _replaced(**changes):
+    """two_components() with entries of its comp, unit or inv replaced."""
+    g = two_components()
+    return dataclasses.replace(g, **{name: {**getattr(g, name), **entries}
+                                     for name, entries in changes.items()})
+
+
+# Each fault breaks the unit or inverse laws; the first two leave the
+# labels failing (ii), so the per-arrow checks run; each of the others
+# passes (i) and (ii) and fails one condition of _laws_on_labels alone.
+@pytest.mark.parametrize("make, error, witness", [
+    # one unit entry: unit[2] . 2>2:1 moved to another loop
+    (lambda: _replaced(comp={("2>2:1", "2>2:0"): "2>2:2"}), BadUnit, "2"),
+    # one inverse entry: 1>2:1 then its inverse lands on a non-unit loop
+    (lambda: _replaced(comp={("2>1:2", "1>2:1"): "1>1:1"}), BadInverse,
+     "1>2:1"),
+    # the unit label: unit[2] pointed at another loop, index 1 not 0
+    (lambda: _replaced(unit={"2": "2>2:1"}), BadUnit, "1"),
+    # inv[a] pointed at another arrow with the right ends, whose index
+    # is no inverse of a's
+    (lambda: _replaced(inv={"1>2:1": "2>1:1"}), BadInverse, "1>2:1"),
+    # the inverse label: the right index on an arrow with the wrong ends
+    (lambda: _replaced(inv={"1>2:1": "1>1:2"}), BadInverse, "1>2:1"),
+    # the identity row: p.q = p - q on Z3, r0 a right identity only
+    (lambda: z3_by(lambda p, q: p - q), BadUnit, "*"),
+    # the identity column: p.q = q - p, r0 a left identity only
+    (lambda: z3_by(lambda p, q: q - p), BadUnit, "*"),
+    # each order of the inverse check: inv a . a = u, a . inv a != u
+    (lambda: one_sided_inverses(left=True), BadInverse, "a"),
+    (lambda: one_sided_inverses(left=False), BadInverse, "a"),
+], ids=["unit-entry", "inverse-entry", "unit-label", "inverse-index",
+        "inverse-label", "identity-row", "identity-column",
+        "inverse-left-only", "inverse-right-only"])
+def test_each_unit_and_inverse_condition_fails_on_its_own_fault(
+        make, error, witness):
+    with pytest.raises(error) as err:
+        validate_groupoid(make())
+    assert type(err.value) is error and err.value.witness == witness
 
 
 def test_generators_hold_no_unit_and_reach_every_arrow(corpus):

@@ -14,12 +14,13 @@ from itertools import islice
 
 import pytest
 
-from grpd import groups
+from grpd import core, groups, homotopy
 from grpd.cli import run
 from grpd.complexity import point_groupoid
-from grpd.core import (Composite, FinGroupoid, StrictArrow, NatTrans,
-                       cocylinder, compose_functors, discrete_groupoid,
-                       identity_functor, pair_groupoid, tabulate,
+from grpd.core import (BadFunctor, Composite, FinGroupoid, StrictArrow,
+                       NatTrans, cocylinder, comp_row, compose_functors,
+                       discrete_groupoid, identity_functor, pair_groupoid,
+                       restrict, tabulate, validate_functor,
                        validate_groupoid, whisker)
 from grpd.corpus import inflate, transitive_groupoid
 from grpd.formats import parse_document, serialize_functor, serialize_groupoid
@@ -551,6 +552,98 @@ def test_computed_comp_matches_the_eager_oracle(case, relabel, eagerly):
     assert new.equal_presentation(parsed) and parsed.equal_presentation(new)
     assert new.equal_presentation(old)
     validate_groupoid(new)
+    # the readers that take comp by rows read the same from both kinds
+    assert new.tree == old.tree and new.tree_loop == old.tree_loop
+    assert new.components == old.components
+    for block in new.components:
+        assert new.isotropy(block[0]) == old.isotropy(block[0])
+    keep = new.objects[::2]
+    piece, eager_piece = restrict(new, keep), restrict(old, keep)
+    assert type(piece.comp) is dict
+    assert list(piece.comp.items()) == list(eager_piece.comp.items())
+    assert piece.equal_presentation(eager_piece)
+    for a in arrows[:20]:
+        qs = new.arrows_from[tgt[a]]
+        assert comp_row(new.comp, a, qs) == comp_row(old.comp, a, qs) \
+            == [old.comp[q, a] for q in qs]
+    for q, a in apart[:5] + [("ghost", arrows[0])]:
+        for comp in (new.comp, old.comp):
+            with pytest.raises(KeyError):
+                comp_row(comp, a, [*new.arrows_from[tgt[a]], q])
+    if case == "cocylinder":
+        cyl, eager = cocylinder(*args), eagerly(cocylinder, *args)
+        for name in ("e0", "e1", "t"):
+            assert [_verdict(getattr(c, name)) for c in (cyl, eager)] \
+                == [None, None]
+            bent = [_bend(getattr(c, name)) for c in (cyl, eager)]
+            assert _verdict(bent[0]) == _verdict(bent[1]) is not None
+
+
+def _verdict(f):
+    """validate_functor's verdict on f: None, or its error and witness."""
+    try:
+        validate_functor(f)
+    except BadFunctor as err:
+        return str(err), err.witness
+    return None
+
+
+def _bend(f):
+    """f with the image of its last non-unit arrow a moved to another
+    arrow of the same hom set, so that the squares still commute."""
+    dom, cod = f.dom, f.cod
+    units = set(dom.unit.values())
+    a = [a for a in dom.arrows if a not in units][-1]
+    fa = f.arr_map[a]
+    other = next(b for b in cod.hom_set(cod.src[fa], cod.tgt[fa]) if b != fa)
+    return dataclasses.replace(f, arr_map={**f.arr_map, a: other})
+
+
+def test_validators_read_a_computed_table_by_rows(monkeypatch):
+    """construct's pullback1 shape: P1 of the identity cospan on a parsed
+    Pair(2) x Z2.  Validating P1 and both projections looks up one entry
+    per arrow of P1 (tree_loop's outer factor) and otherwise composes a
+    row at a time: one call per arrow for the blocks() sweep, one per
+    object for tree_loop's inner factor, at most one per object for the
+    spanning tree, one per base loop for the isotropy table, and one per
+    generator of P1 for each projection."""
+    g = parse_document(serialize_groupoid(transitive_groupoid(
+        "s0_2", ["s0_2o0", "s0_2o1"], groups.cyclic(2)))).groupoids["s0_2"]
+    validate_groupoid(g)
+    legs = [dataclasses.replace(identity_functor(g), name=n) for n in "LR"]
+    calls, reads = [], []
+
+    def counting_tabulate(*args, compose, **kwargs):
+        def counted(p, qs):
+            calls.append(len(qs))
+            return compose(p, qs)
+        return core.tabulate(*args, compose=counted, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homotopy, "tabulate", counting_tabulate)
+        res = homotopy_pullback(Cospan(*legs), 1)
+    pb = res.groupoid
+    lookup = Composite.__getitem__
+
+    def counting_lookup(self, key):
+        reads.append(key)
+        return lookup(self, key)
+
+    monkeypatch.setattr(Composite, "__getitem__", counting_lookup)
+    assert (len(pb.objects), len(pb.arrows), len(pb.comp)) == (8, 128, 2048)
+    assert calls == []
+    validate_groupoid(pb)
+    base = pb.components[0][0]
+    assert len(pb.components) == 1 and len(pb.hom_set(base, base)) == 2
+    assert len(reads) == 128
+    # 128 lookups, 128 blocks, 8 inner rows, 1 tree row, 2 loop rows
+    assert len(calls) == 128 + 128 + 8 + 1 + 2
+    # every row's parts: the blocks() sweep reads each entry once
+    assert sum(calls) == 128 + len(pb.comp) + 8 * 16 + 7 + 2 * 2
+    for f in (res.pr1, res.pr2):
+        del calls[:], reads[:]
+        validate_functor(f)
+        assert reads == [] and len(calls) == len(pb.generators) == 15
 
 
 def test_p2_holds_less_than_the_eager_table(eagerly, tmp_path, capsys):
