@@ -9,14 +9,18 @@ read ``comp G F = H`` with the meaning "F then G equals H".  A keyed line
 block, and a cover's map and a datum's fiber lines name only elements the
 cover's pieces list.
 
-Lines are split into plain string tokens; a token's column is found only
-when a ParseError reports it.
+A text is read in one pass: each line is split into plain string tokens
+as it is read, and a block's lines go straight into its tables, so no
+token list is kept.  Functor, bibundle and datum blocks are assembled
+once the text is read, so they may name blocks before or after them.  A
+token's column is found only when a ParseError reports it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, length_hint
 
 from .bibundle import Bibundle, LeftAction, RightAction
 from .core import Composite, FinGroupoid, StrictArrow, index_arrows
@@ -44,17 +48,19 @@ _ARROW = ["arrow", None, ":", None, "->", None]
 _ID = ["id", None, "=", None]
 _INV = ["inv", None, "=", None]
 _COMP = ["comp", None, None, "=", None]
-_OBJ = ["obj", None, "->", None]
-_ARR = ["arr", None, "->", None]
-_P = ["p", None, "->", None]
-_Q = ["q", None, "->", None]
-_LACT = ["lact", None, None, "->", None]
-_RACT = ["ract", None, None, "->", None]
-_PROJ = ["proj", None, "->", None]
 _PIECE = ["piece", None, ":"]  # then the piece's elements
 _MAP = ["map", None, None, "->", None]
 _FIBER = ["fiber", None, None, ":"]  # then the fibre's elements
 _TRANS = ["trans", None, None, None, None, None, "->", None]
+
+# The body lines of functor, bibundle and bundle blocks, by kind and head:
+# a list keyword, or a keyed line of one or two ids, "->" and an id.
+_ENTRIES = {kind: {p[0]: p for p in patterns} for kind, patterns in (
+    ("functor", [["obj", None, "->", None], ["arr", None, "->", None]]),
+    ("bibundle", [["carrier:"], ["p", None, "->", None],
+                  ["q", None, "->", None], ["lact", None, None, "->", None],
+                  ["ract", None, None, "->", None]]),
+    ("bundle", [["base:"], ["total:"], ["proj", None, "->", None]]))}
 
 # Keyed lines: the key is a line's first n tokens, and no two lines of a
 # block may share one.
@@ -65,22 +71,72 @@ _KEY_LENGTH = {"comp": 3, "id": 2, "inv": 2, "obj": 2, "arr": 2, "p": 2,
 
 @dataclass
 class _Block:
-    """The tokens of a block's header line, then of each body line, as
-    plain strings.  Line numbers and the file's lines serve only to place
-    a ParseError."""
+    """A block's header tokens and the numbers of its lines.  Its reader
+    takes the body's tokens from ``body`` a line at a time.  The file's
+    lines serve only to place a ParseError and to split a block's lines
+    again when its entry counts show a repeated key."""
     kind: str
+    header: list[str]
     source: str
     lines: list[str]  # every line of the file
-    rows: list[list[str]] = field(default_factory=list)
-    numbers: list[int] = field(default_factory=list)  # each row's line
+    unread: Iterator[str]  # the file's lines after the one read last
+    start: int  # the header's line number
+    end: int = 0  # the next header's line number, or one past the last line
+    blank: int = 0  # lines of the body without tokens
+    after: list[str] | None = None  # the next block's header
+    value: object = None  # what the block's reader returned
+    error: ParseError | None = None  # or the error it raised
+
+    def __post_init__(self):
+        self.body = self._lines()
 
     @property
-    def header(self) -> list[str]:
-        return self.rows[0]
+    def number(self) -> int:
+        """The number of the line read last: a list iterator's length hint
+        is the exact count of the lines after it."""
+        return len(self.lines) - length_hint(self.unread)
 
     @property
-    def body(self) -> list[list[str]]:
-        return self.rows[1:]
+    def size(self) -> int:
+        """The number of body lines."""
+        return self.end - self.start - 1 - self.blank
+
+    def _lines(self) -> Iterator[list[str]]:
+        """The tokens of each body line; the next header's go to ``after``."""
+        for raw in self.unread:
+            tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+            if not tokens:
+                self.blank += 1
+            elif tokens[0] in _KEYWORDS:
+                self.after, self.end = tokens, self.number
+                return
+            else:
+                yield tokens
+        self.end = len(self.lines) + 1
+
+
+def _blocks(text: str, source: str) -> Iterator[_Block]:
+    """The text's blocks, each yielded at its header, before its body is
+    read; body lines its caller leaves unread are read before the next
+    header.  A line before the first block, or a block repeating the kind
+    and name of an earlier one, raises a ParseError when it is read."""
+    lines = text.splitlines()
+    block = _Block("", [], source, lines, iter(lines), 0)
+    for tokens in block.body:
+        raise _error(block, tokens,
+                     f"expected one of {', '.join(BLOCK_KEYWORDS)}")
+    headers: dict[tuple[str, str], int] = {}  # (kind, name) -> line
+    while block.after is not None:
+        header, number = block.after, block.end
+        block = _Block(header[0], header, source, lines, block.unread, number)
+        if len(header) > 1:
+            first = headers.setdefault((header[0], header[1]), number)
+            if first != number:
+                raise _error(block, header, f"repeated '{header[0]} "
+                             f"{header[1]}' (first on line {first})")
+        yield block
+        for _ in block.body:
+            pass
 
 
 def _column(raw: str, tokens: list[str], index: int) -> int:
@@ -92,47 +148,17 @@ def _column(raw: str, tokens: list[str], index: int) -> int:
     return raw.index(tokens[index], col) + 1
 
 
-def _scan(text: str, source: str) -> list[_Block]:
-    """The text's blocks; a block repeating the kind and name of an earlier
-    one raises a ParseError at its header."""
-    lines = text.splitlines()
-    blocks: list[_Block] = []
-    headers: dict[tuple[str, str], int] = {}  # (kind, name) -> first line
-    rows = numbers = None
-    for number, raw in enumerate(lines, start=1):
-        tokens = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if not tokens:
-            continue
-        if tokens[0] in _KEYWORDS:
-            if len(tokens) > 1:
-                first = headers.setdefault((tokens[0], tokens[1]), number)
-                if first != number:
-                    raise ParseError(
-                        f"repeated '{tokens[0]} {tokens[1]}' (first on line "
-                        f"{first})", source, number, _column(raw, tokens, 0))
-            block = _Block(kind=tokens[0], source=source, lines=lines)
-            blocks.append(block)
-            rows, numbers = block.rows, block.numbers
-        elif rows is None:
-            raise ParseError(
-                f"expected one of {', '.join(BLOCK_KEYWORDS)}", source,
-                number, _column(raw, tokens, 0))
-        rows.append(tokens)
-        numbers.append(number)
-    return blocks
-
-
-def _error(block: _Block, row: list[str], message: str,
-           index: int = 0) -> ParseError:
-    """A ParseError at token ``index`` of ``row``, one of ``block.rows``."""
-    number = block.numbers[next(i for i, r in enumerate(block.rows)
-                                if r is row)]
+def _error(block: _Block, row: list[str], message: str, index: int = 0,
+           number: int = 0) -> ParseError:
+    """A ParseError at token ``index`` of ``row``, the tokens of line
+    ``number`` (by default the line read last)."""
+    number = number or block.number
     return ParseError(message, block.source, number,
                       _column(block.lines[number - 1], row, index))
 
 
 def _mismatch(block: _Block, row: list[str], pattern: list[str | None],
-              variadic: bool = False) -> ParseError | None:
+              variadic: bool = False, number: int = 0) -> ParseError | None:
     """The error for a row that does not match a pattern (a variadic one
     allows more tokens after it), or None if it matches."""
     if (len(row) < len(pattern)
@@ -140,45 +166,56 @@ def _mismatch(block: _Block, row: list[str], pattern: list[str | None],
         return _error(block, row,
                       f"malformed {block.kind} line, expected "
                       f"'{' '.join(p or '<id>' for p in pattern)}'",
-                      len(row) - 1)
+                      len(row) - 1, number)
     for i, (tok, expected) in enumerate(zip(row, pattern)):
         if expected is not None and tok != expected:
             return _error(block, row, f"expected {expected!r}, found {tok!r}",
-                          i)
+                          i, number)
     return None
 
 
-def _shape(block: _Block, row: list[str],
-           pattern: list[str | None]) -> list[str]:
-    """The wildcard values of a row that matches a pattern; raises the
-    mismatch's ParseError otherwise."""
-    err = _mismatch(block, row, pattern)
+def _shape(block: _Block, pattern: list[str | None]) -> list[str]:
+    """The wildcard values of the block's header if it matches a pattern;
+    raises the mismatch's ParseError otherwise."""
+    err = _mismatch(block, block.header, pattern, number=block.start)
     if err is not None:
         raise err
-    return [tok for tok, expected in zip(row, pattern) if expected is None]
+    return [tok for tok, expected in zip(block.header, pattern)
+            if expected is None]
 
 
 def _check_keys(block: _Block, pieces: dict[str, set[str]] | None = None):
     """Raise at the first body line whose key repeats an earlier line's,
     or, given a cover's pieces, at the first map or fiber line naming a
     piece or element the cover does not list.  Assemblers count their
-    entries and call this only when the counts show such a line."""
+    entries and call this, which splits the block's lines again, only
+    when the counts show such a line."""
     seen: dict[tuple[str, ...], int] = {}
-    for row, number in zip(block.body, block.numbers[1:]):
-        n = _KEY_LENGTH.get(row[0])
+    for number in range(block.start + 1, block.end):
+        row = block.lines[number - 1].split("#", 1)[0].split()
+        n = _KEY_LENGTH.get(row[0]) if row else None
         if n is None:
             continue
         if pieces is not None and row[0] in ("map", "fiber"):
             if row[1] not in pieces:
-                raise _error(block, row, f"unknown piece {row[1]!r}", 1)
+                raise _error(block, row, f"unknown piece {row[1]!r}", 1,
+                             number)
             if row[2] not in pieces[row[1]]:
-                raise _error(block, row,
-                             f"piece {row[1]!r} does not list {row[2]!r}", 2)
+                raise _error(block, row, f"piece {row[1]!r} does not list "
+                             f"{row[2]!r}", 2, number)
         key = tuple(row[:n])
         if key in seen:
             raise _error(block, row, f"repeated '{' '.join(key)}' "
-                         f"(first on line {seen[key]})")
+                         f"(first on line {seen[key]})", 0, number)
         seen[key] = number
+
+
+def _result(block: _Block, doc: Document | None = None):
+    """What the block's reader returned, or its error raised: the whole
+    assembly of a groupoid or cover block, whose reader builds it."""
+    if block.error is not None:
+        raise block.error
+    return block.value
 
 
 @dataclass
@@ -197,12 +234,12 @@ class Document:
 def _need(block: _Block, mapping: dict, name: str, what: str):
     if name not in mapping:
         raise ParseError(f"unknown {what} {name!r}", block.source,
-                         block.numbers[0], 1)
+                         block.start, 1)
     return mapping[name]
 
 
-def _assemble_groupoid(block: _Block) -> FinGroupoid:
-    (name,) = _shape(block, block.header, ["groupoid", None])
+def _read_groupoid(block: _Block) -> FinGroupoid:
+    (name,) = _shape(block, ["groupoid", None])
     objects: list[str] = []
     arrows: list[str] = []
     src, tgt, comp, unit, inv = {}, {}, {}, {}, {}
@@ -232,7 +269,7 @@ def _assemble_groupoid(block: _Block) -> FinGroupoid:
             listings += 1
         else:
             raise _error(block, t, f"unknown groupoid line {head!r}")
-    keyed = len(block.rows) - 1 - len(arrows) - listings
+    keyed = block.size - len(arrows) - listings
     if len(comp) + len(unit) + len(inv) != keyed:
         _check_keys(block)
     return FinGroupoid(name=name, objects=tuple(objects),
@@ -240,100 +277,75 @@ def _assemble_groupoid(block: _Block) -> FinGroupoid:
                        unit=unit, inv=inv)
 
 
+def _read_entries(block: _Block):
+    """The body of a functor, bibundle or bundle block: a keyed line
+    ``HEAD ID -> ID`` or ``HEAD ID ID -> ID`` fills the table of its head,
+    keyed by its ids, and a listing line extends the list of its head."""
+    grammar = _ENTRIES[block.kind]
+    tables = {head: [] if len(p) == 1 else {} for head, p in grammar.items()}
+    fill = {head: (tables[head], len(p)) for head, p in grammar.items()}
+    listings = 0
+    for t in block.body:
+        try:
+            table, n = fill[t[0]]
+        except KeyError:
+            raise _error(block, t,
+                         f"unknown {block.kind} line {t[0]!r}") from None
+        if n == 1:
+            table.extend(t[1:])
+            listings += 1
+        elif len(t) != n or t[-2] != "->":
+            raise _mismatch(block, t, grammar[t[0]])
+        elif n == 4:
+            table[t[1]] = t[3]
+        else:
+            table[t[1], t[2]] = t[4]
+    return tables, listings
+
+
+def _tables(block: _Block) -> dict:
+    """The tables that :func:`_read_entries` filled from the block's body;
+    raises the body's first error, then its first repeated key."""
+    tables, listings = _result(block)
+    if sum(len(t) for t in tables.values() if isinstance(t, dict)) != (
+            block.size - listings):
+        _check_keys(block)
+    return tables
+
+
 def _assemble_functor(block: _Block, doc: Document) -> StrictArrow:
-    name, a, b = _shape(block, block.header,
-                        ["functor", None, ":", None, "->", None])
+    name, a, b = _shape(block, ["functor", None, ":", None, "->", None])
     dom = _need(block, doc.groupoids, a, "groupoid")
     cod = _need(block, doc.groupoids, b, "groupoid")
-    obj_map, arr_map = {}, {}
-    for t in block.body:
-        head = t[0]
-        if head == "arr":
-            if len(t) != 4 or t[2] != "->":
-                raise _mismatch(block, t, _ARR)
-            arr_map[t[1]] = t[3]
-        elif head == "obj":
-            if len(t) != 4 or t[2] != "->":
-                raise _mismatch(block, t, _OBJ)
-            obj_map[t[1]] = t[3]
-        else:
-            raise _error(block, t, f"unknown functor line {head!r}")
-    if len(obj_map) + len(arr_map) != len(block.rows) - 1:
-        _check_keys(block)
-    return StrictArrow(name=name, dom=dom, cod=cod, obj_map=obj_map,
-                       arr_map=arr_map)
+    tables = _tables(block)
+    return StrictArrow(name=name, dom=dom, cod=cod, obj_map=tables["obj"],
+                       arr_map=tables["arr"])
 
 
 def _assemble_bibundle(block: _Block, doc: Document) -> Bibundle:
     name, h, _label, g = _shape(
-        block, block.header,
-        ["bibundle", None, ":", None, "-|", None, "|-", None])
+        block, ["bibundle", None, ":", None, "-|", None, "|-", None])
     dom = _need(block, doc.groupoids, h, "groupoid")
     cod = _need(block, doc.groupoids, g, "groupoid")
-    carrier: list[str] = []
-    p, q, lact, ract = {}, {}, {}, {}
-    listings = 0
-    for t in block.body:
-        head = t[0]
-        if head == "lact":
-            if len(t) != 5 or t[3] != "->":
-                raise _mismatch(block, t, _LACT)
-            lact[t[1], t[2]] = t[4]
-        elif head == "ract":
-            if len(t) != 5 or t[3] != "->":
-                raise _mismatch(block, t, _RACT)
-            ract[t[1], t[2]] = t[4]
-        elif head == "p":
-            if len(t) != 4 or t[2] != "->":
-                raise _mismatch(block, t, _P)
-            p[t[1]] = t[3]
-        elif head == "q":
-            if len(t) != 4 or t[2] != "->":
-                raise _mismatch(block, t, _Q)
-            q[t[1]] = t[3]
-        elif head == "carrier:":
-            carrier.extend(t[1:])
-            listings += 1
-        else:
-            raise _error(block, t, f"unknown bibundle line {head!r}")
-    keyed = len(block.rows) - 1 - listings
-    if len(p) + len(q) + len(lact) + len(ract) != keyed:
-        _check_keys(block)
+    tables = _tables(block)
+    carrier = tuple(tables["carrier:"])
     return Bibundle(
         name=name,
-        left=LeftAction(groupoid=dom, carrier=tuple(carrier), actor=p,
-                        act=lact),
-        right=RightAction(groupoid=cod, carrier=tuple(carrier), actor=q,
-                          act=ract))
+        left=LeftAction(groupoid=dom, carrier=carrier, actor=tables["p"],
+                        act=tables["lact"]),
+        right=RightAction(groupoid=cod, carrier=carrier, actor=tables["q"],
+                          act=tables["ract"]))
 
 
-def _assemble_bundle(block: _Block) -> Bundle:
-    (name,) = _shape(block, block.header, ["bundle", None])
-    base: list[str] = []
-    total: list[str] = []
-    proj = {}
-    listings = 0
-    for t in block.body:
-        head = t[0]
-        if head == "proj":
-            if len(t) != 4 or t[2] != "->":
-                raise _mismatch(block, t, _PROJ)
-            proj[t[1]] = t[3]
-        elif head == "base:":
-            base.extend(t[1:])
-            listings += 1
-        elif head == "total:":
-            total.extend(t[1:])
-            listings += 1
-        else:
-            raise _error(block, t, f"unknown bundle line {head!r}")
-    if len(proj) != len(block.rows) - 1 - listings:
-        _check_keys(block)
-    return Bundle(name=name, base=tuple(base), total=tuple(total), proj=proj)
+def _assemble_bundle(block: _Block, doc: Document) -> Bundle:
+    (name,) = _shape(block, ["bundle", None])
+    tables = _tables(block)
+    return Bundle(name=name, base=tuple(tables["base:"]),
+                  total=tuple(tables["total:"]), proj=tables["proj"])
 
 
-def _assemble_cover(block: _Block) -> Cover:
-    (name,) = _shape(block, block.header, ["cover", None])
+def _read_cover(block: _Block) -> Cover:
+    (name,) = _shape(block, ["cover", None])
     base: list[str] = []
     pieces: dict[str, list[str]] = {}
     to_base: dict[str, dict[str, str]] = {}
@@ -358,7 +370,7 @@ def _assemble_cover(block: _Block) -> Cover:
             listings += 1
         else:
             raise _error(block, t, f"unknown cover line {head!r}")
-    maps = len(block.rows) - 1 - listings - len(order)
+    maps = block.size - listings - len(order)
     if (sum(map(len, to_base.values())) != maps
             or any(to_base[p].keys() - pieces[p] for p in to_base)):
         _check_keys(block, {p: set(e) for p, e in pieces.items()})
@@ -368,45 +380,63 @@ def _assemble_cover(block: _Block) -> Cover:
                               for p in order))
 
 
-def _assemble_datum(block: _Block, doc: Document) -> DescentDatum:
-    name, cover_name = _shape(block, block.header, ["datum", None, ":", None])
-    cover = _need(block, doc.covers, cover_name, "cover")
-    for p in cover.pieces:
-        for u in p.elements:
-            if u not in p.to_base:
-                raise _error(block, block.header,
-                             f"cover {cover_name!r} has no map line for "
-                             f"{u!r} in piece {p.name!r}", 3)
+def _read_datum(block: _Block):
     fibre_elems: dict[str, dict[str, list[str]]] = {}
-    # every ordered piece pair owns a table with one (possibly empty)
-    # entry per overlap point; trans lines fill them in
-    transitions: dict = {
-        (pi.name, pj.name): {(u, v): {} for (u, v) in cover.overlap(pi, pj)}
-        for pi in cover.pieces for pj in cover.pieces}
+    # (UI, UJ) -> (U, V) -> F -> F2; trans lines of one piece pair mostly
+    # come together, so the pair's table is looked up only when it changes
+    pairs: dict[tuple[str, str], dict[tuple[str, str], dict[str, str]]] = {}
+    i = j = pair = None
     for t in block.body:
         head = t[0]
         if head == "trans":
             if len(t) != 8 or t[6] != "->":
                 raise _mismatch(block, t, _TRANS)
-            try:
-                transitions[t[1], t[2]][t[3], t[4]][t[5]] = t[7]
-            except KeyError:  # off the overlaps: validate_datum reports it
-                transitions.setdefault((t[1], t[2]), {}).setdefault(
-                    (t[3], t[4]), {})[t[5]] = t[7]
+            if t[1] != i or t[2] != j:
+                i, j = t[1], t[2]
+                pair = pairs.setdefault((i, j), {})
+            key = (t[3], t[4])
+            table = pair.get(key)
+            if table is None:
+                table = pair[key] = {}
+            table[t[5]] = t[7]
         elif head == "fiber":
             if len(t) < 4 or t[3] != ":":
                 raise _mismatch(block, t, _FIBER, variadic=True)
             fibre_elems.setdefault(t[1], {})[t[2]] = t[4:]
         else:
             raise _error(block, t, f"unknown datum line {head!r}")
+    return fibre_elems, pairs
+
+
+def _assemble_datum(block: _Block, doc: Document) -> DescentDatum:
+    name, cover_name = _shape(block, ["datum", None, ":", None])
+    cover = _need(block, doc.covers, cover_name, "cover")
+    for p in cover.pieces:
+        for u in p.elements:
+            if u not in p.to_base:
+                raise _error(block, block.header,
+                             f"cover {cover_name!r} has no map line for "
+                             f"{u!r} in piece {p.name!r}", 3, block.start)
+    fibre_elems, pairs = _result(block)
     elements = {p.name: p.elements for p in cover.pieces}
     entries = (sum(map(len, fibre_elems.values()))
-               + sum(sum(map(len, table.values()))
-                     for table in transitions.values()))
-    if (entries != len(block.rows) - 1
+               + sum(len(m) for pair in pairs.values() for m in pair.values()))
+    if (entries != block.size
             or any(m.keys() - elements.get(p, ())
                    for p, m in fibre_elems.items())):
         _check_keys(block, {p: set(e) for p, e in elements.items()})
+    # every ordered piece pair owns a table with one (possibly empty)
+    # entry per overlap point, in overlap order; trans lines off the
+    # overlaps follow in line order, and validate_datum reports them
+    transitions: dict = {}
+    pieces = {p.name: p for p in cover.pieces}.values()  # one per name
+    for pi in pieces:
+        for pj in pieces:
+            table = pairs.pop((pi.name, pj.name), {})
+            transitions[pi.name, pj.name] = {
+                uv: table.pop(uv, None) or {} for uv in cover.overlap(pi, pj)}
+            transitions[pi.name, pj.name].update(table)
+    transitions.update(pairs)
     fibres = {}
     for p in cover.pieces:
         per_point = fibre_elems.get(p.name, {})
@@ -421,33 +451,43 @@ def _assemble_datum(block: _Block, doc: Document) -> DescentDatum:
                         transitions=transitions)
 
 
+# Each kind's Document table, its reader, which takes the body in the
+# pass, and its assembler, which runs once the pass is over: first for
+# groupoid, bundle and cover blocks, then for the others, which may name
+# those.
+_KINDS = {"groupoid": ("groupoids", _read_groupoid, _result),
+          "bundle": ("bundles", _read_entries, _assemble_bundle),
+          "cover": ("covers", _read_cover, _result),
+          "functor": ("functors", _read_entries, _assemble_functor),
+          "bibundle": ("bibundles", _read_entries, _assemble_bibundle),
+          "datum": ("data", _read_datum, _assemble_datum)}
+_DEPENDENT = ("functor", "bibundle", "datum")
+
+
 def parse_document(text: str, source: str = "<input>",
                    into: Document | None = None) -> Document:
-    """Parse all blocks in the text; functor/bibundle/datum blocks resolve
-    names against everything parsed so far (including earlier files when
-    ``into`` is passed)."""
+    """Parse all blocks in the text in one pass over its lines.  Functor,
+    bibundle and datum blocks resolve names against every block of the
+    text, before or after them, and against earlier files when ``into``
+    is passed.
+
+    Errors come in this order: a line before the first block or a
+    repeated block, anywhere in the text; then the first error of a
+    groupoid, bundle or cover block, in text order; then that of a
+    functor, bibundle or datum block, in text order, where a bad header
+    or an unknown name comes before an error in the block's body."""
     doc = into if into is not None else Document()
-    blocks = _scan(text, source)
-    for block in blocks:
-        if block.kind == "groupoid":
-            g = _assemble_groupoid(block)
-            doc.groupoids[g.name] = g
-        elif block.kind == "bundle":
-            b = _assemble_bundle(block)
-            doc.bundles[b.name] = b
-        elif block.kind == "cover":
-            c = _assemble_cover(block)
-            doc.covers[c.name] = c
-    for block in blocks:
-        if block.kind == "functor":
-            f = _assemble_functor(block, doc)
-            doc.functors[f.name] = f
-        elif block.kind == "bibundle":
-            b = _assemble_bibundle(block, doc)
-            doc.bibundles[b.name] = b
-        elif block.kind == "datum":
-            d = _assemble_datum(block, doc)
-            doc.data[d.name] = d
+    blocks = []
+    for block in _blocks(text, source):
+        blocks.append(block)
+        try:
+            block.value = _KINDS[block.kind][1](block)
+        except ParseError as err:
+            block.error = err
+    for block in sorted(blocks, key=lambda block: block.kind in _DEPENDENT):
+        table, _, assemble = _KINDS[block.kind]
+        value = assemble(block, doc)
+        getattr(doc, table)[value.name] = value
     doc.declared.extend((block.kind, block.header[1]) for block in blocks)
     return doc
 
@@ -473,8 +513,7 @@ def parse_files(paths, into: Document | None = None) -> Document:
     return doc
 
 
-_LABEL = {"groupoids": "groupoid", "functors": "functor",
-          "bibundles": "bibundle", "data": "datum"}
+_LABEL = {table: kind for kind, (table, _, _) in _KINDS.items()}
 
 
 def load(paths, kind: str) -> tuple[Document, list]:
@@ -518,11 +557,11 @@ def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
     """Names of all blocks of the given kind, in order, without assembling
     anything (block headers carry the name as their second token)."""
     out = []
-    for block in _scan(text, source):
+    for block in list(_blocks(text, source)):  # scan errors come first
         if block.kind == kind:
             if len(block.header) < 2:
                 raise ParseError(f"{kind} block without a name", source,
-                                 block.numbers[0], 1)
+                                 block.start, 1)
             out.append(block.header[1])
     return out
 

@@ -746,6 +746,12 @@ def corpus_texts(seed, random_functor):
     texts.append(serialize_datum(datum))
     texts.append(serialize_bundle(random_bundle(rng, "b", base_size=4))
                  + serialize_cover(cover))
+    # dependent blocks before the blocks they name
+    datum_text = texts[6]
+    texts.append(serialize_functor(random_functor(rng, gs[3], gs[1]))
+                 + datum_text[datum_text.index("\ndatum ") + 1:]
+                 + serialize_groupoid(gs[3]) + serialize_cover(cover)
+                 + serialize_groupoid(gs[1]))
     return texts
 
 
@@ -779,7 +785,7 @@ def test_load_two_matches_the_oracle_on_mutated_file_pairs(tmp_path,
     pools = {"groupoids": [], "functors": [], "bibundles": []}
     for seed in (3, 4):
         texts = corpus_texts(seed, random_functor)
-        pools["groupoids"] += texts[:4] + texts[6:]
+        pools["groupoids"] += texts[:4] + texts[6:8]
         functor = texts[4].index("functor ")
         pools["functors"] += [texts[4], texts[4][functor:]]
         pools["bibundles"].append(texts[5])
@@ -868,3 +874,105 @@ def test_repeated_keyed_line_is_rejected_at_the_repeat(head):
     assert str(err.value) == (f"f:{first + 2}:1: repeated "
                               f"'{' '.join(tokens[:key])}' "
                               f"(first on line {first + 1})")
+
+
+# ---------------------------------------------------------------------------
+# error precedence: scan errors anywhere in the file, then the groupoid,
+# bundle and cover blocks in file order, then the functor, bibundle and
+# datum blocks in file order (header, names, body, keys)
+
+_D = """groupoid D
+objects: a
+arrow u : a -> a
+id a = u
+inv u = u
+comp u u = u
+"""
+
+
+def _error_of(text):
+    with pytest.raises(ParseError) as err:
+        parse_document(text, source="f")
+    return str(err.value)
+
+
+def test_a_repeated_header_wins_over_an_earlier_malformed_line():
+    text = _D.replace("comp u u = u", "comp u u u") + "groupoid D\n"
+    assert _error_of(text) == "f:7:1: repeated 'groupoid D' (first on line 1)"
+
+
+def test_a_dependent_header_error_wins_over_its_body_error():
+    text = _D + "functor F : D -> E\nobj a a\n"
+    assert _error_of(text) == "f:7:1: unknown groupoid 'E'"
+
+
+def test_a_dependent_body_error_loses_to_a_later_groupoid_body_error():
+    text = ("functor F : D -> D\nobj a a\n"
+            + _D.replace("inv u = u", "inv u u"))
+    assert _error_of(text) == ("f:7:7: malformed groupoid line, expected "
+                               "'inv <id> = <id>'")
+
+
+def test_dependent_blocks_may_come_before_the_blocks_they_name():
+    rng = random.Random(10)
+    _, cover, datum = random_datum(rng, "d", base_size=4, max_fibre=3)
+    datum_text = serialize_datum(datum)
+    datum_block = datum_text[datum_text.index("\ndatum ") + 1:]
+    g = pair_groupoid("p2", ["1", "2"])
+    functor = identity_functor(g)
+    text = (serialize_functor(functor) + datum_block + serialize_groupoid(g)
+            + serialize_cover(cover))
+    doc = parse_document(text)
+    assert digest(doc) == digest(parse_document(
+        serialize_groupoid(g) + serialize_cover(cover)
+        + serialize_functor(functor) + datum_block))
+    validate_functor(doc.functors[functor.name])
+    assert doc.data[datum.name].transitions == datum.transitions
+    assert doc.declared == [("functor", functor.name), ("datum", datum.name),
+                            ("groupoid", "p2"), ("cover", cover.name)]
+
+
+@pytest.mark.parametrize("dependent_first", [False, True])
+def test_a_repeated_key_found_by_counts_names_the_repeat(dependent_first):
+    functor = "functor F : D -> D\nobj a -> a\n  arr u -> u\n\tarr u -> u\n"
+    text = functor + _D if dependent_first else _D + functor
+    line = 4 if dependent_first else 10
+    assert _error_of(text) == (f"f:{line}:2: repeated 'arr u' (first on "
+                               f"line {line - 1})")
+    groupoid = _D.replace("comp u u = u", "comp u u = u\n   comp u u = u")
+    assert _error_of(groupoid) == ("f:7:4: repeated 'comp u u' (first on "
+                                   "line 6)")
+
+
+def test_load_reports_a_scan_error_before_an_unnamed_block(tmp_path):
+    from grpd.formats import load
+
+    path = tmp_path / "f.grpd"
+    path.write_text("groupoid\n" + _D + _D.replace("groupoid D\n", ""
+                                                    ) + "groupoid D\n")
+    with pytest.raises(ParseError) as err:
+        load([path], "groupoids")
+    assert str(err.value) == (f"{path}:13:1: repeated 'groupoid D' (first on "
+                              "line 2)")
+
+
+@pytest.mark.parametrize("case", ["groupoid and functor", "datum"])
+def test_parse_peaks_at_most_twice_what_the_document_keeps(case):
+    """Lines are split as they are read and go straight into the block's
+    tables: the traced peak holds the file's lines beside the document,
+    but no token list per line."""
+    if case == "datum":
+        text = serialize_datum(random_datum(random.Random(11), "d",
+                                            base_size=8)[2])
+    else:
+        # a classify-sized file: 3,888 comp lines, 103 KB
+        g = transitive_groupoid("g", ["a", "b", "c"], groups.dihedral(6))
+        text = serialize_groupoid(g) + serialize_functor(identity_functor(g))
+    parse_document(text)
+    tracemalloc.start()
+    try:
+        doc = parse_document(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.declared and peak <= 2 * kept, (peak, kept)
