@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from .core import (FinGroupoid, StrictArrow, GroupoidError, first_repeat,
                    id_part, index_arrows, same_groupoid)
@@ -124,13 +125,23 @@ def validate_action(a: Action) -> Action:
         w = moved.get((z, c))
         return w in points and actor[w] == lands[c]
 
+    # placed(z, c) for every c acting on z at once, in bulk: at holds only
+    # the carrier's points, so an image off the carrier reads None
+    at = {z: actor[z] for z in a.carrier}
+    landing = {x: list(map(lands.__getitem__, a.acting(x)))
+               for x in g.objects}
+
+    def placed_at(z):
+        x = actor[z]
+        ws = map(moved.get, zip(repeat(z), a.acting(x)))
+        return list(map(at.get, ws)) == landing[x]
+
     # The table is right iff each arrow acting on each point has a
     # well-placed entry and there are no other entries, which a count
     # shows, as in validate_groupoid.  Only when that fails is every
     # (point, arrow) pair swept, to name the same first failure as before.
     if not (len(act) == sum(len(a.acting(actor[z])) for z in a.carrier)
-            and all(placed(z, c)
-                    for z in a.carrier for c in a.acting(actor[z]))):
+            and all(map(placed_at, a.carrier))):
         for z in a.carrier:
             for c in g.arrows:
                 k = key(z, c)

@@ -299,10 +299,10 @@ def validate_groupoid(g: FinGroupoid) -> FinGroupoid:
     that fails there is searched for a failing triple.  The unit and
     inverse laws are read off the same labels (see :func:`_laws_on_labels`);
     the per-arrow checks run only when that fails, to name the failure.  A
-    computed ``comp`` of a valid groupoid is read by rows
-    (:func:`comp_row`) and blocks (:meth:`Composite.blocks`), with one
-    lookup per arrow in ``tree_loop`` and no other; only a table that
-    fails is read entry by entry, to name the failure.
+    computed ``comp`` composes each row once, whichever read comes first
+    (see :class:`Composite`), so the checks read the table that is
+    written; only a table that fails is read entry by entry, to name the
+    failure.
     """
     objects, arrows = set(g.objects), set(g.arrows)
     if len(objects) != len(g.objects):
@@ -548,32 +548,44 @@ def id_part(s: str, sep: str) -> str:
 
 class Composite(Mapping):
     """The ``comp`` of a :func:`tabulate` groupoid, computed when read from
-    the arrows' parts and the ``compose`` it was built with; no entry is
-    stored.  ``comp[q, a]`` ("a then q") is defined exactly when
-    ``src[q] == tgt[a]``, as in a dict, and costs one ``compose`` call on
-    one part.  Two bulk reads make the same ``compose`` calls, once per
-    arrow: ``items()`` reads by row, in arrow order, and yields the
-    entries in the order of a dict filled row by row; :meth:`blocks`
-    reads by target, one object at a time.  ``len`` is counted once, when
-    the table is made.  So a reader that needs every entry should read
-    one of them once, and a reader that needs several entries "a then q"
-    of one arrow a should read them as one row, :func:`comp_row`, one
-    ``compose`` call; the validators read a computed table only so, but
-    for one lookup per arrow in :attr:`FinGroupoid.tree_loop`."""
+    the arrows' parts and the ``compose`` it was built with.  Each arrow
+    a's row, ``compose(a's part, parts of every arrow out of tgt a)``, is
+    composed the first time any read needs it and kept, so ``compose``
+    runs only on full rows, at most once per arrow for the table's
+    lifetime; every read (lookups, :func:`comp_row`, ``items()``,
+    :meth:`blocks`) comes from the kept rows.  A row is kept as a tuple,
+    so no reader can change it.  ``comp[q, a]`` ("a then q") is defined
+    exactly when ``src[q] == tgt[a]``, as in a dict; ``items()`` reads by
+    row, in arrow order, and yields the entries in the order of a dict
+    filled row by row; :meth:`blocks` reads by target, one object at a
+    time; ``len`` is counted once, when the table is made."""
 
     __slots__ = ("_parts", "_src", "_tgt", "_out_parts", "_out_ids",
-                 "_compose", "_len")
+                 "_pos", "_compose", "_len", "_kept")
 
     def __init__(self, arrows: dict, src, tgt, compose):
         self._parts = {a: p for p, a in arrows.items()}
         self._src, self._tgt, self._compose = src, tgt, compose
-        # the parts and ids of the arrows out of each object, in arrow order
-        self._out_parts, self._out_ids = {}, {}
+        # the parts and ids of the arrows out of each object, in arrow
+        # order, and each arrow's place among those out of its source
+        self._out_parts, self._out_ids, self._pos = {}, {}, {}
         for p, a in arrows.items():
+            outs = self._out_ids.setdefault(src[a], [])
+            self._pos[a] = len(outs)
+            outs.append(a)
             self._out_parts.setdefault(src[a], []).append(p)
-            self._out_ids.setdefault(src[a], []).append(a)
         self._len = sum(len(self._out_ids.get(tgt[a], ()))
                         for a in self._parts)
+        self._kept = {}
+
+    def _row(self, a) -> tuple[str, ...]:
+        """a's row, "a then q" for each q out of tgt a in arrow order,
+        composed on the first call and kept."""
+        row = self._kept.get(a)
+        if row is None:
+            row = self._kept[a] = tuple(self._compose(
+                self._parts[a], self._out_parts.get(self._tgt[a], ())))
+        return row
 
     def __contains__(self, key):
         try:
@@ -586,7 +598,7 @@ class Composite(Mapping):
         if key not in self:
             raise KeyError(key)
         q, a = key
-        return self._compose(self._parts[a], [self._parts[q]])[0]
+        return self._row(a)[self._pos[q]]
 
     def __iter__(self):
         out_ids, tgt = self._out_ids, self._tgt
@@ -601,31 +613,23 @@ class Composite(Mapping):
 
     def blocks(self):
         """For each object y that an arrow enters: the arrows into y, in
-        arrow order; the arrows out of y, in arrow order; and for each
-        arrow a into y, the row ``compose(a's part, parts out of y)``, so
-        that ``rows[i][j] == self[outs[j], ins[i]]``.  These are the calls
-        of ``items()``, grouped by target."""
-        parts, out_parts, out_ids = self._parts, self._out_parts, self._out_ids
-        tgt, compose = self._tgt, self._compose
+        arrow order; the arrows out of y, in arrow order; and the rows of
+        the arrows into y, so that ``rows[i][j] == self[outs[j], ins[i]]``."""
         ins = {}
-        for a in parts:
-            ins.setdefault(tgt[a], []).append(a)
+        for a in self._parts:
+            ins.setdefault(self._tgt[a], []).append(a)
         for y, into in ins.items():
-            qs = out_parts.get(y, ())
-            yield into, out_ids.get(y, ()), [compose(parts[a], qs)
-                                             for a in into]
+            yield into, self._out_ids.get(y, ()), list(map(self._row, into))
 
     def _rows(self):
-        out_parts, out_ids = self._out_parts, self._out_ids
-        tgt, compose = self._tgt, self._compose
-        for a, p in self._parts.items():
-            y = tgt[a]
-            yield from zip(zip(out_ids.get(y, ()), repeat(a)),
-                           compose(p, out_parts.get(y, ())))
+        out_ids, tgt = self._out_ids, self._tgt
+        for a in self._parts:
+            yield from zip(zip(out_ids.get(tgt[a], ()), repeat(a)),
+                           self._row(a))
 
 
 class _CompositeItems(ItemsView):
-    """``Composite.items()``: one ``compose`` call per row, not per entry."""
+    """``Composite.items()``, read off the kept rows."""
 
     __slots__ = ()
 
@@ -635,8 +639,9 @@ class _CompositeItems(ItemsView):
 
 def comp_row(comp: Mapping, a: str, qs) -> list[str]:
     """``[comp[q, a] for q in qs]``, "a then q" for each q: plain reads on
-    a stored table, one ``compose`` call on a :class:`Composite`.  A q that
-    does not leave a's target raises ``KeyError``, as its lookup would."""
+    a stored table, reads of a's kept row on a :class:`Composite`.  A q
+    that does not leave a's target raises ``KeyError``, as its lookup
+    would."""
     if not isinstance(comp, Composite):
         return [comp[q, a] for q in qs]
     qs = list(qs)
@@ -645,8 +650,8 @@ def comp_row(comp: Mapping, a: str, qs) -> list[str]:
     # the sentinel comp is no object, so an unknown a takes no q
     if list(map(comp._src.get, qs)) != [comp._tgt.get(a, comp)] * len(qs):
         raise KeyError(next((q, a) for q in qs if (q, a) not in comp))
-    parts = comp._parts
-    return list(comp._compose(parts[a], list(map(parts.__getitem__, qs))))
+    row, pos = comp._row(a), comp._pos
+    return [row[pos[q]] for q in qs]
 
 
 def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
@@ -659,10 +664,9 @@ def tabulate(name: str, objects, arrows: dict, ends, compose, unit,
     ``compose(p, qs)``, with ``qs`` parts of arrows that leave p's target,
     returns the id of "p then q" for each q.  It is not called here: the
     groupoid's ``comp`` is a :class:`Composite`, which calls it with all
-    the arrows leaving p's target, in arrow order, once per arrow in
-    either bulk read (``comp.items()`` by row, ``comp.blocks()`` by
-    target), and with one part for a lookup.  ``compose`` is kept, so
-    nothing it reads may change afterwards.
+    the arrows leaving p's target, in arrow order, at most once per
+    arrow, and keeps the row.  ``compose`` is kept, so nothing it
+    reads may change afterwards.
     """
     src, tgt = {}, {}
     for p, a in arrows.items():

@@ -56,7 +56,8 @@ class CoverPiece:
 @dataclass(frozen=True, eq=False)
 class Cover:
     """Pieces mapped onto a finite base.  A cover is treated as immutable
-    once built: its check and its :attr:`by_base` index are cached."""
+    once built: its check, its :attr:`by_base` index and its overlaps are
+    cached."""
     name: str
     base: tuple[str, ...]
     pieces: tuple[CoverPiece, ...]
@@ -66,10 +67,11 @@ class Cover:
         piece, every element mapped onto the base, every base point hit.
         A cover that passes is not checked again; one that fails raises on
         every call."""
-        return self._validated
+        self._checked  # cached as True, not as self: no cycle to collect
+        return self
 
     @cached_property
-    def _validated(self) -> "Cover":
+    def _checked(self) -> bool:
         dup = first_repeat(self.base)
         if dup is not None:
             raise BadDatum(f"cover {self.name!r} lists base point {dup!r} "
@@ -96,7 +98,7 @@ class Cover:
             raise NotSurjective(
                 f"cover {self.name!r} misses {sorted(base - hit)}",
                 witness=tuple(sorted(base - hit)))
-        return self
+        return True
 
     @cached_property
     def by_base(self) -> dict[str, dict[str, list[str]]]:
@@ -105,12 +107,16 @@ class Cover:
         return {p.name: index_arrows(p.elements, p.to_base)
                 for p in self.pieces}
 
-    def overlap(self, pi: CoverPiece, pj: CoverPiece):
+    def overlap(self, pi: CoverPiece, pj: CoverPiece) -> tuple:
         """U_i x_X U_j as explicit pairs, for two pieces of this cover; the
-        pairs come in the order of U_i's elements, then U_j's."""
-        over = self.by_base[pj.name]
-        return [(u, v) for u in pi.elements
-                for v in over.get(pi.to_base[u], ())]
+        pairs come in the order of U_i's elements, then U_j's.  Built once
+        per ordered pair and kept on the cover, as :attr:`by_base` is."""
+        kept = self.__dict__.setdefault("_overlaps", {})
+        if (pi, pj) not in kept:
+            over = self.by_base[pj.name]
+            kept[pi, pj] = tuple([(u, v) for u in pi.elements
+                                  for v in over.get(pi.to_base[u], ())])
+        return kept[pi, pj]
 
 
 @dataclass(frozen=True, eq=False)

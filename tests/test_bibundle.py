@@ -370,6 +370,10 @@ def test_shared_action_validator_matches_the_sweeping_copies():
         unit = a.key(a.carrier[0], u.dom.unit["1"])
         cases.append(dataclasses.replace(
             a, act={**a.act, unit: a.carrier[1]}))
+        # an image off the carrier that the actor table still places
+        cases.append(dataclasses.replace(
+            a, actor={**a.actor, "ghost": a.actor[a.act[unit]]},
+            act={**a.act, unit: "ghost"}))
     kinds = {}
     for a in cases:
         right = isinstance(a, RightAction)

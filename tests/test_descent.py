@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -601,6 +603,24 @@ def test_swap_between_two_pieces_that_are_no_charts():
     assert glue_outcome(glue, bad) == want
 
 
+def test_a_checked_cover_is_freed_without_the_collector():
+    # validate() caches True, not the cover itself, so a cover with its
+    # check and overlaps kept holds no cycle: dropping the last reference
+    # to it frees it and every overlap it keeps at once
+    bundle, cover, datum = random_datum(random.Random(3), "c", base_size=4,
+                                        max_fibre=2)
+    assert check_cocycle(datum) and check_cocycle(descend(bundle, cover))
+    ref = weakref.ref(cover)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del cover, datum
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_descent_agrees_with_the_quadratic_oracles():
     rng = random.Random(2024)
     fails = {"s": [], "d": [], "r": []}
@@ -610,7 +630,9 @@ def test_descent_agrees_with_the_quadratic_oracles():
                                        max_fibre=3)
         for pi in cover.pieces:
             for pj in cover.pieces:
-                assert cover.overlap(pi, pj) == oracle_overlap(pi, pj)
+                pairs = cover.overlap(pi, pj)
+                assert pairs == tuple(oracle_overlap(pi, pj))
+                assert cover.overlap(pi, pj) is pairs
         assert check_cocycle(datum) == oracle_check_cocycle(datum)
         assert glue_outcome(glue, datum) == glue_outcome(oracle_glue, datum)
         for d in mutants(rng, datum):
