@@ -462,25 +462,32 @@ def bibundles_isomorphic(a: Bibundle, b: Bibundle) -> dict[str, str] | None:
                     stack.append((s.act[s.key(z, c)], t.act[t.key(w, c)]))
         return True
 
-    def search(i):
-        while i < len(order) and order[i] in assign:
-            i += 1
-        if i == len(order):
-            return True
-        z = order[i]
-        for w in fb[(a.left.actor[z], a.right.actor[z])]:
-            if w in used:
-                continue
-            trail: list[str] = []
-            if propagate(z, w, trail) and search(i + 1):
-                return True
-            for t in trail:
-                used.discard(assign.pop(t))
-        return False
-
-    if search(0):
+    if _search(0, order, a, fb, assign, used, propagate):
         return dict(assign)
     return None
+
+
+def _search(i, order, a, fb, assign, used, propagate) -> bool:
+    """The backtracking of :func:`bibundles_isomorphic`: whether ``assign``
+    (with image ``used``) extends to order[i:], trying each unassigned z's
+    fibre in b; a failed choice's trail is undone.  Module-level, so that
+    no closure refers to itself and holds the bibundles for the cyclic
+    collector."""
+    while i < len(order) and order[i] in assign:
+        i += 1
+    if i == len(order):
+        return True
+    z = order[i]
+    for w in fb[(a.left.actor[z], a.right.actor[z])]:
+        if w in used:
+            continue
+        trail: list[str] = []
+        if (propagate(z, w, trail)
+                and _search(i + 1, order, a, fb, assign, used, propagate)):
+            return True
+        for t in trail:
+            used.discard(assign.pop(t))
+    return False
 
 
 def are_morita_equivalent(h: FinGroupoid, g: FinGroupoid,

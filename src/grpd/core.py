@@ -11,10 +11,12 @@ Conventions used throughout the package:
 
 All values are immutable after validation and all operations are pure;
 derived data (hom sets, connected components) is cached on first use.
-A groupoid built by :func:`tabulate` (the discrete, pair and point
-groupoids, Pair(m) x K, every homotopy pullback and cocylinder, and
-inflation) stores no ``comp`` entry: its ``comp`` is a read-only
-:class:`Composite` that composes the arrows' parts when it is read.
+Every groupoid this package builds is built by :func:`tabulate` (the
+discrete, pair and point groupoids, Pair(m) x K, every homotopy pullback
+and cocylinder, inflation, restrictions and disjoint unions) and stores
+no ``comp`` entry: its ``comp`` is a read-only :class:`Composite` that
+composes the arrows' parts when it is read.  Only a parsed groupoid
+keeps a dict.
 
 The cocylinder [I, G] is the degree-1 homotopy pullback of G -> G <- G
 along the identity twice, so :func:`cocylinder` calls the pullback
@@ -23,7 +25,7 @@ builder in :mod:`grpd.homotopy` rather than building squares itself.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
@@ -114,11 +116,12 @@ class FinGroupoid:
     @cached_property
     def after(self) -> dict[str, dict[str, str]]:
         """Rows of ``comp`` by first arrow: ``after[p][q] = comp[q, p]``
-        ("p then q"), for the builders that compose a whole row at once."""
-        rows: dict[str, dict[str, str]] = {a: {} for a in self.arrows}
-        for (q, p), r in self.comp.items():
-            rows[p][q] = r
-        return rows
+        ("p then q"), for the builders that compose a whole row at once.
+        Each row is read through :func:`comp_row`, so a stored and a
+        computed table give the same rows by the same path."""
+        comp, outs, tgt = self.comp, self.arrows_from, self.tgt
+        return {a: dict(zip(outs[tgt[a]], comp_row(comp, a, outs[tgt[a]])))
+                for a in self.arrows}
 
     @cached_property
     def components(self) -> tuple[tuple[str, ...], ...]:
@@ -552,13 +555,12 @@ class Composite(Mapping):
     a's row, ``compose(a's part, parts of every arrow out of tgt a)``, is
     composed the first time any read needs it and kept, so ``compose``
     runs only on full rows, at most once per arrow for the table's
-    lifetime; every read (lookups, :func:`comp_row`, ``items()``,
-    :meth:`blocks`) comes from the kept rows.  A row is kept as a tuple,
-    so no reader can change it.  ``comp[q, a]`` ("a then q") is defined
-    exactly when ``src[q] == tgt[a]``, as in a dict; ``items()`` reads by
-    row, in arrow order, and yields the entries in the order of a dict
-    filled row by row; :meth:`blocks` reads by target, one object at a
-    time; ``len`` is counted once, when the table is made."""
+    lifetime; every read (lookups, :func:`comp_row`, :meth:`blocks`)
+    comes from the kept rows.  A row is kept as a tuple, so no reader can
+    change it.  ``comp[q, a]`` ("a then q") is defined exactly when
+    ``src[q] == tgt[a]``, as in a dict; the keys come row by row, in
+    arrow order; :meth:`blocks` reads by target, one object at a time;
+    ``len`` is counted once, when the table is made."""
 
     __slots__ = ("_parts", "_src", "_tgt", "_out_parts", "_out_ids",
                  "_pos", "_compose", "_len", "_kept")
@@ -608,9 +610,6 @@ class Composite(Mapping):
     def __len__(self):
         return self._len
 
-    def items(self):
-        return _CompositeItems(self)
-
     def blocks(self):
         """For each object y that an arrow enters: the arrows into y, in
         arrow order; the arrows out of y, in arrow order; and the rows of
@@ -620,21 +619,6 @@ class Composite(Mapping):
             ins.setdefault(self._tgt[a], []).append(a)
         for y, into in ins.items():
             yield into, self._out_ids.get(y, ()), list(map(self._row, into))
-
-    def _rows(self):
-        out_ids, tgt = self._out_ids, self._tgt
-        for a in self._parts:
-            yield from zip(zip(out_ids.get(tgt[a], ()), repeat(a)),
-                           self._row(a))
-
-
-class _CompositeItems(ItemsView):
-    """``Composite.items()``, read off the kept rows."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        return self._mapping._rows()
 
 
 def comp_row(comp: Mapping, a: str, qs) -> list[str]:
@@ -699,53 +683,49 @@ def pair_groupoid(name: str, objects) -> FinGroupoid:
 
 
 def restrict(g: FinGroupoid, objects, name: str | None = None) -> FinGroupoid:
-    """Full subgroupoid on the given object subset."""
+    """Full subgroupoid on the given object subset, tabulated over g's own
+    ids: a kept arrow's row is read off g's row of it, when it is read."""
     keep = set(objects)
     unknown = keep - set(g.objects)
     if unknown:
         raise DanglingId(f"objects {sorted(unknown)} not in {g.name}",
                          witness=sorted(unknown))
     objs = tuple(x for x in g.objects if x in keep)
-    src, tgt, comp = g.src, g.tgt, g.comp
-    arrs = tuple(a for a in g.arrows if src[a] in keep and tgt[a] in keep)
-    # the composable pairs (q, p) of the piece: q leaves p's target and
-    # stays in the piece, so each kept row is read, not all of comp
-    outs = {x: [q for q in g.arrows_from[x] if tgt[q] in keep] for x in objs}
-    return FinGroupoid(
-        name=name or f"{g.name}|{{{','.join(objs)}}}",
-        objects=objs, arrows=arrs,
-        src={a: src[a] for a in arrs}, tgt={a: tgt[a] for a in arrs},
-        comp={k: r for p in arrs
-              for k, r in zip(zip(outs[tgt[p]], repeat(p)),
-                              comp_row(comp, p, outs[tgt[p]]))},
-        unit={x: g.unit[x] for x in objs},
-        inv={a: g.inv[a] for a in arrs})
+    src, tgt = g.src, g.tgt
+    return tabulate(
+        name or f"{g.name}|{{{','.join(objs)}}}", objs,
+        {a: a for a in g.arrows if src[a] in keep and tgt[a] in keep},
+        ends=lambda a: (src[a], tgt[a]),
+        compose=lambda a, qs: comp_row(g.comp, a, qs),
+        unit=g.unit.__getitem__, inv=g.inv.__getitem__)
 
 
 def disjoint_union(name: str, parts) -> FinGroupoid:
-    """Disjoint union; ids are prefixed with the part index when they clash."""
+    """Disjoint union, tabulated over the parts' arrows (i, a), i the part
+    index; ids are prefixed with the part index when they clash."""
     parts = list(parts)
-    ids: list[str] = []
-    for g in parts:
-        ids.extend(g.objects)
-        ids.extend(g.arrows)
+    ids = [s for g in parts for s in (*g.objects, *g.arrows)]
     clash = len(ids) != len(set(ids))
 
     def tag(i, s):
         return f"{i}.{s}" if clash else s
 
-    objects, arrows, src, tgt, comp, unit, inv = [], [], {}, {}, {}, {}, {}
-    for i, g in enumerate(parts):
-        objects.extend(tag(i, x) for x in g.objects)
-        arrows.extend(tag(i, a) for a in g.arrows)
-        src.update({tag(i, a): tag(i, g.src[a]) for a in g.arrows})
-        tgt.update({tag(i, a): tag(i, g.tgt[a]) for a in g.arrows})
-        comp.update({(tag(i, p), tag(i, q)): tag(i, r)
-                     for (p, q), r in g.comp.items()})
-        unit.update({tag(i, x): tag(i, g.unit[x]) for x in g.objects})
-        inv.update({tag(i, a): tag(i, g.inv[a]) for a in g.arrows})
-    return FinGroupoid(name=name, objects=tuple(objects), arrows=tuple(arrows),
-                       src=src, tgt=tgt, comp=comp, unit=unit, inv=inv)
+    def ends(p):
+        i, a = p
+        return tag(i, parts[i].src[a]), tag(i, parts[i].tgt[a])
+
+    def compose(p, qs):
+        i, a = p
+        return [tag(i, r)
+                for r in comp_row(parts[i].comp, a, [q for _, q in qs])]
+
+    units = {tag(i, x): (i, g.unit[x]) for i, g in enumerate(parts)
+             for x in g.objects}
+    return tabulate(
+        name, units, {(i, a): tag(i, a) for i, g in enumerate(parts)
+                      for a in g.arrows},
+        ends=ends, compose=compose, unit=units.__getitem__,
+        inv=lambda p: (p[0], parts[p[0]].inv[p[1]]))
 
 
 # ---------------------------------------------------------------------------

@@ -120,24 +120,27 @@ def _generating_sequences(t, e, inner, firsts=None, max_len=None):
     is kept when each g_i is the least element of its orbit under the
     conjugations that fix g_0, ..., g_{i-1}.  ``firsts`` restricts the
     first generator; ``max_len`` skips tuples longer than that."""
-    n = len(t)
-    gens: list[int] = []
+    return _extensions(t, e, [], [e], inner,
+                       range(len(t)) if firsts is None else firsts, max_len)
 
-    def rec(order, fixing):
-        if len(order) == n:
-            yield tuple(gens), order
-            return
-        if len(gens) == max_len:
-            return
-        span = set(order)
-        for g in (firsts if not gens and firsts is not None else range(n)):
-            if g not in span and all(c[g] >= g for c in fixing):
-                gens.append(g)
-                yield from rec(_bfs_order(t, e, gens),
-                               [c for c in fixing if c[g] == g])
-                gens.pop()
 
-    yield from rec([e], inner)
+def _extensions(t, e, gens, order, fixing, nexts, max_len):
+    """_generating_sequences' tuples extending ``gens`` (BFS order
+    ``order``, fixed by ``fixing``) by one of ``nexts``, then by any
+    elements; module-level, so that no closure cycle is left behind."""
+    if len(order) == len(t):
+        yield tuple(gens), order
+        return
+    if len(gens) == max_len:
+        return
+    span = set(order)
+    for g in nexts:
+        if g not in span and all(c[g] >= g for c in fixing):
+            gens.append(g)
+            yield from _extensions(t, e, gens, _bfs_order(t, e, gens),
+                                   [c for c in fixing if c[g] == g],
+                                   range(len(t)), max_len)
+            gens.pop()
 
 
 def canonical_form(t) -> tuple[int, ...]:

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -564,6 +566,26 @@ def test_right_unit_law_with_the_canonical_map():
     for cid, zz in canonical.items():
         assert t.left.actor[cid] == z.left.actor[zz]
         assert t.right.actor[cid] == z.right.actor[zz]
+
+
+def test_an_isomorphism_search_is_freed_without_the_collector():
+    # the backtracking search is a module-level function, so no closure
+    # refers to itself: once the search returns, dropping the last
+    # reference to a bibundle it read frees it at once
+    z = functor_to_bibundle(incl_one_into_p2())
+    t = validate_bibundle(tensor(z, unit_bibundle(P2)))
+    ref = weakref.ref(t)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert bibundles_isomorphic(t, z) is not None
+        assert gc.collect() == 0
+        del t
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_left_unit_law():

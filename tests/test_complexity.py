@@ -10,11 +10,11 @@ from grpd.complexity import (NotInvariant, cgeo, cgeo_with_cover,
                              is_transitive, is_weak_point_subgroupoid,
                              locus_key, point_groupoid, relative_cgeo,
                              subgroupoid)
-from grpd.core import (GroupoidError, discrete_groupoid, disjoint_union,
-                       pair_groupoid, restrict, validate_functor,
-                       validate_groupoid, validate_nat)
+from grpd.core import (Composite, GroupoidError, discrete_groupoid,
+                       disjoint_union, pair_groupoid, restrict,
+                       validate_functor, validate_groupoid, validate_nat)
 from grpd.groups import InvalidGroupTable
-from grpd.homotopy import skeletonize
+from grpd.homotopy import are_morita_homotopy_equivalent, skeletonize
 
 BZ2 = point_groupoid("BZ2", groups.cyclic(2))
 P2 = pair_groupoid("P2", ["1", "2"])
@@ -175,6 +175,20 @@ def test_cgeo_cover_certificates():
         covered.update(piece)
         assert witness is not None
     assert covered == set(mix.objects)
+
+
+def test_restrictions_nobody_reads_compose_nothing(corpus):
+    # the weak point witnesses and the skeletal span stand on restrictions
+    # whose comp no decision reads: each is a computed table that has not
+    # composed a single row
+    for g in corpus:
+        _, cert = cgeo_with_cover(g)
+        span = are_morita_homotopy_equivalent(g, g)
+        pieces = [w.collapse.dom for w in cert.witnesses] + [span.mid]
+        assert len(pieces) == len(g.components) + 1
+        for piece in pieces:
+            assert isinstance(piece.comp, Composite)
+            assert piece.comp._kept == {}
 
 
 def test_cgeo_matches_oracle(corpus, orbit_count):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from itertools import permutations, product
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd import groups
+from grpd.corpus import transitive_groupoid
+from grpd.homotopy import skeletonize
 
 
 CATALOG = groups.small_groups(12)
@@ -248,6 +251,23 @@ def test_canonical_search_work_is_pinned(name, monkeypatch):
         built = 0
         groups._canonical.__wrapped__(relabel(t, perm))
         assert built == BFS_ORDERS_BUILT[name]
+
+
+def test_a_cold_skeleton_leaves_nothing_for_the_collector():
+    # the tuple search is a plain recursive generator, not a closure that
+    # refers to itself, so a cold canonical search frees its frames as it
+    # goes and leaves no cycle behind
+    g = transitive_groupoid("t", ["a", "b"], dict(CATALOG)["S3"])
+    groups._canonical.cache_clear()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        skeletonize(g)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("name", [n for n, _ in CATALOG] + sorted(ORDER_24))

@@ -19,8 +19,8 @@ from grpd.cli import run
 from grpd.complexity import point_groupoid
 from grpd.core import (Composite, FinGroupoid, StrictArrow,
                        NatTrans, cocylinder, comp_row, compose_functors,
-                       discrete_groupoid, identity_functor, pair_groupoid,
-                       restrict, tabulate, validate_functor,
+                       discrete_groupoid, disjoint_union, identity_functor,
+                       pair_groupoid, restrict, tabulate, validate_functor,
                        validate_groupoid, whisker)
 from grpd.corpus import inflate, transitive_groupoid
 from grpd.formats import parse_document, serialize_functor, serialize_groupoid
@@ -353,7 +353,7 @@ def test_blocks_make_the_calls_of_items_grouped_by_target(monkeypatch):
     # on a fresh table, making comp.blocks() composes nothing; reading it
     # composes once per arrow, with the parts leaving that arrow's target
     # (the calls of items()), grouped by target, and looks no entry up;
-    # then items() and a second blocks() read the kept rows
+    # then a second blocks() and items() read the kept rows
     arrows, make, calls = _counted_pair_z2()
     parts = list(arrows)
     entries = dict(make().comp.items())
@@ -383,8 +383,9 @@ def test_blocks_make_the_calls_of_items_grouped_by_target(monkeypatch):
     assert sum(len(ins) * len(outs) for ins, outs, _ in blocks) \
         == len(entries) == 32
     del calls[:]
-    assert dict(g.comp.items()) == entries
     assert list(g.comp.blocks()) == blocks
+    monkeypatch.undo()
+    assert dict(g.comp.items()) == entries
     assert calls == []
 
 
@@ -518,6 +519,7 @@ def _oracle_case(case, relabel):
     """A builder that tabulates and its arguments, on hostile ids."""
     bang = relabel(pair_groupoid("P2", "12"), BANG, "bang")
     block = transitive_groupoid("z2", HOSTILE[:2], groups.cyclic(2))
+    wide = transitive_groupoid("w", HOSTILE[:5], groups.cyclic(2))
     ident = Cospan(identity_functor(bang), identity_functor(bang))
     return {
         "discrete": (discrete_groupoid, ("d", HOSTILE)),
@@ -530,11 +532,14 @@ def _oracle_case(case, relabel):
         "P1": (lambda c: _p1(c).groupoid, (ident,)),
         "P2": (lambda c: homotopy_pullback(c, 2).groupoid, (ident,)),
         "inflate": (lambda g: inflate(g, {"a!!": 2, "a!": 3})[0], (bang,)),
+        "restrict": (lambda g: restrict(g, g.objects[::2]), (wide,)),
+        "union": (disjoint_union, ("u", [bang, block, bang])),
     }[case]
 
 
 @pytest.mark.parametrize("case", ["discrete", "pair", "point", "transitive",
-                                  "cocylinder", "P1", "P2", "inflate"])
+                                  "cocylinder", "P1", "P2", "inflate",
+                                  "restrict", "union"])
 def test_computed_comp_matches_the_eager_oracle(case, relabel, eagerly):
     build, args = _oracle_case(case, relabel)
     old = eagerly(build, *args)
@@ -581,7 +586,7 @@ def test_computed_comp_matches_the_eager_oracle(case, relabel, eagerly):
         assert new.isotropy(block[0]) == old.isotropy(block[0])
     keep = new.objects[::2]
     piece, eager_piece = restrict(new, keep), restrict(old, keep)
-    assert type(piece.comp) is dict
+    assert isinstance(piece.comp, Composite)
     assert list(piece.comp.items()) == list(eager_piece.comp.items())
     assert piece.equal_presentation(eager_piece)
     for a in arrows[:20]:
