@@ -570,71 +570,42 @@ def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
 # serialization (deterministic: sorted lines within each section)
 
 
-def _sorted_rows(table, outer, inner, head, mid, unique) -> list[str]:
-    """The lines ``f"{head}{x} {y}{mid}{table[x, y]}\\n"`` for the keys of
-    ``table`` in sorted order, joined into one row per x: every line of
-    one x in one string, so a big table is never held as one string per
-    entry.  This is the path of stored tables (dicts) and bibundle
-    actions; a computed ``comp`` is read by :func:`_composite_rows`.
-
-    The keys are expected to be the pairs (x, y) with x in sorted ``outer``
-    and y in ``inner(x)``, which lists them sorted; walking those pairs
-    gives the sorted order without sorting the tuple keys.  The table is
-    read once, into one dict per x, and each x's dict is dropped once its
-    row is written.  The walk is kept only when it accounts for every
-    entry exactly once: the id lists in ``unique``, of which the walked
-    pairs are made, hold no repeats, every walked pair is a key, and the
-    counts agree.  Otherwise (a table with a missing or extra entry, or an
-    id whose end is not an object) the keys are sorted, into one row."""
-    if all(len(set(ids)) == len(ids) for ids in unique):
-        try:
-            by_x = {x: {} for x in outer}
-            for (x, y), r in table.items():
-                by_x[x][y] = r
-            rows, count = [], 0
-            for x in sorted(outer):
-                row, ys = by_x.pop(x), inner(x)
-                count += len(ys)
-                h = f"{head}{x} "
-                rows.append("".join([f"{h}{y}{mid}{row[y]}\n" for y in ys]))
-        except KeyError:
-            pass
-        else:
-            if count == len(table):
-                return rows
-    return ["".join([f"{head}{x} {y}{mid}{table[x, y]}\n"
-                     for x, y in sorted(table)])]
+def _rows(table, outer, inner, head, mid) -> list[str]:
+    """The lines ``f"{head}{x} {y}{mid}{table[x, y]}\\n"`` for x in sorted
+    ``outer`` and y in ``inner(x)``, one string per x.  The table (a
+    stored ``comp`` or a bibundle action) is taken valid: its keys are the
+    pairs walked and ``inner(x)`` is sorted, so the lines come in sorted
+    key order, one read per entry, without sorting the tuple keys."""
+    rows = []
+    for x in sorted(outer):
+        h = f"{head}{x} "
+        rows.append("".join([f"{h}{y}{mid}{table[x, y]}\n"
+                             for y in inner(x)]))
+    return rows
 
 
-def _composite_rows(comp: Composite) -> list[str] | None:
-    """The rows that :func:`_sorted_rows` would write for a computed
-    ``comp``, one string per arrow p (every line ``comp p q = r``), read
-    one object y at a time from ``comp.blocks()``: the block's rows, one
-    per arrow q into y and sorted by q, are transposed into one column
-    per arrow p out of y, and each column is joined into p's row.  The
-    keys written are the table's own, so they come in sorted order by
-    construction.  None when a block lists an arrow out of y twice (an id
-    that names two arrows, both filed under its one source): the caller
-    then falls back to the walk."""
-    texts, count = {}, 0
+def _composite_rows(comp: Composite) -> list[str]:
+    """The rows of a computed ``comp``, one string per arrow p (every line
+    ``comp p q = r``), read one object y at a time from ``comp.blocks()``:
+    the block's rows, one per arrow q into y and sorted by q, are
+    transposed into one column per arrow p out of y, and each column is
+    joined into p's row.  The rows come in sorted key order, with one
+    ``compose`` call per arrow and no keyed read."""
+    texts = {}
     for ins, outs, rows in comp.blocks():
         ins, rows = zip(*sorted(zip(ins, rows)))
         mids = [q + " = " for q in ins]
         for p, col in zip(outs, zip(*rows)):
             h = "comp " + p + " "
             texts[p] = h + ("\n" + h).join(map(add, mids, col)) + "\n"
-        count += len(outs)
-        if len(texts) != count:
-            return None
     return [texts[p] for p in sorted(texts)]
 
 
 def serialize_groupoid(g: FinGroupoid) -> str:
-    """The groupoid's block: its objects, then one line per arrow, unit,
-    inverse and ``comp`` entry, the ``comp`` lines in sorted key order.
-    A computed ``comp`` (a :class:`~grpd.core.Composite`) is written by
-    :func:`_composite_rows`, one object at a time; a stored one, or one
-    whose ids repeat, by :func:`_sorted_rows`."""
+    """The block of a valid groupoid: objects, arrows, units, inverses and
+    ``comp`` lines, the last in sorted key order, written by
+    :func:`_composite_rows` from a computed ``comp`` (a
+    :class:`~grpd.core.Composite`) and by :func:`_rows` from a stored one."""
     lines = [f"groupoid {g.name}"]
     lines.append("objects: " + " ".join(g.objects))
     for a in g.arrows:
@@ -643,13 +614,12 @@ def serialize_groupoid(g: FinGroupoid) -> str:
         lines.append(f"id {x} = {g.unit[x]}")
     for a in g.arrows:
         lines.append(f"inv {a} = {g.inv[a]}")
-    rows = (_composite_rows(g.comp) if isinstance(g.comp, Composite)
-            else None)
-    if rows is None:
+    if isinstance(g.comp, Composite):
+        rows = _composite_rows(g.comp)
+    else:
         # the composable pairs (p, q) are the q into src(p)
-        rows = _sorted_rows(
-            g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]], "comp ",
-            " = ", [g.arrows])
+        rows = _rows(g.comp, g.arrows, lambda p: g.arrows_into[g.src[p]],
+                     "comp ", " = ")
     return "".join(["\n".join(lines) + "\n", *rows])
 
 
@@ -663,6 +633,7 @@ def serialize_functor(f: StrictArrow) -> str:
 
 
 def serialize_bibundle(b: Bibundle) -> str:
+    """The block of a valid bibundle; :func:`_rows` writes its actions."""
     lines = [f"bibundle {b.name} : {b.dom.name} -| Z |- {b.cod.name}"]
     lines.append("carrier: " + " ".join(b.carrier))
     for z in b.carrier:
@@ -672,12 +643,10 @@ def serialize_bibundle(b: Bibundle) -> str:
     # eta acts on the points over src(eta); c acts on z when c lands on q(z)
     h, g = b.dom, b.cod
     points_over = index_arrows(sorted(b.carrier), b.left.actor)
-    left = _sorted_rows(
-        b.left.act, h.arrows, lambda eta: points_over.get(h.src[eta], ()),
-        "lact ", " -> ", [h.arrows, b.carrier])
-    right = _sorted_rows(
-        b.right.act, b.carrier, lambda z: g.arrows_into[b.right.actor[z]],
-        "ract ", " -> ", [b.carrier, g.arrows])
+    left = _rows(b.left.act, h.arrows,
+                 lambda eta: points_over.get(h.src[eta], ()), "lact ", " -> ")
+    right = _rows(b.right.act, b.carrier,
+                  lambda z: g.arrows_into[b.right.actor[z]], "ract ", " -> ")
     return "".join(["\n".join(lines) + "\n", *left, *right])
 
 
