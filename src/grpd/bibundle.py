@@ -6,10 +6,11 @@ is defined exactly when ``actor[z] == tgt[c]`` and the result sits over
 Both sides run one code path, :class:`Action`; a side fixes only its key
 order and the arrow ends it uses.  A bibundle from H to G carries a left
 H-action and a right G-action on a shared carrier; principality flags are
-derived, not stored.  Orbits, principality, the tensor product and the
-isomorphism search assume valid actions over valid groupoids (see
-:func:`validate_bibundle`): they read the orbit of a point off the arrows
-acting on it.
+derived, not stored.  An isomorphism of bibundles is matched one
+component of the joint action at a time, with no backtracking.  Orbits,
+principality, the tensor product and that matching assume valid actions
+over valid groupoids (see :func:`validate_bibundle`): they read the orbit
+of a point off the arrows acting on it.
 """
 
 from __future__ import annotations
@@ -418,24 +419,31 @@ def tensor(z1: Bibundle, z2: Bibundle) -> Bibundle:
 
 def bibundles_isomorphic(a: Bibundle, b: Bibundle) -> dict[str, str] | None:
     """Bi-equivariant carrier bijection commuting with both actor maps, or
-    None.  Backtracking with (p, q)-fibre pruning and action propagation."""
+    None.  Matched one component of the joint action at a time, with no
+    backtracking: the least point z of a not yet assigned goes to the
+    first point w of its (p, q)-fibre in b whose forced closure succeeds.
+
+    No choice needs undoing.  The points matched so far, and their images,
+    are whole components, so a successful closure from z -> w is a
+    bijective, equivariant map psi from the component A of z onto the
+    component B of w, which is unused.  Suppose an isomorphism phi extends
+    the match so far.  If B = phi(A), then phi with psi on A extends the
+    new match.  Otherwise B = phi(A'') for a component A'' not yet
+    matched, and psi on A, phi . psi^-1 . phi on A'' (onto phi(A)) and phi
+    elsewhere is an isomorphism that does.  Some closure succeeds, since
+    z -> phi(z) does.  So while an isomorphism exists, the loop never runs
+    out of candidates, and a backtracking search, which never undoes a
+    successful closure, returns the same map.  A complete match is
+    injective onto a carrier of the same size, hence an isomorphism, so
+    None means that there is none.
+    """
     if not (same_groupoid(a.dom, b.dom) and same_groupoid(a.cod, b.cod)):
         raise EndpointMismatch(
             f"{a.name!r} and {b.name!r} join different groupoids")
     if len(a.carrier) != len(b.carrier):
         return None
-
-    def fibre(bb):
-        out: dict[tuple[str, str], list[str]] = {}
-        for z in bb.carrier:
-            out.setdefault((bb.left.actor[z], bb.right.actor[z]), []).append(z)
-        return out
-
-    fa, fb = fibre(a), fibre(b)
-    if set(fa) != set(fb) or any(len(fa[k]) != len(fb[k]) for k in fa):
-        return None
-
-    order = sorted(a.carrier)
+    fb = index_arrows(b.carrier, {w: (b.left.actor[w], b.right.actor[w])
+                                  for w in b.carrier})
     assign: dict[str, str] = {}
     used: set[str] = set()
 
@@ -449,9 +457,7 @@ def bibundles_isomorphic(a: Bibundle, b: Bibundle) -> dict[str, str] | None:
                 if assign[z] != w:
                     return False
                 continue
-            if w in used:
-                return False
-            if (a.left.actor[z], a.right.actor[z]) != (
+            if w in used or (a.left.actor[z], a.right.actor[z]) != (
                     b.left.actor[w], b.right.actor[w]):
                 return False
             assign[z] = w
@@ -462,32 +468,18 @@ def bibundles_isomorphic(a: Bibundle, b: Bibundle) -> dict[str, str] | None:
                     stack.append((s.act[s.key(z, c)], t.act[t.key(w, c)]))
         return True
 
-    if _search(0, order, a, fb, assign, used, propagate):
-        return dict(assign)
-    return None
-
-
-def _search(i, order, a, fb, assign, used, propagate) -> bool:
-    """The backtracking of :func:`bibundles_isomorphic`: whether ``assign``
-    (with image ``used``) extends to order[i:], trying each unassigned z's
-    fibre in b; a failed choice's trail is undone.  Module-level, so that
-    no closure refers to itself and holds the bibundles for the cyclic
-    collector."""
-    while i < len(order) and order[i] in assign:
-        i += 1
-    if i == len(order):
-        return True
-    z = order[i]
-    for w in fb[(a.left.actor[z], a.right.actor[z])]:
-        if w in used:
+    for z in sorted(a.carrier):
+        if z in assign:
             continue
-        trail: list[str] = []
-        if (propagate(z, w, trail)
-                and _search(i + 1, order, a, fb, assign, used, propagate)):
-            return True
-        for t in trail:
-            used.discard(assign.pop(t))
-    return False
+        for w in fb.get((a.left.actor[z], a.right.actor[z]), ()):
+            trail: list[str] = []
+            if propagate(z, w, trail):
+                break
+            for t in trail:
+                used.discard(assign.pop(t))
+        else:
+            return None
+    return assign
 
 
 def are_morita_equivalent(h: FinGroupoid, g: FinGroupoid,

@@ -569,9 +569,9 @@ def test_right_unit_law_with_the_canonical_map():
 
 
 def test_an_isomorphism_search_is_freed_without_the_collector():
-    # the backtracking search is a module-level function, so no closure
-    # refers to itself: once the search returns, dropping the last
-    # reference to a bibundle it read frees it at once
+    # the matching is one loop, and no closure in it refers to itself:
+    # once it returns, dropping the last reference to a bibundle it read
+    # frees it at once
     z = functor_to_bibundle(incl_one_into_p2())
     t = validate_bibundle(tensor(z, unit_bibundle(P2)))
     ref = weakref.ref(t)
@@ -731,6 +731,60 @@ def test_isomorphic_to_itself_by_identity():
     assert iso == {z: z for z in u.carrier}
 
 
+def test_a_thousand_components_match_without_recursion():
+    u = unit_bibundle(discrete_groupoid(
+        "d1200", [f"x{i}" for i in range(1200)]))
+    assert bibundles_isomorphic(u, u) == {z: z for z in u.carrier}
+
+
+def swapped_components(k, fixed_first):
+    """k two-point components over BZ2, each swapped by both actions; with
+    ``fixed_first``, the left action fixes the first component instead.
+    Isomorphic only when both flags agree."""
+    x, e = BZ2.objects[0], BZ2.unit[BZ2.objects[0]]
+    partner = {}
+    for i in range(k):
+        partner[f"u{i}"], partner[f"v{i}"] = f"v{i}", f"u{i}"
+    carrier = tuple(partner)
+
+    def moved(z, c, fixed):
+        return z if c == e or fixed else partner[z]
+
+    return validate_bibundle(Bibundle(
+        name=f"swap{k}{'_fixed' if fixed_first else ''}",
+        left=LeftAction(groupoid=BZ2, carrier=carrier,
+                        actor=dict.fromkeys(carrier, x),
+                        act={(c, z): moved(z, c, fixed_first
+                                           and z in ("u0", "v0"))
+                             for z in carrier for c in BZ2.arrows}),
+        right=RightAction(groupoid=BZ2, carrier=carrier,
+                          actor=dict.fromkeys(carrier, x),
+                          act={(z, c): moved(z, c, False)
+                               for z in carrier for c in BZ2.arrows})))
+
+
+def test_a_mismatch_is_found_without_backtracking(monkeypatch):
+    # a backtracking search tries every order of the unfixed components
+    # before it gives up; counting the left moves it reads, rather than
+    # timing it, makes such a search fail fast
+    a, b = swapped_components(12, False), swapped_components(12, True)
+    bound = 4 * len(a.carrier) ** 2
+    acting = LeftAction.acting
+    calls = 0
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            raise AssertionError(f"more than {bound} left moves read")
+        return acting(self, x)
+
+    monkeypatch.setattr(LeftAction, "acting", counted)
+    for x, y in ((a, b), (b, a)):
+        calls = 0
+        assert bibundles_isomorphic(x, y) is None
+
+
 def test_unit_vs_trivial_two_point_bibundle():
     e = BZ2.unit[BZ2.objects[0]]
     x = BZ2.objects[0]
@@ -824,6 +878,8 @@ def test_isomorphism_search_matches_the_scanning_copy(small_corpus, transpose,
         induced = [functor_to_bibundle(f)
                    for f in enumerate_functors(g, s3)[:4]]
         pairs += [(x, y) for x in induced for y in induced]
+    swapped, fixed = swapped_components(4, False), swapped_components(4, True)
+    pairs += [(swapped, fixed), (fixed, swapped)]
     outcomes = {True: 0, False: 0}
     for x, y in pairs:
         got = bibundles_isomorphic(x, y)
