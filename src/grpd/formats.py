@@ -227,8 +227,9 @@ class Document:
     bundles: dict[str, Bundle] = field(default_factory=dict)
     covers: dict[str, Cover] = field(default_factory=dict)
     data: dict[str, DescentDatum] = field(default_factory=dict)
-    # (kind, name) of every block parsed into the document, in text order
-    declared: list[tuple[str, str]] = field(default_factory=list)
+    # (kind, name or None, header line) of every block parsed into the
+    # document, in text order, recorded before any block is assembled
+    declared: list[tuple[str, str | None, int]] = field(default_factory=list)
 
 
 def _need(block: _Block, mapping: dict, name: str, what: str):
@@ -475,7 +476,9 @@ def parse_document(text: str, source: str = "<input>",
     repeated block, anywhere in the text; then the first error of a
     groupoid, bundle or cover block, in text order; then that of a
     functor, bibundle or datum block, in text order, where a bad header
-    or an unknown name comes before an error in the block's body."""
+    or an unknown name comes before an error in the block's body.  Once
+    the pass is over, and before anything is assembled, every block's
+    header goes into ``declared``; a failed pass records none."""
     doc = into if into is not None else Document()
     blocks = []
     for block in _blocks(text, source):
@@ -484,11 +487,12 @@ def parse_document(text: str, source: str = "<input>",
             block.value = _KINDS[block.kind][1](block)
         except ParseError as err:
             block.error = err
+    doc.declared.extend((block.kind, block.header[1] if block.header[1:]
+                         else None, block.start) for block in blocks)
     for block in sorted(blocks, key=lambda block: block.kind in _DEPENDENT):
         table, _, assemble = _KINDS[block.kind]
         value = assemble(block, doc)
         getattr(doc, table)[value.name] = value
-    doc.declared.extend((block.kind, block.header[1]) for block in blocks)
     return doc
 
 
@@ -506,8 +510,8 @@ def read_text(path) -> str:
                          str(path), len(lines), len(lines[-1])) from None
 
 
-def parse_files(paths, into: Document | None = None) -> Document:
-    doc = into if into is not None else Document()
+def parse_files(paths) -> Document:
+    doc = Document()
     for path in paths:
         parse_document(read_text(path), source=str(path), into=doc)
     return doc
@@ -523,47 +527,49 @@ def load(paths, kind: str) -> tuple[Document, list]:
     name does not replace it; the same file may be passed twice, and a
     file may name structures of an earlier one.  Nothing is validated.
 
-    Header errors come first: a line before the first block, an unnamed
-    block of the kind or no such block in any file is reported before any
-    error in assembling a file.  The headers are read again only when
-    parsing failed or a file declared no block of the kind."""
+    Header errors come first: a line before the first block, a repeated
+    block, an unnamed block of the kind or no such block in a file is
+    reported before any error in assembling a file, and the first of them
+    in file order wins.  The headers are read once, by
+    :func:`parse_document`, which records them in ``Document.declared``
+    before it assembles anything; it records nothing when its pass over
+    the text fails, and that failure is the file's header error.
+
+    Every file is parsed, even after one fails to assemble: file k's
+    header error is raised once the headers of every earlier file have
+    been checked and before any later file is parsed, and the first
+    assembly error is raised only once every file's headers have been
+    checked.  That is the first header error in file order over all the
+    files, else the first assembly error.  The errors of files parsed
+    after a failed one are dropped: a structure they name that the failed
+    file did not assemble is an unknown name, a ParseError."""
     label = _LABEL[kind]
     texts = [read_text(path) for path in paths]
     doc = Document()
-    wanted = []
-    try:
-        for path, text in zip(paths, texts):
-            start = len(doc.declared)
-            parse_document(text, source=str(path), into=doc)
-            name = next((name for k, name in doc.declared[start:]
-                         if k == label), None)
-            wanted.append(None if name is None else getattr(doc, kind)[name])
-    except ParseError:
-        _check_headers(paths, texts, label)
-        raise
-    if None in wanted:
-        _check_headers(paths, texts, label)
-    return doc, wanted
-
-
-def _check_headers(paths, texts, label: str) -> None:
-    """Raise the first header error of the files, in order."""
+    wanted, error = [], None
     for path, text in zip(paths, texts):
-        if not declared_names(text, label, source=str(path)):
+        start = len(doc.declared)
+        try:
+            parse_document(text, source=str(path), into=doc)
+        except ParseError as err:
+            if len(doc.declared) == start:
+                raise  # the pass over the text failed
+            if error is None:
+                error = err
+        names = []
+        for k, name, line in doc.declared[start:]:
+            if k == label:
+                if name is None:
+                    raise ParseError(f"{label} block without a name",
+                                     str(path), line, 1)
+                names.append(name)
+        if not names:
             raise ParseError(f"no {label} block found", str(path), 1, 1)
-
-
-def declared_names(text: str, kind: str, source: str = "<input>") -> list[str]:
-    """Names of all blocks of the given kind, in order, without assembling
-    anything (block headers carry the name as their second token)."""
-    out = []
-    for block in list(_blocks(text, source)):  # scan errors come first
-        if block.kind == kind:
-            if len(block.header) < 2:
-                raise ParseError(f"{kind} block without a name", source,
-                                 block.start, 1)
-            out.append(block.header[1])
-    return out
+        if error is None:
+            wanted.append(getattr(doc, kind)[names[0]])
+    if error is not None:
+        raise error
+    return doc, wanted
 
 
 # ---------------------------------------------------------------------------

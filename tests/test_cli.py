@@ -178,6 +178,31 @@ def test_files_reusing_a_functor_name_keep_their_own(tmp_path, capsys):
     assert capsys.readouterr().out == "not homotopic\n"
 
 
+@pytest.mark.parametrize("command", ["homotopic", "tensor", "morita"])
+def test_a_file_after_one_that_fails_to_assemble_exits_2(tmp_path, capsys,
+                                                         command):
+    """Files after one that fails to assemble are still parsed, for their
+    headers; what they name of the failed file is unknown to them, and the
+    first file's error is the one reported."""
+    from grpd.bibundle import unit_bibundle
+    from grpd.formats import serialize_bibundle
+
+    g = pair_groupoid("D", ["1", "2"])
+    good = serialize_groupoid(g)
+    bad = good.replace("inv 1>2 = 2>1", "inv 1>2 2>1")
+    line = bad.splitlines().index("inv 1>2 2>1") + 1
+    named = {"homotopic": serialize_functor(identity_functor(g)),
+             "tensor": serialize_bibundle(unit_bibundle(g)),
+             "morita": ""}[command]
+    a, b = tmp_path / "a.grpd", tmp_path / "b.grpd"
+    a.write_text(bad + named, encoding="utf-8")
+    b.write_text(named or good, encoding="utf-8")
+    assert run([command, str(a), str(b)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: {a}:{line}:9: malformed groupoid line, expected "
+        "'inv <id> = <id>'\n")
+
+
 def test_stray_action_entry_exits_2(files, tmp_path, capsys):
     text = Path(files["unit_p3.grpd"]).read_text(encoding="utf-8")
     ghost = tmp_path / "ghost.bib"

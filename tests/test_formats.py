@@ -908,8 +908,9 @@ def test_dependent_blocks_may_come_before_the_blocks_they_name():
         + serialize_functor(functor) + datum_block))
     validate_functor(doc.functors[functor.name])
     assert doc.data[datum.name].transitions == datum.transitions
-    assert doc.declared == [("functor", functor.name), ("datum", datum.name),
-                            ("groupoid", "p2"), ("cover", cover.name)]
+    assert [d[:2] for d in doc.declared] == [
+        ("functor", functor.name), ("datum", datum.name), ("groupoid", "p2"),
+        ("cover", cover.name)]
 
 
 @pytest.mark.parametrize("dependent_first", [False, True])
@@ -934,6 +935,40 @@ def test_load_reports_a_scan_error_before_an_unnamed_block(tmp_path):
         load([path], "groupoids")
     assert str(err.value) == (f"{path}:13:1: repeated 'groupoid D' (first on "
                               "line 2)")
+
+
+@pytest.mark.parametrize("first, second", [
+    ("assembly error", "groupoid"), ("groupoid", "no groupoid"),
+    ("assembly error", "no groupoid")])
+def test_load_reads_each_file_once_on_every_path(tmp_path, monkeypatch,
+                                                 first, second):
+    """``parse_document`` reads the headers, and ``load`` reads them
+    nowhere else: one ``_blocks`` pass per file, also when a file fails to
+    assemble or declares no block of the kind."""
+    from grpd import formats
+
+    texts = {"groupoid": _D, "assembly error": _D.replace("inv u = u",
+                                                          "inv u u"),
+             "no groupoid": "functor F : D -> D\nobj a -> a\narr u -> u\n"}
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.write_text(texts[first])
+    b.write_text(texts[second])
+    calls = []
+    blocks = formats._blocks
+
+    def counted(text, source):
+        calls.append(source)
+        return blocks(text, source)
+
+    monkeypatch.setattr(formats, "_blocks", counted)
+    with pytest.raises(ParseError) as err:
+        formats.load([a, b], "groupoids")
+    assert calls == [str(a), str(b)]
+    if second == "no groupoid":
+        assert str(err.value) == f"{b}:1:1: no groupoid block found"
+    else:
+        assert str(err.value) == (f"{a}:5:7: malformed groupoid line, "
+                                  "expected 'inv <id> = <id>'")
 
 
 @pytest.mark.parametrize("case", ["groupoid and functor", "datum"])
