@@ -1,5 +1,7 @@
 """Acceptance suite: one test per release criterion, each printing a
 single PASS line with its counts (run with ``pytest -s`` to see them).
+Each line must equal its pinned copy in ``tests/data/acceptance_pass.txt``,
+so a criterion that checks less fails.
 
 Every check here is exact: equalities hold with no tolerance, decision
 procedures are cross-checked against independent oracles, and witnesses
@@ -10,6 +12,7 @@ import random
 from collections import Counter
 from contextlib import contextmanager
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,7 @@ from grpd.homotopy import (are_morita_homotopy_equivalent,
                            is_essential_equivalence, skeletonize)
 
 SEED = 20250810
+PINNED = Path(__file__).resolve().parent / "data" / "acceptance_pass.txt"
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +60,11 @@ def criterion(number, title):
     stats = {}
     yield stats
     detail = ", ".join(f"{k}={v}" for k, v in stats.items())
-    print(f"\nACCEPTANCE {number} PASS ({title}): {detail}")
+    line = f"ACCEPTANCE {number} PASS ({title}): {detail}"
+    print(f"\n{line}")
+    pinned = [p for p in PINNED.read_text(encoding="utf-8").splitlines()
+              if p.startswith(f"ACCEPTANCE {number} ")]
+    assert pinned == [line]
 
 
 def test_criterion_1_transitive_iff_point_equivalent(corpus):

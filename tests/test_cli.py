@@ -1,11 +1,13 @@
 import ast
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -24,13 +26,21 @@ from grpd.formats import (serialize_datum, serialize_functor,
                           serialize_groupoid)
 from grpd.homotopy import inclusion_functor
 
+from conftest import _doubled_hom_sets, _random_functor, _relabel
+from test_cli_golden import outputs
+from test_core import z3_by
+from test_formats import corpus_texts, mutate
+from test_homotopy import BANG
 
-@pytest.fixture
-def files(tmp_path):
+ERRORS = Path(__file__).resolve().parent / "data" / "cli_errors.json"
+
+
+def write_files(root: Path) -> dict[str, str]:
+    """Small input files under root, by name: their paths."""
     out = {}
 
     def write(name, text):
-        path = tmp_path / name
+        path = root / name
         path.write_text(text, encoding="utf-8")
         out[name] = str(path)
         return str(path)
@@ -62,7 +72,6 @@ def files(tmp_path):
           + serialize_functor(inclusion_functor(one, p3, name="g")))
     write("idfun.grpd", serialize_groupoid(p3)
           + serialize_functor(identity_functor(p3)))
-    import random
     _, _, datum = random_datum(random.Random(3), "dd", base_size=3,
                                max_fibre=2)
     write("datum.grpd", serialize_datum(datum))
@@ -71,6 +80,11 @@ def files(tmp_path):
     write("unit_p3.grpd", serialize_groupoid(p3)
           + serialize_bibundle(unit_bibundle(p3)))
     return out
+
+
+@pytest.fixture
+def files(tmp_path):
+    return write_files(tmp_path)
 
 
 def run_json(capsys, argv):
@@ -469,14 +483,12 @@ FUZZ_COMMANDS = {
 FUZZ_RUNS = {"descent-check": 150, "descent-glue": 150}
 
 
-def test_every_file_subcommand_keeps_the_exit_contract_on_mutated_files(
-        tmp_path, capsys, random_functor):
-    """A seeded fuzz gate: corpus files go to every subcommand that reads
-    a file, one file of a run (or none) with the parser test's random line
-    edits and deleted lines.  Each run exits 0, 1, 2 or 3, and none prints a traceback or an
-    internal error."""
-    from test_formats import corpus_texts, mutate
-
+def fuzz_calls(root: Path, random_functor):
+    """The seeded fuzz gate's calls, in order, each an argv with ``{dir}``
+    for root: corpus files go to every subcommand that reads a file, one
+    file of a call (or none) with the parser test's random line edits and
+    deleted lines.  An unedited file is written once, so two calls on the
+    same unedited files have the same argv."""
     texts = corpus_texts(5, random_functor)
     data = [serialize_datum(random_datum(random.Random(seed), "d",
                                          base_size=4, max_fibre=3)[2])
@@ -490,43 +502,95 @@ def test_every_file_subcommand_keeps_the_exit_contract_on_mutated_files(
              "other functor": [texts[4].replace(header, "functor h")],
              "cospan": [texts[4] + functor.replace(header, "functor g")],
              "bibundle": [texts[5]], "datum": [texts[6]] + data}
+    names = {}
+    for kind, pool in pools.items():
+        for j, text in enumerate(pool):
+            names[kind, j] = f"{kind.replace(' ', '-')}-{j}.grpd"
+            (root / names[kind, j]).write_text(text, encoding="utf-8")
     rng = random.Random(21)
-    codes = dict.fromkeys(range(5), 0)
     for i in range(max(FUZZ_RUNS.values())):
         for command, kinds in FUZZ_COMMANDS.items():
             if i >= FUZZ_RUNS.get(command, 30):
                 continue
-            files = [rng.choice(pools[kind]) for kind in kinds
-                     if not kind.startswith("--")]
-            victim = rng.randrange(len(files) + 1)
+            picks = [(kind, rng.randrange(len(pools[kind])))
+                     for kind in kinds if not kind.startswith("--")]
+            victim = rng.randrange(len(picks) + 1)
             argv = [command]
-            for k, text in enumerate(files):
-                for _ in range(rng.randint(1, 2) if k == victim else 0):
+            for k, (kind, j) in enumerate(picks):
+                if k != victim:
+                    argv.append("{dir}/" + names[kind, j])
+                    continue
+                text = pools[kind][j]
+                for _ in range(rng.randint(1, 2)):
                     text = mutate(rng, text)
                     if rng.random() < 0.25:
                         # mutate edits tokens; a whole line goes only here
                         lines = text.splitlines()
                         del lines[rng.randrange(len(lines))]
                         text = "\n".join(lines)
-                path = tmp_path / f"{command}-{i}-{k}.grpd"
-                path.write_text(text, encoding="utf-8")
-                argv.append(str(path))
-            for option in kinds[len(files):]:
+                name = f"{command}-{i}-{k}.grpd"
+                (root / name).write_text(text, encoding="utf-8")
+                argv.append(f"{{dir}}/{name}")
+            for option in kinds[len(picks):]:
+                kind, j = picks[0]
                 objects = next(line.split()[1:] for line in
-                               files[0].splitlines()
+                               pools[kind][j].splitlines()
                                if line.startswith("objects:"))
                 ids = rng.sample(objects, rng.randint(1, len(objects)))
                 argv += [option, ",".join(ids + ["ghost"] * (i % 7 == 0))]
-            code = run(argv)
-            err = capsys.readouterr().err
+            yield argv
+
+
+def error_digests(root: Path, random_functor):
+    """Each distinct call of :func:`fuzz_calls`, then each error row of
+    ``CLI_ROWS``, in text mode and with ``--json``: the argv, the exit code
+    and the sha256 of stdout followed by stderr.  Also returns the tally
+    of exit codes over every fuzz call, repeats included.  Each call
+    exits 0, 1, 2 or 3, and none prints a traceback or an internal
+    error."""
+    entries, seen, codes = [], {}, Counter()
+
+    def record(argv):
+        for full in (argv, ["--json"] + argv):
+            code, out, err = outputs(full, root)
             assert code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_LIMIT), \
-                (argv, err)
+                (full, err)
             assert "Traceback" not in err and "internal error" not in err, \
-                (argv, err)
-            codes[code] += 1
-    # the runs reach the deciders as well as the parser's errors
+                (full, err)
+            entries.append({"argv": full, "exit": code, "sha256": hashlib
+                            .sha256((out + err).encode()).hexdigest()})
+        return entries[-2]["exit"]
+
+    for argv in fuzz_calls(root, random_functor):
+        if tuple(argv) not in seen:
+            seen[tuple(argv)] = record(argv)
+        codes[seen[tuple(argv)]] += 1
+    files = write_files(root)
+    for argv, code, _, _ in CLI_ROWS.values():
+        if code == EXIT_INPUT:
+            write_inputs(argv, root, files)
+            record(argv)
+    return entries, codes
+
+
+def test_every_file_subcommand_keeps_the_exit_contract_on_mutated_files(
+        tmp_path, random_functor):
+    """A seeded fuzz gate (see :func:`error_digests`).  What each call
+    prints is pinned by its digest in ``tests/data/cli_errors.json``, as
+    is that of the error rows of ``CLI_ROWS``.  Rewrite the digests only
+    when an output change is intended:
+
+        PYTHONPATH=src python tests/test_cli.py
+    """
+    entries, codes = error_digests(tmp_path, random_functor)
+    # the calls reach the deciders as well as the parser's errors
     assert codes[EXIT_OK] > 60 and codes[EXIT_FALSE] > 10 and \
         codes[EXIT_INPUT] > 100
+    recorded = json.loads(ERRORS.read_text(encoding="utf-8"))
+    changed = [" ".join(new["argv"]) for new, old in zip(entries, recorded)
+               if new != old]
+    assert (len(entries), changed[:5]) == (len(recorded), []), \
+        f"{len(changed)} calls changed"
 
 
 @pytest.mark.parametrize("option", ["--max-objects", "--max-isotropy",
@@ -771,6 +835,213 @@ def test_a_reader_closing_the_pipe_early_is_not_a_failure():
     assert "Traceback" not in err
 
 
+def _read(path) -> str:
+    return Path(path).read_text(encoding="utf-8")
+
+
+def _printed(argv, root: Path) -> str:
+    """The stdout of an in-process call that must exit 0."""
+    code, out, err = outputs(argv, root)
+    assert code == EXIT_OK, (argv, err)
+    return out
+
+
+def _idfun_parts(files) -> tuple[str, str]:
+    """The groupoid block of idfun.grpd, and its functor block."""
+    text = _read(files["idfun.grpd"])
+    cut = text.index("\nfunctor ") + 1
+    return text[:cut], text[cut:]
+
+
+def _bang_cospan() -> str:
+    """Pair(2) with ids over {a, !} and its identity functor twice, the
+    legs L and R of a cospan."""
+    bang = _relabel(pair_groupoid("P2", "12"), BANG, "bang")
+    return serialize_groupoid(bang) + "".join(
+        serialize_functor(dataclasses.replace(identity_functor(bang),
+                                              name=leg)) for leg in "LR")
+
+
+def _corpus_dir(name, *options):
+    def make(root, files):
+        _printed(["corpus", "--seed", "3", "--count", "5", *options,
+                  "--out", f"{{dir}}/{name}"], root)
+    return make
+
+
+def _tensor_written(root, files) -> str:
+    """pair3.grpd followed by the tensor square of its unit bibundle."""
+    unit = files["unit_p3.grpd"]
+    return _read(files["pair3.grpd"]) + _printed(["tensor", unit, unit],
+                                                 root)
+
+
+def _morita_written(root, files) -> str:
+    """A corpus member followed by the Morita witness on it and itself."""
+    g0 = _input(root, files, "corpus3/g0.grpd")
+    return _read(g0) + _printed(["morita", g0, g0], root)
+
+
+# The inputs of CLI_ROWS that the files fixture lacks, by their name under
+# {dir}: each maker returns the file's text, or writes a directory itself.
+CLI_INPUTS = {
+    "functor_only.grpd": lambda root, files: _idfun_parts(files)[1],
+    "bad_inv.grpd": lambda root, files: _read(files["idfun.grpd"]).replace(
+        "inv 1>2 = 2>1\n", "inv 1>2 2>1\n"),
+    "repeat_after_bad.grpd": lambda root, files: _read(
+        files["point.grpd"]).replace("comp k0 k0 = k0", "comp k0 k0 k0")
+    + _read(files["point.grpd"]),
+    "functor_first.grpd": lambda root, files: "".join(
+        reversed(_idfun_parts(files))),
+    "doubled.grpd": lambda root, files: serialize_groupoid(
+        _doubled_hom_sets()),
+    # Z3 under p.q = q - p: r0 is a right identity only
+    "unit.grpd": lambda root, files: serialize_groupoid(
+        z3_by(lambda p, q: q - p)),
+    # Z3 with each element its own inverse
+    "inverse.grpd": lambda root, files: serialize_groupoid(
+        z3_by(lambda p, q: p + q)),
+    "bang.grpd": lambda root, files: _bang_cospan(),
+    "corpus3": _corpus_dir("corpus3"),
+    "corpus12": _corpus_dir("corpus12", "--max-isotropy", "12"),
+    "tensor_written.grpd": _tensor_written,
+    "morita_written.grpd": _morita_written,
+}
+
+
+def _input(root: Path, files, name: str) -> str:
+    """The path of ``name`` under root, made by CLI_INPUTS on first use."""
+    path = root / name
+    maker = CLI_INPUTS.get(name.partition("/")[0])
+    if maker is not None and not path.exists():
+        text = maker(root, files)
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def write_inputs(argv, root: Path, files) -> None:
+    for a in argv:
+        if a.startswith("{dir}/"):
+            _input(root, files, a.removeprefix("{dir}/"))
+
+
+def _validate_rows():
+    for n in (3, 12):
+        for i in range(5):
+            yield f"valid-corpus{n}-g{i}", (
+                ["validate", f"{{dir}}/corpus{n}/g{i}.grpd"], EXIT_OK, "out",
+                f"valid: g{i} (")
+    for name, line in (("pair3", "valid: pair3 (3 objects, 9 arrows)\n"),
+                       ("point", "valid: pt_triv (1 objects, 1 arrows)\n"),
+                       ("bz2", "valid: BZ2 (1 objects, 2 arrows)\n")):
+        yield f"valid-{name}", (["validate", f"{{dir}}/{name}.grpd"], EXIT_OK,
+                                "out", line)
+
+
+# Command lines as a shell runs them, each checked for its exit code, a
+# text that it prints (on stdout or stderr) and no traceback.  ``{dir}``
+# is the directory of the files fixture and of CLI_INPUTS; the error rows
+# (exit 2) are also pinned by digests (see error_digests).
+CLI_ROWS = {
+    # one file passed twice spans through its skeleton, as any
+    # relabelled copy does
+    "morita-homotopy-one-file-twice": (
+        ["morita-homotopy", "{dir}/pair3.grpd", "{dir}/pair3.grpd"],
+        EXIT_OK, "out", "span through sk(pair3) (1 objects)\n"),
+    "transitive-two-orbits": (["transitive", "{dir}/mix.grpd"], EXIT_FALSE,
+                              "out", "not transitive\n"),
+    # a lone functor naming a groupoid the file lacks: the header error
+    "lone-functor": (
+        ["validate", "{dir}/functor_only.grpd"], EXIT_INPUT, "err",
+        "error: {dir}/functor_only.grpd:1:1: no groupoid block found\n"),
+    # an assembly error in the first file, then a file with no groupoid
+    # block: the second file's header error
+    "header-error-after-assembly-error": (
+        ["morita", "{dir}/bad_inv.grpd", "{dir}/functor_only.grpd"],
+        EXIT_INPUT, "err",
+        "error: {dir}/functor_only.grpd:1:1: no groupoid block found\n"),
+    # a repeated block header wins over an earlier malformed line
+    "repeated-header-after-bad-line": (
+        ["validate", "{dir}/repeat_after_bad.grpd"], EXIT_INPUT, "err",
+        "error: {dir}/repeat_after_bad.grpd:7:1: repeated 'groupoid "
+        "pt_triv' (first on line 1)\n"),
+    # a functor may come before the groupoid it names
+    "functor-before-its-groupoid": (
+        ["homotopic", "{dir}/functor_first.grpd", "{dir}/functor_first.grpd"],
+        EXIT_OK, "out", "homotopic: 1:1>1, 2:2>2, 3:3>3\n"),
+    # hom sets that the spanning tree cannot tell apart: the failing triple
+    "doubled-hom-sets": (["validate", "{dir}/doubled.grpd"], EXIT_INPUT,
+                         "out", "invalid: associativity fails on ("),
+    # a unit or inverse law that the labels refuse: the per-arrow checks
+    # name the arrow
+    "unit-law": (["validate", "{dir}/unit.grpd"], EXIT_INPUT, "out",
+                 "invalid: unit is not an identity against arrow 'r1'\n"),
+    "inverse-law": (["validate", "{dir}/inverse.grpd"], EXIT_INPUT, "out",
+                    "invalid: inv('r1') is not a two-sided inverse\n"),
+    # ids that hold the pullback's separator stay apart: P_2 reads P_1's
+    # ids through its computed comp and fails when two merge, while P_1's
+    # counts are lengths of its id lists and would not show it
+    "pullback-hostile-ids": (["pullback", "{dir}/bang.grpd"], EXIT_OK, "out",
+                             "P_1: 4 objects, 16 arrows\n"),
+    "pullback-hostile-ids-n2": (
+        ["pullback", "--n", "2", "{dir}/bang.grpd"], EXIT_OK, "out",
+        "P_2: 8 objects, 64 arrows\n"),
+    # written files read back valid: corpus members, also with isotropy
+    # up to order 12, and the tabulated examples
+    "corpus-out": (
+        ["corpus", "--seed", "3", "--count", "5", "--out", "{dir}/out"],
+        EXIT_OK, "out", "wrote 5 groupoids to {dir}/out\n"),
+    "corpus-out-isotropy-12": (
+        ["corpus", "--seed", "3", "--count", "5", "--max-isotropy", "12",
+         "--out", "{dir}/out"], EXIT_OK, "out",
+        "wrote 5 groupoids to {dir}/out\n"),
+    **dict(_validate_rows()),
+    # the bibundles that tensor and morita write read back: a groupoid
+    # file with a written bibundle on it, tensored with itself
+    "tensor-unit": (
+        ["tensor", "{dir}/unit_p3.grpd", "{dir}/unit_p3.grpd"], EXIT_OK,
+        "out", "bibundle (unit_pair3(.)unit_pair3) : pair3 -| Z |- pair3\n"),
+    "morita-written": (
+        ["morita", "{dir}/corpus3/g0.grpd", "{dir}/corpus3/g0.grpd"], EXIT_OK,
+        "out", "bibundle B[match_g0_g0*retr_g0] : g0 -| Z |- g0\n"),
+    "tensor-of-written-tensor": (
+        ["tensor", "{dir}/tensor_written.grpd", "{dir}/tensor_written.grpd"],
+        EXIT_OK, "out", "bibundle ((unit_pair3(.)unit_pair3)(.)(unit_pair3"
+        "(.)unit_pair3)) : pair3 -| Z |- pair3\n"),
+    "tensor-of-written-morita": (
+        ["tensor", "{dir}/morita_written.grpd", "{dir}/morita_written.grpd"],
+        EXIT_OK, "out", "bibundle (B[match_g0_g0*retr_g0](.)B[match_g0_g0"
+        "*retr_g0]) : g0 -| Z |- g0\n"),
+}
+
+
+@pytest.mark.parametrize("row", CLI_ROWS)
+def test_command_line_exit_code_and_text(files, tmp_path, row):
+    argv, code, stream, text = CLI_ROWS[row]
+    write_inputs(argv, tmp_path, files)
+    printed = dict(zip(("exit", "out", "err"), outputs(argv, tmp_path)))
+    assert printed["exit"] == code, printed
+    assert text in printed[stream], printed
+    assert "Traceback" not in printed["out"] + printed["err"]
+
+
+def test_the_console_script_exits_1_and_2_without_a_traceback(files,
+                                                              tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grpd.__file__).resolve().parents[1]))
+    lone = _input(tmp_path, files, "functor_only.grpd")
+    for argv, code, out, err in (
+            (["transitive", files["mix.grpd"]], EXIT_FALSE,
+             "not transitive\n", ""),
+            (["validate", lone], EXIT_INPUT, "",
+             f"error: {lone}:1:1: no groupoid block found\n")):
+        done = subprocess.run([sys.executable, "-m", "grpd.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+
+
 def reports(capsys, argv):
     """(exit code, stdout, stderr) of ``argv`` in text mode, then in JSON
     mode with the stdout parsed as one report."""
@@ -896,3 +1167,17 @@ def test_one_file_reports_header_errors_first(tmp_path, capsys, case):
     assert text == (EXIT_INPUT, "", f"error: {error}\n")
     assert as_json == (EXIT_INPUT, {"command": command, "ok": False,
                                     "error": error}, "")
+
+
+def main() -> int:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        entries, _ = error_digests(Path(tmp), _random_functor)
+    ERRORS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(entries)} digests to {ERRORS}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

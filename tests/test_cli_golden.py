@@ -82,14 +82,20 @@ def make_inputs(root: Path) -> None:
     write_data(root / "descent")
 
 
+def outputs(argv, root: Path):
+    """Exit code, stdout and stderr of one in-process CLI call, with
+    ``{dir}`` for root in the argv and in what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([a.replace("{dir}", str(root)) for a in argv])
+    return (code, out.getvalue().replace(str(root), "{dir}"),
+            err.getvalue().replace(str(root), "{dir}"))
+
+
 def call(argv, root: Path):
     """Exit code and output digest of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    argv = [a.replace("{dir}", str(root)) for a in argv]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    digest = hashlib.sha256((out.getvalue() + err.getvalue()).encode())
-    return code, digest.hexdigest()
+    code, out, err = outputs(argv, root)
+    return code, hashlib.sha256((out + err).encode()).hexdigest()
 
 
 def golden_calls(root: Path):
