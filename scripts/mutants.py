@@ -23,7 +23,9 @@ each; ``tests`` holds pytest node ids separated by spaces:
 Exit codes: 0 when every mutant is killed (its tests fail); 1 when one
 survives; else 2 when an entry is malformed, its text does not occur
 exactly once (checked for every entry before any test runs), or its test
-run ends other than by passing or failing (say, a named test is gone).
+run ends other than by passing or failing: say, a named test is gone, or
+the run is stopped after LIMIT seconds, so that a mutant that makes a
+test loop cannot hang the gate.
 
 Usage: python scripts/mutants.py
 """
@@ -39,6 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIST = ROOT / "tests" / "data" / "mutants.txt"
 KEYS = ("id", "file", "find", "replace", "tests", "why")
+LIMIT = 300  # seconds for one mutant's test run
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                               ".hypothesis", ".perfbench", "sample_data")
 
@@ -101,9 +104,10 @@ def check(entries: list[dict], root: Path) -> list[str]:
     return problems
 
 
-def run_mutant(e: dict, copy: Path, env: dict) -> int:
+def run_mutant(e: dict, copy: Path, env: dict) -> int | None:
     """Apply one mutant to the copy, run its tests, restore the file;
-    return pytest's exit code."""
+    return pytest's exit code, or None when the run was stopped at
+    LIMIT."""
     path = copy / e["file"]
     original = path.read_text(encoding="utf-8")
     path.write_text(original.replace(e["find"], e["replace"]),
@@ -112,7 +116,10 @@ def run_mutant(e: dict, copy: Path, env: dict) -> int:
         return subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", *e["tests"]], cwd=copy, env=env,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=LIMIT).returncode
+    except subprocess.TimeoutExpired:
+        return None
     finally:
         path.write_text(original, encoding="utf-8")
 
@@ -136,8 +143,9 @@ def main() -> int:
         for e in entries:
             start = time.perf_counter()
             code = run_mutant(e, copy, env)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code,
-                                                      f"pytest exit {code}")
+            verdict = {0: "SURVIVED", 1: "killed",
+                       None: f"stopped at {LIMIT} s"}.get(
+                code, f"pytest exit {code}")
             print(f"{verdict:<16} {time.perf_counter() - start:5.1f} s  "
                   f"{e['id']}: {e['why']}", flush=True)
             if code == 0:

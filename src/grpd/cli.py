@@ -14,7 +14,7 @@ Every handler but ``pullback`` reads its one or two files through
 unnamed block, no block of the kind) before any other error in either
 file, and validates what it returns; ``pullback`` parses its one file
 the same way and takes two functors, which ``homotopy_pullback``
-validates.  A handler returns ``(exit code, result, text lines)`` without
+validates, and a P_n that repeats an id exits 4.  A handler returns ``(exit code, result, text lines)`` without
 printing; :func:`run` maps exceptions to exit codes and prints the one
 report (``_emit``).  A reader that closes stdout early does not change
 the exit code.
@@ -31,8 +31,8 @@ from pathlib import Path
 
 from . import bibundle as bib
 from . import complexity, corpus, descent, formats, homotopy
-from .core import (GroupoidError, are_homotopic, validate_functor,
-                   validate_groupoid, validate_joined)
+from .core import (GroupoidError, are_homotopic, first_repeat,
+                   validate_functor, validate_groupoid, validate_joined)
 from .formats import ParseError
 from .homotopy import IsotropyTooLarge
 
@@ -277,6 +277,12 @@ def _cmd_pullback(args):
     left, right = functors[:2]  # homotopy_pullback validates them
     grp = homotopy.homotopy_pullback(homotopy.Cospan(left=left, right=right),
                                      n=args.n).groupoid
+    # the counts printed are lengths of the id lists: a merged id is a
+    # defect that they would not show
+    for ids in (grp.objects, grp.arrows):
+        repeat = first_repeat(ids)
+        if repeat is not None:
+            raise RuntimeError(f"P_{args.n} repeats the id {repeat!r}")
     result = {"degree": args.n, "objects": len(grp.objects),
               "arrows": len(grp.arrows)}
     return EXIT_OK, result, [f"P_{args.n}: {len(grp.objects)} objects, "

@@ -5,10 +5,12 @@ import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
@@ -16,450 +18,24 @@ import pytest
 import grpd
 from grpd import groups
 from grpd import complexity
+from grpd.bibundle import unit_bibundle
 from grpd.cli import (EXIT_FALSE, EXIT_INPUT, EXIT_INTERNAL, EXIT_LIMIT,
                       EXIT_OK, REPORT_SCHEMA, run)
 from grpd.complexity import point_groupoid
 from grpd.core import (StrictArrow, discrete_groupoid, disjoint_union,
                        identity_functor, pair_groupoid, restrict)
 from grpd.corpus import random_datum, transitive_groupoid
-from grpd.formats import (serialize_datum, serialize_functor,
-                          serialize_groupoid)
+from grpd.formats import (serialize_bibundle, serialize_datum,
+                          serialize_functor, serialize_groupoid)
 from grpd.homotopy import inclusion_functor
 
-from conftest import _doubled_hom_sets, _random_functor, _relabel
+from conftest import _LOOP5, _doubled_hom_sets, _random_functor, _relabel
 from test_cli_golden import outputs
 from test_core import z3_by
 from test_formats import corpus_texts, mutate
 from test_homotopy import BANG
 
 ERRORS = Path(__file__).resolve().parent / "data" / "cli_errors.json"
-
-
-def write_files(root: Path) -> dict[str, str]:
-    """Small input files under root, by name: their paths."""
-    out = {}
-
-    def write(name, text):
-        path = root / name
-        path.write_text(text, encoding="utf-8")
-        out[name] = str(path)
-        return str(path)
-
-    p3 = pair_groupoid("pair3", ["1", "2", "3"])
-    write("pair3.grpd", serialize_groupoid(p3))
-    write("point.grpd", serialize_groupoid(
-        point_groupoid("pt_triv", groups.cyclic(1))))
-    write("bz2.grpd", serialize_groupoid(
-        point_groupoid("BZ2", groups.cyclic(2))))
-    write("disc.grpd", serialize_groupoid(
-        discrete_groupoid("disc", ["a", "b"])))
-    write("mix.grpd", serialize_groupoid(disjoint_union(
-        "mix", [pair_groupoid("p2", ["1", "2"]),
-                point_groupoid("B", groups.cyclic(2))])))
-    broken = dataclasses.replace(p3, name="broken",
-                                 inv={**p3.inv, "1>2": "1>2"})
-    write("broken.grpd", serialize_groupoid(broken))
-    one = restrict(p3, ["1"], name="one")
-    write("cospan.grpd",
-          serialize_groupoid(one) + serialize_groupoid(p3)
-          + serialize_functor(inclusion_functor(one, p3, name="f"))
-          + serialize_functor(inclusion_functor(one, p3, name="g")))
-    unit_to_unit = StrictArrow(name="f", dom=one, cod=p3,
-                               obj_map={"1": "1"}, arr_map={"1>1": "2>2"})
-    write("badleg.grpd",
-          serialize_groupoid(one) + serialize_groupoid(p3)
-          + serialize_functor(unit_to_unit)
-          + serialize_functor(inclusion_functor(one, p3, name="g")))
-    write("idfun.grpd", serialize_groupoid(p3)
-          + serialize_functor(identity_functor(p3)))
-    _, _, datum = random_datum(random.Random(3), "dd", base_size=3,
-                               max_fibre=2)
-    write("datum.grpd", serialize_datum(datum))
-    from grpd.bibundle import unit_bibundle
-    from grpd.formats import serialize_bibundle
-    write("unit_p3.grpd", serialize_groupoid(p3)
-          + serialize_bibundle(unit_bibundle(p3)))
-    return out
-
-
-@pytest.fixture
-def files(tmp_path):
-    return write_files(tmp_path)
-
-
-def run_json(capsys, argv):
-    code = run(["--json"] + argv)
-    captured = capsys.readouterr()
-    report = json.loads(captured.out.strip().splitlines()[-1])
-    jsonschema.validate(report, REPORT_SCHEMA)
-    return code, report
-
-
-def test_cgeo_prints_the_value(files, capsys):
-    assert run(["cgeo", files["pair3.grpd"]]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "1"
-
-
-def test_cgeo_json_schema_and_fields(files, capsys):
-    code, report = run_json(capsys, ["cgeo", files["mix.grpd"]])
-    assert code == EXIT_OK
-    assert report["result"]["cgeo"] == 2
-    assert list(report["result"]) == ["groupoid", "cgeo", "cover",
-                                      "certificates"]
-
-
-def test_validate_broken_exits_2_with_witness(files, capsys):
-    assert run(["validate", files["broken.grpd"]]) == EXIT_INPUT
-    out = capsys.readouterr().out
-    assert "inv" in out and "1>2" in out
-
-
-def test_validate_ok(files, capsys):
-    assert run(["validate", files["pair3.grpd"]]) == EXIT_OK
-
-
-def test_morita_witness_and_exit_codes(files, capsys):
-    assert run(["morita", files["pair3.grpd"], files["point.grpd"]]) \
-        == EXIT_OK
-    assert "bibundle" in capsys.readouterr().out
-    assert run(["morita", files["bz2.grpd"], files["point.grpd"]]) \
-        == EXIT_FALSE
-
-
-def test_decision_commands(files):
-    assert run(["transitive", files["pair3.grpd"]]) == EXIT_OK
-    assert run(["transitive", files["disc.grpd"]]) == EXIT_FALSE
-    assert run(["morita-homotopy", files["pair3.grpd"],
-                files["point.grpd"]]) == EXIT_OK
-    assert run(["morita-homotopy", files["bz2.grpd"],
-                files["disc.grpd"]]) == EXIT_FALSE
-    assert run(["weakpoint", files["mix.grpd"], "--subset", "1,2"]) == EXIT_OK
-    assert run(["weakpoint", files["disc.grpd"], "--subset", "a,b"]) \
-        == EXIT_FALSE
-    assert run(["deform", files["disc.grpd"], "--from", "a", "--to", "b"]) \
-        == EXIT_FALSE
-    assert run(["homotopic", files["idfun.grpd"], files["idfun.grpd"]]) \
-        == EXIT_OK
-
-
-def test_orbits_skeleton_locus(files, capsys):
-    assert run(["orbits", files["mix.grpd"]]) == EXIT_OK
-    assert len(capsys.readouterr().out.strip().splitlines()) == 2
-    assert run(["skeleton", files["mix.grpd"]]) == EXIT_OK
-    assert "orbit" in capsys.readouterr().out
-    assert run(["locus", files["bz2.grpd"]]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "POINT"
-
-
-def test_relcgeo(files, capsys):
-    assert run(["relcgeo", files["disc.grpd"], "--subset", "a,b"]) == EXIT_OK
-    assert capsys.readouterr().out.strip() == "2"
-
-
-def test_homotopic_validates_its_groupoids(files, tmp_path, capsys):
-    text = Path(files["idfun.grpd"]).read_text(encoding="utf-8")
-    assert "comp 2>3 1>2 = 1>3\n" in text
-    holey = tmp_path / "holey.grpd"
-    holey.write_text(text.replace("comp 2>3 1>2 = 1>3\n", ""),
-                     encoding="utf-8")
-    assert run(["homotopic", str(holey), str(holey)]) == EXIT_INPUT
-    assert "('2>3', '1>2') has no composite" in capsys.readouterr().err
-
-
-def test_files_reusing_a_groupoid_name_keep_their_own(tmp_path, capsys):
-    # Pair(3) and BZ2, both named g: not Morita equivalent
-    a, b = tmp_path / "a.grpd", tmp_path / "b.grpd"
-    a.write_text(serialize_groupoid(pair_groupoid("g", ["1", "2", "3"])),
-                 encoding="utf-8")
-    b.write_text(serialize_groupoid(point_groupoid("g", groups.cyclic(2))),
-                 encoding="utf-8")
-    assert run(["morita", str(a), str(b)]) == EXIT_FALSE
-    assert capsys.readouterr().out == "not Morita equivalent\n"
-
-
-def test_files_reusing_a_functor_name_keep_their_own(tmp_path, capsys):
-    # the identity and the swap of a discrete pair, both named F: not
-    # homotopic
-    d = discrete_groupoid("D", ["a", "b"])
-    ua, ub = d.unit["a"], d.unit["b"]
-    swap = StrictArrow(name="F", dom=d, cod=d, obj_map={"a": "b", "b": "a"},
-                       arr_map={ua: ub, ub: ua})
-    f1, f2 = tmp_path / "f1.grpd", tmp_path / "f2.grpd"
-    f1.write_text(serialize_groupoid(d) + serialize_functor(
-        dataclasses.replace(identity_functor(d), name="F")), encoding="utf-8")
-    f2.write_text(serialize_functor(swap), encoding="utf-8")
-    assert run(["homotopic", str(f1), str(f2)]) == EXIT_FALSE
-    assert capsys.readouterr().out == "not homotopic\n"
-
-
-@pytest.mark.parametrize("command", ["homotopic", "tensor", "morita"])
-def test_a_file_after_one_that_fails_to_assemble_exits_2(tmp_path, capsys,
-                                                         command):
-    """Files after one that fails to assemble are still parsed, for their
-    headers; what they name of the failed file is unknown to them, and the
-    first file's error is the one reported."""
-    from grpd.bibundle import unit_bibundle
-    from grpd.formats import serialize_bibundle
-
-    g = pair_groupoid("D", ["1", "2"])
-    good = serialize_groupoid(g)
-    bad = good.replace("inv 1>2 = 2>1", "inv 1>2 2>1")
-    line = bad.splitlines().index("inv 1>2 2>1") + 1
-    named = {"homotopic": serialize_functor(identity_functor(g)),
-             "tensor": serialize_bibundle(unit_bibundle(g)),
-             "morita": ""}[command]
-    a, b = tmp_path / "a.grpd", tmp_path / "b.grpd"
-    a.write_text(bad + named, encoding="utf-8")
-    b.write_text(named or good, encoding="utf-8")
-    assert run([command, str(a), str(b)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"error: {a}:{line}:9: malformed groupoid line, expected "
-        "'inv <id> = <id>'\n")
-
-
-def test_stray_action_entry_exits_2(files, tmp_path, capsys):
-    text = Path(files["unit_p3.grpd"]).read_text(encoding="utf-8")
-    ghost = tmp_path / "ghost.bib"
-    ghost.write_text(text + "ract ghost 1>2 -> 1>1\n", encoding="utf-8")
-    assert run(["tensor", str(ghost), str(ghost)]) == EXIT_INPUT
-    assert "('ghost', '1>2') names an unknown point" \
-        in capsys.readouterr().err
-
-
-def test_duplicate_carrier_id_exits_2(files, tmp_path, capsys):
-    text = Path(files["unit_p3.grpd"]).read_text(encoding="utf-8")
-    assert "carrier: 1>1 " in text
-    twice = tmp_path / "twice.bib"
-    twice.write_text(text.replace("carrier: 1>1 ", "carrier: 1>1 1>1 "),
-                     encoding="utf-8")
-    assert run(["tensor", str(twice), str(twice)]) == EXIT_INPUT
-    assert "carrier lists '1>1' twice" in capsys.readouterr().err
-
-
-STRAY_DATUM = """cover C
-base: x y
-piece P : u1 u2
-map P u1 -> x
-map P u2 -> y
-datum D : C
-fiber P u1 : a
-fiber P u2 : b
-trans P P u1 u1 a -> a
-trans P P u2 u2 b -> b
-"""
-
-
-@pytest.mark.parametrize("line, message", [
-    # u1 sits over x and u2 over y, so (u1, u2) is no overlap pair
-    ("trans P P u1 u2 a -> b",
-     "transition over ('u1', 'u2') of ('P', 'P') is not over an overlap pair"),
-    ("trans P Q u1 u1 a -> a",
-     "transitions for ('P', 'Q') name a piece outside the cover")])
-@pytest.mark.parametrize("command", ["descent-check", "descent-glue"])
-def test_stray_transition_exits_2(tmp_path, capsys, command, line, message):
-    path = tmp_path / "stray.desc"
-    path.write_text(STRAY_DATUM + line + "\n", encoding="utf-8")
-    assert run([command, str(path)]) == EXIT_INPUT
-    assert message in capsys.readouterr().err
-
-
-def test_pullback(files, capsys):
-    assert run(["pullback", files["cospan.grpd"], "--n", "2"]) == EXIT_OK
-    assert "P_2" in capsys.readouterr().out
-
-
-def test_pullback_validates_its_legs(files, capsys):
-    # the leg sends the unit at 1 to the unit at 2
-    assert run(["pullback", files["badleg.grpd"]]) == EXIT_INPUT
-    assert "arr_map('1>1') breaks the src/tgt squares" \
-        in capsys.readouterr().err
-    code, report = run_json(capsys, ["pullback", files["badleg.grpd"]])
-    assert code == EXIT_INPUT and not report["ok"]
-    assert "1>1" in report["error"]
-
-
-def test_tensor(files, capsys):
-    assert run(["tensor", files["unit_p3.grpd"], files["unit_p3.grpd"]]) \
-        == EXIT_OK
-    assert "carrier:" in capsys.readouterr().out
-
-
-def test_descent_commands(files, capsys):
-    assert run(["descent-check", files["datum.grpd"]]) == EXIT_OK
-    assert run(["descent-glue", files["datum.grpd"]]) == EXIT_OK
-    assert "bundle" in capsys.readouterr().out
-
-
-def test_parse_error_exits_2(tmp_path, capsys):
-    bad = tmp_path / "bad.grpd"
-    bad.write_text("groupoid g\nnot a line\n", encoding="utf-8")
-    assert run(["validate", str(bad)]) == EXIT_INPUT
-    assert run(["validate", str(tmp_path / "missing.grpd")]) == EXIT_INPUT
-
-
-def test_isotropy_cap_env_var(files, monkeypatch, capsys):
-    monkeypatch.setenv("GRPD_ISOTROPY_CAP", "1")
-    assert run(["skeleton", files["bz2.grpd"]]) == EXIT_LIMIT
-    monkeypatch.setenv("GRPD_ISOTROPY_CAP", "24")
-    assert run(["skeleton", files["bz2.grpd"]]) == EXIT_OK
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
-def test_bad_isotropy_cap_exits_2(files, monkeypatch, capsys, value):
-    monkeypatch.setenv("GRPD_ISOTROPY_CAP", value)
-    assert run(["skeleton", files["bz2.grpd"]]) == EXIT_INPUT
-    assert "GRPD_ISOTROPY_CAP" in capsys.readouterr().err
-
-
-def test_corpus_subcommand_writes_files(tmp_path, capsys):
-    out = tmp_path / "corpus"
-    assert run(["corpus", "--seed", "5", "--count", "4",
-                "--out", str(out)]) == EXIT_OK
-    written = sorted(out.glob("*.grpd"))
-    assert len(written) == 4
-    for path in written:
-        assert run(["validate", str(path)]) == EXIT_OK
-
-
-def test_corpus_deterministic_across_runs(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    run(["corpus", "--seed", "9", "--count", "3", "--out", str(a)])
-    run(["corpus", "--seed", "9", "--count", "3", "--out", str(b)])
-    for pa, pb in zip(sorted(a.glob("*")), sorted(b.glob("*"))):
-        assert pa.read_text() == pb.read_text()
-
-
-def test_json_reports_validate_against_schema(files, capsys):
-    for argv in (["validate", files["pair3.grpd"]],
-                 ["orbits", files["mix.grpd"]],
-                 ["transitive", files["disc.grpd"]],
-                 ["skeleton", files["mix.grpd"]],
-                 ["morita", files["pair3.grpd"], files["point.grpd"]],
-                 ["locus", files["mix.grpd"]],
-                 ["relcgeo", files["disc.grpd"], "--subset", "a"],
-                 ["weakpoint", files["mix.grpd"], "--subset", "1,2"],
-                 ["deform", files["mix.grpd"], "--from", "1", "--to", "2"],
-                 ["homotopic", files["idfun.grpd"], files["idfun.grpd"]],
-                 ["pullback", files["cospan.grpd"], "--n", "1"],
-                 ["descent-check", files["datum.grpd"]],
-                 ["descent-glue", files["datum.grpd"]],
-                 ["tensor", files["unit_p3.grpd"], files["unit_p3.grpd"]],
-                 ["validate", files["broken.grpd"]]):
-        code, report = run_json(capsys, argv)
-        assert report["command"] == argv[0]
-        # decision reports expose ok; errors carry a message
-        if code == EXIT_INPUT:
-            assert "error" in report or not report["ok"]
-
-
-def test_repeated_comp_line_exits_2(tmp_path, capsys):
-    text = serialize_groupoid(pair_groupoid("pair2", ["1", "2"]))
-    assert "comp 2>1 1>2 = 1>1\n" in text
-    path = tmp_path / "twice.grpd"
-    path.write_text(text.replace("comp 2>1 1>2 = 1>1\n",
-                                 "comp 2>1 1>2 = 2>2\ncomp 2>1 1>2 = 1>1\n"),
-                    encoding="utf-8")
-    line = text.splitlines().index("comp 2>1 1>2 = 1>1") + 2
-    assert run(["validate", str(path)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"error: {path}:{line}:1: repeated 'comp 2>1 1>2' "
-        f"(first on line {line - 1})\n")
-
-
-def test_repeated_block_exits_2(tmp_path, capsys):
-    first = serialize_groupoid(pair_groupoid("g", ["1", "2"]))
-    second = serialize_groupoid(point_groupoid("g", groups.cyclic(2)))
-    path = tmp_path / "twice.grpd"
-    path.write_text(first, encoding="utf-8")
-    assert run(["validate", str(path)]) == EXIT_OK
-    capsys.readouterr()
-    # the second block used to replace the first without a word
-    path.write_text(first + second, encoding="utf-8")
-    line = first.count("\n") + 1
-    message = f"{path}:{line}:1: repeated 'groupoid g' (first on line 1)"
-    assert run(["validate", str(path)]) == EXIT_INPUT
-    assert capsys.readouterr().err == f"error: {message}\n"
-    code, report = run_json(capsys, ["validate", str(path)])
-    assert code == EXIT_INPUT and not report["ok"]
-    assert report["error"] == message
-
-
-@pytest.mark.parametrize("after, line, message", [
-    ("fiber P u1 : a", "fiber P u1 : a",
-     "repeated 'fiber P u1' (first on line 7)"),
-    ("fiber P u2 : b", "fiber P ghost : z",
-     "piece 'P' does not list 'ghost'"),
-    ("fiber P u2 : b", "fiber Q u1 : q", "unknown piece 'Q'"),
-    ("map P u2 -> y", "map P ghost -> x", "piece 'P' does not list 'ghost'"),
-    ("trans P P u2 u2 b -> b", "trans P P u1 u1 a -> a",
-     "repeated 'trans P P u1 u1 a' (first on line 9)")])
-@pytest.mark.parametrize("command", ["descent-check", "descent-glue"])
-def test_repeated_or_stray_datum_line_exits_2(tmp_path, capsys, command,
-                                              after, line, message):
-    path = tmp_path / "extra.desc"
-    path.write_text(STRAY_DATUM, encoding="utf-8")
-    assert run([command, str(path)]) == EXIT_OK
-    capsys.readouterr()
-    text = STRAY_DATUM.replace(f"{after}\n", f"{after}\n{line}\n")
-    path.write_text(text, encoding="utf-8")
-    number = STRAY_DATUM.splitlines().index(after) + 2
-    assert run([command, str(path)]) == EXIT_INPUT
-    assert f"{path}:{number}:" in capsys.readouterr().err
-    assert run(["--json", command, str(path)]) == EXIT_INPUT
-    assert message in json.loads(capsys.readouterr().out)["error"]
-
-
-def test_cover_without_a_map_line_exits_2(tmp_path, capsys):
-    path = tmp_path / "unmapped.desc"
-    path.write_text(STRAY_DATUM.replace("map P u2 -> y\n", ""),
-                    encoding="utf-8")
-    assert run(["descent-check", str(path)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"error: {path}:5:11: cover 'C' has no map line for 'u2' in piece "
-        "'P'\n")
-
-
-REPEATED_BASE = """cover C
-base: x x
-piece U : u
-map U u -> x
-datum D : C
-fiber U u : a
-trans U U u u a -> a
-"""
-
-
-@pytest.mark.parametrize("command", ["descent-check", "descent-glue"])
-def test_cover_listing_a_base_point_twice_exits_2(tmp_path, capsys, command):
-    path = tmp_path / "twice.desc"
-    path.write_text(REPEATED_BASE, encoding="utf-8")
-    message = "cover 'C' lists base point 'x' twice"
-    assert run([command, str(path)]) == EXIT_INPUT
-    out, err = capsys.readouterr()
-    assert (out, err) == ("", f"error: {message}\n")
-    code, report = run_json(capsys, [command, str(path)])
-    assert code == EXIT_INPUT
-    assert report == {"command": command, "ok": False, "error": message}
-
-
-def test_non_utf8_file_exits_2_at_its_first_bad_byte(files, tmp_path,
-                                                     capsys):
-    path = tmp_path / "latin1.grpd"
-    path.write_bytes(b"groupoid g\n  objects: caf\xe9\n")
-    # it used to print a UnicodeDecodeError traceback and exit 1
-    assert run(["validate", str(path)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"error: {path}:2:15: byte 0xe9 is not UTF-8\n")
-    # two-file commands read through the same reader: the second file
-    # is named, after a first one that parses
-    assert run(["morita", files["pair3.grpd"], str(path)]) == EXIT_INPUT
-    assert capsys.readouterr().err == (
-        f"error: {path}:2:15: byte 0xe9 is not UTF-8\n")
-    path.write_bytes(b"\xff")
-    code, report = run_json(capsys, ["morita", files["pair3.grpd"],
-                                     str(path)])
-    assert code == EXIT_INPUT
-    assert report["error"] == f"{path}:1:1: byte 0xff is not UTF-8"
 
 
 # file kinds each subcommand reads, in argument order; ``corpus`` reads no
@@ -541,8 +117,587 @@ def fuzz_calls(root: Path, random_functor):
             yield argv
 
 
+# ---------------------------------------------------------------------------
+# the input files of CLI_ROWS
+
+
+def _pair3():
+    return pair_groupoid("pair3", "123")
+
+
+def _broken():
+    """Pair(3) with 1>2 its own inverse."""
+    p3 = _pair3()
+    return dataclasses.replace(p3, name="broken",
+                               inv={**p3.inv, "1>2": "1>2"})
+
+
+def _cospan(*blocks) -> str:
+    """The restriction "one" of Pair(3) to the object 1, Pair(3), then
+    the blocks, each written from the two by a function."""
+    p3 = _pair3()
+    one = restrict(p3, ["1"], name="one")
+    return serialize_groupoid(one) + serialize_groupoid(p3) + "".join(
+        block(one, p3) for block in blocks)
+
+
+def _inclusion(name):
+    return lambda one, p3: serialize_functor(
+        inclusion_functor(one, p3, name=name))
+
+
+def _bad_leg(one, p3) -> str:
+    """A leg f that sends the unit at 1 to the unit at 2."""
+    return serialize_functor(StrictArrow(
+        name="f", dom=one, cod=p3, obj_map={"1": "1"},
+        arr_map={"1>1": "2>2"}))
+
+
+def _leg_from_broken(one, p3) -> str:
+    """A leg g from broken.grpd's groupoid, the identity on ids."""
+    return serialize_functor(StrictArrow(
+        name="g", dom=_broken(), cod=p3, obj_map={x: x for x in p3.objects},
+        arr_map={a: a for a in p3.arrows}))
+
+
+def _bang_cospan() -> str:
+    """Pair(2) with ids over {a, !} and its identity functor twice, the
+    legs L and R of a cospan."""
+    bang = _relabel(pair_groupoid("P2", "12"), BANG, "bang")
+    return serialize_groupoid(bang) + "".join(
+        serialize_functor(dataclasses.replace(identity_functor(bang),
+                                              name=leg)) for leg in "LR")
+
+
+def _swapped_functor(root) -> str:
+    """The swap of a discrete pair D, named F as its identity is in
+    f_id.grpd."""
+    d = discrete_groupoid("D", ["a", "b"])
+    ua, ub = d.unit["a"], d.unit["b"]
+    return serialize_functor(StrictArrow(
+        name="F", dom=d, cod=d, obj_map={"a": "b", "b": "a"},
+        arr_map={ua: ub, ub: ua}))
+
+
+def _read(root: Path, name: str) -> str:
+    return Path(_input(root, name)).read_text(encoding="utf-8")
+
+
+def _printed(argv, root: Path) -> str:
+    """The stdout of an in-process call that must exit 0."""
+    code, out, err = outputs(argv, root)
+    assert code == EXIT_OK, (argv, err)
+    return out
+
+
+def _idfun_parts(root) -> tuple[str, str]:
+    """The groupoid block of idfun.grpd, and its functor block."""
+    text = _read(root, "idfun.grpd")
+    cut = text.index("\nfunctor ") + 1
+    return text[:cut], text[cut:]
+
+
+def _corpus_dir(name, *options):
+    def make(root):
+        _printed(["corpus", "--seed", "3", "--count", "5", *options,
+                  "--out", f"{{dir}}/{name}"], root)
+    return make
+
+
+def _edited(name, old, new, tail=""):
+    """A maker: the input ``name`` with ``old`` replaced by ``new``, then
+    ``tail``."""
+    return lambda root: _read(root, name).replace(old, new) + tail
+
+
+def _failed_first(command, second=False):
+    """A maker: for ``command``, a Pair(2) file whose inv line is
+    malformed, or (second) the file after it; each holds what the command
+    reads besides the groupoid."""
+    def make(root):
+        g = pair_groupoid("D", "12")
+        good = serialize_groupoid(g)
+        named = {"homotopic": serialize_functor(identity_functor(g)),
+                 "tensor": serialize_bibundle(unit_bibundle(g)),
+                 "morita": ""}[command]
+        if second:
+            return named or good
+        return good.replace("inv 1>2 = 2>1", "inv 1>2 2>1") + named
+    return make
+
+
+STRAY_DATUM = """cover C
+base: x y
+piece P : u1 u2
+map P u1 -> x
+map P u2 -> y
+datum D : C
+fiber P u1 : a
+fiber P u2 : b
+trans P P u1 u1 a -> a
+trans P P u2 u2 b -> b
+"""
+
+# (input, a line of STRAY_DATUM, the line inserted after it, the error at
+# its line and column)
+DATUM_EDITS = (
+    ("fiber_twice.desc", "fiber P u1 : a", "fiber P u1 : a",
+     "8:1: repeated 'fiber P u1' (first on line 7)"),
+    ("fiber_ghost_point.desc", "fiber P u2 : b", "fiber P ghost : z",
+     "9:9: piece 'P' does not list 'ghost'"),
+    ("fiber_ghost_piece.desc", "fiber P u2 : b", "fiber Q u1 : q",
+     "9:7: unknown piece 'Q'"),
+    ("map_ghost_point.desc", "map P u2 -> y", "map P ghost -> x",
+     "6:7: piece 'P' does not list 'ghost'"),
+    ("trans_twice.desc", "trans P P u2 u2 b -> b", "trans P P u1 u1 a -> a",
+     "11:1: repeated 'trans P P u1 u1 a' (first on line 9)"))
+
+REPEATED_BASE = """cover C
+base: x x
+piece U : u
+map U u -> x
+datum D : C
+fiber U u : a
+trans U U u u a -> a
+"""
+
+# groupoids whose unit and inverse laws hold and whose composition is not
+# associative: the order-5 loop as Pair(2) x L, and doubled hom sets whose
+# loops are all units
+NON_ASSOCIATIVE = {
+    "p2L": lambda: transitive_groupoid("p2L", ["1", "2"], _LOOP5),
+    "doubled": _doubled_hom_sets}
+
+
+def _groupoid_text(make):
+    """A maker: the serialized groupoid that ``make()`` builds."""
+    return lambda root: serialize_groupoid(make())
+
+
+def _literal(text):
+    return lambda root: text
+
+
+def _tensor_written(root) -> str:
+    """pair3.grpd followed by the tensor square of its unit bibundle."""
+    unit = _input(root, "unit_p3.grpd")
+    return _read(root, "pair3.grpd") + _printed(["tensor", unit, unit], root)
+
+
+def _morita_written(root) -> str:
+    """A corpus member followed by the Morita witness on it and itself."""
+    g0 = _input(root, "corpus3/g0.grpd")
+    return _read(root, "corpus3/g0.grpd") + _printed(["morita", g0, g0],
+                                                     root)
+
+
+# Every input of CLI_ROWS, by its name under {dir}: each maker takes the
+# directory and returns the file's text or bytes, or writes a directory
+# itself.  A maker reads other inputs through _read, which makes them.
+CLI_INPUTS = {
+    "pair3.grpd": _groupoid_text(_pair3),
+    "point.grpd": _groupoid_text(
+        lambda: point_groupoid("pt_triv", groups.cyclic(1))),
+    "bz2.grpd": _groupoid_text(lambda: point_groupoid("BZ2",
+                                                      groups.cyclic(2))),
+    "disc.grpd": _groupoid_text(lambda: discrete_groupoid("disc", "ab")),
+    "mix.grpd": _groupoid_text(lambda: disjoint_union(
+        "mix", [pair_groupoid("p2", "12"),
+                point_groupoid("B", groups.cyclic(2))])),
+    "broken.grpd": _groupoid_text(_broken),
+    "cospan.grpd": lambda root: _cospan(_inclusion("f"), _inclusion("g")),
+    "badleg.grpd": lambda root: _cospan(_bad_leg, _inclusion("g")),
+    "two_faults.grpd": lambda root: _cospan(
+        lambda one, p3: serialize_groupoid(_broken()), _bad_leg,
+        _leg_from_broken),
+    "idfun.grpd": lambda root: serialize_groupoid(_pair3())
+    + serialize_functor(identity_functor(_pair3())),
+    "datum.grpd": lambda root: serialize_datum(random_datum(
+        random.Random(3), "dd", base_size=3, max_fibre=2)[2]),
+    "unit_p3.grpd": lambda root: serialize_groupoid(_pair3())
+    + serialize_bibundle(unit_bibundle(_pair3())),
+    "functor_only.grpd": lambda root: _idfun_parts(root)[1],
+    "bad_inv.grpd": _edited("idfun.grpd", "inv 1>2 = 2>1\n",
+                            "inv 1>2 2>1\n"),
+    "repeat_after_bad.grpd": lambda root: _read(root, "point.grpd").replace(
+        "comp k0 k0 = k0", "comp k0 k0 k0") + _read(root, "point.grpd"),
+    "functor_first.grpd": lambda root: "".join(reversed(_idfun_parts(root))),
+    **{f"{name}.grpd": _groupoid_text(make)
+       for name, make in NON_ASSOCIATIVE.items()},
+    # Z3 under p.q = q - p: r0 is a right identity only
+    "unit.grpd": _groupoid_text(lambda: z3_by(lambda p, q: q - p)),
+    # Z3 with each element its own inverse
+    "inverse.grpd": _groupoid_text(lambda: z3_by(lambda p, q: p + q)),
+    "bang.grpd": lambda root: _bang_cospan(),
+    "corpus3": _corpus_dir("corpus3"),
+    "corpus12": _corpus_dir("corpus12", "--max-isotropy", "12"),
+    "tensor_written.grpd": _tensor_written,
+    "morita_written.grpd": _morita_written,
+    "holey.grpd": _edited("idfun.grpd", "comp 2>3 1>2 = 1>3\n", ""),
+    "g_pair3.grpd": _groupoid_text(lambda: pair_groupoid("g", "123")),
+    "g_bz2.grpd": _groupoid_text(lambda: point_groupoid("g",
+                                                        groups.cyclic(2))),
+    "g_twice.grpd": lambda root: _read(root, "g_pair3.grpd")
+    + _read(root, "g_bz2.grpd"),
+    "f_id.grpd": lambda root: serialize_groupoid(discrete_groupoid(
+        "D", "ab")) + serialize_functor(dataclasses.replace(
+            identity_functor(discrete_groupoid("D", "ab")), name="F")),
+    "f_swap.grpd": _swapped_functor,
+    **{f"failed_{c}.grpd": _failed_first(c)
+       for c in ("homotopic", "tensor", "morita")},
+    **{f"after_{c}.grpd": _failed_first(c, second=True)
+       for c in ("homotopic", "tensor", "morita")},
+    "ghost.bib": lambda root: _read(root, "unit_p3.grpd")
+    + "ract ghost 1>2 -> 1>1\n",
+    "carrier_twice.bib": _edited("unit_p3.grpd", "carrier: 1>1 ",
+                                 "carrier: 1>1 1>1 "),
+    "bad.grpd": _literal("groupoid g\nnot a line\n"),
+    "comp_twice.grpd": lambda root: serialize_groupoid(
+        pair_groupoid("pair2", "12")).replace(
+        "comp 2>1 1>2 = 1>1\n", "comp 2>1 1>2 = 2>2\ncomp 2>1 1>2 = 1>1\n"),
+    "unnamed.grpd": _edited("pair3.grpd", "groupoid pair3", "groupoid"),
+    "unnamed_functor.grpd": _edited("pair3.grpd", "inv 1>2 = 2>1",
+                                    "inv 1>2 2>1", "functor\n"),
+    "latin1.grpd": _literal(b"groupoid g\n  objects: caf\xe9\n"),
+    "ff.grpd": _literal(b"\xff"),
+    "datum_ok.desc": _literal(STRAY_DATUM),
+    "stray_overlap.desc": _literal(STRAY_DATUM + "trans P P u1 u2 a -> b\n"),
+    "stray_piece.desc": _literal(STRAY_DATUM + "trans P Q u1 u1 a -> a\n"),
+    **{name: _literal(STRAY_DATUM.replace(f"{after}\n",
+                                          f"{after}\n{line}\n"))
+       for name, after, line, _ in DATUM_EDITS},
+    "unmapped.desc": _literal(STRAY_DATUM.replace("map P u2 -> y\n", "")),
+    "base_twice.desc": _literal(REPEATED_BASE),
+}
+
+
+def _input(root: Path, name: str) -> str:
+    """The path of ``name`` under root, made by CLI_INPUTS on first use."""
+    path = root / name
+    maker = CLI_INPUTS.get(name.partition("/")[0])
+    if maker is not None and not path.exists():
+        made = maker(root)
+        if made is not None:
+            path.write_bytes(made.encode() if isinstance(made, str)
+                             else made)
+    return str(path)
+
+
+def write_inputs(argv, root: Path) -> None:
+    for a in argv:
+        if a.startswith("{dir}/"):
+            _input(root, a.removeprefix("{dir}/"))
+
+
+def _validate_rows():
+    for n in (3, 12):
+        for i in range(5):
+            yield f"valid-corpus{n}-g{i}", (
+                ["validate", f"{{dir}}/corpus{n}/g{i}.grpd"], EXIT_OK, "out",
+                f"valid: g{i} (")
+    for name, line in (("pair3", "valid: pair3 (3 objects, 9 arrows)\n"),
+                       ("point", "valid: pt_triv (1 objects, 1 arrows)\n"),
+                       ("bz2", "valid: BZ2 (1 objects, 2 arrows)\n")):
+        yield f"valid-{name}", (["validate", f"{{dir}}/{name}.grpd"], EXIT_OK,
+                                "out", line)
+
+
+def _datum_rows():
+    """Each descent subcommand on the datum STRAY_DATUM and on its edits,
+    which exit 2 alike."""
+    for command in ("descent-check", "descent-glue"):
+        yield f"{command}-stray-datum", (
+            [command, "{dir}/datum_ok.desc"], EXIT_OK, "out",
+            {"descent-check": "cocycle conditions hold\n",
+             "descent-glue": "bundle glue(D)\n"}[command])
+        for name, message in (
+                # u1 sits over x and u2 over y, so (u1, u2) is no overlap
+                ("stray_overlap.desc", "error: transition over ('u1', 'u2')"
+                 " of ('P', 'P') is not over an overlap pair\n"),
+                ("stray_piece.desc", "error: transitions for ('P', 'Q') "
+                 "name a piece outside the cover\n"),
+                *((name, f"error: {{dir}}/{name}:{error}\n")
+                  for name, _, _, error in DATUM_EDITS),
+                ("base_twice.desc",
+                 "error: cover 'C' lists base point 'x' twice\n")):
+            yield f"{command}-{name[:-5].replace('_', '-')}", (
+                [command, f"{{dir}}/{name}"], EXIT_INPUT, "err", message)
+
+
+def _failed_first_rows():
+    """Files after one that fails to assemble are still parsed, for their
+    headers; what they name of the failed file is unknown to them, and the
+    first file's error is the one reported."""
+    for command in ("homotopic", "tensor", "morita"):
+        yield f"{command}-after-a-failed-file", (
+            [command, f"{{dir}}/failed_{command}.grpd",
+             f"{{dir}}/after_{command}.grpd"], EXIT_INPUT, "err",
+            f"error: {{dir}}/failed_{command}.grpd:10:9: malformed groupoid "
+            "line, expected 'inv <id> = <id>'\n")
+
+
+def _cap_rows():
+    """GRPD_ISOTROPY_CAP: a cap below the isotropy order exits 3, and a
+    value that is no positive integer exits 2."""
+    yield "isotropy-cap-1", (
+        ["GRPD_ISOTROPY_CAP=1", "skeleton", "{dir}/bz2.grpd"], EXIT_LIMIT,
+        "err", "error: isotropy order 2 at '*' exceeds cap 1\n")
+    yield "isotropy-cap-24", (
+        ["GRPD_ISOTROPY_CAP=24", "skeleton", "{dir}/bz2.grpd"], EXIT_OK,
+        "out", "orbit 2 group 76ad032a0dcb 0,1;1,0\n")
+    for value in ("abc", "0", "-3", "2.5", ""):
+        yield f"isotropy-cap-{value or 'empty'}", (
+            [f"GRPD_ISOTROPY_CAP={value}", "skeleton", "{dir}/bz2.grpd"],
+            EXIT_INPUT, "err", "error: GRPD_ISOTROPY_CAP must be a positive "
+            f"integer, got {value!r}\n")
+
+
+def _non_associative_rows():
+    """Each command that validates a groupoid names the failing triple."""
+    for name in NON_ASSOCIATIVE:
+        path = f"{{dir}}/{name}.grpd"
+        yield f"cgeo-{name}", (["cgeo", path], EXIT_INPUT, "err",
+                               "error: associativity fails on (")
+        yield f"morita-{name}", (["morita", path, "{dir}/pair3.grpd"],
+                                 EXIT_INPUT, "err",
+                                 "error: associativity fails on (")
+
+
+# Command lines as a shell runs them.  Each row is (argv, exit code, the
+# stream, a text that the call prints there); ``{dir}`` is a directory
+# that CLI_INPUTS fills on demand, and a leading NAME=value token sets an
+# environment variable for that one call.  Each row runs as it is and with
+# --json (test_command_line_exit_code_and_text), and error_digests pins
+# what it prints in both modes in tests/data/cli_errors.json.  A new row
+# names its new inputs in CLI_INPUTS, and the digests are then rewritten.
+CLI_ROWS = {
+    # one file passed twice spans through its skeleton, as any
+    # relabelled copy does
+    "morita-homotopy-one-file-twice": (
+        ["morita-homotopy", "{dir}/pair3.grpd", "{dir}/pair3.grpd"],
+        EXIT_OK, "out", "span through sk(pair3) (1 objects)\n"),
+    "transitive-two-orbits": (["transitive", "{dir}/mix.grpd"], EXIT_FALSE,
+                              "out", "not transitive\n"),
+    # a lone functor naming a groupoid the file lacks: the header error
+    "lone-functor": (
+        ["validate", "{dir}/functor_only.grpd"], EXIT_INPUT, "err",
+        "error: {dir}/functor_only.grpd:1:1: no groupoid block found\n"),
+    # an assembly error in the first file, then a file with no groupoid
+    # block: the second file's header error
+    "header-error-after-assembly-error": (
+        ["morita", "{dir}/bad_inv.grpd", "{dir}/functor_only.grpd"],
+        EXIT_INPUT, "err",
+        "error: {dir}/functor_only.grpd:1:1: no groupoid block found\n"),
+    # a repeated block header wins over an earlier malformed line
+    "repeated-header-after-bad-line": (
+        ["validate", "{dir}/repeat_after_bad.grpd"], EXIT_INPUT, "err",
+        "error: {dir}/repeat_after_bad.grpd:7:1: repeated 'groupoid "
+        "pt_triv' (first on line 1)\n"),
+    # a functor may come before the groupoid it names
+    "functor-before-its-groupoid": (
+        ["homotopic", "{dir}/functor_first.grpd", "{dir}/functor_first.grpd"],
+        EXIT_OK, "out", "homotopic: 1:1>1, 2:2>2, 3:3>3\n"),
+    # hom sets that the spanning tree cannot tell apart: the failing triple
+    "doubled-hom-sets": (["validate", "{dir}/doubled.grpd"], EXIT_INPUT,
+                         "out", "invalid: associativity fails on ("),
+    "validate-p2L": (["validate", "{dir}/p2L.grpd"], EXIT_INPUT, "out",
+                     "invalid: associativity fails on ("),
+    # a unit or inverse law that the labels refuse: the per-arrow checks
+    # name the arrow
+    "unit-law": (["validate", "{dir}/unit.grpd"], EXIT_INPUT, "out",
+                 "invalid: unit is not an identity against arrow 'r1'\n"),
+    "inverse-law": (["validate", "{dir}/inverse.grpd"], EXIT_INPUT, "out",
+                    "invalid: inv('r1') is not a two-sided inverse\n"),
+    # ids that hold the pullback's separator stay apart: P_2 reads P_1's
+    # ids through its computed comp and fails when two merge, and P_1
+    # exits 4 naming an id that it repeats
+    "pullback-hostile-ids": (["pullback", "{dir}/bang.grpd"], EXIT_OK, "out",
+                             "P_1: 4 objects, 16 arrows\n"),
+    "pullback-hostile-ids-n2": (
+        ["pullback", "--n", "2", "{dir}/bang.grpd"], EXIT_OK, "out",
+        "P_2: 8 objects, 64 arrows\n"),
+    # written files read back valid: corpus members, also with isotropy
+    # up to order 12, and the tabulated examples
+    "corpus-out": (
+        ["corpus", "--seed", "3", "--count", "5", "--out", "{dir}/out"],
+        EXIT_OK, "out", "wrote 5 groupoids to {dir}/out\n"),
+    "corpus-out-isotropy-12": (
+        ["corpus", "--seed", "3", "--count", "5", "--max-isotropy", "12",
+         "--out", "{dir}/out"], EXIT_OK, "out",
+        "wrote 5 groupoids to {dir}/out\n"),
+    **dict(_validate_rows()),
+    # the bibundles that tensor and morita write read back: a groupoid
+    # file with a written bibundle on it, tensored with itself
+    "tensor-unit": (
+        ["tensor", "{dir}/unit_p3.grpd", "{dir}/unit_p3.grpd"], EXIT_OK,
+        "out", "bibundle (unit_pair3(.)unit_pair3) : pair3 -| Z |- pair3\n"),
+    "morita-written": (
+        ["morita", "{dir}/corpus3/g0.grpd", "{dir}/corpus3/g0.grpd"], EXIT_OK,
+        "out", "bibundle B[match_g0_g0*retr_g0] : g0 -| Z |- g0\n"),
+    "tensor-of-written-tensor": (
+        ["tensor", "{dir}/tensor_written.grpd", "{dir}/tensor_written.grpd"],
+        EXIT_OK, "out", "bibundle ((unit_pair3(.)unit_pair3)(.)(unit_pair3"
+        "(.)unit_pair3)) : pair3 -| Z |- pair3\n"),
+    "tensor-of-written-morita": (
+        ["tensor", "{dir}/morita_written.grpd", "{dir}/morita_written.grpd"],
+        EXIT_OK, "out", "bibundle (B[match_g0_g0*retr_g0](.)B[match_g0_g0"
+        "*retr_g0]) : g0 -| Z |- g0\n"),
+    # each subcommand's verdicts on small inputs, both ways where it
+    # decides
+    "validate-broken": (["validate", "{dir}/broken.grpd"], EXIT_INPUT, "out",
+                        "invalid: inv('1>2') has wrong endpoints\n"),
+    "cgeo-pair3": (["cgeo", "{dir}/pair3.grpd"], EXIT_OK, "out", "1\n"),
+    "cgeo-mix": (["cgeo", "{dir}/mix.grpd"], EXIT_OK, "out", "2\n"),
+    "orbits-mix": (["orbits", "{dir}/mix.grpd"], EXIT_OK, "out", "*\n1 2\n"),
+    "skeleton-mix": (["skeleton", "{dir}/mix.grpd"], EXIT_OK, "out",
+                     "orbit 1 group 5feceb66ffc8 0\n"
+                     "orbit 2 group 76ad032a0dcb 0,1;1,0\n"),
+    "locus-bz2": (["locus", "{dir}/bz2.grpd"], EXIT_OK, "out", "POINT\n"),
+    "locus-mix": (["locus", "{dir}/mix.grpd"], EXIT_OK, "out", "cgeo=2;"),
+    "relcgeo-disc": (["relcgeo", "{dir}/disc.grpd", "--subset", "a,b"],
+                     EXIT_OK, "out", "2\n"),
+    "relcgeo-disc-a": (["relcgeo", "{dir}/disc.grpd", "--subset", "a"],
+                       EXIT_OK, "out", "1\n"),
+    "transitive-pair3": (["transitive", "{dir}/pair3.grpd"], EXIT_OK, "out",
+                         "transitive\n"),
+    "transitive-disc": (["transitive", "{dir}/disc.grpd"], EXIT_FALSE, "out",
+                        "not transitive\n"),
+    "morita-pair3-point": (
+        ["morita", "{dir}/pair3.grpd", "{dir}/point.grpd"], EXIT_OK, "out",
+        "bibundle B[match_pair3_pt_triv*retr_pair3] : pair3 -| Z |- "
+        "pt_triv\n"),
+    "morita-bz2-point": (["morita", "{dir}/bz2.grpd", "{dir}/point.grpd"],
+                         EXIT_FALSE, "out", "not Morita equivalent\n"),
+    "morita-homotopy-pair3-point": (
+        ["morita-homotopy", "{dir}/pair3.grpd", "{dir}/point.grpd"], EXIT_OK,
+        "out", "span through sk(pair3) (1 objects)\n"),
+    "morita-homotopy-bz2-disc": (
+        ["morita-homotopy", "{dir}/bz2.grpd", "{dir}/disc.grpd"], EXIT_FALSE,
+        "out", "not Morita homotopy equivalent\n"),
+    "weakpoint-mix": (["weakpoint", "{dir}/mix.grpd", "--subset", "1,2"],
+                      EXIT_OK, "out",
+                      "weak point subgroupoid (collapses to '1')\n"),
+    "weakpoint-disc": (["weakpoint", "{dir}/disc.grpd", "--subset", "a,b"],
+                       EXIT_FALSE, "out", "not a weak point subgroupoid\n"),
+    "deform-mix": (["deform", "{dir}/mix.grpd", "--from", "1", "--to", "2"],
+                   EXIT_OK, "out", "deformation: 1->2\n"),
+    "deform-disc": (["deform", "{dir}/disc.grpd", "--from", "a", "--to",
+                     "b"], EXIT_FALSE, "out", "no deformation\n"),
+    "homotopic-idfun": (["homotopic", "{dir}/idfun.grpd", "{dir}/idfun.grpd"],
+                        EXIT_OK, "out", "homotopic: 1:1>1, 2:2>2, 3:3>3\n"),
+    "pullback-cospan": (["pullback", "{dir}/cospan.grpd", "--n", "1"],
+                        EXIT_OK, "out", "P_1: 1 objects, 1 arrows\n"),
+    "pullback-cospan-n2": (["pullback", "{dir}/cospan.grpd", "--n", "2"],
+                           EXIT_OK, "out", "P_2: 3 objects, 9 arrows\n"),
+    "descent-check-datum": (["descent-check", "{dir}/datum.grpd"], EXIT_OK,
+                            "out", "cocycle conditions hold\n"),
+    "descent-glue-datum": (["descent-glue", "{dir}/datum.grpd"], EXIT_OK,
+                           "out", "bundle glue(desc(ddA)~)\n"),
+    # the corpus itself; the digests pin it across runs and hash seeds
+    "corpus-seed-9": (["corpus", "--seed", "9", "--count", "3"], EXIT_OK,
+                      "out", "groupoid g0\n"),
+    # each command validates what it reads before deciding
+    "homotopic-holey": (
+        ["homotopic", "{dir}/holey.grpd", "{dir}/holey.grpd"], EXIT_INPUT,
+        "err", "error: composable pair ('2>3', '1>2') has no composite\n"),
+    # the leg sends the unit at 1 to the unit at 2
+    "pullback-bad-leg": (["pullback", "{dir}/badleg.grpd"], EXIT_INPUT, "err",
+                         "error: arr_map('1>1') breaks the src/tgt squares\n"),
+    # a groupoid fault is named, not the leg that comes first
+    "pullback-groupoid-before-legs": (
+        ["pullback", "{dir}/two_faults.grpd"], EXIT_INPUT, "err",
+        "error: inv('1>2') has wrong endpoints\n"),
+    "morita-broken-first": (
+        ["morita", "{dir}/broken.grpd", "{dir}/pair3.grpd"], EXIT_INPUT,
+        "err", "error: inv('1>2') has wrong endpoints\n"),
+    **dict(_non_associative_rows()),
+    # files that reuse a name keep their own structures: Pair(3) and BZ2,
+    # both named g, and the identity and the swap of a discrete pair, both
+    # named F
+    "morita-files-reuse-a-groupoid-name": (
+        ["morita", "{dir}/g_pair3.grpd", "{dir}/g_bz2.grpd"], EXIT_FALSE,
+        "out", "not Morita equivalent\n"),
+    "homotopic-files-reuse-a-functor-name": (
+        ["homotopic", "{dir}/f_id.grpd", "{dir}/f_swap.grpd"], EXIT_FALSE,
+        "out", "not homotopic\n"),
+    # input errors, each named with its file, line and column
+    "validate-parse-error": (["validate", "{dir}/bad.grpd"], EXIT_INPUT,
+                             "err", "error: {dir}/bad.grpd:2:1: unknown "
+                             "groupoid line 'not'\n"),
+    "validate-missing-file": (["validate", "{dir}/missing.grpd"], EXIT_INPUT,
+                              "err", "error: [Errno 2] No such file or "
+                              "directory: '{dir}/missing.grpd'\n"),
+    "validate-repeated-comp": (["validate", "{dir}/comp_twice.grpd"],
+                               EXIT_INPUT, "err",
+                               "error: {dir}/comp_twice.grpd:18:1: repeated "
+                               "'comp 2>1 1>2' (first on line 17)\n"),
+    # a second block of one name is an error, not a replacement
+    "validate-one-block": (["validate", "{dir}/g_pair3.grpd"], EXIT_OK,
+                           "out", "valid: g (3 objects, 9 arrows)\n"),
+    "validate-repeated-block": (["validate", "{dir}/g_twice.grpd"],
+                                EXIT_INPUT, "err",
+                                "error: {dir}/g_twice.grpd:51:1: repeated "
+                                "'groupoid g' (first on line 1)\n"),
+    # header errors come before assembly errors in one file, as for two:
+    # an unnamed groupoid, and a bad inv line before an unnamed functor
+    "validate-unnamed-groupoid": (["validate", "{dir}/unnamed.grpd"],
+                                  EXIT_INPUT, "err",
+                                  "error: {dir}/unnamed.grpd:1:1: groupoid "
+                                  "block without a name\n"),
+    "pullback-unnamed-functor": (["pullback", "{dir}/unnamed_functor.grpd"],
+                                 EXIT_INPUT, "err",
+                                 "error: {dir}/unnamed_functor.grpd:51:1: "
+                                 "functor block without a name\n"),
+    # a file that is not UTF-8 is named at its first bad byte, also as the
+    # second file of a two-file command
+    "validate-latin1": (["validate", "{dir}/latin1.grpd"], EXIT_INPUT, "err",
+                        "error: {dir}/latin1.grpd:2:15: byte 0xe9 is not "
+                        "UTF-8\n"),
+    "morita-latin1": (["morita", "{dir}/pair3.grpd", "{dir}/latin1.grpd"],
+                      EXIT_INPUT, "err", "error: {dir}/latin1.grpd:2:15: "
+                      "byte 0xe9 is not UTF-8\n"),
+    "morita-ff": (["morita", "{dir}/pair3.grpd", "{dir}/ff.grpd"], EXIT_INPUT,
+                  "err", "error: {dir}/ff.grpd:1:1: byte 0xff is not UTF-8\n"),
+    **dict(_failed_first_rows()),
+    "tensor-stray-action": (
+        ["tensor", "{dir}/ghost.bib", "{dir}/ghost.bib"], EXIT_INPUT, "err",
+        "error: action entry ('ghost', '1>2') names an unknown point or "
+        "arrow\n"),
+    "tensor-carrier-twice": (
+        ["tensor", "{dir}/carrier_twice.bib", "{dir}/carrier_twice.bib"],
+        EXIT_INPUT, "err", "error: carrier lists '1>1' twice\n"),
+    **dict(_datum_rows()),
+    "descent-check-unmapped": (
+        ["descent-check", "{dir}/unmapped.desc"], EXIT_INPUT, "err",
+        "error: {dir}/unmapped.desc:5:11: cover 'C' has no map line for 'u2' "
+        "in piece 'P'\n"),
+    **dict(_cap_rows()),
+}
+
+ENV_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
+
+
+def _split_env(argv):
+    """A command line's leading NAME=value tokens, and the rest."""
+    n = next(i for i, a in enumerate(argv) if not ENV_TOKEN.match(a))
+    return argv[:n], argv[n:]
+
+
+def with_json(argv):
+    env, rest = _split_env(argv)
+    return [*env, "--json", *rest]
+
+
+def shell_outputs(argv, root: Path):
+    """:func:`outputs` of a command line whose leading NAME=value tokens
+    set environment variables for that call only."""
+    env, rest = _split_env(argv)
+    with mock.patch.dict(os.environ, (a.split("=", 1) for a in env)):
+        return outputs(rest, root)
+
+
 def error_digests(root: Path, random_functor):
-    """Each distinct call of :func:`fuzz_calls`, then each error row of
+    """Each distinct call of :func:`fuzz_calls`, then each row of
     ``CLI_ROWS``, in text mode and with ``--json``: the argv, the exit code
     and the sha256 of stdout followed by stderr.  Also returns the tally
     of exit codes over every fuzz call, repeats included.  Each call
@@ -551,8 +706,8 @@ def error_digests(root: Path, random_functor):
     entries, seen, codes = [], {}, Counter()
 
     def record(argv):
-        for full in (argv, ["--json"] + argv):
-            code, out, err = outputs(full, root)
+        for full in (argv, with_json(argv)):
+            code, out, err = shell_outputs(full, root)
             assert code in (EXIT_OK, EXIT_FALSE, EXIT_INPUT, EXIT_LIMIT), \
                 (full, err)
             assert "Traceback" not in err and "internal error" not in err, \
@@ -565,11 +720,11 @@ def error_digests(root: Path, random_functor):
         if tuple(argv) not in seen:
             seen[tuple(argv)] = record(argv)
         codes[seen[tuple(argv)]] += 1
-    files = write_files(root)
-    for argv, code, _, _ in CLI_ROWS.values():
-        if code == EXIT_INPUT:
-            write_inputs(argv, root, files)
-            record(argv)
+    rows = [argv for argv, *_ in CLI_ROWS.values()]
+    assert len({tuple(argv) for argv in rows}) == len(rows)
+    for argv in rows:
+        write_inputs(argv, root)
+        record(argv)
     return entries, codes
 
 
@@ -577,7 +732,7 @@ def test_every_file_subcommand_keeps_the_exit_contract_on_mutated_files(
         tmp_path, random_functor):
     """A seeded fuzz gate (see :func:`error_digests`).  What each call
     prints is pinned by its digest in ``tests/data/cli_errors.json``, as
-    is that of the error rows of ``CLI_ROWS``.  Rewrite the digests only
+    is what each row of ``CLI_ROWS`` prints.  Rewrite the digests only
     when an output change is intended:
 
         PYTHONPATH=src python tests/test_cli.py
@@ -591,6 +746,23 @@ def test_every_file_subcommand_keeps_the_exit_contract_on_mutated_files(
                if new != old]
     assert (len(entries), changed[:5]) == (len(recorded), []), \
         f"{len(changed)} calls changed"
+
+
+@pytest.mark.parametrize("row", CLI_ROWS)
+def test_command_line_exit_code_and_text(tmp_path, row):
+    argv, code, stream, text = CLI_ROWS[row]
+    write_inputs(argv, tmp_path)
+    printed = dict(zip(("exit", "out", "err"), shell_outputs(argv, tmp_path)))
+    assert printed["exit"] == code, printed
+    assert text in printed[stream], printed
+    assert "Traceback" not in printed["out"] + printed["err"]
+    # the same call with --json: one report, on stdout only
+    json_code, out, err = shell_outputs(with_json(argv), tmp_path)
+    report = json.loads(out)
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert (json_code, err) == (code, ""), (json_code, err)
+    assert report["command"] == _split_env(argv)[1][0]
+    assert report["ok"] == (code == EXIT_OK)
 
 
 @pytest.mark.parametrize("option", ["--max-objects", "--max-isotropy",
@@ -687,17 +859,26 @@ def test_bench_record_rejects_unusable_arguments_before_any_run(
     assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
 
 
-def test_unexpected_exception_exits_4_in_one_line(files, monkeypatch,
+def run_json(capsys, argv):
+    code = run(["--json"] + argv)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out.strip().splitlines()[-1])
+    jsonschema.validate(report, REPORT_SCHEMA)
+    return code, report
+
+
+def test_unexpected_exception_exits_4_in_one_line(tmp_path, monkeypatch,
                                                   capsys):
     def broken(g):
         raise KeyError("x")
 
+    pair3 = _input(tmp_path, "pair3.grpd")
     monkeypatch.setattr(complexity, "is_transitive", broken)
-    assert run(["transitive", files["pair3.grpd"]]) == EXIT_INTERNAL
+    assert run(["transitive", pair3]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: KeyError: 'x'\n"
-    code, report = run_json(capsys, ["transitive", files["pair3.grpd"]])
+    code, report = run_json(capsys, ["transitive", pair3])
     assert code == EXIT_INTERNAL
     assert report == {"command": "transitive", "ok": False,
                       "error": "internal error: KeyError: 'x'"}
@@ -714,11 +895,12 @@ print(code, sorted(loaded - set(sys.stdlib_module_names) - {"__main__"}))
 """
 
 
-def test_runtime_imports_only_the_standard_library(files):
+def test_runtime_imports_only_the_standard_library(tmp_path):
     env = dict(os.environ,
                PYTHONPATH=str(Path(grpd.__file__).resolve().parents[1]))
     out = subprocess.run(
-        [sys.executable, "-S", "-c", STDLIB_ONLY, files["pair3.grpd"]],
+        [sys.executable, "-S", "-c", STDLIB_ONLY,
+         _input(tmp_path, "pair3.grpd")],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 ['grpd']"
 
@@ -835,204 +1017,13 @@ def test_a_reader_closing_the_pipe_early_is_not_a_failure():
     assert "Traceback" not in err
 
 
-def _read(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
 
-
-def _printed(argv, root: Path) -> str:
-    """The stdout of an in-process call that must exit 0."""
-    code, out, err = outputs(argv, root)
-    assert code == EXIT_OK, (argv, err)
-    return out
-
-
-def _idfun_parts(files) -> tuple[str, str]:
-    """The groupoid block of idfun.grpd, and its functor block."""
-    text = _read(files["idfun.grpd"])
-    cut = text.index("\nfunctor ") + 1
-    return text[:cut], text[cut:]
-
-
-def _bang_cospan() -> str:
-    """Pair(2) with ids over {a, !} and its identity functor twice, the
-    legs L and R of a cospan."""
-    bang = _relabel(pair_groupoid("P2", "12"), BANG, "bang")
-    return serialize_groupoid(bang) + "".join(
-        serialize_functor(dataclasses.replace(identity_functor(bang),
-                                              name=leg)) for leg in "LR")
-
-
-def _corpus_dir(name, *options):
-    def make(root, files):
-        _printed(["corpus", "--seed", "3", "--count", "5", *options,
-                  "--out", f"{{dir}}/{name}"], root)
-    return make
-
-
-def _tensor_written(root, files) -> str:
-    """pair3.grpd followed by the tensor square of its unit bibundle."""
-    unit = files["unit_p3.grpd"]
-    return _read(files["pair3.grpd"]) + _printed(["tensor", unit, unit],
-                                                 root)
-
-
-def _morita_written(root, files) -> str:
-    """A corpus member followed by the Morita witness on it and itself."""
-    g0 = _input(root, files, "corpus3/g0.grpd")
-    return _read(g0) + _printed(["morita", g0, g0], root)
-
-
-# The inputs of CLI_ROWS that the files fixture lacks, by their name under
-# {dir}: each maker returns the file's text, or writes a directory itself.
-CLI_INPUTS = {
-    "functor_only.grpd": lambda root, files: _idfun_parts(files)[1],
-    "bad_inv.grpd": lambda root, files: _read(files["idfun.grpd"]).replace(
-        "inv 1>2 = 2>1\n", "inv 1>2 2>1\n"),
-    "repeat_after_bad.grpd": lambda root, files: _read(
-        files["point.grpd"]).replace("comp k0 k0 = k0", "comp k0 k0 k0")
-    + _read(files["point.grpd"]),
-    "functor_first.grpd": lambda root, files: "".join(
-        reversed(_idfun_parts(files))),
-    "doubled.grpd": lambda root, files: serialize_groupoid(
-        _doubled_hom_sets()),
-    # Z3 under p.q = q - p: r0 is a right identity only
-    "unit.grpd": lambda root, files: serialize_groupoid(
-        z3_by(lambda p, q: q - p)),
-    # Z3 with each element its own inverse
-    "inverse.grpd": lambda root, files: serialize_groupoid(
-        z3_by(lambda p, q: p + q)),
-    "bang.grpd": lambda root, files: _bang_cospan(),
-    "corpus3": _corpus_dir("corpus3"),
-    "corpus12": _corpus_dir("corpus12", "--max-isotropy", "12"),
-    "tensor_written.grpd": _tensor_written,
-    "morita_written.grpd": _morita_written,
-}
-
-
-def _input(root: Path, files, name: str) -> str:
-    """The path of ``name`` under root, made by CLI_INPUTS on first use."""
-    path = root / name
-    maker = CLI_INPUTS.get(name.partition("/")[0])
-    if maker is not None and not path.exists():
-        text = maker(root, files)
-        if text is not None:
-            path.write_text(text, encoding="utf-8")
-    return str(path)
-
-
-def write_inputs(argv, root: Path, files) -> None:
-    for a in argv:
-        if a.startswith("{dir}/"):
-            _input(root, files, a.removeprefix("{dir}/"))
-
-
-def _validate_rows():
-    for n in (3, 12):
-        for i in range(5):
-            yield f"valid-corpus{n}-g{i}", (
-                ["validate", f"{{dir}}/corpus{n}/g{i}.grpd"], EXIT_OK, "out",
-                f"valid: g{i} (")
-    for name, line in (("pair3", "valid: pair3 (3 objects, 9 arrows)\n"),
-                       ("point", "valid: pt_triv (1 objects, 1 arrows)\n"),
-                       ("bz2", "valid: BZ2 (1 objects, 2 arrows)\n")):
-        yield f"valid-{name}", (["validate", f"{{dir}}/{name}.grpd"], EXIT_OK,
-                                "out", line)
-
-
-# Command lines as a shell runs them, each checked for its exit code, a
-# text that it prints (on stdout or stderr) and no traceback.  ``{dir}``
-# is the directory of the files fixture and of CLI_INPUTS; the error rows
-# (exit 2) are also pinned by digests (see error_digests).
-CLI_ROWS = {
-    # one file passed twice spans through its skeleton, as any
-    # relabelled copy does
-    "morita-homotopy-one-file-twice": (
-        ["morita-homotopy", "{dir}/pair3.grpd", "{dir}/pair3.grpd"],
-        EXIT_OK, "out", "span through sk(pair3) (1 objects)\n"),
-    "transitive-two-orbits": (["transitive", "{dir}/mix.grpd"], EXIT_FALSE,
-                              "out", "not transitive\n"),
-    # a lone functor naming a groupoid the file lacks: the header error
-    "lone-functor": (
-        ["validate", "{dir}/functor_only.grpd"], EXIT_INPUT, "err",
-        "error: {dir}/functor_only.grpd:1:1: no groupoid block found\n"),
-    # an assembly error in the first file, then a file with no groupoid
-    # block: the second file's header error
-    "header-error-after-assembly-error": (
-        ["morita", "{dir}/bad_inv.grpd", "{dir}/functor_only.grpd"],
-        EXIT_INPUT, "err",
-        "error: {dir}/functor_only.grpd:1:1: no groupoid block found\n"),
-    # a repeated block header wins over an earlier malformed line
-    "repeated-header-after-bad-line": (
-        ["validate", "{dir}/repeat_after_bad.grpd"], EXIT_INPUT, "err",
-        "error: {dir}/repeat_after_bad.grpd:7:1: repeated 'groupoid "
-        "pt_triv' (first on line 1)\n"),
-    # a functor may come before the groupoid it names
-    "functor-before-its-groupoid": (
-        ["homotopic", "{dir}/functor_first.grpd", "{dir}/functor_first.grpd"],
-        EXIT_OK, "out", "homotopic: 1:1>1, 2:2>2, 3:3>3\n"),
-    # hom sets that the spanning tree cannot tell apart: the failing triple
-    "doubled-hom-sets": (["validate", "{dir}/doubled.grpd"], EXIT_INPUT,
-                         "out", "invalid: associativity fails on ("),
-    # a unit or inverse law that the labels refuse: the per-arrow checks
-    # name the arrow
-    "unit-law": (["validate", "{dir}/unit.grpd"], EXIT_INPUT, "out",
-                 "invalid: unit is not an identity against arrow 'r1'\n"),
-    "inverse-law": (["validate", "{dir}/inverse.grpd"], EXIT_INPUT, "out",
-                    "invalid: inv('r1') is not a two-sided inverse\n"),
-    # ids that hold the pullback's separator stay apart: P_2 reads P_1's
-    # ids through its computed comp and fails when two merge, while P_1's
-    # counts are lengths of its id lists and would not show it
-    "pullback-hostile-ids": (["pullback", "{dir}/bang.grpd"], EXIT_OK, "out",
-                             "P_1: 4 objects, 16 arrows\n"),
-    "pullback-hostile-ids-n2": (
-        ["pullback", "--n", "2", "{dir}/bang.grpd"], EXIT_OK, "out",
-        "P_2: 8 objects, 64 arrows\n"),
-    # written files read back valid: corpus members, also with isotropy
-    # up to order 12, and the tabulated examples
-    "corpus-out": (
-        ["corpus", "--seed", "3", "--count", "5", "--out", "{dir}/out"],
-        EXIT_OK, "out", "wrote 5 groupoids to {dir}/out\n"),
-    "corpus-out-isotropy-12": (
-        ["corpus", "--seed", "3", "--count", "5", "--max-isotropy", "12",
-         "--out", "{dir}/out"], EXIT_OK, "out",
-        "wrote 5 groupoids to {dir}/out\n"),
-    **dict(_validate_rows()),
-    # the bibundles that tensor and morita write read back: a groupoid
-    # file with a written bibundle on it, tensored with itself
-    "tensor-unit": (
-        ["tensor", "{dir}/unit_p3.grpd", "{dir}/unit_p3.grpd"], EXIT_OK,
-        "out", "bibundle (unit_pair3(.)unit_pair3) : pair3 -| Z |- pair3\n"),
-    "morita-written": (
-        ["morita", "{dir}/corpus3/g0.grpd", "{dir}/corpus3/g0.grpd"], EXIT_OK,
-        "out", "bibundle B[match_g0_g0*retr_g0] : g0 -| Z |- g0\n"),
-    "tensor-of-written-tensor": (
-        ["tensor", "{dir}/tensor_written.grpd", "{dir}/tensor_written.grpd"],
-        EXIT_OK, "out", "bibundle ((unit_pair3(.)unit_pair3)(.)(unit_pair3"
-        "(.)unit_pair3)) : pair3 -| Z |- pair3\n"),
-    "tensor-of-written-morita": (
-        ["tensor", "{dir}/morita_written.grpd", "{dir}/morita_written.grpd"],
-        EXIT_OK, "out", "bibundle (B[match_g0_g0*retr_g0](.)B[match_g0_g0"
-        "*retr_g0]) : g0 -| Z |- g0\n"),
-}
-
-
-@pytest.mark.parametrize("row", CLI_ROWS)
-def test_command_line_exit_code_and_text(files, tmp_path, row):
-    argv, code, stream, text = CLI_ROWS[row]
-    write_inputs(argv, tmp_path, files)
-    printed = dict(zip(("exit", "out", "err"), outputs(argv, tmp_path)))
-    assert printed["exit"] == code, printed
-    assert text in printed[stream], printed
-    assert "Traceback" not in printed["out"] + printed["err"]
-
-
-def test_the_console_script_exits_1_and_2_without_a_traceback(files,
-                                                              tmp_path):
+def test_the_console_script_exits_1_and_2_without_a_traceback(tmp_path):
     env = dict(os.environ,
                PYTHONPATH=str(Path(grpd.__file__).resolve().parents[1]))
-    lone = _input(tmp_path, files, "functor_only.grpd")
+    lone = _input(tmp_path, "functor_only.grpd")
     for argv, code, out, err in (
-            (["transitive", files["mix.grpd"]], EXIT_FALSE,
+            (["transitive", _input(tmp_path, "mix.grpd")], EXIT_FALSE,
              "not transitive\n", ""),
             (["validate", lone], EXIT_INPUT, "",
              f"error: {lone}:1:1: no groupoid block found\n")):
@@ -1042,131 +1033,19 @@ def test_the_console_script_exits_1_and_2_without_a_traceback(files,
         assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
-def reports(capsys, argv):
-    """(exit code, stdout, stderr) of ``argv`` in text mode, then in JSON
-    mode with the stdout parsed as one report."""
-    text = (run(argv), *capsys.readouterr())
-    code = run(["--json"] + argv)
-    out, err = capsys.readouterr()
-    assert out.endswith("\n") and out.count("\n") == 1
-    return text, (code, json.loads(out), err)
-
-
-@pytest.mark.parametrize("case", ["parse", "groupoid", "descent", "env",
-                                  "missing", "limit"])
-def test_error_reports_are_exact(files, tmp_path, monkeypatch, capsys, case):
-    bad = tmp_path / "bad.grpd"
-    bad.write_text("groupoid g\nnot a line\n", encoding="utf-8")
-    stray = tmp_path / "stray.desc"
-    stray.write_text(STRAY_DATUM + "trans P P u1 u2 a -> b\n",
-                     encoding="utf-8")
-    missing = str(tmp_path / "missing.grpd")
-    argv, cap, code, message = {
-        "parse": (["validate", str(bad)], None, EXIT_INPUT,
-                  f"{bad}:2:1: unknown groupoid line 'not'"),
-        "groupoid": (["morita", files["broken.grpd"], files["pair3.grpd"]],
-                     None, EXIT_INPUT, "inv('1>2') has wrong endpoints"),
-        "descent": (["descent-glue", str(stray)], None, EXIT_INPUT,
-                    "transition over ('u1', 'u2') of ('P', 'P') is not "
-                    "over an overlap pair"),
-        "env": (["skeleton", files["bz2.grpd"]], "abc", EXIT_INPUT,
-                "GRPD_ISOTROPY_CAP must be a positive integer, got 'abc'"),
-        "missing": (["validate", missing], None, EXIT_INPUT,
-                    f"[Errno 2] No such file or directory: {missing!r}"),
-        "limit": (["skeleton", files["bz2.grpd"]], "1", EXIT_LIMIT,
-                  "isotropy order 2 at '*' exceeds cap 1"),
-    }[case]
-    if cap is not None:
-        monkeypatch.setenv("GRPD_ISOTROPY_CAP", cap)
-    text, as_json = reports(capsys, argv)
-    assert text == (code, "", f"error: {message}\n")
-    assert as_json == (code, {"command": argv[0], "ok": False,
-                              "error": message}, "")
-
-
-def test_invalid_groupoid_report_is_exact(files, capsys):
-    # the one non-zero exit whose report has a result and no error
-    text, as_json = reports(capsys, ["validate", files["broken.grpd"]])
-    assert text == (EXIT_INPUT, "invalid: inv('1>2') has wrong endpoints\n",
-                    "")
-    assert as_json == (EXIT_INPUT, {
-        "command": "validate", "ok": False,
-        "result": {"valid": False,
-                   "violation": "inv('1>2') has wrong endpoints",
-                   "witness": "'1>2'"}}, "")
-
-
-@pytest.mark.parametrize("name", ["p2L", "doubled"])
-def test_non_associative_input_exits_2_with_a_failing_triple(
-        files, tmp_path, capsys, loop5, doubled_hom_sets, name):
-    # the order-5 loop as Pair(2) x L, and doubled hom sets whose loops
-    # are all units
-    g = {"p2L": transitive_groupoid("p2L", ["1", "2"], loop5),
-         "doubled": doubled_hom_sets}[name]
-    path = tmp_path / f"{name}.grpd"
-    path.write_text(serialize_groupoid(g), encoding="utf-8")
-    text, as_json = reports(capsys, ["validate", str(path)])
-    violation = as_json[1]["result"]["violation"]
-    assert violation.startswith("associativity fails on (")
-    assert text == (EXIT_INPUT, f"invalid: {violation}\n", "")
-    assert as_json == (EXIT_INPUT, {
-        "command": "validate", "ok": False,
-        "result": {"valid": False, "violation": violation,
-                   "witness": violation[len("associativity fails on "):]}},
-        "")
-    c, b, a = ast.literal_eval(as_json[1]["result"]["witness"])
+@pytest.mark.parametrize("name", NON_ASSOCIATIVE)
+def test_non_associative_input_exits_2_with_a_failing_triple(tmp_path, capsys,
+                                                             name):
+    # the rows doubled-hom-sets, validate-p2L, cgeo-<name> and
+    # morita-<name> pin the text
+    code, report = run_json(capsys, ["validate",
+                                     _input(tmp_path, f"{name}.grpd")])
+    result = report["result"]
+    assert (code, result["violation"]) == (
+        EXIT_INPUT, f"associativity fails on {result['witness']}")
+    g = NON_ASSOCIATIVE[name]()
+    c, b, a = ast.literal_eval(result["witness"])
     assert g.comp[(c, g.comp[(b, a)])] != g.comp[(g.comp[(c, b)], a)]
-    for argv in (["cgeo", str(path)],
-                 ["morita", str(path), files["pair3.grpd"]]):
-        assert run(argv) == EXIT_INPUT
-        assert capsys.readouterr() == ("", f"error: {violation}\n")
-
-
-def test_pullback_validates_every_groupoid_before_its_legs(tmp_path, capsys):
-    p3 = pair_groupoid("pair3", ["1", "2", "3"])
-    one = restrict(p3, ["1"], name="one")
-    broken = dataclasses.replace(p3, name="broken",
-                                 inv={**p3.inv, "1>2": "1>2"})
-    # a bad first leg, and an invalid groupoid under the second leg
-    bad_leg = StrictArrow(name="f", dom=one, cod=p3, obj_map={"1": "1"},
-                          arr_map={"1>1": "2>2"})
-    second = StrictArrow(name="g", dom=broken, cod=p3,
-                         obj_map={x: x for x in p3.objects},
-                         arr_map={a: a for a in p3.arrows})
-    path = tmp_path / "two_faults.grpd"
-    path.write_text("".join([serialize_groupoid(one), serialize_groupoid(p3),
-                             serialize_groupoid(broken),
-                             serialize_functor(bad_leg),
-                             serialize_functor(second)]), encoding="utf-8")
-    # the groupoid fault is named, not the leg that comes first
-    assert run(["pullback", str(path)]) == EXIT_INPUT
-    assert capsys.readouterr() == (
-        "", "error: inv('1>2') has wrong endpoints\n")
-
-
-@pytest.mark.parametrize("case", ["no groupoid", "unnamed", "pullback"])
-def test_one_file_reports_header_errors_first(tmp_path, capsys, case):
-    # as for two files: a functor naming a groupoid the file lacks used to
-    # report "unknown groupoid", and a bad inv line in the cospan file came
-    # before its unnamed functor, both assembly errors
-    g = pair_groupoid("pair3", ["1", "2", "3"])
-    p3 = serialize_groupoid(g)
-    path = tmp_path / "one.grpd"
-    command, body, line, message = {
-        "no groupoid": ("validate", serialize_functor(identity_functor(g)),
-                        1, "no groupoid block found"),
-        "unnamed": ("validate", p3.replace("groupoid pair3", "groupoid"), 1,
-                    "groupoid block without a name"),
-        "pullback": ("pullback", p3.replace("inv 1>2 = 2>1", "inv 1>2 2>1")
-                     + "functor\n", p3.count("\n") + 1,
-                     "functor block without a name"),
-    }[case]
-    path.write_text(body, encoding="utf-8")
-    error = f"{path}:{line}:1: {message}"
-    text, as_json = reports(capsys, [command, str(path)])
-    assert text == (EXIT_INPUT, "", f"error: {error}\n")
-    assert as_json == (EXIT_INPUT, {"command": command, "ok": False,
-                                    "error": error}, "")
 
 
 def main() -> int:

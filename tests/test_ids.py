@@ -209,6 +209,17 @@ def test_tensor_classes_stay_apart_when_ids_hold_the_separator(relabel):
     assert bibundles_isomorphic(t, u) is not None
 
 
+def test_descended_elements_stay_apart_when_ids_hold_the_separator():
+    """Points u and u.v over one base point whose fibre holds e and v.e:
+    unescaped, the elements (u, v.e) and (u.v, e) would both be u.v.e."""
+    bundle = Bundle("A", ("x",), ("e", "v.e"), {"e": "x", "v.e": "x"})
+    cover = Cover("C", ("x",), (CoverPiece("P", ("u", "u.v"),
+                                           {"u": "x", "u.v": "x"}),))
+    d = validate_datum(descend(bundle, cover))
+    assert sorted(d.fibres["P"].total) == ["u.e", "u.v.e", "u\\.v.e",
+                                           "u\\.v.v.e"]
+
+
 # ---------------------------------------------------------------------------
 # relabelling gate
 
