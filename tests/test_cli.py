@@ -765,6 +765,60 @@ def test_command_line_exit_code_and_text(tmp_path, row):
     assert report["ok"] == (code == EXIT_OK)
 
 
+# The --json reports whose fields are stated, not only pinned by digest.
+def row_report(root: Path, row):
+    """A row's exit code and --json report, with ``{dir}`` for root."""
+    argv = CLI_ROWS[row][0]
+    write_inputs(argv, root)
+    code, out, _ = shell_outputs(with_json(argv), root)
+    return code, json.loads(out)
+
+
+def assert_error_report(root: Path, row):
+    """A row that prints one error line reports that line's message."""
+    argv, code, stream, text = CLI_ROWS[row]
+    assert stream == "err" and text.startswith("error: ") and \
+        text.endswith("\n")
+    assert row_report(root, row) == (code, {
+        "command": _split_env(argv)[1][0], "ok": False, "error": text[7:-1]})
+
+
+@pytest.mark.parametrize("case", ["parse", "groupoid", "descent", "env",
+                                  "missing", "limit"])
+def test_error_reports_are_exact(tmp_path, case):
+    assert_error_report(tmp_path, {
+        "parse": "validate-parse-error", "groupoid": "morita-broken-first",
+        "descent": "descent-glue-stray-overlap", "env": "isotropy-cap-abc",
+        "missing": "validate-missing-file", "limit": "isotropy-cap-1"}[case])
+
+
+@pytest.mark.parametrize("case", ["no groupoid", "unnamed", "pullback"])
+def test_one_file_reports_header_errors_first(tmp_path, case):
+    assert_error_report(tmp_path, {
+        "no groupoid": "lone-functor", "unnamed": "validate-unnamed-groupoid",
+        "pullback": "pullback-unnamed-functor"}[case])
+
+
+def test_pullback_validates_every_groupoid_before_its_legs(tmp_path):
+    assert_error_report(tmp_path, "pullback-groupoid-before-legs")
+
+
+def test_invalid_groupoid_report_is_exact(tmp_path):
+    # the one non-zero exit whose report has a result and no error
+    assert row_report(tmp_path, "validate-broken") == (EXIT_INPUT, {
+        "command": "validate", "ok": False,
+        "result": {"valid": False,
+                   "violation": "inv('1>2') has wrong endpoints",
+                   "witness": "'1>2'"}})
+
+
+def test_cgeo_json_schema_and_fields(tmp_path):
+    code, report = row_report(tmp_path, "cgeo-mix")
+    assert (code, report["result"]["cgeo"]) == (EXIT_OK, 2)
+    assert list(report["result"]) == ["groupoid", "cgeo", "cover",
+                                      "certificates"]
+
+
 @pytest.mark.parametrize("option", ["--max-objects", "--max-isotropy",
                                     "--count"])
 @pytest.mark.parametrize("value", ["0", "-1"])
