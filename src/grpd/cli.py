@@ -14,9 +14,12 @@ Every handler but ``pullback`` reads its one or two files through
 unnamed block, no block of the kind) before any other error in either
 file, and validates what it returns; ``pullback`` parses its one file
 the same way and takes two functors, which ``homotopy_pullback``
-validates, and a P_n that repeats an id exits 4.  A handler returns ``(exit code, result, text lines)`` without
-printing; :func:`run` maps exceptions to exit codes and prints the one
-report (``_emit``).  A reader that closes stdout early does not change
+validates, and a P_n that repeats an id exits 4.  A handler returns
+``(exit code, result, text lines)`` without printing; where the text is
+a serialized structure, the lines come as a function that makes them,
+which :func:`run` calls only when it prints text, not ``--json``.
+:func:`run` maps exceptions to exit codes and prints the one report
+(``_emit``).  A reader that closes stdout early does not change
 the exit code.
 """
 
@@ -184,7 +187,8 @@ def _cmd_morita(args):
     if witness is None:
         return EXIT_FALSE, {"equivalent": False}, ["not Morita equivalent"]
     result = {"equivalent": True, "carrier": list(witness.carrier)}
-    return EXIT_OK, result, [formats.serialize_bibundle(witness).rstrip("\n")]
+    return EXIT_OK, result, lambda: [
+        formats.serialize_bibundle(witness).rstrip("\n")]
 
 
 def _cmd_morita_homotopy(args):
@@ -254,7 +258,8 @@ def _cmd_tensor(args):
     product = bib.validate_bibundle(bib.tensor(z1, z2))
     result = {"carrier": list(product.carrier),
               "dom": product.dom.name, "cod": product.cod.name}
-    return EXIT_OK, result, [formats.serialize_bibundle(product).rstrip("\n")]
+    return EXIT_OK, result, lambda: [
+        formats.serialize_bibundle(product).rstrip("\n")]
 
 
 def _cmd_homotopic(args):
@@ -302,7 +307,8 @@ def _cmd_descent_glue(args):
     [datum] = _load([args.datum], "data")
     bundle = descent.glue(datum).bundle
     result = {"total": list(bundle.total), "base": list(bundle.base)}
-    return EXIT_OK, result, [formats.serialize_bundle(bundle).rstrip("\n")]
+    return EXIT_OK, result, lambda: [
+        formats.serialize_bundle(bundle).rstrip("\n")]
 
 
 def _cmd_locus(args):
@@ -324,7 +330,9 @@ def _cmd_corpus(args):
                 formats.serialize_groupoid(g), encoding="utf-8")
         lines = [f"wrote {len(members)} groupoids to {outdir}"]
     else:
-        lines = [formats.serialize_groupoid(g).rstrip("\n") for g in members]
+        def lines():
+            return [formats.serialize_groupoid(g).rstrip("\n")
+                    for g in members]
     result = {"count": len(members), "names": [g.name for g in members]}
     return EXIT_OK, result, lines
 
@@ -392,6 +400,8 @@ def run(argv=None) -> int:
     result, lines, error = {}, [], None
     try:
         code, result, lines = args.handler(args)
+        if callable(lines):
+            lines = [] if args.json else lines()
     except IsotropyTooLarge as err:
         code, error = EXIT_LIMIT, str(err)
     except (ParseError, GroupoidError, BadEnvironment, OSError) as err:

@@ -4,6 +4,11 @@ Bundles over a finite base are a total set with a projection; overlap
 elements of a cover are explicit pairs (u, v) with matching base image, so
 both compatibility conditions are pointwise-checkable with witnesses.
 Only set-valued descent lives here.
+
+A datum is checked and glued by one sweep over its transition tables
+(:func:`_sweep`).  :func:`validate_datum` names a structural fault and the
+cocycle sweep names a cocycle failure; both run only on a datum that does
+not glue.
 """
 
 from __future__ import annotations
@@ -123,9 +128,9 @@ class Cover:
 class DescentDatum:
     """Per-piece bundles plus transition bijections over every ordered
     overlap, indexed transitions[(i, j)][(u, v)][a] = b.  A datum is
-    treated as immutable once built: it is validated and glued through
-    its charts at most once, and :func:`check_cocycle` and :func:`glue`
-    share the cached outcome."""
+    treated as immutable once built: it is checked and glued through its
+    charts at most once, and :func:`check_cocycle` and :func:`glue` share
+    the cached outcome."""
     name: str
     cover: Cover
     fibres: dict[str, Bundle]
@@ -146,7 +151,10 @@ class DescentDatum:
 
 def validate_datum(d: DescentDatum) -> DescentDatum:
     """Structural totality: one bundle per piece, a total bijection on each
-    ordered overlap pair, fibrewise, and no transition off the overlaps."""
+    ordered overlap pair, fibrewise, and no transition off the overlaps.
+    Raises the first fault found, in this order.  :func:`check_cocycle`
+    and :func:`glue` run it only on a datum that does not glue, to name
+    its fault; a datum that glues satisfies it (see :func:`_sweep`)."""
     d.cover.validate()
     fibres = {}
     for p in d.cover.pieces:
@@ -209,10 +217,12 @@ def check_cocycle(d: DescentDatum) -> CocycleReport:
     Condition (b): the triple-overlap composite f_jk . f_ij = f_ik,
     pointwise over every double and triple overlap element.
 
-    The chart sweep of :func:`glue` decides the answer: when every
-    transition entry stays in its chart class, both conditions hold.  Only
-    when the datum does not glue is every double and triple overlap swept,
-    to name the first failure."""
+    The one sweep of :func:`glue` over the transition tables decides the
+    answer (:func:`_sweep`): when every table passes its checks and every
+    entry stays in its chart class, the datum is valid and both conditions
+    hold.  Only when the datum does not glue does :func:`validate_datum`
+    run, to raise its structural fault, and when it passes, every double
+    and triple overlap is swept, to name the first failure."""
     return d._cocycle
 
 
@@ -269,10 +279,11 @@ def glue(d: DescentDatum) -> GlueResult:
     after its least (piece, element) member, piece escaped by
     ``core.id_part``.
 
-    The classes are read off one chart per base point and checked by one
-    sweep over the transition entries (see :func:`_glue_once`).  On
-    failure the cocycle sweep of :func:`check_cocycle` only names the
-    witness.  Every call on one datum returns the same result object."""
+    The classes are read off one chart per base point, and one sweep over
+    the transition tables both checks the datum and checks each entry
+    against them (see :func:`_sweep`).  On failure :func:`validate_datum`
+    and the cocycle sweep of :func:`check_cocycle` only name the fault.
+    Every call on one datum returns the same result object."""
     glued = d._glued
     if glued is None:
         report = d._cocycle
@@ -282,61 +293,20 @@ def glue(d: DescentDatum) -> GlueResult:
 
 
 def _glue_once(d: DescentDatum) -> GlueResult | None:
-    """validate_datum, then the quotient: the result, or None when a
-    transition leaves its chart class.
+    """The quotient: the result, or None when the datum does not glue.
 
-    The quotient is read off one chart per base point x: the first piece
-    point (c, u) over x in cover order.  Each element of the chart's fibre
-    starts one class, and every point (q, v) over x takes its classes
-    through the bijection f_cq over (u, v).  One sweep over every
-    transition entry then checks that f_ij(a) = b lies in the class of a.
-    - If it passes, these classes are exactly the classes that the
-      transitions generate: each member is linked to its chart element,
-      and no link joins two classes.  Each class is named after its least
-      (piece, element) member, which no other class shares, and each
-      comparison is a bijection onto the glued fibre.
-    - If it fails at a over (i, u), the generated relation joins the
-      classes of a and of f_ij(a).  Each meets i's fibre over u, so two
-      elements of that fibre are joined.  When (a) and (b) hold, f_ij(a) =
-      b is already an equivalence relation (f_ji . f_ij = f_ii = id), and
-      as f_ii is the identity it joins no two elements of one fibre.  So
-      the cocycle conditions fail, and :func:`glue` raises the first
-      failure of the cocycle sweep.
-    """
-    validate_datum(d)
-    trans = d.transitions
-    over: dict[str, list[tuple[str, str]]] = {}
-    for p in d.cover.pieces:
-        for u in p.elements:
-            over.setdefault(p.to_base[u], []).append((p.name, u))
-    cls: dict[str, dict[str, int]] = {p.name: {} for p in d.cover.pieces}
-    least, base_of = [], []  # each class's least member and base point
-    for x, points in over.items():
-        c, u = points[0]
-        start = {a: len(least) + k
-                 for k, a in enumerate(trans[(c, c)][(u, u)])}
-        # a class meets every point over x once, so its least member lies
-        # over a point of the least piece over x
-        lead = min(q for q, _ in points)
-        lead_maps = []
-        for q, v in points:
-            cq, m = cls[q], trans[(c, q)][(u, v)]
-            for a, b in m.items():
-                cq[b] = start[a]
-            if q == lead:
-                lead_maps.append(m)
-        if len(lead_maps) == 1:
-            m = lead_maps[0]
-            least += [(lead, m[a]) for a in start]
-        else:
-            least += [(lead, min(m[a] for m in lead_maps)) for a in start]
-        base_of += [x] * len(start)
-    for (i, j), table in trans.items():
-        ci, cj = cls[i], cls[j]
-        for (u, v), m in table.items():
-            for a, b in m.items():
-                if ci[a] != cj[b]:
-                    return None
+    :func:`_sweep` checks the datum and classes every element.  When it
+    fails, :func:`validate_datum` runs to raise the datum's first
+    structural fault, in its own order; when that passes, the failure was
+    a class check, and the cocycle conditions fail (see :func:`_sweep`).
+    Each class is named after its least (piece, element) member, which no
+    other class shares, and each comparison is a bijection onto the glued
+    fibre."""
+    swept = _sweep(d)
+    if swept is None:
+        validate_datum(d)
+        return None
+    cls, least, base_of = swept
     head = {p.name: id_part(p.name, ".") for p in d.cover.pieces}
     ids = [f"{head[piece]}.{elem}" for piece, elem in least]
     bundle = Bundle(name=f"glue({d.name})", base=d.cover.base,
@@ -347,6 +317,144 @@ def _glue_once(d: DescentDatum) -> GlueResult | None:
         piece_maps[p.name] = {(fib.proj[a], a): ids[cp[a]]
                               for a in fib.total}
     return GlueResult(bundle=bundle, piece_maps=piece_maps)
+
+
+def _sweep(d: DescentDatum) -> tuple | None:
+    """One pass over the datum that both checks it and classes each
+    element: per piece the class of each element, per class its least
+    member and its base point; None when any check fails.
+
+    The classes are read off one chart per base point x: the first piece
+    point (c, u) over x in cover order.  Each element of the chart's fibre
+    starts one class, and every point (q, v) over x takes its classes
+    through the table f_cq over (u, v).  Then one sweep over every
+    transition table checks:
+    - per bundle, that it lies over its piece's elements, each element of
+      its total listed once;
+    - per table over (u, v) of (i, j), that u and v lie over one base
+      point, that its keys are the fibre of i over u, and that the fibre
+      of j over v holds every value;
+    - that there are n^2 piece pairs, n the pieces, and as many tables
+      over pairs (u, v) in all as the overlaps have pairs;
+    - per entry a -> b, that b lies in the class of a.
+    An element that no chart table reaches keeps "no class", which
+    differs from every class.
+
+    **A datum that passes satisfies validate_datum.**  The piece pairs
+    are n^2 pairs of pieces, so they are all of them.  The pairs (u, v)
+    of a piece pair's tables are distinct overlap pairs, so no piece pair
+    has more tables than its overlap has pairs; as all of them have as
+    many as all overlaps have, each piece pair has one table over each
+    pair of its overlap and no other.  Distinct totals
+    make each fibre a set.  It remains that each table is a bijection of
+    the fibres.  The only table that gives the elements over a point
+    (q, v) over x their classes is the chart table f_cq over (u, v): each
+    of its values, which lie over v, takes the start class of its key.
+    - The chart's own table f_cc over (u, u) maps the chart's fibre into
+      itself.  An element a that it misses has no class, while f_cc(a), a
+      value, has one, so the class check at a would fail.  So f_cc is
+      onto, hence a bijection; the chart's fibre takes each start class
+      once, a's class being that of f_cc^-1(a), and the class check
+      (a's class is that of f_cc(a)) makes f_cc the identity.
+    - Over another point (q, v) over x, the class check on f_cq gives
+      each value the class of its key, so two keys with one value would
+      have one class: f_cq is injective.  An element b over v that f_cq
+      misses has no class, while f_qc over (v, u) sends b into the
+      chart's fibre, where every element has a class: the class check at
+      b would fail.  So f_cq is a bijection, and the fibre over v takes
+      each start class of x once.
+    - So over x every fibre carries the start classes of x, each once.  A
+      table m over (u, v) sends its keys, the fibre over u, into the fibre
+      over v, and by the class check keeps each class: it is a bijection.
+    The fibres over u and v thus always have one size, so no size test is
+    made.
+
+    **The classes glue the datum when it passes** (and validate_datum
+    holds, as just shown).  These are exactly the classes that the
+    transitions generate: each member is linked to its chart element, and
+    the class check says that no link joins two classes.
+
+    **A datum that satisfies validate_datum and fails the sweep fails the
+    cocycle conditions.**  Such a datum passes every check but a class
+    check, so f_ij(a) = b lies outside the class of a for some a over
+    (i, u).  The generated relation joins the classes of a and of
+    f_ij(a).  Each meets i's fibre over u, so two elements of that fibre
+    are joined.  When (a) and (b) hold, f_ij(a) = b is already an
+    equivalence relation (f_ji . f_ij = f_ii = id), and as f_ii is the
+    identity it joins no two elements of one fibre.  So the cocycle
+    conditions fail.
+
+    A table keyed by the fibre of another point of i over the same base
+    point passes every class check; the key test rejects it.  A value
+    over the right base point but the wrong point of j passes its class
+    check too; the value test rejects it.
+    """
+    cover = d.cover.validate()
+    pieces, trans = cover.pieces, d.transitions
+    fib: dict[str, dict[str, dict[str, None]]] = {}
+    cls: dict[str, dict[str, int]] = {}
+    for p in pieces:
+        bundle = d.fibres.get(p.name)
+        if bundle is None or set(bundle.base) != set(p.elements):
+            return None
+        by_point = fib[p.name] = {u: {} for u in p.elements}
+        for a in bundle.total:
+            fibre = by_point.get(bundle.proj.get(a))
+            if fibre is None:
+                return None
+            fibre[a] = None
+        # no class yet; a total listed twice leaves fewer keys
+        cls[p.name] = dict.fromkeys(bundle.total, -1)
+        if len(cls[p.name]) != len(bundle.total):
+            return None
+    over: dict[str, list[tuple[str, str]]] = {}
+    for p in pieces:
+        for u in p.elements:
+            over.setdefault(p.to_base[u], []).append((p.name, u))
+    least, base_of = [], []  # each class's least member and base point
+    for x, points in over.items():
+        c, u = points[0]
+        start = {a: len(least) + k for k, a in enumerate(fib[c][u])}
+        # a class meets every point over x once, so its least member lies
+        # over a point of the least piece over x
+        lead = min(q for q, _ in points)
+        lead_maps = []
+        for q, v in points:
+            row = trans.get((c, q))
+            m = row.get((u, v)) if row is not None else None
+            if m is None or m.keys() != start.keys():
+                return None
+            cq = cls[q]
+            for a, b in m.items():
+                cq[b] = start[a]
+            if q == lead:
+                lead_maps.append(m)
+        if len(lead_maps) == 1:
+            m = lead_maps[0]
+            least += [(lead, m[a]) for a in start]
+        else:
+            least += [(lead, min(m[a] for m in lead_maps)) for a in start]
+        base_of += [x] * len(start)
+    # the points over x make len(points) ** 2 overlap pairs, one table each
+    if len(trans) != len(pieces) ** 2 or sum(map(len, trans.values())) \
+            != sum(len(points) ** 2 for points in over.values()):
+        return None
+    to_base = {p.name: p.to_base for p in pieces}
+    for (i, j), table in trans.items():
+        fi, fj = fib.get(i), fib.get(j)
+        if fi is None or fj is None:
+            return None
+        ci, cj = cls[i], cls[j]
+        ti, tj = to_base[i], to_base[j]
+        for (u, v), m in table.items():
+            fu, fv = fi.get(u), fj.get(v)
+            if fu is None or fv is None or ti[u] != tj[v] or \
+                    m.keys() != fu.keys():
+                return None
+            for a, b in m.items():
+                if b not in fv or ci[a] != cj[b]:
+                    return None
+    return cls, least, base_of
 
 
 def descend(a: Bundle, c: Cover) -> DescentDatum:

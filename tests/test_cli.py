@@ -938,6 +938,31 @@ def test_unexpected_exception_exits_4_in_one_line(tmp_path, monkeypatch,
                       "error": "internal error: KeyError: 'x'"}
 
 
+@pytest.mark.parametrize("argv, serializer", [
+    (["morita", "{dir}/pair3.grpd", "{dir}/pair3.grpd"],
+     "serialize_bibundle"),
+    (["tensor", "{dir}/unit_p3.grpd", "{dir}/unit_p3.grpd"],
+     "serialize_bibundle"),
+    (["descent-glue", "{dir}/datum.grpd"], "serialize_bundle"),
+    (["corpus", "--seed", "3", "--count", "2"], "serialize_groupoid")])
+def test_a_json_report_serializes_no_structure(tmp_path, monkeypatch,
+                                               capsys, argv, serializer):
+    """--json leaves out the structure that the text report prints, and
+    does not write it; a fault in writing it still exits 4 in text."""
+    write_inputs(argv, tmp_path)
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+
+    def refused(*args):
+        raise AssertionError("written")
+
+    monkeypatch.setattr(f"grpd.formats.{serializer}", refused)
+    code, report = run_json(capsys, argv)
+    assert code == EXIT_OK and report["ok"]
+    assert run(argv) == EXIT_INTERNAL
+    assert capsys.readouterr() == (
+        "", "internal error: AssertionError: written\n")
+
+
 # Run without ``site`` (-S), whose .pth hooks import third-party modules
 # before any grpd code runs; ``__main__`` is the script itself.
 STDLIB_ONLY = """

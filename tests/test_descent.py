@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpd import descent
+from grpd import cli, descent
 from grpd.corpus import random_bundle, random_cover, random_datum, \
     scramble_datum
 from grpd.descent import (BadDatum, Bundle, CocycleReport, CocycleViolation,
                           Cover, CoverPiece, DescentDatum, DescentError,
                           GlueResult, NotSurjective, check_cocycle,
                           descend, glue, validate_datum)
-from grpd.formats import serialize_datum
+from grpd.formats import parse_document, serialize_datum
 
 
 def fibre_of(b: Bundle, x):
@@ -648,14 +648,96 @@ def test_descent_agrees_with_the_quadratic_oracles():
     assert len(fails["r"]) > 100 and sum(fails["r"]) > 100
 
 
+def broken_copies(rng, d):
+    """Copies of d that break its structure at random: a value moved to
+    any element of the target piece, a table keyed by another fibre of
+    its piece, a table dropped or added over any two points, and a bundle
+    with an element added, dropped or listed twice (its tables left as
+    they are)."""
+    pieces = {p.name: p for p in d.cover.pieces}
+    out = []
+
+    def copy():
+        return {k: {uv: dict(m) for uv, m in t.items()}
+                for k, t in d.transitions.items()}
+
+    def datum(tag, trans=None, fibres=None):
+        out.append(DescentDatum(d.name + tag, d.cover, fibres or d.fibres,
+                                trans or d.transitions))
+
+    spots = [(k, uv) for k, t in sorted(d.transitions.items())
+             for uv, m in sorted(t.items()) if m]
+    if spots:
+        trans = copy()
+        (i, j), uv = rng.choice(spots)
+        m = trans[i, j][uv]
+        m[rng.choice(sorted(m))] = rng.choice(d.fibres[j].total)
+        datum("v", trans)
+        trans = copy()
+        (i, j), uv = rng.choice(spots)
+        fib = d.fibres[i]
+        others = sorted({fib.proj[a] for a in fib.total} - {uv[0]})
+        if others:
+            keys = fibre_of(fib, rng.choice(others))
+            values = list(trans[i, j][uv].values())
+            trans[i, j][uv] = dict(zip(keys, values + values))
+            datum("k", trans)
+    k = rng.choice(sorted(d.transitions))
+    trans = copy()
+    if trans[k]:
+        del trans[k][rng.choice(sorted(trans[k]))]
+        datum("m", trans)
+    trans = copy()
+    i, j = k
+    uv = (rng.choice(pieces[i].elements or ("?",)),
+          rng.choice(pieces[j].elements or ("?",)))
+    trans[k][uv] = {}
+    datum("a", trans)
+    p = rng.choice(sorted(pieces))
+    fib = d.fibres[p]
+    if pieces[p].elements:
+        u = rng.choice(pieces[p].elements)
+        grown = Bundle(fib.name, fib.base, fib.total + ("new",),
+                       {**fib.proj, "new": u})
+        datum("g", fibres={**d.fibres, p: grown})
+    if fib.total:
+        a = rng.choice(fib.total)
+        kept = tuple(b for b in fib.total if b != a)
+        datum("d", fibres={**d.fibres, p: Bundle(
+            fib.name, fib.base, kept, {b: fib.proj[b] for b in kept})})
+        datum("t", fibres={**d.fibres, p: Bundle(
+            fib.name, fib.base, fib.total + (a,), fib.proj)})
+    return out
+
+
+def test_a_broken_datum_never_glues_and_raises_validate_datums_error():
+    """The sweep accepts no datum that validate_datum rejects, whatever
+    breaks it: a fibre grown or shrunk under its tables included, which
+    no size test catches (the class checks do)."""
+    rng = random.Random(4242)
+    shapes = []
+    for i in range(200):
+        _, _, datum = random_datum(rng, f"b{i}", base_size=rng.randint(2, 6),
+                                   max_fibre=3)
+        for bad in broken_copies(rng, datum):
+            want = glue_outcome(oracle_glue, bad)
+            assert glue_outcome(glue, bad) == want, bad.name
+            if want[0] is not CocycleViolation and len(want) == 3:
+                shapes.append(bad.name[-1])
+    # every kind of break was rejected many times
+    assert {tag: shapes.count(tag) > 20 for tag in "vkmagdt"} == \
+        dict.fromkeys("vkmagdt", True)
+
+
 ORDERS = (("check", "glue"), ("glue", "check"), ("check", "check"),
           ("glue", "glue"))
 
 
-def test_check_and_glue_agree_in_any_order_and_validate_once(monkeypatch):
-    """check_cocycle and glue share one cached validation and glue attempt:
+def test_check_and_glue_agree_in_any_order_and_sweep_once(monkeypatch):
+    """check_cocycle and glue share one cached sweep and glue attempt:
     whichever runs first, and however often, each gives the oracles'
-    answer, and validate_datum runs once per datum."""
+    answer; the sweep runs once per datum, and validate_datum runs
+    exactly when the datum does not glue."""
     rng = random.Random(77)
     data = [collision_datum()]
     for i in range(40):
@@ -665,34 +747,100 @@ def test_check_and_glue_agree_in_any_order_and_validate_once(monkeypatch):
     want = [(oracle_check_cocycle(d), glue_outcome(oracle_glue, d))
             for d in data]
     assert sum(not report for report, _ in want) > 50
-    calls = []
+    sweeps, validations = [], []
+    sweep = descent._sweep
+    monkeypatch.setattr(descent, "_sweep",
+                        lambda d: sweeps.append(d) or sweep(d))
     monkeypatch.setattr(descent, "validate_datum",
-                        lambda d: calls.append(d) or validate_datum(d))
+                        lambda d: validations.append(d) or validate_datum(d))
     run = {"check": check_cocycle, "glue": lambda d: glue_outcome(glue, d)}
     for d, (report, outcome) in zip(data, want):
         for order in ORDERS:
             fresh = DescentDatum(d.name, d.cover, d.fibres, d.transitions)
-            calls.clear()
+            sweeps.clear()
+            validations.clear()
             for step in order:
                 got = run[step](fresh)
                 assert got == (report if step == "check" else outcome)
-            assert calls == [fresh]
+            assert sweeps == [fresh]
+            assert validations == ([] if report else [fresh])
 
 
-def test_an_invalid_datum_raises_the_same_error_on_every_call():
+def broken_data():
+    """Data that validate_datum rejects, by name, each with whether its
+    file reads back as a datum that validate_datum still rejects."""
     d = swap_datum()
     table = d.transitions[("U", "U")]
-    bad_cover = Cover("C", ("*", "y"), d.cover.pieces)
-    broken = [
-        DescentDatum("D3", d.cover, d.fibres, {("U", "U"): {
-            k: v for k, v in table.items() if k != ("a", "b")}}),
-        DescentDatum("D4", d.cover, d.fibres, {("U", "U"): {
-            **table, ("a", "b"): {"a0": "b1", "a1": "b1"}}}),
-        DescentDatum("D5", d.cover, d.fibres, {("U", "U"): {
-            **table, ("a", "c"): {}}}),
-        DescentDatum("D6", bad_cover, d.fibres, d.transitions)]
+    fib = d.fibres["U"]
+
+    def with_table(name, changes):
+        """d with the tables over the changed pairs replaced, or dropped
+        where the change is None."""
+        return DescentDatum(name, d.cover, d.fibres, {("U", "U"): {
+            k: m for k, m in {**table, **changes}.items() if m is not None}})
+
+    # a second base point y, with the point c of U over it
+    cover_y = Cover("C", ("*", "y"), (CoverPiece(
+        "U", ("a", "b", "c"), {"a": "*", "b": "*", "c": "y"}),))
+    fib_y = {"U": Bundle("A", ("a", "b", "c"), fib.total + ("c0",),
+                         {**fib.proj, "c0": "c"})}
+    empty = labelled_datum("E", ("x", "y", "z"), {
+        "A": {"a": "x", "ay": "y"}, "B": {"by": "y", "bz": "z"}},
+        {("A", "a"): {"a0": 0}, ("A", "ay"): {}, ("B", "by"): {},
+         ("B", "bz"): {"z0": 0}})
+    apart = collision_datum()
+    return {
+        "a-table-missing": (with_table("D3", {("a", "b"): None}), True),
+        "not-bijective": (with_table("D4", {("a", "b"): {"a0": "b1",
+                                                         "a1": "b1"}}), True),
+        "stray-point": (with_table("D5", {("a", "c"): {}}), False),
+        "cover-misses-a-point": (DescentDatum(
+            "D6", Cover("C", ("*", "y"), d.cover.pieces), d.fibres,
+            d.transitions), True),
+        # a table keyed by the fibre of another point of U over *: every
+        # entry stays in its class
+        "keys-of-another-point": (with_table(
+            "K", {("b", "a"): {"a0": "a0", "a1": "a1"}}), True),
+        # values over the right base point, in the classes of their keys,
+        # but over a, not b
+        "values-over-another-point": (with_table(
+            "V", {("b", "b"): {"b0": "a1", "b1": "a0"}}), True),
+        "element-listed-twice": (DescentDatum("T", d.cover, {"U": Bundle(
+            "A", fib.base, fib.total + ("a1",), fib.proj)},
+            d.transitions), True),
+        # a file gives each bundle its piece's elements as its base
+        "bundle-over-another-base": (DescentDatum("W", d.cover, {"U": Bundle(
+            "A", fib.base + ("z",), fib.total, fib.proj)},
+            d.transitions), False),
+        # f_UU over (b, a) is no chart's table, so no class check needs
+        # it; a file holds an empty table for it
+        "non-chart-table-missing": (with_table("M", {("b", "a"): None}), True),
+        "stray-pair-over-two-base-points": (DescentDatum(
+            "S", cover_y, fib_y, {("U", "U"): {
+                **table, ("c", "c"): {"c0": "c0"},
+                ("a", "c"): {"a0": "c0"}}}), True),
+        # (by, a) over y and x stands in for the overlap pair (by, ay),
+        # whose table no chart reads: both tables are empty, and so is the
+        # fibre over by
+        "empty-stray-pair-for-an-overlap-pair": (DescentDatum(
+            "P", empty.cover, empty.fibres, {**empty.transitions, ("B", "A"): {
+                ("by", "a"): {}}}), False),
+        "stray-piece-pair": (DescentDatum("Q", d.cover, d.fibres, {
+            **d.transitions, ("U", "V"): {("a", "a"): {"a0": "a0"}}}), True),
+        # U and U.V do not overlap, so the missing table would be empty
+        "piece-pair-missing": (DescentDatum(
+            "R", apart.cover, apart.fibres,
+            {k: t for k, t in apart.transitions.items()
+             if k != ("U", "U.V")}), False),
+    }
+
+
+def test_an_invalid_datum_raises_the_same_error_on_every_call(tmp_path,
+                                                               capsys):
+    """check_cocycle and glue raise exactly validate_datum's error on
+    every call, and grpd descent-check prints it and exits 2."""
     kinds = set()
-    for bad in broken:
+    for shape, (bad, in_file) in broken_data().items():
         with pytest.raises(DescentError) as err:
             validate_datum(bad)
         want = type(err.value), str(err.value), err.value.witness
@@ -701,7 +849,16 @@ def test_an_invalid_datum_raises_the_same_error_on_every_call():
             with pytest.raises(DescentError) as err:
                 call(bad)
             assert (type(err.value), str(err.value),
-                    err.value.witness) == want
+                    err.value.witness) == want, shape
+        if not in_file:
+            continue
+        path = tmp_path / f"{shape}.desc"
+        path.write_text(serialize_datum(bad))
+        read = parse_document(path.read_text()).data[bad.name]
+        with pytest.raises(DescentError) as err:
+            validate_datum(read)
+        assert cli.run(["descent-check", str(path)]) == 2, shape
+        assert capsys.readouterr() == ("", f"error: {err.value}\n")
     assert kinds == {BadDatum, NotSurjective}
 
 
