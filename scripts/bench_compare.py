@@ -17,12 +17,15 @@ base's own quartile spread on the same scale, how many pairs the working
 tree won, and a verdict: "better" or "worse" when the medians differ by
 more than the base's quartile spread, else "within noise".  With
 ``--base HEAD`` on a clean tree both sides run the same code, and the
-record is the noise floor of each metric (an A/A run).
+record is the noise floor of each metric (an A/A run).  With one pair
+as well (``--base HEAD --pairs 1``) it is a snapshot of this tree, run
+twice; a base of fewer than two runs has no spread, so every verdict then
+reads "unresolved".
 
-Exits as ``bench_record.py`` does: 1 when a run reads ``"correct":
-false`` or leaves no result line, and 2, before any run, when the label is
-not a plain file-name fragment, the seconds are not positive, the pairs
-are fewer than one, a workload is unknown or the base is no revision.
+Exits 1 when a run reads ``"correct": false`` or leaves no result line,
+and 2, before any run, when the label is not a plain file-name fragment,
+the seconds are not positive, the pairs are fewer than one, a workload is
+unknown or the base is no revision.
 
 Usage: python scripts/bench_compare.py --base REV --label L [--pairs 3]
            [--seconds S] [--seed 1] [--workload W ...]
@@ -43,10 +46,29 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-from bench_record import git_rev, last_json_line
-
 ROOT = Path(__file__).resolve().parent.parent
 SKIP = shutil.ignore_patterns("__pycache__", ".perfbench")
+
+
+def git_rev() -> str:
+    """HEAD's hash, with ``-dirty`` when tracked files differ from it."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=ROOT, capture_output=True, text=True, timeout=10).stdout
+    except (OSError, subprocess.TimeoutExpired):
+        out = ""
+    return out.strip() or "unknown"
+
+
+def last_json_line(stdout: str):
+    """The run's result object, or None when its last line is not one."""
+    lines = stdout.splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return None
+    return result if isinstance(result, dict) else None
 
 
 def resolve(rev: str):
@@ -108,7 +130,9 @@ def summarize(runs: list, metrics: dict) -> dict:
         scale = abs(a["median"]) or 1.0
         change = (b["median"] - a["median"]) / scale
         spread = (a["q3"] - a["q1"]) / scale
-        if abs(change) <= spread:
+        if len(by_pair["A"]) < 2:
+            verdict = "unresolved"
+        elif abs(change) <= spread:
             verdict = "within noise"
         else:
             verdict = "better" if sign * change > 0 else "worse"

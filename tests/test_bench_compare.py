@@ -31,7 +31,6 @@ def compare(tmp_path, monkeypatch):
     """scripts/bench_compare.py over tmp_path/tree, a repository whose
     one commit has ``side = "A"`` in src/grpd/__init__.py and whose
     working tree has ``side = "B"``."""
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     spec = importlib.util.spec_from_file_location(
         "bench_compare", ROOT / "scripts" / "bench_compare.py")
     module = importlib.util.module_from_spec(spec)
@@ -133,9 +132,31 @@ def test_an_a_a_run_reads_within_noise(compare, monkeypatch):
     assert [s["wins"] for s in summary.values()] == [0, 0]
 
 
+def test_a_single_pair_reads_unresolved(compare, monkeypatch, capsys):
+    # one run per side has no spread: an A/A snapshot that read -3.4%
+    # ops_per_s was called "worse" against a base spread of 0.00%
+    git(compare.ROOT, "commit", "-q", "-am", "head")
+    faked(monkeypatch, compare, lambda side, k: {
+        "ops_per_s": 100 if side == "A" else 96.56,
+        "op_p50_ms": 10.0 if side == "A" else 8.54})
+    assert compare.main(["--base", "HEAD", "--label", "ci", "--pairs",
+                         "1"]) == 0
+    record = json.loads((compare.ROOT / "BENCH_ci.json").read_text())
+    assert [len(record["runs"][w]) for w in ("descent", "classify")] \
+        == [2, 2]
+    verdicts = [s["verdict"] for w in record["summary"].values()
+                for s in w.values()]
+    assert verdicts == ["unresolved"] * 4
+    ops = record["summary"]["descent"]["ops_per_s"]
+    assert (ops["relative_change"], ops["wins"]) == \
+        (pytest.approx(-0.0344), 0)
+    assert "descent ops_per_s: -3.44% (base spread 0.00%, wins 0/1): " \
+        "unresolved" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", [
     '{"correct": false, "attempted": 9, "failed": 2, "metrics": {}}',
-    "Traceback (most recent call last):"])
+    "Traceback (most recent call last):", ""])
 def test_a_wrong_or_missing_result_exits_1(compare, monkeypatch, line):
     runs = faked(monkeypatch, compare, None, line)
     assert compare.main(["--base", "HEAD", "--label", "t", "--pairs",
@@ -150,7 +171,8 @@ def test_a_wrong_or_missing_result_exits_1(compare, monkeypatch, line):
 @pytest.mark.parametrize("argv", [
     ["--label", "a/b"], ["--label", "t", "--seconds", "0"],
     ["--label", "t", "--seconds", "nan"], ["--label", "t", "--pairs", "0"],
-    ["--label", "t", "--workload", "nosuch"]])
+    ["--label", "t", "--workload", "nosuch"], ["--label", "../up"],
+    ["--label", ""], ["--label", "t", "--seconds", "-1"]])
 def test_unusable_arguments_exit_2_before_any_run(
         compare, monkeypatch, capsys, argv):
     runs = faked(monkeypatch, compare, None, "")

@@ -785,21 +785,32 @@ def test_a_mismatch_is_found_without_backtracking(monkeypatch):
         assert bibundles_isomorphic(x, y) is None
 
 
-def test_unit_vs_trivial_two_point_bibundle():
-    e = BZ2.unit[BZ2.objects[0]]
+def trivial_bibundle(n):
+    """BZ2 acting trivially on both sides of n points."""
     x = BZ2.objects[0]
-    trivial = Bibundle(
-        name="triv2",
-        left=LeftAction(groupoid=BZ2, carrier=("z1", "z2"),
-                        actor={"z1": x, "z2": x},
-                        act={(c, z): z for c in BZ2.arrows
-                             for z in ("z1", "z2")}),
-        right=RightAction(groupoid=BZ2, carrier=("z1", "z2"),
-                          actor={"z1": x, "z2": x},
+    points = tuple(f"z{k}" for k in range(1, n + 1))
+    return Bibundle(
+        name=f"triv{n}",
+        left=LeftAction(groupoid=BZ2, carrier=points,
+                        actor=dict.fromkeys(points, x),
+                        act={(c, z): z for c in BZ2.arrows for z in points}),
+        right=RightAction(groupoid=BZ2, carrier=points,
+                          actor=dict.fromkeys(points, x),
                           act={(z, c): z for c in BZ2.arrows
-                               for z in ("z1", "z2")}))
+                               for z in points}))
+
+
+def test_unit_vs_trivial_two_point_bibundle():
+    trivial = trivial_bibundle(2)
     validate_bibundle(trivial)
     assert bibundles_isomorphic(unit_bibundle(BZ2), trivial) is None
+
+
+def test_bibundles_of_different_sizes_are_not_isomorphic():
+    # the unit bibundle of BZ2 has two points
+    trivial = validate_bibundle(trivial_bibundle(3))
+    assert bibundles_isomorphic(unit_bibundle(BZ2), trivial) is None
+    assert bibundles_isomorphic(trivial, trivial) is not None
 
 
 def scanning_bibundles_isomorphic(a, b):

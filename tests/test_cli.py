@@ -1,7 +1,6 @@
 import ast
 import dataclasses
 import hashlib
-import importlib.util
 import json
 import os
 import random
@@ -368,6 +367,9 @@ CLI_INPUTS = {
        for name, after, line, _ in DATUM_EDITS},
     "unmapped.desc": _literal(STRAY_DATUM.replace("map P u2 -> y\n", "")),
     "base_twice.desc": _literal(REPEATED_BASE),
+    "obj_missing.grpd": _edited("idfun.grpd", "obj 3 -> 3\n", ""),
+    "obj_off.grpd": _edited("idfun.grpd", "obj 3 -> 3\n", "obj 3 -> 9\n"),
+    "arr_missing.grpd": _edited("idfun.grpd", "arr 3>3 -> 3>3\n", ""),
 }
 
 
@@ -672,6 +674,21 @@ CLI_ROWS = {
         "error: {dir}/unmapped.desc:5:11: cover 'C' has no map line for 'u2' "
         "in piece 'P'\n"),
     **dict(_cap_rows()),
+    # a cospan file needs two functor blocks, and a functor maps every
+    # object and arrow of its domain into its codomain
+    "pullback-one-functor": (
+        ["pullback", "{dir}/idfun.grpd"], EXIT_INPUT, "err",
+        "error: {dir}/idfun.grpd:1:1: cospan file needs two functor "
+        "blocks\n"),
+    "homotopic-object-unmapped": (
+        ["homotopic", "{dir}/obj_missing.grpd", "{dir}/obj_missing.grpd"],
+        EXIT_INPUT, "err", "error: object map undefined on '3'\n"),
+    "homotopic-object-off-the-codomain": (
+        ["homotopic", "{dir}/obj_off.grpd", "{dir}/obj_off.grpd"],
+        EXIT_INPUT, "err", "error: obj_map('3') not an object of pair3\n"),
+    "homotopic-arrow-unmapped": (
+        ["homotopic", "{dir}/arr_missing.grpd", "{dir}/arr_missing.grpd"],
+        EXIT_INPUT, "err", "error: arrow map undefined on '3>3'\n"),
 }
 
 ENV_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*=")
@@ -847,70 +864,6 @@ def test_corpus_report_bounds_below_1_exit_2(option):
     assert done.returncode == EXIT_INPUT
     assert "must be at least 1" in done.stderr
     assert "Traceback" not in done.stderr
-
-
-@pytest.fixture
-def bench_record(tmp_path, monkeypatch):
-    """scripts/bench_record.py, writing into tmp_path, which holds a copy
-    of BENCHMARK.json."""
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "bench_record", root / "scripts" / "bench_record.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    (tmp_path / "BENCHMARK.json").write_text(
-        (root / "BENCHMARK.json").read_text())
-    monkeypatch.setattr(module, "ROOT", tmp_path)
-    return module
-
-
-@pytest.mark.parametrize("classify", [
-    '{"correct": true, "attempted": 9, "failed": 1}',
-    '{"correct": false, "attempted": 9, "failed": 2}',
-    "Traceback (most recent call last):",
-    ""])
-def test_bench_record_fails_on_a_wrong_or_missing_result(
-        classify, bench_record, tmp_path, monkeypatch):
-    monkeypatch.setattr(bench_record, "git_rev", lambda: "rev")
-    runs = []
-
-    def fake_run(argv, **kwargs):
-        workload = argv[argv.index("--workload") + 1]
-        runs.append(workload)
-        out = classify if workload == "classify" else \
-            '{"correct": true, "attempted": 5, "failed": 0}'
-        return subprocess.CompletedProcess(argv, 0, f"metrics\n{out}\n", "")
-
-    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
-    code = bench_record.main(["--label", "t", "--seconds", "1"])
-    assert runs == ["classify", "construct", "descent"]
-    record = json.loads((tmp_path / "BENCH_t.json").read_text())
-    assert (record["git_rev"], record["seed"], record["seconds"]) == \
-        ("rev", 1, 1.0)
-    assert record["results"]["descent"]["attempted"] == 5
-    wrong = '"correct": true' not in classify
-    assert code == (1 if wrong else 0)
-    assert (record["results"]["classify"] is None) == \
-        (not classify.startswith("{"))
-
-
-@pytest.mark.parametrize("argv", [
-    ["--label", "a/b"], ["--label", "../up"], ["--label", ""],
-    ["--label", "t", "--seconds", "0"], ["--label", "t", "--seconds", "-1"],
-    ["--label", "t", "--seconds", "nan"]])
-def test_bench_record_rejects_unusable_arguments_before_any_run(
-        argv, bench_record, tmp_path, monkeypatch, capsys):
-    # "--label a/b" ran every workload, then died writing BENCH_a/b.json;
-    # "--seconds 0" made every benchmark run crash
-    def no_run(argv, **kwargs):
-        raise AssertionError(f"ran {argv}")
-
-    monkeypatch.setattr(bench_record.subprocess, "run", no_run)
-    with pytest.raises(SystemExit) as exit_info:
-        bench_record.main(argv)
-    assert exit_info.value.code == 2
-    assert "error: --" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [tmp_path / "BENCHMARK.json"]
 
 
 def run_json(capsys, argv):

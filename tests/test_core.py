@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpd import groups
+from grpd.bibundle import BadAction, unit_bibundle, validate_bibundle
 from grpd.complexity import point_groupoid
 from grpd.core import (BadFunctor, BadInverse, BadNatTrans, BadUnit,
                        Composite,
@@ -20,6 +21,10 @@ from grpd.core import (BadFunctor, BadInverse, BadNatTrans, BadUnit,
                        restrict, tabulate, validate_functor,
                        validate_groupoid, validate_nat)
 from grpd.corpus import random_groupoid, transitive_groupoid
+from grpd.descent import (BadDatum, Bundle, Cover, CoverPiece, DescentDatum,
+                          descend, validate_datum)
+
+from conftest import _LOOP5
 
 
 def interval_groupoid() -> FinGroupoid:
@@ -1009,3 +1014,68 @@ def test_disjoint_union_prefixes_on_clash():
     u = disjoint_union("u", [a, b])
     validate_groupoid(u)
     assert len(u.objects) == 2
+
+
+# ---------------------------------------------------------------------------
+# library errors that no subcommand reaches
+
+
+def _no_src():
+    g = pair_groupoid("p2", "12")
+    return validate_groupoid(dataclasses.replace(
+        g, src={a: x for a, x in g.src.items() if a != "1>2"}))
+
+
+def _nat(component):
+    f = identity_functor(pair_groupoid("p3", "123"))
+    return validate_nat(NatTrans(f, f, component))
+
+
+def _two_carriers():
+    b = unit_bibundle(pair_groupoid("p3", "123"))
+    return validate_bibundle(dataclasses.replace(b, right=dataclasses.replace(
+        b.right, carrier=b.right.carrier[:-1])))
+
+
+def _other_base():
+    return descend(Bundle("A", ("x",), ("a0",), {"a0": "x"}),
+                   Cover("C", ("y",), (CoverPiece("U", ("u",), {"u": "y"}),)))
+
+
+def _no_bundle():
+    cover = Cover("C", ("x",), (CoverPiece("U", ("u",), {"u": "x"}),))
+    return validate_datum(DescentDatum("D", cover, {}, {}))
+
+
+@pytest.mark.parametrize("make, error, text, witness", [
+    (_no_src, DanglingId, "src undefined on arrow '1>2'", "1>2"),
+    (lambda: restrict(pair_groupoid("p3", "123"), ["1", "9"]), DanglingId,
+     "objects ['9'] not in p3", ["9"]),
+    (lambda: _nat({"1": "1>1", "2": "2>2"}), BadNatTrans,
+     "missing component at '3'", "3"),
+    (lambda: validate_nat(NatTrans(identity_functor(pair_groupoid(
+        "p3", "123")), identity_functor(pair_groupoid("p2", "12")), {})),
+     SignatureMismatch, "parallel functors required", None),
+    (lambda: _nat({"1": "1>1", "2": "2>2", "3": "1>3"}), BadNatTrans,
+     "component at '3' has wrong endpoints", "3"),
+    (_two_carriers, BadAction,
+     "left and right actions have different carriers", None),
+    (_other_base, BadDatum, "bundle and cover have different bases", None),
+    (_no_bundle, BadDatum, "no bundle over piece 'U'", "U"),
+    (lambda: groups.validate_table([[0, 1], [1]]), groups.InvalidGroupTable,
+     "table is not square over 0..n-1", [1]),
+    # the order-5 loop: an identity and inverses, but no associativity
+    (lambda: groups.validate_table(_LOOP5), groups.InvalidGroupTable,
+     "associativity fails on (1, 1, 2)", (1, 1, 2)),
+    (lambda: groups.inverses([[0, 1, 2], [1, 2, 2], [2, 2, 1]]),
+     groups.InvalidGroupTable, "element 1 has no inverse", 1),
+], ids=["arrow-without-src", "restrict-unknown-objects",
+        "nat-missing-component", "nat-not-parallel",
+        "nat-component-wrong-ends", "bibundle-two-carriers",
+        "descend-other-base", "datum-without-bundle", "table-not-square",
+        "table-not-associative", "table-without-inverse"])
+def test_each_library_error_names_its_fault(make, error, text, witness):
+    with pytest.raises(error) as err:
+        make()
+    assert (type(err.value), str(err.value), err.value.witness) == \
+        (error, text, witness)

@@ -827,6 +827,18 @@ def broken_data():
                 ("by", "a"): {}}}), False),
         "stray-piece-pair": (DescentDatum("Q", d.cover, d.fibres, {
             **d.transitions, ("U", "V"): {("a", "a"): {"a0": "a0"}}}), True),
+        # (U.V, W) holds the tables of (U.V, U), which no chart reads: as
+        # many piece pairs and tables as the cover asks for; a file holds
+        # no empty piece pair
+        "stray-piece-pair-for-a-real-one": (DescentDatum(
+            "O", apart.cover, apart.fibres,
+            {**{k: t for k, t in apart.transitions.items()
+                if k != ("U.V", "U")}, ("U.V", "W"): {}}), False),
+        # an element over z, which is no point of U; a file lists each
+        # fibre under its point
+        "element-off-the-piece": (DescentDatum("Z", d.cover, {"U": Bundle(
+            "A", fib.base, fib.total + ("z0",), {**fib.proj, "z0": "z"})},
+            d.transitions), False),
         # U and U.V do not overlap, so the missing table would be empty
         "piece-pair-missing": (DescentDatum(
             "R", apart.cover, apart.fibres,
