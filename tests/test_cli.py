@@ -29,6 +29,7 @@ from grpd.formats import (serialize_bibundle, serialize_datum,
 from grpd.homotopy import inclusion_functor
 
 from conftest import _LOOP5, _doubled_hom_sets, _random_functor, _relabel
+from test_bench_compare import compare, faked  # noqa: F401 (fixture)
 from test_cli_golden import outputs
 from test_core import z3_by
 from test_formats import corpus_texts, mutate
@@ -864,6 +865,70 @@ def test_corpus_report_bounds_below_1_exit_2(option):
     assert done.returncode == EXIT_INPUT
     assert "must be at least 1" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("classify", [
+    '{"correct": true, "attempted": 9, "failed": 1}',
+    '{"correct": false, "attempted": 9, "failed": 2}',
+    "Traceback (most recent call last):",
+    ""])
+def test_bench_record_fails_on_a_wrong_or_missing_result(
+        classify, compare, monkeypatch):
+    # scripts/bench_compare.py, which also records snapshots: only
+    # classify's runs go wrong, and descent's runs are still summarized
+    faked(monkeypatch, compare, lambda side, k: {
+        "ops_per_s": 100.0, "op_p50_ms": 10.0})
+    right = compare.subprocess.run
+
+    def fake_run(argv, **kwargs):
+        done = right(argv, **kwargs)
+        if argv[0] != "git" and argv[3] == "classify":
+            done.stdout = f"log\n{classify}\n"
+        return done
+
+    monkeypatch.setattr(compare.subprocess, "run", fake_run)
+    code = compare.main(["--base", "HEAD", "--label", "t", "--pairs", "1",
+                         "--seconds", "1"])
+    wrong = '"correct": true' not in classify
+    assert code == (1 if wrong else 0)
+    record = json.loads((compare.ROOT / "BENCH_t.json").read_text())
+    assert (record["git_rev"], record["seed"], record["seconds"]) == \
+        ("rev", 1, 1.0)
+    assert [(r["side"], r["correct"], r["attempted"])
+            for r in record["runs"]["descent"]] == \
+        [("A", True, 9), ("B", True, 9)]
+    assert sorted(record["summary"]["descent"]) == \
+        ["op_p50_ms", "ops_per_s"]
+    assert record["summary"]["classify"] == {}
+    classify_runs = [(r["side"], r["correct"], r["attempted"])
+                     for r in record["runs"]["classify"]]
+    if classify.startswith("{"):
+        said = json.loads(classify)["correct"]
+        assert classify_runs == [("A", said, 9), ("B", said, 9)]
+    else:
+        assert classify_runs == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--label", "a/b"], ["--label", "../up"], ["--label", ""],
+    ["--label", "t", "--seconds", "0"], ["--label", "t", "--seconds", "-1"],
+    ["--label", "t", "--seconds", "nan"]])
+def test_bench_record_rejects_unusable_arguments_before_any_run(
+        argv, compare):
+    # "--label a/b" ran every workload, then died writing BENCH_a/b.json;
+    # "--seconds 0" made every benchmark run crash.  The script runs from
+    # a copy in the fixture's repository, whose perfbench/run.py is empty,
+    # so a run that was not refused would leave a BENCH_*.json there.
+    script = compare.ROOT / "scripts" / "bench_compare.py"
+    script.parent.mkdir()
+    script.write_text((Path(compare.__file__)).read_text())
+    done = subprocess.run([sys.executable, str(script), "--base", "HEAD",
+                           *argv], capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 2
+    assert "error: --" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not list(compare.ROOT.glob("BENCH_*"))
 
 
 def run_json(capsys, argv):
