@@ -742,9 +742,6 @@ class StrictArrow:
     obj_map: dict[str, str]
     arr_map: dict[str, str]
 
-    def __call__(self, arrow: str) -> str:
-        return self.arr_map[arrow]
-
     def __repr__(self):
         return f"StrictArrow({self.name!r}: {self.dom.name} -> {self.cod.name})"
 

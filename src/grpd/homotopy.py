@@ -15,7 +15,6 @@ constructing explicit witnesses.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from . import groups
@@ -199,6 +198,7 @@ class Skeleton:
         """Canonical text form, one line per orbit, bit-exact across
         equivalent groupoids (ordering and content use only the isotropy
         canonical form)."""
+        import hashlib  # only here, so that no other path loads OpenSSL
         lines = []
         for e in self.entries:
             dump = ";".join(",".join(str(v) for v in row)

@@ -1002,6 +1002,57 @@ def test_runtime_imports_only_the_standard_library(tmp_path):
     assert out.splitlines()[-1] == "0 ['grpd']"
 
 
+# The baseline is what the interpreter loaded before the script's first
+# line, the modules of a bare ``python -c pass`` (site start-up included).
+HASH_IMPORTS = """
+import sys
+baseline = set(sys.modules)
+import contextlib, io, json
+import grpd.cli
+
+def hashing(argvs):
+    codes = []
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(grpd.cli.run(argv))
+    added = set(sys.modules) - baseline
+    return codes, sorted(added & {"hashlib", "_hashlib"})
+
+others, skeleton = json.loads(sys.argv[1])
+print(json.dumps([hashing(others), hashing([skeleton])]))
+"""
+
+
+def test_only_a_skeleton_text_loads_openssl(tmp_path):
+    """A fresh interpreter, since this one has imported hashlib: every
+    subcommand but ``skeleton`` and ``locus``, which print a skeleton's
+    digests, runs without loading hashlib; then ``skeleton`` loads it."""
+    mix, pair3 = _input(tmp_path, "mix.grpd"), _input(tmp_path, "pair3.grpd")
+    datum, idfun = _input(tmp_path, "datum.grpd"), _input(tmp_path,
+                                                          "idfun.grpd")
+    unit = _input(tmp_path, "unit_p3.grpd")
+    others = [["validate", mix], ["orbits", mix], ["transitive", mix],
+              ["morita", mix, pair3], ["morita-homotopy", mix, mix],
+              ["cgeo", mix], ["relcgeo", mix, "--subset", "1"],
+              ["weakpoint", mix, "--subset", "1,2"],
+              ["deform", mix, "--from", "1", "--to", "2"],
+              ["tensor", unit, unit], ["homotopic", idfun, idfun],
+              ["pullback", _input(tmp_path, "cospan.grpd"), "--n", "2"],
+              ["descent-check", datum], ["descent-glue", datum],
+              ["corpus", "--seed", "9", "--count", "3"]]
+    assert {argv[0] for argv in others} | {"skeleton", "locus"} \
+        == set(FUZZ_COMMANDS) | {"corpus"}
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(grpd.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", HASH_IMPORTS,
+         json.dumps([others, ["skeleton", mix]])],
+        env=env, capture_output=True, text=True, check=True).stdout
+    (codes, loaded), (skeleton_codes, skeleton_loaded) = json.loads(out)
+    assert set(codes) <= {EXIT_OK, EXIT_FALSE} and loaded == []
+    assert skeleton_codes == [EXIT_OK] and "_hashlib" in skeleton_loaded
+
+
 def test_every_runtime_module_imports_only_the_standard_library():
     """Each module of the package is parsed, not run, so an import on a
     path that no subcommand takes is caught too."""

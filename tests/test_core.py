@@ -567,30 +567,37 @@ def reduced_latin_squares(n):
 def test_validator_decides_every_reduced_latin_square_up_to_order_6():
     """Each of the 9,471 reduced Latin squares of order at most 6 as a
     one-object table (``loop_groupoid``: unit 0, inv a the b with a.b =
-    0): the validator accepts exactly the 93 group tables, agrees
-    with the naive oracle on every table, and each associativity witness
-    (c, b, a) really fails.  The other tables fail the inverse law, where
-    a's left and right inverses differ."""
-    counts, verdicts = Counter(), Counter()
+    0) and as Pair(2) x L (``transitive_groupoid``, so that the Brandt
+    labels, ``tree_loop`` and the per-arrow unit and inverse checks meet
+    non-groups too): the validator accepts exactly the 93 group tables,
+    agrees with the naive oracle on every table, and each associativity
+    witness (c, b, a) really fails.  The other tables fail the inverse
+    law, where a's left and right inverses differ."""
+    counts = Counter()
+    verdicts = {"loop": Counter(), "pair2": Counter()}
     for n in range(1, 7):
         for square in reduced_latin_squares(n):
             counts[n] += 1
-            g = loop_groupoid(square)
-            try:
-                validate_groupoid(g)
-                verdict = "valid"
-            except NonAssociative as err:
-                c, b, a = err.witness
-                assert g.comp[(c, g.comp[(b, a)])] \
-                    != g.comp[(g.comp[(c, b)], a)], square
-                verdict = "NonAssociative"
-            except GroupoidError as err:
-                verdict = type(err).__name__
-            assert (verdict == "valid") == oracle_is_groupoid(g), square
-            verdicts[verdict] += 1
+            for shape, g in (("loop", loop_groupoid(square)),
+                             ("pair2", transitive_groupoid("p2L", "12",
+                                                           square))):
+                try:
+                    validate_groupoid(g)
+                    verdict = "valid"
+                except NonAssociative as err:
+                    c, b, a = err.witness
+                    assert g.comp[(c, g.comp[(b, a)])] \
+                        != g.comp[(g.comp[(c, b)], a)], (shape, square)
+                    verdict = "NonAssociative"
+                except GroupoidError as err:
+                    verdict = type(err).__name__
+                assert (verdict == "valid") == oracle_is_groupoid(g), \
+                    (shape, square)
+                verdicts[shape][verdict] += 1
     assert [counts[n] for n in range(1, 7)] == [1, 1, 1, 4, 56, 9408]
-    assert verdicts == {"valid": 93, "NonAssociative": 1730,
-                        "BadInverse": 7648}
+    for shape in verdicts:
+        assert verdicts[shape] == {"valid": 93, "NonAssociative": 1730,
+                                   "BadInverse": 7648}, shape
 
 
 def test_components_are_the_nonempty_hom_set_classes(corpus):
